@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering
-from .geometry import CorrespondenceSet, RigidTransform, make_rng
+from .geometry import CorrespondenceSet, make_rng
 from .horn import horn_register
 
 
@@ -98,16 +98,6 @@ def sequential_ransac(cs: CorrespondenceSet, cfg: RansacConfig) -> Clustering:
     return Clustering(labels, num_clusters=next_id - 1)
 
 
-def tlinkage_preference(cs: CorrespondenceSet, point_index: int,
-                        hypothesis: RigidTransform, cfg: TLinkageConfig) -> float:
-    """Preference of one point for one hypothesis: exponential decay of the
-    residual, zeroed beyond the 5*tau gate."""
-    residual = float(np.linalg.norm(cs.b[point_index] - hypothesis.apply(cs.a[point_index])))
-    if residual > 5.0 * cfg.tau:
-        return 0.0
-    return float(np.exp(-residual / cfg.tau_t))
-
-
 def _preference_matrix(cs: CorrespondenceSet, hypotheses, cfg: TLinkageConfig) -> np.ndarray:
     prefs = np.empty((len(cs), len(hypotheses)))
     for h, transform in enumerate(hypotheses):
@@ -129,16 +119,69 @@ def tanimoto_distance(u, v) -> float:
     return 1.0 - dot / denom
 
 
+def _gram_to_tanimoto(gram, sq_rows, sq_cols) -> np.ndarray:
+    """Turn inner products into Tanimoto distances in place, with the same
+    arithmetic as ``tanimoto_distance``; a denominator <= 0 gives 1."""
+    denom = sq_rows + sq_cols
+    denom -= gram
+    ok = denom > 0.0
+    np.divide(gram, denom, out=gram, where=ok)
+    gram[~ok] = 0.0
+    return np.subtract(1.0, gram, out=gram)
+
+
+def _tanimoto_merge(prefs: np.ndarray) -> list[list[int]]:
+    """Agglomerate the rows of ``prefs`` (k x H); returns the groups of row
+    indices, in survivor order.
+
+    The pair at the smallest Tanimoto distance below 1 merges first, exact
+    ties going to the lowest (i, j) in row-major order; the survivor is the
+    lower index i, its preference becomes the element-wise min of the two
+    rows, and row j is retired. Distances live in one k x k upper-triangular
+    matrix: a merge masks row and column j and recomputes row i with one
+    matrix-vector product, so each merge costs O(k^2) (the argmin) plus
+    O(k H), and memory is O(k^2).
+    """
+    prefs = np.array(prefs, dtype=np.float64)
+    k = prefs.shape[0]
+    groups = [[c] for c in range(k)]
+    dist = prefs @ prefs.T
+    sq = dist.diagonal().copy()
+    _gram_to_tanimoto(dist, sq[:, None], sq)
+    dist[np.tri(k, dtype=bool)] = np.inf
+    dist[dist >= 1.0] = np.inf
+    live = np.ones(k, dtype=bool)
+    while True:
+        i, j = divmod(int(np.argmin(dist)), k)
+        if dist[i, j] == np.inf:
+            break
+        groups[i] += groups[j]
+        live[j] = False
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        prefs[i] = np.minimum(prefs[i], prefs[j])
+        sq[i] = prefs[i] @ prefs[i]
+        row = _gram_to_tanimoto(prefs @ prefs[i], sq[i], sq)
+        row[(row >= 1.0) | ~live] = np.inf
+        dist[:i, i] = row[:i]
+        dist[i, i + 1:] = row[i + 1:]
+    return [groups[c] for c in np.flatnonzero(live)]
+
+
 def tlinkage_cluster(cs: CorrespondenceSet, initial: Clustering,
                      cfg: TLinkageConfig) -> Clustering:
     """Agglomerate initial clusters by Tanimoto distance between preferences.
 
     Hypotheses are Horn fits on minimal samples drawn within single initial
-    clusters; a cluster's preference vector is the element-wise minimum over
-    its members. The closest pair below distance 1 merges (merged preference
-    = element-wise min) until every remaining pair is orthogonal. The result
-    is always a coarsening of the initial partition; zero hypotheses return
-    the initial clustering unchanged.
+    clusters; a point's preference for a hypothesis decays as
+    exp(-residual / tau_t) and is zero beyond 5 * tau, and a cluster's
+    preference vector is the element-wise minimum over its members. The
+    closest pair below distance 1 merges (merged preference = element-wise
+    min) until every remaining pair is at distance 1; ties go to the lowest
+    (i, j) pair of current cluster positions, in row-major order (see
+    ``_tanimoto_merge``: O(k^2) per merge, O(k^2) memory for k initial
+    clusters). The result is always a coarsening of the initial partition;
+    zero hypotheses return the initial clustering unchanged.
     """
     rng = make_rng(cfg.seed)
     groups = [initial.members(j) for j in range(1, initial.num_clusters + 1)]
@@ -154,27 +197,14 @@ def tlinkage_cluster(cs: CorrespondenceSet, initial: Clustering,
     if not hypotheses:
         return Clustering(initial.labels, num_clusters=initial.num_clusters)
 
-    point_prefs = _preference_matrix(cs, hypotheses, cfg)
-    members = [g for g in groups]
-    prefs = [point_prefs[g].min(axis=0) for g in members]
-
-    while len(members) > 1:
-        best = None
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                d = tanimoto_distance(prefs[i], prefs[j])
-                if d < 1.0 and (best is None or d < best[0]):
-                    best = (d, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        members[i] = np.sort(np.concatenate([members[i], members[j]]))
-        prefs[i] = np.minimum(prefs[i], prefs[j])
-        del members[j]
-        del prefs[j]
+    # rebinding frees the n x H point preferences before the k x k matrix exists
+    prefs = _preference_matrix(cs, hypotheses, cfg)
+    prefs = np.array([prefs[g].min(axis=0) for g in groups])
+    members = [np.concatenate([groups[c] for c in merged])
+               for merged in _tanimoto_merge(prefs)]
 
     order = sorted(range(len(members)),
-                   key=lambda c: (-members[c].size, int(members[c][0])))
+                   key=lambda c: (-members[c].size, int(members[c].min())))
     labels = np.zeros(len(cs), dtype=np.int64)
     for new_id, c in enumerate(order, start=1):
         labels[members[c]] = new_id

@@ -235,6 +235,39 @@ def _build_initialization(cfg, scene, cs, seed):
     return Clustering(labels)
 
 
+def _algorithm_config(cfg, algorithm, seed, sigma, tau):
+    """The algorithm's config (None for the naive baseline); a value that a
+    config rejects is a usage error."""
+    try:
+        if algorithm == "em":
+            return EMConfig(
+                tau=_as_float(cfg, "em.tau") if cfg.get("em.tau") else tau,
+                m_min=_as_int(cfg, "em.m_min"),
+                max_iters=_as_int(cfg, "em.max_iters"),
+                sigma_floor=_as_float(cfg, "em.sigma_floor"),
+            )
+        if algorithm == "sransac":
+            return RansacConfig(
+                inlier_threshold=(_as_float(cfg, "ransac.inlier_threshold")
+                                  if cfg.get("ransac.inlier_threshold")
+                                  else max(math.sqrt(3.0) * sigma, 1e-6)),
+                max_trials=_as_int(cfg, "ransac.max_trials"),
+                min_model_inliers=_as_int(cfg, "ransac.min_model_inliers"),
+                seed=seed,
+            )
+        if algorithm == "tlinkage":
+            return TLinkageConfig(
+                tau_t=(_as_float(cfg, "tlinkage.tau_t") if cfg.get("tlinkage.tau_t")
+                       else max(math.sqrt(3.0) * sigma, 0.01 * tau)),
+                tau=tau,
+                num_hypotheses=_as_int(cfg, "tlinkage.num_hypotheses"),
+                seed=seed,
+            )
+    except ValueError as exc:
+        raise UsageError(f"invalid {algorithm} config: {exc}") from exc
+    return None
+
+
 def cmd_run(cfg: dict[str, str]) -> int:
     out = _need(cfg, "out")
     algorithm = cfg.get("algorithm", "em")
@@ -248,8 +281,7 @@ def cmd_run(cfg: dict[str, str]) -> int:
     scene = read_scene(scene_path)
     cs = scene.correspondences
     seed = _as_int(cfg, "seed")
-    sigma = scene.spec.sigma
-    tau = scene.spec.tau
+    algo_cfg = _algorithm_config(cfg, algorithm, seed, scene.spec.sigma, scene.spec.tau)
 
     initial = _build_initialization(cfg, scene, cs, seed)
     em_pairs: list[tuple[str, str]] = []
@@ -260,13 +292,7 @@ def cmd_run(cfg: dict[str, str]) -> int:
     t_algo = time.perf_counter()
     try:
         if algorithm == "em":
-            em_cfg = EMConfig(
-                tau=float(cfg["em.tau"]) if cfg.get("em.tau") else tau,
-                m_min=_as_int(cfg, "em.m_min"),
-                max_iters=_as_int(cfg, "em.max_iters"),
-                sigma_floor=_as_float(cfg, "em.sigma_floor"),
-            )
-            result = run_em(cs, initial, em_cfg)
+            result = run_em(cs, initial, algo_cfg)
             clustering = result.clustering
             transforms = [m.transform for m in result.models]
             em_pairs = [
@@ -283,26 +309,9 @@ def cmd_run(cfg: dict[str, str]) -> int:
                 em_pairs.append((f"models.{j}.sigma", fmt_float(model.sigma_hat)))
                 em_pairs.append((f"models.{j}.weight", fmt_float(model.weight)))
         elif algorithm == "sransac":
-            threshold = (float(cfg["ransac.inlier_threshold"])
-                         if cfg.get("ransac.inlier_threshold")
-                         else max(math.sqrt(3.0) * sigma, 1e-6))
-            ransac_cfg = RansacConfig(
-                inlier_threshold=threshold,
-                max_trials=_as_int(cfg, "ransac.max_trials"),
-                min_model_inliers=_as_int(cfg, "ransac.min_model_inliers"),
-                seed=seed,
-            )
-            clustering, transforms = fit_cluster_transforms(cs, sequential_ransac(cs, ransac_cfg))
+            clustering, transforms = fit_cluster_transforms(cs, sequential_ransac(cs, algo_cfg))
         elif algorithm == "tlinkage":
-            tau_t = (float(cfg["tlinkage.tau_t"]) if cfg.get("tlinkage.tau_t")
-                     else max(math.sqrt(3.0) * sigma, 0.01 * tau))
-            tl_cfg = TLinkageConfig(
-                tau_t=tau_t,
-                tau=tau,
-                num_hypotheses=_as_int(cfg, "tlinkage.num_hypotheses"),
-                seed=seed,
-            )
-            clustering, transforms = fit_cluster_transforms(cs, tlinkage_cluster(cs, initial, tl_cfg))
+            clustering, transforms = fit_cluster_transforms(cs, tlinkage_cluster(cs, initial, algo_cfg))
         else:  # naive-horn-per-cluster
             clustering, transforms = fit_cluster_transforms(cs, initial)
     except NoViableClustersError as exc:

@@ -60,9 +60,6 @@ class Clustering:
             remap[old_id] = new_id
         return Clustering(remap[self.labels], num_clusters=len(keep))
 
-    def same_labels(self, other: "Clustering") -> bool:
-        return np.array_equal(self.labels, other.labels)
-
 
 def distance_to_cluster(cluster_points, point) -> float:
     """Minimum Euclidean distance from ``point`` to any cluster member.

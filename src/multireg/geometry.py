@@ -163,14 +163,6 @@ class RigidTransform:
         )
 
 
-def random_rigid_transform(seed, translation_radius: float = 1.0) -> RigidTransform:
-    """Random rotation plus a translation uniform in a ball of the given radius."""
-    rng = make_rng(seed)
-    rot = random_rotation(rng)
-    t = random_point_in_ball(rng, translation_radius)
-    return RigidTransform(rot, t)
-
-
 @dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
     """Ordered point pairs (a_i, b_i); indices are stable for the whole run."""

@@ -29,8 +29,6 @@ class HornEstimate:
         Estimated rotation and translation.
     sigma_hat : float
         Estimated per-axis noise std (floored at SIGMA_FLOOR).
-    residuals : ndarray, shape (n, 3)
-        b_i - (R a_i + t) for every input correspondence.
     lambda_min : float
         Smallest eigenvalue of the centered second-moment matrix of the
         a-points; measures geometric conditioning of the fit.
@@ -38,7 +36,6 @@ class HornEstimate:
 
     transform: RigidTransform
     sigma_hat: float
-    residuals: np.ndarray
     lambda_min: float
 
 
@@ -120,6 +117,5 @@ def horn_register(cs: CorrespondenceSet, sigma_floor: float = SIGMA_FLOOR) -> Ho
     return HornEstimate(
         transform=RigidTransform(r_hat, t_hat),
         sigma_hat=sigma_hat,
-        residuals=residuals,
         lambda_min=max(lambda_min, 0.0),
     )

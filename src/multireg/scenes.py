@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .clustering import (Clustering, connected_components, fragment_connected_set,
                          is_connected)
@@ -219,8 +219,17 @@ def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
     return out
 
 
+def _min_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Smallest distance between two nonempty point sets, in O(|p| + |q|)
+    memory: a k-d tree on the larger set, queried with the smaller."""
+    if len(p) < len(q):
+        p, q = q, p
+    return float(cKDTree(p).query(q, k=1)[0].min())
+
+
 def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
-    """Check every generative condition of the scene by brute force."""
+    """Check every generative condition of the scene; separation and outlier
+    clearance use exact nearest-neighbour distances."""
     spec = scene.spec
     a, b = scene.correspondences.a, scene.correspondences.b
     labels = scene.true_labels
@@ -242,7 +251,7 @@ def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
     for i in range(len(object_sets)):
         for j in range(i + 1, len(object_sets)):
             if object_sets[i].size and object_sets[j].size:
-                min_gap = min(min_gap, float(cdist(object_sets[i], object_sets[j]).min()))
+                min_gap = min(min_gap, _min_distance(object_sets[i], object_sets[j]))
     separation_ok = min_gap > spec.tau
 
     max_norm = float(np.linalg.norm(a, axis=1).max()) if len(a) else 0.0
@@ -253,7 +262,7 @@ def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
     if outlier_idx.size:
         for pts in object_sets:
             if pts.size:
-                min_clearance = min(min_clearance, float(cdist(a[outlier_idx], pts).min()))
+                min_clearance = min(min_clearance, _min_distance(a[outlier_idx], pts))
     outliers_ok = min_clearance > spec.tau
 
     return SceneReport(

@@ -1,14 +1,48 @@
+import math
+
 import numpy as np
 import pytest
 
+from multireg import baselines
 from multireg.baselines import (RansacConfig, TLinkageConfig, ransac_single,
-                                sequential_ransac, tanimoto_distance,
-                                tlinkage_cluster, tlinkage_preference)
+                                sequential_ransac, tanimoto_distance, tlinkage_cluster)
 from multireg.clustering import Clustering, euclidean_cluster
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
                                random_rotation)
 from multireg.metrics import mask_iou
-from multireg.scenes import SceneSpec, generate_scene
+from multireg.scenes import SceneSpec, generate_scene, make_good_split
+
+
+def tlinkage_preference(cs, point_index, hypothesis, cfg):
+    """Preference of one point for one hypothesis: exponential decay of the
+    residual, zeroed beyond the 5*tau gate. The oracle for the vectorised
+    preference matrix."""
+    residual = float(np.linalg.norm(cs.b[point_index] - hypothesis.apply(cs.a[point_index])))
+    if residual > 5.0 * cfg.tau:
+        return 0.0
+    return float(np.exp(-residual / cfg.tau_t))
+
+
+def scan_merge(prefs):
+    """The O(k^3) agglomeration: rescan every pair with tanimoto_distance after
+    each merge. The oracle for the merge order of the Tanimoto matrix."""
+    members = [[c] for c in range(len(prefs))]
+    prefs = [np.asarray(p, dtype=np.float64) for p in prefs]
+    while len(members) > 1:
+        best = None
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                d = tanimoto_distance(prefs[i], prefs[j])
+                if d < 1.0 and (best is None or d < best[0]):
+                    best = (d, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        members[i] = members[i] + members[j]
+        prefs[i] = np.minimum(prefs[i], prefs[j])
+        del members[j]
+        del prefs[j]
+    return members
 
 
 def test_ransac_single_noiseless_recovery(rng):
@@ -102,6 +136,12 @@ def test_preference_values(rng):
     # residual beyond the 5*tau gate scores zero
     far = RigidTransform(np.eye(3), np.array([5.0 * cfg.tau + 0.1, 0.0, 0.0]))
     assert tlinkage_preference(cs, 0, far, cfg) == 0.0
+    hypotheses = [identity, shifted, far, RigidTransform(random_rotation(3), np.ones(3))]
+    matrix = baselines._preference_matrix(cs, hypotheses, cfg)
+    expected = [[tlinkage_preference(cs, i, h, cfg) for h in hypotheses] for i in range(len(cs))]
+    # batched and per-point residuals differ in the last bits, which exp
+    # scales by residual / tau_t (here at most 5 * tau / tau_t = 25)
+    np.testing.assert_allclose(matrix, expected, rtol=1e-12, atol=0)
 
 
 def test_tanimoto_examples():
@@ -165,6 +205,77 @@ def test_tlinkage_result_coarsens_initial(rng):
     for j in range(1, initial.num_clusters + 1):
         members = initial.members(j)
         assert len(set(merged.labels[members].tolist())) == 1
+
+
+def _tlinkage_both_ways(monkeypatch, cs, initial, cfg):
+    """tlinkage_cluster with the Tanimoto matrix, then with the scan oracle."""
+    fast = tlinkage_cluster(cs, initial, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_tanimoto_merge", scan_merge)
+        slow = tlinkage_cluster(cs, initial, cfg)
+    return fast, slow
+
+
+def _cli_tlinkage_config(scene, seed):
+    spec = scene.spec
+    return TLinkageConfig(tau_t=max(math.sqrt(3.0) * spec.sigma, 0.01 * spec.tau),
+                          tau=spec.tau, num_hypotheses=100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tlinkage_matches_scan_on_euclidean_init(monkeypatch, seed):
+    # the outlier-heavy baseline scene: about 285 initial clusters
+    scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(600,) * 3, sigma=0.015,
+                                     tau=0.3, bound_b=4.0, num_outliers=300, seed=seed))
+    initial = euclidean_cluster(scene.correspondences, scene.spec.tau)
+    fast, slow = _tlinkage_both_ways(monkeypatch, scene.correspondences, initial,
+                                     _cli_tlinkage_config(scene, seed))
+    assert fast.num_clusters == slow.num_clusters
+    np.testing.assert_array_equal(fast.labels, slow.labels)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tlinkage_matches_scan_on_fragmented_init(monkeypatch, seed):
+    scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(300,) * 3, sigma=0.015,
+                                     tau=0.3, bound_b=4.0, num_outliers=30, seed=seed))
+    initial = make_good_split(scene, alpha=2.0, fragments_per_object=4, seed=seed)
+    fast, slow = _tlinkage_both_ways(monkeypatch, scene.correspondences, initial,
+                                     _cli_tlinkage_config(scene, seed))
+    assert fast.num_clusters < initial.num_clusters - 5  # many merges
+    assert fast.num_clusters == slow.num_clusters
+    np.testing.assert_array_equal(fast.labels, slow.labels)
+
+
+def test_tanimoto_merge_exact_ties_go_to_lowest_pair():
+    # rows 0 and 3 coincide (distance 0) and merge first; then rows 0, 1, 2
+    # are pairwise at exactly 2/3, and merging the lowest pair (0, 1) leaves
+    # a preference orthogonal to row 2, so the tie rule decides the partition
+    prefs = np.array([[1.0, 1.0, 0.0],
+                      [1.0, 0.0, 1.0],
+                      [0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0]])
+    assert baselines._tanimoto_merge(prefs) == scan_merge(prefs) == [[0, 3, 1], [2]]
+    # (0, 3), (1, 2) and (2, 3) tie at 1/2: row-major order merges (0, 3),
+    # then (0, 2) ties (1, 2) at 1/2 and wins; column-major order would pick
+    # (1, 2) first and end with [[0, 3], [1, 2]]
+    prefs = np.array([[1.0, 0.0, 1.0],
+                      [0.0, 1.0, 0.0],
+                      [1.0, 1.0, 0.0],
+                      [1.0, 0.0, 0.0]])
+    assert baselines._tanimoto_merge(prefs) == scan_merge(prefs) == [[0, 3, 2], [1]]
+    # three disjoint duplicate pairs tie at distance 0: merged in row-major order
+    pairs = np.repeat(np.eye(3), 2, axis=0)[[0, 2, 4, 1, 3, 5]]
+    assert baselines._tanimoto_merge(pairs) == scan_merge(pairs) == [[0, 3], [1, 4], [2, 5]]
+
+
+def test_tanimoto_merge_never_merges_zero_preferences(rng):
+    prefs = rng.uniform(0.5, 1.0, (8, 5))
+    prefs[[1, 4, 5]] = 0.0
+    groups = baselines._tanimoto_merge(prefs)
+    assert groups == scan_merge(prefs)
+    for zero in (1, 4, 5):
+        assert [zero] in groups
+    assert baselines._tanimoto_merge(np.zeros((4, 3))) == [[0], [1], [2], [3]]
 
 
 def test_config_validation():

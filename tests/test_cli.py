@@ -127,6 +127,24 @@ def test_run_missing_scene_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("algorithm,setting", [
+    ("sransac", "ransac.max_trials=0"),
+    ("em", "em.m_min=2"),
+    ("em", "em.tau=abc"),
+    ("tlinkage", "tlinkage.tau_t=abc"),
+    ("tlinkage", "tlinkage.num_hypotheses=-1"),
+])
+def test_run_bad_algorithm_config_exits_2(tmp_path, scene_file, capsys, algorithm, setting):
+    out = tmp_path / "r.txt"
+    code = run_cli("run", "--algorithm", algorithm, "--out", str(out),
+                   "--set", f"scene.file={scene_file}", "--set", setting)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_perfect_permuted_and_degraded(tmp_path, scene_file, capsys):
     scene = read_scene(scene_file)
     pred = tmp_path / "pred.txt"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from multireg.clustering import check_initial_clustering
-from multireg.geometry import geodesic_distance
+from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
 from multireg.horn import horn_register
 from multireg.io import scene_to_text
 from multireg.scenes import (InfeasibleSceneError, LabeledScene, SceneSpec,
@@ -47,6 +50,38 @@ def test_validate_scene_detects_relabeled_point():
     report = validate_scene(broken)
     assert not report.outliers_ok
     assert not report.passed
+
+
+def test_validate_scene_distances_match_brute_force():
+    scene = generate_scene(_spec(num_outliers=8))
+    a, labels = scene.correspondences.a, scene.true_labels
+    objects = [a[labels == g] for g in range(1, scene.num_objects + 1)]
+    gap = min(cdist(objects[i], objects[j]).min()
+              for i in range(len(objects)) for j in range(i + 1, len(objects)))
+    clearance = min(cdist(a[labels == 0], pts).min() for pts in objects)
+    report = validate_scene(scene)
+    assert report.min_object_gap == pytest.approx(gap, rel=1e-12)
+    assert report.min_outlier_clearance == pytest.approx(clearance, rel=1e-12)
+
+
+def test_validate_scene_memory_is_linear(rng):
+    # two dense, well-separated 5000-point objects plus a few outliers; a
+    # dense pairwise distance matrix between the objects alone is 200 MB
+    n = 5000
+    first = rng.uniform(-1.0, 1.0, (n, 3))
+    a = np.vstack([first, first + [10.0, 0.0, 0.0], rng.uniform(20.0, 21.0, (10, 3))])
+    spec = SceneSpec(num_objects=2, points_per_object=(n, n), sigma=0.0, tau=0.3,
+                     bound_b=40.0, num_outliers=10)
+    scene = LabeledScene(CorrespondenceSet(a, a), np.repeat([1, 2, 0], [n, n, 10]),
+                         (RigidTransform.identity(),) * 2, spec)
+    tracemalloc.start()
+    try:
+        report = validate_scene(scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 50 * 2**20
 
 
 def test_validate_scene_noise_bound_not_tight():
