@@ -200,12 +200,9 @@ def tlinkage_cluster(cs: CorrespondenceSet, initial: Clustering,
     # rebinding frees the n x H point preferences before the k x k matrix exists
     prefs = _preference_matrix(cs, hypotheses, cfg)
     prefs = np.array([prefs[g].min(axis=0) for g in groups])
-    members = [np.concatenate([groups[c] for c in merged])
-               for merged in _tanimoto_merge(prefs)]
-
-    order = sorted(range(len(members)),
-                   key=lambda c: (-members[c].size, int(members[c].min())))
+    merged = _tanimoto_merge(prefs)
     labels = np.zeros(len(cs), dtype=np.int64)
-    for new_id, c in enumerate(order, start=1):
-        labels[members[c]] = new_id
-    return Clustering(labels, num_clusters=len(members))
+    for new_id, group in enumerate(merged, start=1):
+        for c in group:
+            labels[groups[c]] = new_id
+    return Clustering(labels, num_clusters=len(merged)).by_size()

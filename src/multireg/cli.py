@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .baselines import RansacConfig, TLinkageConfig, sequential_ransac, tlinkage_cluster
 from .bounds import run_consistency_bench, run_noise_ratio_bench
@@ -164,19 +162,21 @@ def scene_spec_from_config(cfg: dict[str, str]) -> SceneSpec:
         raise UsageError(f"invalid scene spec: {exc}") from exc
 
 
+def _read_input(reader, path):
+    """Read a scene or label file; a missing or malformed one is a usage error."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
 def fit_cluster_transforms(cs, clustering: Clustering):
     """Horn fit per predicted cluster; clusters under 3 points dissolve to 0.
 
     Returns the (possibly relabeled) clustering and one transform per
     surviving cluster id.
     """
-    sizes = clustering.sizes()
-    keep = [j for j in range(1, clustering.num_clusters + 1) if sizes[j] >= 3]
-    if len(keep) != clustering.num_clusters:
-        remap = np.zeros(clustering.num_clusters + 1, dtype=np.int64)
-        for new_id, old_id in enumerate(keep, start=1):
-            remap[old_id] = new_id
-        clustering = Clustering(remap[clustering.labels], num_clusters=len(keep))
+    clustering = clustering.keep(clustering.sizes()[1:] >= 3)
     transforms = [horn_register(cs.subset(clustering.members(j))).transform
                   for j in range(1, clustering.num_clusters + 1)]
     return clustering, transforms
@@ -229,7 +229,7 @@ def _build_initialization(cfg, scene, cs, seed):
     if kind == "good-split":
         return make_good_split(scene, _as_float(cfg, "init.alpha"),
                                _as_int(cfg, "init.fragments"), seed)
-    labels = read_clustering(_need(cfg, "init.file"))
+    labels = _read_input(read_clustering, _need(cfg, "init.file"))
     if labels.shape[0] != len(cs):
         raise UsageError("initialization file length does not match the scene")
     return Clustering(labels)
@@ -273,12 +273,8 @@ def cmd_run(cfg: dict[str, str]) -> int:
     algorithm = cfg.get("algorithm", "em")
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm '{algorithm}'; expected one of {ALGORITHMS}")
-    scene_path = _need(cfg, "scene.file")
-    if not Path(scene_path).exists():
-        raise UsageError(f"scene file not found: {scene_path}")
-
     t_start = time.perf_counter()
-    scene = read_scene(scene_path)
+    scene = _read_input(read_scene, _need(cfg, "scene.file"))
     cs = scene.correspondences
     seed = _as_int(cfg, "seed")
     algo_cfg = _algorithm_config(cfg, algorithm, seed, scene.spec.sigma, scene.spec.tau)
@@ -352,11 +348,8 @@ def cmd_run(cfg: dict[str, str]) -> int:
 
 
 def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
-    for path in (pred_path, scene_path):
-        if not Path(path).exists():
-            raise UsageError(f"file not found: {path}")
-    scene = read_scene(scene_path)
-    labels = read_clustering(pred_path)
+    scene = _read_input(read_scene, scene_path)
+    labels = _read_input(read_clustering, pred_path)
     if labels.shape[0] != len(scene.correspondences):
         raise UsageError("prediction length does not match the scene")
     clustering, transforms = fit_cluster_transforms(scene.correspondences, Clustering(labels))

@@ -51,26 +51,46 @@ class Clustering:
     def members(self, cluster_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster_id)
 
+    def keep(self, mask) -> "Clustering":
+        """Keep the clusters flagged in ``mask`` (one bool per id 1..K).
+
+        Survivors are renumbered 1..K' in id order and the points of dropped
+        clusters get label 0. Returns ``self`` when every cluster is kept.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        if mask.all():
+            return self
+        kept = int(np.count_nonzero(mask))
+        remap = np.zeros(self.num_clusters + 1, dtype=np.int64)
+        remap[1:][mask] = np.arange(1, kept + 1)
+        return Clustering(remap[self.labels], num_clusters=kept)
+
     def compact(self) -> "Clustering":
         """Drop empty cluster ids, renumbering survivors in order."""
+        return self.keep(self.sizes()[1:] > 0)
+
+    def by_size(self) -> "Clustering":
+        """Renumber the nonempty clusters 1..K' by decreasing size, ties going
+        to the smaller first member index; label 0 is untouched."""
         sizes = self.sizes()
-        keep = [j for j in range(1, self.num_clusters + 1) if sizes[j] > 0]
+        first_member = np.full(self.num_clusters + 1, len(self), dtype=np.int64)
+        np.minimum.at(first_member, self.labels, np.arange(len(self)))
+        ids = np.flatnonzero(sizes[1:]) + 1
+        order = ids[np.lexsort((first_member[ids], -sizes[ids]))]
         remap = np.zeros(self.num_clusters + 1, dtype=np.int64)
-        for new_id, old_id in enumerate(keep, start=1):
-            remap[old_id] = new_id
-        return Clustering(remap[self.labels], num_clusters=len(keep))
+        remap[order] = np.arange(1, order.size + 1)
+        return Clustering(remap[self.labels], num_clusters=order.size)
 
-
-def distance_to_cluster(cluster_points, point) -> float:
-    """Minimum Euclidean distance from ``point`` to any cluster member.
-
-    An empty cluster is at distance +inf by convention.
-    """
-    pts = np.asarray(cluster_points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        return float("inf")
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    return float(np.sqrt(np.min(np.sum((pts - p) ** 2, axis=1))))
+    def contingency(self, truth) -> np.ndarray:
+        """Point counts per (cluster id 0..K, true label 0..M): a (K+1) x (M+1)
+        table, where M is the largest true label."""
+        truth = np.asarray(truth, dtype=np.int64).reshape(-1)
+        if truth.shape != self.labels.shape:
+            raise ValueError("prediction and truth must have equal length")
+        cols = int(truth.max()) + 1 if truth.size else 1
+        counts = np.bincount(self.labels * cols + truth,
+                             minlength=(self.num_clusters + 1) * cols)
+        return counts.reshape(self.num_clusters + 1, cols)
 
 
 class _SpatialHash:
@@ -163,16 +183,7 @@ def euclidean_cluster(cs, tau: float) -> Clustering:
     member index; every point gets a positive label.
     """
     comp, count = connected_components(cs.a, tau)
-    if count == 0:
-        return Clustering(np.zeros(0, dtype=np.int64), num_clusters=0)
-    sizes = np.bincount(comp, minlength=count)
-    first_member = np.full(count, len(cs), dtype=np.int64)
-    np.minimum.at(first_member, comp, np.arange(len(cs)))
-    order = sorted(range(count), key=lambda c: (-int(sizes[c]), int(first_member[c])))
-    remap = np.empty(count, dtype=np.int64)
-    for rank, c in enumerate(order, start=1):
-        remap[c] = rank
-    return Clustering(remap[comp], num_clusters=count)
+    return Clustering(comp + 1, num_clusters=count).by_size()
 
 
 def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: int = 32) -> np.ndarray:
@@ -180,9 +191,11 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
 
     Grows fragments simultaneously from farthest-point seeds through the
     tau-proximity graph, always extending the fragment with the largest
-    remaining deficit. Returns a fragment id (0..k-1) per point. Retries with
-    fresh seeds when a growth attempt strands points; raises ValueError when
-    the targets cannot be met after ``max_retries`` attempts.
+    remaining deficit. Each fragment is tau-connected by construction: a point
+    joins only through a tau-neighbour already in the fragment. Returns a
+    fragment id (0..k-1) per point. Retries with fresh seeds when a growth
+    attempt strands points; raises ValueError when the targets cannot be met
+    after ``max_retries`` attempts.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
@@ -201,12 +214,6 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
     for _ in range(max_retries):
         seeds = _farthest_point_seeds(pts, k, rng)
         assignment = _grow_fragments(pts, grid, seeds, targets)
-        if assignment is None:
-            continue
-        for j in range(k):
-            if not is_connected(pts[assignment == j], tau):
-                assignment = None
-                break
         if assignment is not None:
             return assignment
     raise ValueError("cannot split set into connected fragments with the requested sizes")
@@ -300,42 +307,34 @@ def check_initial_clustering(clustering: Clustering, a_points, true_labels, tau:
     if len(clustering) != pts.shape[0] or truth.shape[0] != pts.shape[0]:
         raise ValueError("clustering, points and labels must have equal length")
 
-    k = clustering.num_clusters
-    num_objects = int(truth.max()) if truth.size else 0
-    sizes, connected, size_ok, pure = [], [], [], []
-    for j in range(1, k + 1):
-        members = clustering.members(j)
-        sizes.append(int(members.size))
-        connected.append(is_connected(pts[members], tau))
-        size_ok.append(members.size >= min_size)
-        member_truth = set(truth[members].tolist())
-        pure.append(len(member_truth) == 1 if members.size else False)
+    table = clustering.contingency(truth)
+    sizes = table[1:].sum(axis=1)
+    connected = [is_connected(pts[clustering.members(j)], tau)
+                 for j in range(1, clustering.num_clusters + 1)]
+    size_ok = sizes >= min_size
+    pure = np.count_nonzero(table[1:], axis=1) == 1
 
     dominance, dominance_ok = [], []
-    for g in range(1, num_objects + 1):
-        intersecting = [j for j in range(1, k + 1)
-                        if np.any(clustering.labels[truth == g] == j)]
-        if not intersecting:
+    for g in range(1, table.shape[1]):
+        hit = np.sort(sizes[table[1:, g] > 0])[::-1]
+        if hit.size == 0:
             dominance.append(0.0)
             dominance_ok.append(False)
-            continue
-        cluster_sizes = sorted((sizes[j - 1] for j in intersecting), reverse=True)
-        if len(cluster_sizes) == 1:
+        elif hit.size == 1:
             dominance.append(float("inf"))
             dominance_ok.append(True)
         else:
-            ratio = cluster_sizes[0] / cluster_sizes[1]
-            dominance.append(ratio)
-            dominance_ok.append(cluster_sizes[0] > alpha * cluster_sizes[1])
+            dominance.append(float(hit[0] / hit[1]))
+            dominance_ok.append(bool(hit[0] > alpha * hit[1]))
 
     fully_assigned = bool(np.all(clustering.labels > 0)) if len(clustering) else True
-    passed = (fully_assigned and all(connected) and all(size_ok)
-              and all(pure) and all(dominance_ok))
+    passed = (fully_assigned and all(connected) and bool(size_ok.all())
+              and bool(pure.all()) and all(dominance_ok))
     return InitialClusteringReport(
-        cluster_sizes=tuple(sizes),
+        cluster_sizes=tuple(sizes.tolist()),
         cluster_connected=tuple(connected),
-        cluster_size_ok=tuple(size_ok),
-        cluster_pure=tuple(pure),
+        cluster_size_ok=tuple(size_ok.tolist()),
+        cluster_pure=tuple(pure.tolist()),
         object_dominance=tuple(dominance),
         object_dominance_ok=tuple(dominance_ok),
         fully_assigned=fully_assigned,

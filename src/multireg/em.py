@@ -38,7 +38,6 @@ class EMConfig:
     m_min: int = 10
     max_iters: int = 100
     sigma_floor: float = SIGMA_FLOOR
-    tie_break: str = "lowest"
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -49,8 +48,6 @@ class EMConfig:
             raise ValueError("max_iters must be at least 1")
         if self.sigma_floor <= 0:
             raise ValueError("sigma_floor must be positive")
-        if self.tie_break != "lowest":
-            raise ValueError("only the 'lowest' tie-break rule is supported")
 
 
 @dataclass(frozen=True)
@@ -157,14 +154,7 @@ def prune_small(clustering: Clustering, cfg: EMConfig) -> Clustering:
     Dissolved points become eligible for reassignment by later E-steps
     through the proximity gate of the surviving clusters.
     """
-    sizes = clustering.sizes()
-    keep = [j for j in range(1, clustering.num_clusters + 1) if sizes[j] >= cfg.m_min]
-    if len(keep) == clustering.num_clusters:
-        return clustering
-    remap = np.zeros(clustering.num_clusters + 1, dtype=np.int64)
-    for new_id, old_id in enumerate(keep, start=1):
-        remap[old_id] = new_id
-    return Clustering(remap[clustering.labels], num_clusters=len(keep))
+    return clustering.keep(clustering.sizes()[1:] >= cfg.m_min)
 
 
 def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResult:
@@ -218,13 +208,11 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
 
 def _drop_empty(clustering: Clustering, models: list[ClusterModel]):
     """Remove ids emptied by the last M-step (possible only on a cap exit)."""
-    sizes = clustering.sizes()
-    if not np.any(sizes[1:] == 0):
+    live = clustering.sizes()[1:] > 0
+    if live.all():
         return clustering, models
-    keep = [j for j in range(1, clustering.num_clusters + 1) if sizes[j] > 0]
-    compacted = clustering.compact()
-    kept_models = [models[j - 1] for j in keep]
+    kept_models = [m for m, alive in zip(models, live) if alive]
     total = sum(m.weight for m in kept_models)
     kept_models = [ClusterModel(m.transform, m.sigma_hat, m.weight / total)
                    for m in kept_models]
-    return compacted, kept_models
+    return clustering.keep(live), kept_models

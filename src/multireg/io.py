@@ -70,12 +70,11 @@ def read_scene(path) -> LabeledScene:
                     header[parts[0]] = parts[1]
             elif line.startswith("POSE"):
                 fields = line.split()
-                j = int(fields[1])
+                if len(fields) != 14:
+                    raise ValueError("a POSE line must carry an object id and 12 numbers")
                 values = [float(v) for v in fields[2:]]
-                if len(values) != 12:
-                    raise ValueError(f"POSE line for object {j} must carry 12 numbers")
-                poses[j] = RigidTransform(np.array(values[:9]).reshape(3, 3),
-                                          np.array(values[9:]))
+                poses[int(fields[1])] = RigidTransform(np.array(values[:9]).reshape(3, 3),
+                                                       np.array(values[9:]))
             else:
                 rows.append(line.split())
 
@@ -89,9 +88,15 @@ def read_scene(path) -> LabeledScene:
     if sorted(poses) != list(range(1, num_objects + 1)):
         raise ValueError("POSE lines must cover objects 1..M exactly once")
 
-    a = np.array([[float(v) for v in r[0:3]] for r in rows])
-    b = np.array([[float(v) for v in r[3:6]] for r in rows])
-    labels = np.array([int(r[6]) for r in rows], dtype=np.int64)
+    for i, r in enumerate(rows, start=1):
+        if len(r) != 7:
+            raise ValueError(f"correspondence line {i} has {len(r)} fields, expected 7")
+    table = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    label_column = table[:, 6]
+    if not np.all((label_column >= 0) & (label_column <= num_objects)
+                  & (label_column == np.floor(label_column))):
+        raise ValueError(f"correspondence labels must be integers in 0..{num_objects}")
+    labels = label_column.astype(np.int64)
 
     tau = float(header["tau"])
     counts = np.bincount(labels, minlength=num_objects + 1)
@@ -106,7 +111,7 @@ def read_scene(path) -> LabeledScene:
         seed=int(header["seed"]),
     )
     transforms = tuple(poses[j] for j in range(1, num_objects + 1))
-    return LabeledScene(CorrespondenceSet(a, b), labels, transforms, spec)
+    return LabeledScene(CorrespondenceSet(table[:, 0:3], table[:, 3:6]), labels, transforms, spec)
 
 
 def clustering_to_text(clustering) -> str:
@@ -121,8 +126,10 @@ def write_clustering(clustering, path) -> None:
 
 def read_clustering(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        labels = [int(line.strip()) for line in fh if line.strip()]
-    return np.asarray(labels, dtype=np.int64)
+        labels = np.asarray([int(line) for line in fh if line.strip()], dtype=np.int64)
+    if labels.size and labels.min() < 0:
+        raise ValueError("cluster labels must be nonnegative")
+    return labels
 
 
 def result_to_text(pairs) -> str:

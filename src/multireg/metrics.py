@@ -39,6 +39,10 @@ def _labels_of(clustering) -> np.ndarray:
     return np.asarray(clustering, dtype=np.int64).reshape(-1)
 
 
+def _clustering_of(pred) -> Clustering:
+    return pred if isinstance(pred, Clustering) else Clustering(pred)
+
+
 def iou_per_cluster(pred, truth) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """IoU of each predicted cluster against its best-matching true object.
 
@@ -47,28 +51,20 @@ def iou_per_cluster(pred, truth) -> tuple[tuple[int, ...], tuple[float, ...]]:
     points belong to no predicted cluster but still count in the union
     through the matched object's side.
     """
-    pred_labels = _labels_of(pred)
-    true_labels = _labels_of(truth)
-    if pred_labels.shape != true_labels.shape:
-        raise ValueError("prediction and truth must have equal length")
-    num_pred = int(pred_labels.max()) if pred_labels.size else 0
-    num_true = int(true_labels.max()) if true_labels.size else 0
-    true_sizes = np.bincount(true_labels, minlength=num_true + 1)
+    table = _clustering_of(pred).contingency(_labels_of(truth))
+    sizes = table.sum(axis=1)
+    true_sizes = table.sum(axis=0)
 
     ids, ious = [], []
-    for j in range(1, num_pred + 1):
-        members = pred_labels == j
-        size = int(members.sum())
-        if size == 0:
-            continue
-        inter = np.bincount(true_labels[members], minlength=num_true + 1)[1:]
-        ids.append(j)
-        if num_true == 0 or inter.max() == 0:
+    for j in np.flatnonzero(sizes[1:]) + 1:
+        inter = table[j, 1:]
+        ids.append(int(j))
+        if inter.size == 0 or inter.max() == 0:
             ious.append(0.0)
             continue
         g = int(np.argmax(inter)) + 1
         overlap = int(inter[g - 1])
-        union = size + int(true_sizes[g]) - overlap
+        union = int(sizes[j]) + int(true_sizes[g]) - overlap
         ious.append(overlap / union)
     return tuple(ids), tuple(ious)
 
@@ -127,25 +123,20 @@ def pose_error(pred, pred_models, scene: LabeledScene):
     mean, included ids, per-cluster rotation, per-cluster translation).
     """
     pred_labels = _labels_of(pred)
-    true_labels = scene.true_labels
     num_pred = int(pred_labels.max()) if pred_labels.size else 0
     if len(pred_models) < num_pred:
         raise ValueError("every predicted cluster needs a model")
+    table = _clustering_of(pred).contingency(scene.true_labels)
 
     ids, rot_errors, trans_errors = [], [], []
-    for j in range(1, num_pred + 1):
-        members = pred_labels == j
-        size = int(members.sum())
-        if size == 0:
-            continue
-        inter = np.bincount(true_labels[members], minlength=scene.num_objects + 1)[1:]
+    for j in range(1, table.shape[0]):
+        inter = table[j, 1:]
         if inter.sum() == 0:
             continue
+        size = table[j].sum()
         model = pred_models[j - 1]
         rot = trans = 0.0
-        for g in range(1, scene.num_objects + 1):
-            if inter[g - 1] == 0:
-                continue
+        for g in np.flatnonzero(inter) + 1:
             weight = inter[g - 1] / size
             truth = scene.true_transforms[g - 1]
             rot += weight * geodesic_distance(model.rotation, truth.rotation)

@@ -1,4 +1,4 @@
-"""Shared test helpers, including the brute-force connectivity oracle."""
+"""Shared test helpers: the brute-force connectivity and distance oracles."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,19 @@ def brute_force_connected(points, tau):
             visited[j] = True
             stack.append(int(j))
     return bool(visited.all())
+
+
+def distance_to_cluster(cluster_points, point) -> float:
+    """Minimum Euclidean distance from ``point`` to any cluster member; the
+    oracle for the E-step proximity gate.
+
+    An empty cluster is at distance +inf by convention.
+    """
+    pts = np.asarray(cluster_points, dtype=np.float64).reshape(-1, 3)
+    if pts.shape[0] == 0:
+        return float("inf")
+    p = np.asarray(point, dtype=np.float64).reshape(3)
+    return float(np.sqrt(np.min(np.sum((pts - p) ** 2, axis=1))))
 
 
 @pytest.fixture

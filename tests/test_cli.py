@@ -145,6 +145,77 @@ def test_run_bad_algorithm_config_exits_2(tmp_path, scene_file, capsys, algorith
     assert not out.exists()
 
 
+def _truth_labels(tmp_path, scene_file):
+    path = tmp_path / "truth.txt"
+    write_clustering(Clustering(read_scene(scene_file).true_labels), path)
+    return path
+
+
+def _edited_scene(tmp_path, scene_file, edit):
+    """A copy of the scene whose first correspondence line is ``edit(fields)``."""
+    lines = scene_file.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = " ".join(edit(lines[first].split()))
+    path = tmp_path / "edited_scene.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _non_scene_to_eval(tmp_path, scene_file):
+    labels = _truth_labels(tmp_path, scene_file)
+    return ["eval", labels, labels]
+
+
+def _truncated_scene_to_run(tmp_path, scene_file):
+    path = tmp_path / "truncated.txt"
+    text = scene_file.read_text()
+    path.write_text(text[:len(text) // 2])
+    return ["run", "--set", f"scene.file={path}"]
+
+
+def _short_row_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={_edited_scene(tmp_path, scene_file, lambda f: f[:-1])}"]
+
+
+def _label_above_m_to_eval(tmp_path, scene_file):
+    scene = _edited_scene(tmp_path, scene_file, lambda f: f[:-1] + ["3"])
+    return ["eval", _truth_labels(tmp_path, scene_file), scene]
+
+
+def _negative_label_to_eval(tmp_path, scene_file):
+    labels = _truth_labels(tmp_path, scene_file)
+    labels.write_text("-1\n" + labels.read_text().split("\n", 1)[1])
+    return ["eval", labels, scene_file]
+
+
+def _negative_label_to_run(tmp_path, scene_file):
+    labels = _truth_labels(tmp_path, scene_file)
+    labels.write_text("-1\n" + labels.read_text().split("\n", 1)[1])
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=from-file",
+            "--set", f"init.file={labels}"]
+
+
+@pytest.mark.parametrize("bad_input", [
+    _non_scene_to_eval,
+    _truncated_scene_to_run,
+    _short_row_to_run,
+    _label_above_m_to_eval,
+    _negative_label_to_eval,
+    _negative_label_to_run,
+])
+def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
+    argv = bad_input(tmp_path, scene_file)
+    out = tmp_path / "r.txt"
+    if argv[0] == "run":
+        argv += ["--out", str(out)]
+    code = run_cli(*(str(arg) for arg in argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_perfect_permuted_and_degraded(tmp_path, scene_file, capsys):
     scene = read_scene(scene_file)
     pred = tmp_path / "pred.txt"

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_connected
+from conftest import brute_force_connected, distance_to_cluster
 from multireg.clustering import (Clustering, check_initial_clustering,
-                                 connected_components, distance_to_cluster,
-                                 euclidean_cluster, fragment_connected_set,
-                                 is_connected)
+                                 connected_components, euclidean_cluster,
+                                 fragment_connected_set, is_connected)
 from multireg.geometry import CorrespondenceSet
 
 
@@ -102,6 +101,21 @@ def test_fragment_line_six_three():
     assert np.count_nonzero(labels_sorted[1:] != labels_sorted[:-1]) == 1
 
 
+def test_fragments_of_random_blobs_are_connected(rng):
+    # fragments are connected by construction; the oracle checks every one
+    tau = 0.3
+    for trial in range(6):
+        n = int(rng.integers(150, 400))
+        pts = rng.uniform(0, 1, (n, 3))
+        assert brute_force_connected(pts, tau)
+        small = n // 6
+        targets = [n - 2 * small, small, small]
+        assignment = fragment_connected_set(pts, tau, targets, seed=trial)
+        np.testing.assert_array_equal(np.bincount(assignment), targets)
+        for j in range(3):
+            assert brute_force_connected(pts[assignment == j], tau), (trial, j)
+
+
 def test_fragment_bad_targets():
     pts = np.array([(i * 0.1, 0, 0) for i in range(5)])
     with pytest.raises(ValueError):
@@ -173,7 +187,32 @@ def test_clustering_validation_and_compact():
     compacted = clustering.compact()
     np.testing.assert_array_equal(compacted.labels, [1, 1, 2, 0])
     assert compacted.num_clusters == 2
+    assert compacted.compact() is compacted
     with pytest.raises(ValueError):
         Clustering([-1, 0, 1])
     with pytest.raises(ValueError):
         Clustering([0, 5], num_clusters=3)
+
+
+def test_keep_renumbers_survivors_in_id_order():
+    clustering = Clustering([3, 1, 2, 0, 3, 2], num_clusters=3)
+    kept = clustering.keep([False, True, True])
+    np.testing.assert_array_equal(kept.labels, [2, 0, 1, 0, 2, 1])
+    assert kept.num_clusters == 2
+    assert clustering.keep([True, True, True]) is clustering
+
+
+def test_by_size_orders_by_size_then_first_member():
+    # sizes: id 1 -> 2, id 2 -> 3, id 3 -> 0 (empty), id 4 -> 2 (first member 0)
+    clustering = Clustering([4, 1, 2, 0, 2, 1, 2, 4], num_clusters=4)
+    ordered = clustering.by_size()
+    np.testing.assert_array_equal(ordered.labels, [2, 3, 1, 0, 1, 3, 1, 2])
+    assert ordered.num_clusters == 3
+
+
+def test_contingency_counts_cluster_truth_pairs():
+    clustering = Clustering([1, 1, 2, 0, 2, 2], num_clusters=3)
+    table = clustering.contingency([1, 0, 1, 2, 2, 2])
+    np.testing.assert_array_equal(table, [[0, 0, 1], [1, 1, 0], [0, 1, 2], [0, 0, 0]])
+    with pytest.raises(ValueError):
+        clustering.contingency([1, 2])

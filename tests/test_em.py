@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import distance_to_cluster
 from multireg.clustering import Clustering
 from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, e_step,
                          fit_models, m_step, prune_small, run_em)
@@ -86,6 +87,22 @@ def test_e_step_gate_zeroes_far_points():
     # gated rows aside, the padded rows sum to one
     sums = weights[:-1].sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+
+def test_e_step_gate_matches_distance_oracle(rng):
+    # one shared motion, so no weight underflows and the zero pattern of the
+    # E-step is exactly the gate: strictly within tau of a cluster member
+    tau = 0.25
+    a = rng.uniform(-1, 1, (200, 3))
+    motion = RigidTransform(np.eye(3), np.array([0.3, -0.1, 0.2]))
+    cs = CorrespondenceSet(a, motion.apply(a))
+    clustering = Clustering(rng.integers(0, 4, 200), num_clusters=3)
+    models = [ClusterModel(motion, 0.1, w) for w in (0.5, 0.3, 0.2)]
+    weights = e_step(cs, clustering, models, EMConfig(tau=tau))
+    oracle = np.array([[distance_to_cluster(a[clustering.members(j)], p) < tau
+                        for j in range(1, 4)] for p in a])
+    np.testing.assert_array_equal(weights > 0, oracle)
+    assert oracle.any() and not oracle.all()
 
 
 def test_e_step_density_ratio_three_sigma():
@@ -235,5 +252,3 @@ def test_em_config_validation():
         EMConfig(tau=0.0)
     with pytest.raises(ValueError):
         EMConfig(tau=1.0, m_min=2)
-    with pytest.raises(ValueError):
-        EMConfig(tau=1.0, tie_break="random")
