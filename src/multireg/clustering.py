@@ -1,9 +1,13 @@
 """Proximity-graph clustering machinery.
 
 Connectivity at radius ``tau`` means the graph with an edge between every
-pair of points at distance <= tau is connected. Components are found with a
-uniform spatial hash (cell size tau, 27-cell neighborhoods) and a BFS flood
-fill; the O(n^2) brute-force BFS lives in the test suite as the oracle.
+pair of points at distance <= tau is connected. One grid serves every tau
+query: cubic cells of side tau/2, each a clique of that graph, with every
+tau-neighbour of a point inside the 5x5x5 block of cells around its own.
+Components come from union-find over neighbouring cells, testing a pair of
+cells only while they are still apart; fragment growth draws its candidate
+neighbours from the same blocks. The O(n^2) brute-force oracles live in the
+test suite.
 """
 
 from __future__ import annotations
@@ -93,75 +97,140 @@ class Clustering:
         return counts.reshape(self.num_clusters + 1, cols)
 
 
-class _SpatialHash:
-    """Uniform grid with cell size tau; neighbor candidates come from 27 cells."""
+# A hair over 1: float rounding in ``points / side`` then cannot put two points
+# at distance <= tau three cells apart on an axis.
+_SIDE_SLACK = 1.0 + 2.0 ** -30
+# Most point pairs one chunk of a cell-pair test compares at once.
+_PAIR_CHUNK = 1 << 10
+# Cell offsets of a hood, in lexicographic order: (0, 0, 0) is row 62, and the
+# 62 rows after it hold one offset of each +-pair.
+_REACH = np.array([(dx, dy, dz) for dx in range(-2, 3) for dy in range(-2, 3)
+                   for dz in range(-2, 3)], dtype=np.int64)
+# The forward half, nearest first: near cells join most often, so testing them
+# first leaves the fewest far pairs still apart.
+_FORWARD = _REACH[63:][np.argsort(np.sum(_REACH[63:] ** 2, axis=1), kind="stable")]
+
+
+class _CliqueGrid:
+    """Points bucketed into cubic cells of side (a hair over) tau/2.
+
+    A cell's diagonal is about 0.87 tau, so every cell is a clique of the
+    tau-graph, and two points within tau lie at most two cells apart on each
+    axis: the 125 cells of the 5x5x5 block around a cell (its hood) hold every
+    tau-neighbour of its points. Occupied cells are kept as sorted unique int64
+    codes; ``order[starts[c]:starts[c + 1]]`` lists the points of cell c in
+    index order and ``cell_of[i]`` is the cell of point i.
+    """
 
     def __init__(self, points: np.ndarray, tau: float):
-        self.points = points
-        self.tau = tau
-        keys = np.floor(points / tau).astype(np.int64)
-        cells: dict[tuple[int, int, int], list[int]] = {}
-        for i, key in enumerate(map(tuple, keys)):
-            cells.setdefault(key, []).append(i)
-        self.cells = {k: np.asarray(v, dtype=np.intp) for k, v in cells.items()}
-        self.keys = keys
-        self._hood_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        self.tau_sq = tau * tau
+        cells = np.floor(points / (0.5 * tau * _SIDE_SLACK)).astype(np.int64)
+        for axis in range(3):
+            # gaps above 3 cells shrink to 3: cells within two of each other
+            # keep their distance, and every axis spans fewer than 3n cells
+            values, inverse = np.unique(cells[:, axis], return_inverse=True)
+            steps = np.minimum(np.diff(values), 3)
+            cells[:, axis] = np.concatenate(([2], 2 + np.cumsum(steps)))[inverse]
+        dims = [int(v) + 3 for v in cells.max(axis=0)]
+        if dims[0] * dims[1] * dims[2] >= 2 ** 63:
+            raise ValueError("point set spans too many tau/2 cells for int64 cell codes")
+        self.strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
+        codes = cells @ self.strides
+        self.order = np.argsort(codes, kind="stable")
+        self.sorted_points = points[self.order]
+        sorted_codes = codes[self.order]
+        self.starts = np.concatenate(
+            ([0], np.flatnonzero(np.diff(sorted_codes)) + 1, [len(codes)]))
+        self.codes = sorted_codes[self.starts[:-1]]
+        self.cell_of = np.searchsorted(self.codes, codes)
+        self._cell_list = self.cell_of.tolist()
+        # cached hoods hold each point many times: half the bytes when it fits
+        self._index_dtype = np.int32 if len(points) < 2 ** 31 else np.intp
+        self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
 
-    def candidates(self, index: int) -> np.ndarray:
-        """Indices whose cells touch the cell of ``index`` (superset of tau-neighbors)."""
-        key = tuple(self.keys[index])
-        hood = self._hood_cache.get(key)
-        if hood is None:
-            parts = []
-            kx, ky, kz = key
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        cell = self.cells.get((kx + dx, ky + dy, kz + dz))
-                        if cell is not None:
-                            parts.append(cell)
-            hood = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-            self._hood_cache[key] = hood
-        return hood
+    def find_cells(self, target: np.ndarray) -> np.ndarray:
+        """Index of the occupied cell with each code in ``target``, or -1."""
+        pos = np.minimum(np.searchsorted(self.codes, target), len(self.codes) - 1)
+        return np.where(self.codes[pos] == target, pos, -1)
 
-    def neighbors(self, index: int) -> np.ndarray:
-        """Indices (excluding ``index``) within tau of point ``index``."""
-        cand = self.candidates(index)
-        diff = self.points[cand] - self.points[index]
-        mask = np.einsum("ij,ij->i", diff, diff) <= self.tau * self.tau
-        hits = cand[mask]
-        return hits[hits != index]
+    def hood(self, point: int) -> np.ndarray:
+        """Indices of the points in the 125 cells around the cell of ``point``
+        (a superset of its tau-neighbours, itself included); cached per cell."""
+        cell = self._cell_list[point]
+        members = self._hoods[cell]
+        if members is None:
+            near = self.find_cells(self.codes[cell] + _REACH @ self.strides)
+            near = near[near >= 0]
+            lo, sizes = self.starts[near], np.diff(self.starts)[near]
+            # the ranges order[lo:lo + size], concatenated without a Python loop
+            ranks = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+            members = self._hoods[cell] = self.order[ranks].astype(self._index_dtype)
+        return members
+
+    def touch(self, c: int, d: int) -> bool:
+        """True iff some point of cell c lies within tau of some point of cell d.
+
+        Compares at most ``_PAIR_CHUNK`` point pairs at a time (one row of c
+        against all of d at least), so two dense cells never need a |c| x |d|
+        buffer.
+        """
+        p = self.sorted_points[self.starts[c]:self.starts[c + 1]]
+        q = self.sorted_points[self.starts[d]:self.starts[d + 1]]
+        step = max(1, _PAIR_CHUNK // len(q))
+        for s in range(0, len(p), step):
+            diff = q[None, :, :] - p[s:s + step, None, :]
+            if np.any(np.einsum("ijk,ijk->ij", diff, diff) <= self.tau_sq):
+                return True
+        return False
+
+
+def _flatten(parent: np.ndarray) -> None:
+    """Point every union-find node straight at its root, in place."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return
+        parent[:] = up
 
 
 def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
-    """Component id per point of the tau-proximity graph, plus component count."""
+    """Component id per point of the tau-proximity graph, plus component count.
+
+    Components are numbered 0..count-1 in order of their smallest member index.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
-    comp = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        return comp, 0
-    grid = _SpatialHash(pts, tau)
-    tau_sq = tau * tau
-    count = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = count
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            cand = grid.candidates(i)
-            cand = cand[comp[cand] < 0]
-            if cand.size == 0:
-                continue
-            diff = pts[cand] - pts[i]
-            hits = cand[np.einsum("ij,ij->i", diff, diff) <= tau_sq]
-            comp[hits] = count
-            stack.extend(hits.tolist())
-        count += 1
-    return comp, count
+        return np.full(0, -1, dtype=np.int64), 0
+    grid = _CliqueGrid(pts, tau)
+    parent = np.arange(len(grid.codes))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    # Union-find over pairs of neighbouring cells, one offset at a time; a pair
+    # is tested only while its two cells are still in different sets.
+    for delta in (_FORWARD @ grid.strides).tolist():
+        _flatten(parent)
+        d = grid.find_cells(grid.codes + delta)
+        c = np.flatnonzero(d >= 0)
+        d = d[c]
+        apart = parent[c] != parent[d]
+        for ci, di in zip(c[apart].tolist(), d[apart].tolist()):
+            rc, rd = find(ci), find(di)
+            if rc != rd and grid.touch(ci, di):
+                parent[max(rc, rd)] = min(rc, rd)
+    _flatten(parent)
+    _, first, inverse = np.unique(parent[grid.cell_of], return_index=True,
+                                  return_inverse=True)
+    # each point's smallest fellow member, ranked
+    firsts, comp = np.unique(first[inverse], return_inverse=True)
+    return comp, int(firsts.size)
 
 
 def is_connected(points, tau: float) -> bool:
@@ -209,7 +278,7 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
         return np.zeros(n, dtype=np.int64)
 
     rng = make_rng(seed)
-    grid = _SpatialHash(pts, tau)
+    grid = _CliqueGrid(pts, tau)
 
     for _ in range(max_retries):
         seeds = _farthest_point_seeds(pts, k, rng)
@@ -235,19 +304,24 @@ def _grow_fragments(pts, grid, seeds, targets):
     assignment = np.full(n, -1, dtype=np.int64)
     sizes = [0] * k
     frontiers: list[list[tuple[float, int]]] = [[] for _ in range(k)]
-    queued = np.zeros((k, n), dtype=bool)  # caps heap growth on dense graphs
+    # open_[j, i]: i is unassigned and not yet queued by fragment j; the queued
+    # part caps heap growth on dense graphs
+    open_ = np.ones((k, n), dtype=bool)
+    # squared distance of every point to seed j: fragment j's heap key
+    to_seed = [np.sum((pts - pts[s]) ** 2, axis=1) for s in seeds]
 
     def absorb(j: int, i: int):
         assignment[i] = j
+        open_[:, i] = False
         sizes[j] += 1
-        seed_pt = pts[seeds[j]]
-        fresh = grid.neighbors(i)
-        fresh = fresh[(assignment[fresh] < 0) & ~queued[j][fresh]]
+        cand = grid.hood(i)
+        cand = cand[open_[j].take(cand)]
+        diff = pts.take(cand, axis=0) - pts[i]
+        fresh = cand[np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq]
         if fresh.size == 0:
             return
-        queued[j][fresh] = True
-        dists = np.sum((pts[fresh] - seed_pt) ** 2, axis=1)
-        for d, nb in zip(dists.tolist(), fresh.tolist()):
+        open_[j, fresh] = False
+        for d, nb in zip(to_seed[j].take(fresh).tolist(), fresh.tolist()):
             heapq.heappush(frontiers[j], (d, nb))
 
     for j, s in enumerate(seeds):

@@ -1,7 +1,12 @@
-"""Shared test helpers: the brute-force connectivity and distance oracles."""
+"""Shared test helpers: the brute-force connectivity, fragment-growth and
+distance oracles."""
+
+import heapq
 
 import numpy as np
 import pytest
+
+from multireg.geometry import make_rng
 
 
 def brute_force_connected(points, tau):
@@ -21,6 +26,97 @@ def brute_force_connected(points, tau):
             visited[j] = True
             stack.append(int(j))
     return bool(visited.all())
+
+
+def brute_force_components(points, tau):
+    """O(n^2) BFS over the full distance matrix; the oracle for
+    connected_components. Component ids follow the smallest member index."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = pts.shape[0]
+    diff = pts[:, None, :] - pts[None, :, :]
+    adjacency = np.sqrt(np.sum(diff * diff, axis=2)) <= tau
+    comp = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for start in range(n):
+        if comp[start] >= 0:
+            continue
+        comp[start] = count
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in np.flatnonzero(adjacency[i] & (comp < 0)):
+                comp[j] = count
+                stack.append(int(j))
+        count += 1
+    return comp, count
+
+
+def brute_force_fragments(points, tau, target_sizes, seed, max_retries=32):
+    """The heap growth of fragment_connected_set over brute-force neighbour
+    lists: the same farthest-point seeds, heap order (distance to seed, index)
+    and retries. Returns the fragment id per point and the attempt (1-based)
+    that succeeded; raises ValueError when every attempt strands points."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = pts.shape[0]
+    targets = [int(t) for t in target_sizes]
+    neighbours = []
+    for i in range(n):
+        diff = pts - pts[i]
+        hits = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= tau * tau)
+        neighbours.append(hits[hits != i])
+    rng = make_rng(seed)
+    for attempt in range(1, max_retries + 1):
+        seeds = [int(rng.integers(n))]
+        dist = np.sum((pts - pts[seeds[0]]) ** 2, axis=1)
+        while len(seeds) < len(targets):
+            seeds.append(int(np.argmax(dist)))
+            dist = np.minimum(dist, np.sum((pts - pts[seeds[-1]]) ** 2, axis=1))
+        assignment = _heap_growth(pts, neighbours, seeds, targets)
+        if assignment is not None:
+            return assignment, attempt
+    raise ValueError("cannot split set into connected fragments with the requested sizes")
+
+
+def _heap_growth(pts, neighbours, seeds, targets):
+    n, k = pts.shape[0], len(targets)
+    assignment = np.full(n, -1, dtype=np.int64)
+    sizes = [0] * k
+    frontiers = [[] for _ in range(k)]
+    queued = np.zeros((k, n), dtype=bool)
+
+    def absorb(j, i):
+        assignment[i] = j
+        sizes[j] += 1
+        fresh = neighbours[i]
+        fresh = fresh[(assignment[fresh] < 0) & ~queued[j][fresh]]
+        queued[j][fresh] = True
+        dists = np.sum((pts[fresh] - pts[seeds[j]]) ** 2, axis=1)
+        for d, nb in zip(dists.tolist(), fresh.tolist()):
+            heapq.heappush(frontiers[j], (d, nb))
+
+    for j, s in enumerate(seeds):
+        if assignment[s] >= 0:
+            return None
+        absorb(j, s)
+    remaining = n - k
+    while remaining > 0:
+        order = sorted(range(k), key=lambda j: (-(targets[j] - sizes[j]), j))
+        grew = False
+        for j in order:
+            if sizes[j] >= targets[j]:
+                continue
+            while frontiers[j]:
+                _, i = heapq.heappop(frontiers[j])
+                if assignment[i] < 0:
+                    absorb(j, i)
+                    remaining -= 1
+                    grew = True
+                    break
+            if grew:
+                break
+        if not grew:
+            return None
+    return assignment if sizes == targets else None
 
 
 def distance_to_cluster(cluster_points, point) -> float:

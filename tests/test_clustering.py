@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import brute_force_connected, distance_to_cluster
+from conftest import (brute_force_components, brute_force_connected,
+                      brute_force_fragments, distance_to_cluster)
 from multireg.clustering import (Clustering, check_initial_clustering,
                                  connected_components, euclidean_cluster,
                                  fragment_connected_set, is_connected)
@@ -80,6 +83,77 @@ def test_connected_components_matches_label_partition(rng):
     comp, count = connected_components(pts, 0.3)
     assert comp.min() >= 0 and comp.max() == count - 1
     assert len(np.unique(comp)) == count
+
+
+def _component_sets():
+    rng = np.random.default_rng(7)
+    lattice = rng.integers(-8, 8, (300, 3)) * 0.25  # every point on a multiple of tau/2
+    blob = rng.uniform(0, 0.1, (3, 3))
+    chain = np.array([(0.5 * i, 0, 0) for i in range(-6, 7)], dtype=float)
+    # two dense cells (tau 1, two cells apart in x) whose only pair within
+    # tau is the last point of each
+    far_a = rng.uniform(0.0, 0.02, (600, 3))
+    far_b = rng.uniform(0.0, 0.02, (600, 3)) + (1.48, 0.48, 0.48)
+    far_a[-1], far_b[-1] = (0.49, 0.25, 0.25), (1.01, 0.25, 0.25)
+    return {
+        "sparse uniform": (rng.uniform(-1, 1, (300, 3)), 0.15),
+        "dense uniform": (rng.uniform(0, 1, (1000, 3)), 0.2),
+        "negative coordinates": (rng.uniform(-5, -3, (400, 3)), 0.3),
+        "tau/2 boundaries": (lattice, 0.5),
+        "coincident points": (np.repeat(rng.uniform(-3, 3, (40, 3)), 3, axis=0), 0.05),
+        "coincident in one cell": (np.vstack([blob, blob, blob + 5.0]), 0.3),
+        "chain exactly tau apart": (chain, 0.5),
+        "chain with a gap": (np.vstack([chain, chain[-1] + (0.5 + 1e-9, 0, 0)]), 0.5),
+        "dense cells, late contact": (np.vstack([far_a, far_b]), 1.0),
+        "far outlier": (np.vstack([rng.uniform(0, 1, (200, 3)), [(1e9, -1e9, 3.0)]]), 0.2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_component_sets()))
+def test_connected_components_match_bruteforce(name):
+    pts, tau = _component_sets()[name]
+    comp, count = connected_components(pts, tau)
+    expected, expected_count = brute_force_components(pts, tau)
+    assert count == expected_count
+    np.testing.assert_array_equal(comp, expected)
+
+
+def test_connected_components_exact_tau_and_coincident_points_connect():
+    chain = np.array([(0.5 * i, 0, 0) for i in range(10)], dtype=float)
+    assert connected_components(chain, 0.5)[1] == 1
+    assert connected_components(np.zeros((4, 3)), 0.1)[1] == 1
+    assert connected_components(np.empty((0, 3)), 0.1)[1] == 0
+
+
+def test_connected_components_two_dense_cells_stay_small():
+    # tau = 1 gives cells of side 0.5: 20000 points in each of two adjacent
+    # cells; a |P| x |Q| pair buffer would need about 9.6 GB
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.01, 0.49, (20_000, 3))
+    b = a + (0.5, 0, 0)
+    pts = np.vstack([a, b])
+    tracemalloc.start()
+    try:
+        _, count = connected_components(pts, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < 50 * 2 ** 20
+
+
+def test_fragments_match_heap_growth_oracle(rng):
+    attempts = []
+    for trial in range(8):
+        n = int(rng.integers(150, 400))
+        pts = rng.uniform(0, 1, (n, 3))
+        small = n // 6
+        targets = [n - 2 * small, small, small]
+        expected, attempt = brute_force_fragments(pts, 0.3, targets, seed=trial)
+        attempts.append(attempt)
+        np.testing.assert_array_equal(
+            fragment_connected_set(pts, 0.3, targets, seed=trial), expected)
+    assert max(attempts) > 1  # some first attempts strand points and retry
 
 
 def test_fragment_single_target():

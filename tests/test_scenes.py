@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -160,6 +161,26 @@ def test_good_split_deterministic():
     s1 = make_good_split(scene, alpha=2.0, fragments_per_object=3, seed=6)
     s2 = make_good_split(scene, alpha=2.0, fragments_per_object=3, seed=6)
     np.testing.assert_array_equal(s1.labels, s2.labels)
+
+
+# sha256 of the int64 little-endian labels of the criterion-4 good split
+# (3 x 2000 points, tau 0.3, 3 fragments per object), recorded with the
+# spatial-hash fragment growth that the tau/2 cell grid replaced
+GOOD_SPLIT_SHA256 = {
+    0: "6df598900e8c8c1d964b6ab9bed204e20a24dbaed5b6f38565e0fc6bd56b53c8",
+    1: "ec7fd28e5aab624af41c27ab6f5c4866dd5b362a4c0557b4a73ea0476a244ba8",
+    2: "926f41c9147be1f8f5573ff585877dd714521f92a6fdbfc04bd4f650261cf1f9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOOD_SPLIT_SHA256))
+def test_good_split_matches_recorded_labels(seed):
+    tau = 0.3
+    scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(2000, 2000, 2000),
+                                     sigma=0.005 * tau, tau=tau, bound_b=4.0, seed=seed))
+    split = make_good_split(scene, alpha=2.0, fragments_per_object=3, seed=seed + 1000)
+    digest = hashlib.sha256(split.labels.astype("<i8").tobytes()).hexdigest()
+    assert digest == GOOD_SPLIT_SHA256[seed]
 
 
 def test_good_split_infeasible_ratio_errors():
