@@ -6,8 +6,8 @@ query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Components come from union-find over neighbouring cells, testing a pair of
 cells only while they are still apart; fragment growth draws its candidate
-neighbours from the same blocks. The O(n^2) brute-force oracles live in the
-test suite.
+neighbours from the same blocks, and the E-step proximity gate reads cluster
+occupancy off them. The O(n^2) brute-force oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import make_rng
 
@@ -106,6 +107,8 @@ _PAIR_CHUNK = 1 << 10
 # 62 rows after it hold one offset of each +-pair.
 _REACH = np.array([(dx, dy, dz) for dx in range(-2, 3) for dy in range(-2, 3)
                    for dz in range(-2, 3)], dtype=np.int64)
+# The 124 offsets to the other cells of a hood.
+_AROUND = _REACH[_REACH.any(axis=1)]
 # The forward half, nearest first: near cells join most often, so testing them
 # first leaves the fewest far pairs still apart.
 _FORWARD = _REACH[63:][np.argsort(np.sum(_REACH[63:] ** 2, axis=1), kind="stable")]
@@ -123,6 +126,8 @@ class _CliqueGrid:
     """
 
     def __init__(self, points: np.ndarray, tau: float):
+        self.points = points
+        self.tau = tau
         self.tau_sq = tau * tau
         cells = np.floor(points / (0.5 * tau * _SIDE_SLACK)).astype(np.int64)
         for axis in range(3):
@@ -131,7 +136,7 @@ class _CliqueGrid:
             values, inverse = np.unique(cells[:, axis], return_inverse=True)
             steps = np.minimum(np.diff(values), 3)
             cells[:, axis] = np.concatenate(([2], 2 + np.cumsum(steps)))[inverse]
-        dims = [int(v) + 3 for v in cells.max(axis=0)]
+        dims = [int(v) + 3 for v in cells.max(axis=0, initial=0)]
         if dims[0] * dims[1] * dims[2] >= 2 ** 63:
             raise ValueError("point set spans too many tau/2 cells for int64 cell codes")
         self.strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
@@ -139,14 +144,15 @@ class _CliqueGrid:
         self.order = np.argsort(codes, kind="stable")
         self.sorted_points = points[self.order]
         sorted_codes = codes[self.order]
-        self.starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_codes)) + 1, [len(codes)]))
-        self.codes = sorted_codes[self.starts[:-1]]
+        first = np.flatnonzero(np.diff(sorted_codes, prepend=-1))  # codes are >= 0
+        self.codes = sorted_codes[first]
+        self.starts = np.append(first, len(codes))
         self.cell_of = np.searchsorted(self.codes, codes)
         self._cell_list = self.cell_of.tolist()
         # cached hoods hold each point many times: half the bytes when it fits
         self._index_dtype = np.int32 if len(points) < 2 ** 31 else np.intp
         self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
+        self._links: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def find_cells(self, target: np.ndarray) -> np.ndarray:
         """Index of the occupied cell with each code in ``target``, or -1."""
@@ -166,6 +172,42 @@ class _CliqueGrid:
             ranks = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
             members = self._hoods[cell] = self.order[ranks].astype(self._index_dtype)
         return members
+
+    def links(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per offset in ``_AROUND``, the occupied cells c and d with d at that
+        offset from c, as two index arrays; computed once."""
+        if self._links is None:
+            self._links = []
+            for delta in (_AROUND @ self.strides).tolist():
+                d = self.find_cells(self.codes + delta)
+                c = np.flatnonzero(d >= 0)
+                self._links.append((c.astype(self._index_dtype), d[c].astype(self._index_dtype)))
+        return self._links
+
+    def near(self, labels: np.ndarray, k: int) -> np.ndarray:
+        """(n, k) mask: entry (i, j) is True iff point i lies strictly within
+        tau of some point labelled j + 1 (label 0 is no cluster's).
+
+        Cell occupancy settles most pairs: a cluster with a member in point i's
+        own cell passes (the cell is a clique), one with no member in its hood
+        fails. Only the pairs left over are decided, one k-d query per cluster,
+        by the distance ``cKDTree`` computes.
+        """
+        occupied = np.zeros((len(self.codes), k + 1), dtype=bool)
+        occupied[self.cell_of, labels] = True
+        occupied = occupied[:, 1:]
+        in_hood = occupied.copy()
+        for c, d in self.links():
+            in_hood[c] |= occupied[d]
+        passes = occupied[self.cell_of]
+        # (cluster, point) pairs with a member in the hood but none in the cell
+        unsettled = (in_hood[self.cell_of] & ~passes).T
+        for j in np.flatnonzero(unsettled.any(axis=1)).tolist():
+            query = np.flatnonzero(unsettled[j])
+            tree = cKDTree(self.points[labels == j + 1])
+            dist, _ = tree.query(self.points[query], k=1, distance_upper_bound=self.tau)
+            passes[query, j] = dist < self.tau
+        return passes
 
     def touch(self, c: int, d: int) -> bool:
         """True iff some point of cell c lies within tau of some point of cell d.

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .clustering import Clustering
+from .clustering import Clustering, _CliqueGrid
 from .geometry import CorrespondenceSet, RigidTransform
 from .horn import SIGMA_FLOOR, horn_register
 
@@ -104,7 +103,8 @@ def fit_models(cs: CorrespondenceSet, clustering: Clustering, cfg: EMConfig) -> 
     return models
 
 
-def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig) -> np.ndarray:
+def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig,
+           grid: _CliqueGrid | None = None) -> np.ndarray:
     """Weighted-likelihood responsibilities, gated by cluster proximity.
 
     Entry (i, j) is pi_j * phi_j(b_i | a_i) normalized over all clusters,
@@ -113,6 +113,10 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     phi_j is the isotropic Gaussian density with mean R_j a_i + t_j and
     covariance sigma_j^2 I, evaluated in log space so far-away points cannot
     underflow the ratios. Rows whose indicators are all zero are all zero.
+
+    ``grid`` is the tau/2 cell grid over ``cs.a`` at ``cfg.tau`` that decides
+    the indicators; it is built here when not given. The a-points never change,
+    so ``run_em`` builds one grid per run.
     """
     k = clustering.num_clusters
     if len(models) != k:
@@ -128,12 +132,11 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     unnorm = np.exp(log_scores - row_max)
     weights = unnorm / unnorm.sum(axis=1, keepdims=True)
 
-    passes = np.empty((n, k), dtype=bool)
-    for j in range(1, k + 1):
-        tree = cKDTree(cs.a[clustering.members(j)])
-        dist, _ = tree.query(cs.a, k=1, distance_upper_bound=cfg.tau)
-        passes[:, j - 1] = dist < cfg.tau
-    return weights * passes
+    if grid is None:
+        grid = _CliqueGrid(cs.a, cfg.tau)
+    elif grid.tau != cfg.tau or grid.points is not cs.a:
+        raise ValueError("the grid must be built over cs.a at cfg.tau")
+    return weights * grid.near(clustering.labels, k)
 
 
 def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clustering:
@@ -172,13 +175,14 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
     models: list[ClusterModel] = []
     converged = False
     iterations = 0
+    grid = _CliqueGrid(cs.a, cfg.tau)
 
     for iteration in range(1, cfg.max_iters + 1):
         pruned = prune_small(clustering, cfg)
         if pruned.num_clusters == 0:
             raise NoViableClustersError("no viable clusters")
         models = fit_models(cs, pruned, cfg)
-        weights = e_step(cs, pruned, models, cfg)
+        weights = e_step(cs, pruned, models, cfg, grid=grid)
         updated = m_step(weights, pruned, cfg)
         changed = int(np.count_nonzero(updated.labels != pruned.labels))
         changes.append(changed)

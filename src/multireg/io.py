@@ -27,6 +27,11 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
+# One correspondence row: a, b and the true label. "%.17g" % x is the same
+# text as fmt_float(x).
+_ROW_FORMAT = " ".join(["%.17g"] * 6) + " %d"
+
+
 def scene_to_text(scene: LabeledScene) -> str:
     spec = scene.spec
     lines = [
@@ -39,10 +44,9 @@ def scene_to_text(scene: LabeledScene) -> str:
         f"# seed {spec.seed}",
         f"# separation_margin {fmt_float(spec.separation_margin)}",
     ]
-    a, b = scene.correspondences.a, scene.correspondences.b
-    for i in range(len(scene.correspondences)):
-        coords = " ".join(fmt_float(v) for v in (*a[i], *b[i]))
-        lines.append(f"{coords} {scene.true_labels[i]}")
+    coords = np.hstack((scene.correspondences.a, scene.correspondences.b)).tolist()
+    lines.extend(_ROW_FORMAT % (*row, label)
+                 for row, label in zip(coords, scene.true_labels.tolist()))
     for j, transform in enumerate(scene.true_transforms, start=1):
         values = " ".join(fmt_float(v) for v in
                           (*transform.rotation.reshape(-1), *transform.translation))
@@ -57,7 +61,7 @@ def write_scene(scene: LabeledScene, path) -> None:
 
 def read_scene(path) -> LabeledScene:
     header: dict[str, str] = {}
-    rows: list[list[str]] = []
+    rows: list[str] = []
     poses: dict[int, RigidTransform] = {}
     with open(path, "r", encoding="ascii") as fh:
         for raw in fh:
@@ -76,7 +80,7 @@ def read_scene(path) -> LabeledScene:
                 poses[int(fields[1])] = RigidTransform(np.array(values[:9]).reshape(3, 3),
                                                        np.array(values[9:]))
             else:
-                rows.append(line.split())
+                rows.append(line)
 
     for key in ("version", "n", "M", "sigma", "tau", "B", "seed"):
         if key not in header:
@@ -88,10 +92,7 @@ def read_scene(path) -> LabeledScene:
     if sorted(poses) != list(range(1, num_objects + 1)):
         raise ValueError("POSE lines must cover objects 1..M exactly once")
 
-    for i, r in enumerate(rows, start=1):
-        if len(r) != 7:
-            raise ValueError(f"correspondence line {i} has {len(r)} fields, expected 7")
-    table = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    table = _correspondence_table(rows)
     label_column = table[:, 6]
     if not np.all((label_column >= 0) & (label_column <= num_objects)
                   & (label_column == np.floor(label_column))):
@@ -112,6 +113,28 @@ def read_scene(path) -> LabeledScene:
     )
     transforms = tuple(poses[j] for j in range(1, num_objects + 1))
     return LabeledScene(CorrespondenceSet(table[:, 0:3], table[:, 3:6]), labels, transforms, spec)
+
+
+def _correspondence_table(rows: list[str]) -> np.ndarray:
+    """The n x 7 array of the correspondence lines, parsed by one C-level
+    reader; a line without exactly 7 fields is named by its number."""
+    if not rows:
+        return np.empty((0, 7))
+    try:
+        table = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        _check_field_counts(rows)
+        raise
+    if table.shape[1] != 7:
+        _check_field_counts(rows)
+    return table
+
+
+def _check_field_counts(rows: list[str]) -> None:
+    for i, line in enumerate(rows, start=1):
+        fields = len(line.split())
+        if fields != 7:
+            raise ValueError(f"correspondence line {i} has {fields} fields, expected 7")
 
 
 def clustering_to_text(clustering) -> str:

@@ -1,10 +1,11 @@
 """Shared test helpers: the brute-force connectivity, fragment-growth and
-distance oracles."""
+distance oracles, and the per-cluster k-d proximity gate."""
 
 import heapq
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from multireg.geometry import make_rng
 
@@ -130,6 +131,22 @@ def distance_to_cluster(cluster_points, point) -> float:
         return float("inf")
     p = np.asarray(point, dtype=np.float64).reshape(3)
     return float(np.sqrt(np.min(np.sum((pts - p) ** 2, axis=1))))
+
+
+def kd_tree_gate(points, labels, k, tau):
+    """(n, k) mask: point i lies strictly within tau of a point labelled j + 1.
+
+    One cKDTree per cluster, every point queried against it: the E-step gate
+    before the tau/2 cell grid, kept as its reference on inputs too large for
+    ``distance_to_cluster``.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    labels = np.asarray(labels)
+    passes = np.empty((pts.shape[0], k), dtype=bool)
+    for j in range(1, k + 1):
+        dist, _ = cKDTree(pts[labels == j]).query(pts, k=1, distance_upper_bound=tau)
+        passes[:, j - 1] = dist < tau
+    return passes
 
 
 @pytest.fixture

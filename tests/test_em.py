@@ -1,8 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import distance_to_cluster
-from multireg.clustering import Clustering
+from conftest import distance_to_cluster, kd_tree_gate
+from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster
 from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, e_step,
                          fit_models, m_step, prune_small, run_em)
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
@@ -103,6 +106,115 @@ def test_e_step_gate_matches_distance_oracle(rng):
                         for j in range(1, 4)] for p in a])
     np.testing.assert_array_equal(weights > 0, oracle)
     assert oracle.any() and not oracle.all()
+
+
+def _gate(points, labels, k, tau):
+    """The zero pattern of e_step under one shared motion: nothing underflows,
+    so it is exactly the proximity gate."""
+    a = np.asarray(points, dtype=np.float64)
+    models = [ClusterModel(RigidTransform.identity(), 0.1, 1.0 / k)] * k
+    weights = e_step(CorrespondenceSet(a, a), Clustering(labels, num_clusters=k), models,
+                     EMConfig(tau=tau))
+    return weights > 0
+
+
+def _gate_oracle(points, labels, k, tau):
+    a = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    return np.array([[distance_to_cluster(a[labels == j], p) < tau for j in range(1, k + 1)]
+                     for p in a])
+
+
+TAU = 0.3
+GATE_CASES = {
+    # one-member cluster; probes exactly tau away (out) and a hair inside (in)
+    "tau_boundary": ([(0, 0, 0), (TAU, 0, 0), (0, -TAU, 0),
+                      (TAU * (1 - 1e-12), 0, 0), (0, 0, -TAU * (1 - 1e-12))],
+                     [1, 0, 0, 0, 0], [[1], [0], [0], [1], [1]]),
+    # three clusters and a free point on one spot; clusters 1 and 2 also share
+    # the cell of (0.06, 0.07, 0.08)
+    "coincident_and_shared_cell": ([(0.05,) * 3] * 4 + [(0.06, 0.07, 0.08), (0.1,) * 3,
+                                                        (0.7,) * 3, (0.7,) * 3],
+                                   [1, 2, 3, 0, 1, 2, 3, 0],
+                                   [[1, 1, 1]] * 6 + [[0, 0, 1]] * 2),
+    # probes two cells from the member on every axis (in, then out), three
+    # cells away on one axis (out), and two cells below (in)
+    "two_cells_every_axis": ([(0.14,) * 3, (0.31,) * 3, (0.32,) * 3, (0.46, 0.14, 0.14),
+                              (0.0,) * 3, (-0.16,) * 3],
+                             [1, 0, 0, 0, 2, 0],
+                             [[1, 1], [1, 0], [0, 0], [0, 0], [1, 1], [0, 1]]),
+    # a cluster at 1e9: the cell gaps along x shrink before coding
+    "far_outlier": ([(0, 0, 0), (0.1, 0, 0), (1e9, 0, 0), (1e9 + 0.1, 0, 0),
+                     (1e9 + 0.35, 0, 0), (0.2, 0, 0)],
+                    [1, 1, 2, 0, 0, 0], [[1, 0], [1, 0], [0, 1], [0, 1], [0, 0], [1, 0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_e_step_gate_edge_cases_match_distance_oracle(case):
+    points, labels, expected = GATE_CASES[case]
+    k = len(expected[0])
+    oracle = _gate_oracle(points, labels, k, TAU)
+    np.testing.assert_array_equal(oracle, np.array(expected, dtype=bool))
+    np.testing.assert_array_equal(_gate(points, labels, k, TAU), oracle)
+
+
+@pytest.mark.parametrize("tau", [0.17, 0.45])
+def test_e_step_gate_at_em_tau_other_than_scene_tau(rng, tau):
+    scene = _scene(num_objects=2, points=(120, 80), seed=5)  # scene tau 0.3
+    labels = make_good_split(scene, alpha=2.0, fragments_per_object=2, seed=4).labels.copy()
+    labels[rng.choice(labels.size, 40, replace=False)] = 0
+    a = scene.correspondences.a
+    oracle = _gate_oracle(a, labels, 4, tau)
+    np.testing.assert_array_equal(_gate(a, labels, 4, tau), oracle)
+    assert oracle.any() and not oracle.all()
+
+
+def test_e_step_rejects_a_grid_of_other_points_or_tau():
+    cs, clustering, cfg = _two_cluster_setup()
+    models = [ClusterModel(RigidTransform.identity(), 0.1, 0.5)] * 2
+    for grid in (_CliqueGrid(cs.a, 0.5), _CliqueGrid(cs.a.copy(), cfg.tau)):
+        with pytest.raises(ValueError, match="grid"):
+            e_step(cs, clustering, models, cfg, grid=grid)
+    np.testing.assert_array_equal(
+        e_step(cs, clustering, models, cfg, grid=_CliqueGrid(cs.a, cfg.tau)),
+        e_step(cs, clustering, models, cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grid_gate_matches_kd_tree_gate_on_fragmented_scenes(seed):
+    # the em_large shape, smaller: fragments interleave at their borders, so
+    # many (point, cluster) pairs are left to the k-d queries
+    scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(600, 600, 600),
+                                     sigma=0.015, tau=TAU, bound_b=4.0, num_outliers=60,
+                                     seed=seed))
+    split = make_good_split(scene, alpha=2.0, fragments_per_object=6, seed=seed)
+    pruned = prune_small(split, EMConfig(tau=TAU))
+    a, k = scene.correspondences.a, pruned.num_clusters
+    for tau in (TAU, 0.17):
+        np.testing.assert_array_equal(_CliqueGrid(a, tau).near(pruned.labels, k),
+                                      kd_tree_gate(a, pruned.labels, k, tau))
+
+
+def test_e_step_memory_is_linear_in_points_times_clusters():
+    # 20 000 points, 24 clusters mixed at random: nearly every pair is in the
+    # boundary band. This peaks at about 23 MB (the per-cluster k-d gate it
+    # replaced, at 16 MB); one n x k float64 array is 3.7 MB.
+    rng = np.random.default_rng(5)
+    n, k = 20_000, 24
+    a = rng.uniform(0.0, 3.0, (n, 3))
+    cs = CorrespondenceSet(a, a)
+    clustering = Clustering(rng.integers(0, k + 1, n), num_clusters=k)
+    models = [ClusterModel(RigidTransform.identity(), 0.1, 1.0 / k)] * k
+    tracemalloc.start()
+    try:
+        e_step(cs, clustering, models, EMConfig(tau=TAU))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    links = _CliqueGrid(cs.a, TAU).links()
+    assert all(c.dtype == np.int32 and d.dtype == np.int32 for c, d in links)
 
 
 def test_e_step_density_ratio_three_sigma():
@@ -232,6 +344,12 @@ def test_run_em_no_viable_clusters():
         run_em(scene.correspondences, Clustering(labels), EMConfig(tau=scene.spec.tau, m_min=10))
 
 
+def test_run_em_on_no_points_has_no_viable_clusters():
+    empty = CorrespondenceSet(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(NoViableClustersError):
+        run_em(empty, Clustering(np.zeros(0, dtype=int)), EMConfig(tau=0.3))
+
+
 def test_run_em_cap_exit_drops_emptied_clusters():
     # the 4:1 fragments collapse into one cluster during iteration 1; with
     # max_iters=1 the emptied sibling must be dropped and weights renormalized
@@ -245,6 +363,46 @@ def test_run_em_cap_exit_drops_emptied_clusters():
     assert np.all(sizes[1:] > 0)
     assert sum(m.weight for m in result.models) == pytest.approx(1.0, abs=1e-9)
     assert len(result.models) == result.clustering.num_clusters
+
+
+# sha256 of the int64 little-endian run_em labels, with the per-iteration
+# assignment changes, recorded with the per-cluster k-d gate that the cell
+# grid replaced. Every seed ends at the ground-truth labels, so the digests
+# agree across seeds; the assignment changes record each path there.
+CRITERION_4_EM = {
+    0: ("6e60aac1a1e427cc9146d16d6040b19e444dcb8eaa87f4ec0e07e7e1aa0ba424", (1695, 266, 75, 0)),
+    1: ("6e60aac1a1e427cc9146d16d6040b19e444dcb8eaa87f4ec0e07e7e1aa0ba424", (1741, 340, 0)),
+    2: ("6e60aac1a1e427cc9146d16d6040b19e444dcb8eaa87f4ec0e07e7e1aa0ba424", (1865, 231, 0)),
+}
+OUTLIER_EUCLIDEAN_EM = {
+    0: ("00d54be7e2e5e23212f6154e1e904690f9fa7de614491f93e86635929a08a63a", (0,)),
+    1: ("00d54be7e2e5e23212f6154e1e904690f9fa7de614491f93e86635929a08a63a", (0,)),
+    2: ("00d54be7e2e5e23212f6154e1e904690f9fa7de614491f93e86635929a08a63a", (0,)),
+}
+
+
+def _digest(result):
+    return (hashlib.sha256(result.clustering.labels.astype("<i8").tobytes()).hexdigest(),
+            result.assignment_changes)
+
+
+@pytest.mark.parametrize("seed", sorted(CRITERION_4_EM))
+def test_run_em_matches_recorded_labels_on_good_split(seed):
+    scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(2000, 2000, 2000),
+                                     sigma=0.005 * TAU, tau=TAU, bound_b=4.0, seed=seed))
+    split = make_good_split(scene, alpha=2.0, fragments_per_object=3, seed=seed + 1000)
+    result = run_em(scene.correspondences, split, EMConfig(tau=TAU, m_min=10, max_iters=20))
+    assert _digest(result) == CRITERION_4_EM[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(OUTLIER_EUCLIDEAN_EM))
+def test_run_em_matches_recorded_labels_on_euclidean_init(seed):
+    scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(600, 600, 600),
+                                     sigma=0.015, tau=TAU, bound_b=4.0, num_outliers=300,
+                                     seed=seed))
+    initial = euclidean_cluster(scene.correspondences, TAU)
+    result = run_em(scene.correspondences, initial, EMConfig(tau=TAU, m_min=10))
+    assert _digest(result) == OUTLIER_EUCLIDEAN_EM[seed]
 
 
 def test_em_config_validation():

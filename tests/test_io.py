@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,32 @@ def test_scene_roundtrip_is_lossless(scene, tmp_path):
         np.testing.assert_array_equal(got.translation, want.translation)
     # writing the loaded scene reproduces the bytes
     assert scene_to_text(loaded) == path.read_text()
+
+
+# sha256 of written scene files, recorded with the per-value formatting that
+# the one-format-per-row writer replaced: the criterion-4 shape and the
+# outlier_baselines benchmark shape
+SCENE_SHA256 = {
+    ("criterion_4", 0): "ea87e8b0adfb2afb1e93af98f99338ee428a9e6720f0695e185d84c7da1a9e89",
+    ("criterion_4", 1): "bd39e097c36ed9511ed7904dfc8817376cf741c7d684d7b34603047680a987ea",
+    ("criterion_4", 2): "416cf6139fe82508dc58f9464fdc88562bcd7197d1bd4f62e8e87a6e9b632ec8",
+    ("outliers", 0): "5b558fb72393bd7d18fed3314f3018b63ac7f6ed79a5968b73acb17d88d3f192",
+    ("outliers", 1): "c4f32fc68c7ba113544e7622c57ebd1f62f85222fa5451c479cb982e9ec0bb65",
+    ("outliers", 2): "febf2ff4c09386ddedff79954f5fd4976b0c68b58df61b7ab783da9a983c301b",
+}
+SCENE_SHAPES = {
+    "criterion_4": dict(points_per_object=(2000, 2000, 2000), sigma=0.005 * 0.3),
+    "outliers": dict(points_per_object=(600, 600, 600), sigma=0.015, num_outliers=300),
+}
+
+
+@pytest.mark.parametrize("shape, seed", sorted(SCENE_SHA256))
+def test_written_scene_matches_recorded_bytes(tmp_path, shape, seed):
+    spec = SceneSpec(num_objects=3, tau=0.3, bound_b=4.0, seed=seed, **SCENE_SHAPES[shape])
+    path = tmp_path / "scene.txt"
+    write_scene(generate_scene(spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENE_SHA256[(shape, seed)]
+    assert scene_to_text(read_scene(path)) == path.read_text()
 
 
 def test_scene_reader_rejects_missing_header(tmp_path):
