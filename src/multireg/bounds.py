@@ -188,6 +188,7 @@ def run_consistency_bench(m_values, sigma, bound_b, delta, trials, seed):
     for m in m_values:
         if m < 3:
             raise ValueError("every m must be at least 3")
+        _check_common(m, sigma, bound_b, delta)
     if trials < 1:
         raise ValueError("trials must be positive")
     children = np.random.SeedSequence(seed).spawn(len(m_values) * trials)

@@ -26,7 +26,8 @@ from .horn import horn_register
 from .io import (fmt_float, read_clustering, read_scene, write_bench_csv,
                  write_clustering, write_result, write_scene, RESULT_FORMAT_VERSION)
 from .metrics import EvalReport, evaluate
-from .scenes import InfeasibleSceneError, SceneSpec, generate_scene, make_good_split
+from .scenes import (InfeasibleSceneError, SceneSpec, check_split, generate_scene,
+                     make_good_split)
 
 ALGORITHMS = ("em", "sransac", "tlinkage", "naive-horn-per-cluster")
 INIT_KINDS = ("euclidean", "good-split", "from-file")
@@ -220,10 +221,20 @@ def cmd_synth(cfg: dict[str, str]) -> int:
     return 0
 
 
-def _build_initialization(cfg, scene, cs, seed):
+def _check_init(cfg) -> None:
+    """Reject a bad init config before any work is done."""
     kind = cfg.get("init.kind", "euclidean")
     if kind not in INIT_KINDS:
         raise UsageError(f"unknown init.kind '{kind}'; expected one of {INIT_KINDS}")
+    if kind == "good-split":
+        try:
+            check_split(_as_float(cfg, "init.alpha"), _as_int(cfg, "init.fragments"))
+        except ValueError as exc:
+            raise UsageError(f"invalid init config: {exc}") from exc
+
+
+def _build_initialization(cfg, scene, cs, seed):
+    kind = cfg.get("init.kind", "euclidean")
     if kind == "euclidean":
         return euclidean_cluster(cs, scene.spec.tau)
     if kind == "good-split":
@@ -273,6 +284,7 @@ def cmd_run(cfg: dict[str, str]) -> int:
     algorithm = cfg.get("algorithm", "em")
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm '{algorithm}'; expected one of {ALGORITHMS}")
+    _check_init(cfg)
     t_start = time.perf_counter()
     scene = _read_input(read_scene, _need(cfg, "scene.file"))
     cs = scene.correspondences

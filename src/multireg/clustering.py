@@ -6,7 +6,7 @@ query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Components come from union-find over neighbouring cells, testing a pair of
 cells only while they are still apart; fragment growth draws its candidate
-neighbours from the same blocks, and the E-step proximity gate reads cluster
+neighbours from the same blocks, and the EM proximity gate reads cluster
 occupancy off them. The O(n^2) brute-force oracles live in the test suite.
 """
 
@@ -27,7 +27,7 @@ class Clustering:
 
     ``labels[i]`` is the cluster id of index i: 0 means unassigned/outlier,
     ids 1..num_clusters are clusters. Empty ids may appear transiently (e.g.
-    after a reassignment step empties a cluster); ``compact`` removes them.
+    after a reassignment step empties a cluster); ``keep`` removes them.
     """
 
     labels: np.ndarray
@@ -69,10 +69,6 @@ class Clustering:
         remap = np.zeros(self.num_clusters + 1, dtype=np.int64)
         remap[1:][mask] = np.arange(1, kept + 1)
         return Clustering(remap[self.labels], num_clusters=kept)
-
-    def compact(self) -> "Clustering":
-        """Drop empty cluster ids, renumbering survivors in order."""
-        return self.keep(self.sizes()[1:] > 0)
 
     def by_size(self) -> "Clustering":
         """Renumber the nonempty clusters 1..K' by decreasing size, ties going
@@ -184,30 +180,40 @@ class _CliqueGrid:
                 self._links.append((c.astype(self._index_dtype), d[c].astype(self._index_dtype)))
         return self._links
 
-    def near(self, labels: np.ndarray, k: int) -> np.ndarray:
-        """(n, k) mask: entry (i, j) is True iff point i lies strictly within
-        tau of some point labelled j + 1 (label 0 is no cluster's).
-
-        Cell occupancy settles most pairs: a cluster with a member in point i's
-        own cell passes (the cell is a clique), one with no member in its hood
-        fails. Only the pairs left over are decided, one k-d query per cluster,
-        by the distance ``cKDTree`` computes.
-        """
+    def occupancy(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n, k) masks ``own`` and ``hood``: entry (i, j) is True iff a point
+        labelled j + 1 lies in point i's cell (so within tau: the cell is a
+        clique), or in its hood (which holds every point within tau)."""
         occupied = np.zeros((len(self.codes), k + 1), dtype=bool)
         occupied[self.cell_of, labels] = True
         occupied = occupied[:, 1:]
-        in_hood = occupied.copy()
+        # the hood union runs on bit sets, 64 clusters to a word
+        words = np.zeros((len(self.codes), -(-k // 64) * 8), dtype=np.uint8)
+        words[:, :-(-k // 8)] = np.packbits(occupied, axis=1, bitorder="little")
+        words = words.view(np.uint64)
+        in_hood = words.copy()
         for c, d in self.links():
-            in_hood[c] |= occupied[d]
-        passes = occupied[self.cell_of]
-        # (cluster, point) pairs with a member in the hood but none in the cell
-        unsettled = (in_hood[self.cell_of] & ~passes).T
-        for j in np.flatnonzero(unsettled.any(axis=1)).tolist():
-            query = np.flatnonzero(unsettled[j])
+            in_hood[c] |= words[d]
+        in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
+        return occupied[self.cell_of], in_hood.view(bool)[self.cell_of]
+
+    def confirm(self, labels: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """The (n, k) mask ``pairs`` narrowed to the (i, j) with point i strictly
+        within tau of a point labelled j + 1: one k-d query per flagged cluster."""
+        passes = np.zeros_like(pairs)
+        for j in np.flatnonzero(pairs.any(axis=0)).tolist():
+            query = np.flatnonzero(pairs[:, j])
             tree = cKDTree(self.points[labels == j + 1])
             dist, _ = tree.query(self.points[query], k=1, distance_upper_bound=self.tau)
             passes[query, j] = dist < self.tau
         return passes
+
+    def near(self, labels: np.ndarray, k: int) -> np.ndarray:
+        """(n, k) mask: entry (i, j) is True iff point i lies strictly within
+        tau of some point labelled j + 1 (label 0 is no cluster's). Occupancy
+        settles most pairs; ``confirm`` decides the rest."""
+        own, hood = self.occupancy(labels, k)
+        return own | self.confirm(labels, hood & ~own)
 
     def touch(self, c: int, d: int) -> bool:
         """True iff some point of cell c lies within tau of some point of cell d.

@@ -1,11 +1,10 @@
 """Classification EM for multi-model registration.
 
 Each iteration: prune undersized clusters, fit a rigid motion per cluster
-(Horn), score every correspondence against every cluster with a weighted
-Gaussian likelihood gated by proximity to the cluster, then hard-assign each
-correspondence to its best cluster. The loop stops when the assignment is a
-fixed point or the iteration cap is hit. Clusters only ever shrink or merge;
-no new clusters are created.
+(Horn), then hard-assign each correspondence to the cluster with the best
+weighted Gaussian log-likelihood among those it lies close to (the proximity
+gate). The loop stops when the assignment is a fixed point or the iteration
+cap is hit. Clusters only ever shrink or merge; no new clusters are created.
 """
 
 from __future__ import annotations
@@ -103,6 +102,20 @@ def fit_models(cs: CorrespondenceSet, clustering: Clustering, cfg: EMConfig) -> 
     return models
 
 
+def _log_scores(cs: CorrespondenceSet, models, pairs: np.ndarray | None = None) -> np.ndarray:
+    """(n, k) log-scores log pi_j - 3 log sigma_j - |b_i - R_j a_i - t_j|^2 / (2 sigma_j^2),
+    i.e. log(pi_j phi_j(b_i | a_i)) up to a shared constant. Given an (n, k)
+    mask ``pairs``, only its entries are computed; the rest are -inf."""
+    scores = np.full((len(cs), len(models)), -np.inf)
+    for j, model in enumerate(models):
+        rows = np.arange(len(cs)) if pairs is None else np.flatnonzero(pairs[:, j])
+        residual = cs.b.take(rows, axis=0) - model.transform.apply(cs.a.take(rows, axis=0))
+        sq = np.einsum("ij,ij->i", residual, residual)
+        scores[rows, j] = (np.log(model.weight) - 3.0 * np.log(model.sigma_hat)
+                           - sq / (2.0 * model.sigma_hat ** 2))
+    return scores
+
+
 def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig,
            grid: _CliqueGrid | None = None) -> np.ndarray:
     """Weighted-likelihood responsibilities, gated by cluster proximity.
@@ -114,20 +127,15 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig,
     covariance sigma_j^2 I, evaluated in log space so far-away points cannot
     underflow the ratios. Rows whose indicators are all zero are all zero.
 
-    ``grid`` is the tau/2 cell grid over ``cs.a`` at ``cfg.tau`` that decides
-    the indicators; it is built here when not given. The a-points never change,
-    so ``run_em`` builds one grid per run.
+    This is the reference form of the E-step; ``run_em`` assigns through
+    ``assign``, which never forms these ratios. ``grid`` is the tau/2 cell
+    grid over ``cs.a`` at ``cfg.tau`` that decides the indicators; it is built
+    here when not given.
     """
     k = clustering.num_clusters
     if len(models) != k:
         raise ValueError("one model per cluster required")
-    n = len(cs)
-    log_scores = np.empty((n, k))
-    for j, model in enumerate(models, start=1):
-        residual = cs.b - model.transform.apply(cs.a)
-        sq = np.einsum("ij,ij->i", residual, residual)
-        log_scores[:, j - 1] = (np.log(model.weight) - 3.0 * np.log(model.sigma_hat)
-                                - sq / (2.0 * model.sigma_hat ** 2))
+    log_scores = _log_scores(cs, models)
     row_max = log_scores.max(axis=1, keepdims=True)
     unnorm = np.exp(log_scores - row_max)
     weights = unnorm / unnorm.sum(axis=1, keepdims=True)
@@ -151,6 +159,30 @@ def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clusteri
     return Clustering(labels, num_clusters=previous.num_clusters)
 
 
+def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueGrid) -> Clustering:
+    """The classification step: each point goes to its best gated cluster.
+
+    Point i takes the id maximising its log-score over the clusters whose gate
+    it passes (strictly within tau of a member); ties go to the lower id, and
+    a point that passes no gate keeps its label. This is ``m_step(e_step())``
+    without the normalisation, so underflow cannot change a label.
+
+    Only hood pairs are scored, and only those outside the point's own cell
+    that score at least its best own-cell cluster (which passes) get an exact
+    tau test: no other pair can win. ``grid`` is ``run_em``'s cell grid.
+    """
+    k = clustering.num_clusters
+    own, hood = grid.occupancy(clustering.labels, k)
+    scores = _log_scores(cs, models, hood)
+    best_own = np.where(own, scores, -np.inf).max(axis=1, keepdims=True)
+    gated = own | grid.confirm(clustering.labels, hood & ~own & (scores >= best_own))
+    best = np.argmax(np.where(gated, scores, -np.inf), axis=1)
+    # ungated entries are -inf: the winner is gated unless the row passes no
+    # gate (or every gated score is -inf), and such a row keeps its label
+    wins = gated[np.arange(len(best)), best]
+    return Clustering(np.where(wins, best + 1, clustering.labels), num_clusters=k)
+
+
 def prune_small(clustering: Clustering, cfg: EMConfig) -> Clustering:
     """Dissolve clusters smaller than m_min to label 0 and compact the ids.
 
@@ -161,7 +193,7 @@ def prune_small(clustering: Clustering, cfg: EMConfig) -> Clustering:
 
 
 def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResult:
-    """Iterate prune / fit / E / M until the assignment stabilizes.
+    """Iterate prune / fit / assign until the assignment stabilizes.
 
     Deterministic given its inputs. Raises NoViableClustersError when pruning
     removes every cluster. Initial clusters below m_min are legal input; the
@@ -182,8 +214,7 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
         if pruned.num_clusters == 0:
             raise NoViableClustersError("no viable clusters")
         models = fit_models(cs, pruned, cfg)
-        weights = e_step(cs, pruned, models, cfg, grid=grid)
-        updated = m_step(weights, pruned, cfg)
+        updated = assign(cs, pruned, models, grid)
         changed = int(np.count_nonzero(updated.labels != pruned.labels))
         changes.append(changed)
         trace.append(IterationStats(

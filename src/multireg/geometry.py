@@ -78,21 +78,6 @@ def geodesic_distance(r1, r2) -> float:
     return float(np.arctan2(sin_angle, cos_angle))
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rotation matrix for ``angle`` radians about the unit vector ``axis`` (Rodrigues)."""
-    u = np.asarray(axis, dtype=np.float64)
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise ValueError("axis must be nonzero")
-    u = u / norm
-    k = np.array([
-        [0.0, -u[2], u[1]],
-        [u[2], 0.0, -u[0]],
-        [-u[1], u[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
 def random_rotation(seed) -> np.ndarray:
     """Uniformly distributed random rotation from a normalized quaternion.
 
@@ -145,22 +130,9 @@ class RigidTransform:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -(rt @ self.translation))
-
-    def almost_equal(self, other: "RigidTransform", tol: float = 1e-12) -> bool:
-        return (
-            float(np.linalg.norm(self.rotation - other.rotation)) <= tol
-            and float(np.linalg.norm(self.translation - other.translation)) <= tol
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +158,6 @@ class CorrespondenceSet:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.a[i], self.b[i]
 
     def subset(self, indices) -> "CorrespondenceSet":
         idx = np.asarray(indices, dtype=np.intp)

@@ -278,6 +278,14 @@ def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
     )
 
 
+def check_split(alpha: float, fragments_per_object: int) -> None:
+    """Raise ValueError unless the pair can parametrise ``make_good_split``."""
+    if not alpha > 1:
+        raise ValueError("alpha must exceed 1")
+    if int(fragments_per_object) < 1:
+        raise ValueError("fragments_per_object must be at least 1")
+
+
 def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int,
                     seed) -> Clustering:
     """Split each object into connected fragments with one dominant fragment.
@@ -288,12 +296,8 @@ def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int
     tau-connected clusters. The result satisfies ``check_initial_clustering``
     at the requested alpha whenever every fragment clears the size floor.
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    check_split(alpha, fragments_per_object)
     k = int(fragments_per_object)
-    if k < 1:
-        raise ValueError("fragments_per_object must be at least 1")
-
     rng = make_rng(seed)
     labels = np.zeros(len(scene.correspondences), dtype=np.int64)
     next_id = 1

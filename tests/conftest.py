@@ -1,5 +1,6 @@
 """Shared test helpers: the brute-force connectivity, fragment-growth and
-distance oracles, and the per-cluster k-d proximity gate."""
+distance oracles, the per-cluster k-d proximity gate, and the small geometry
+and clustering helpers only tests use."""
 
 import heapq
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from multireg.geometry import make_rng
+from multireg.clustering import Clustering
+from multireg.geometry import RigidTransform, make_rng
 
 
 def brute_force_connected(points, tau):
@@ -147,6 +149,37 @@ def kd_tree_gate(points, labels, k, tau):
         dist, _ = cKDTree(pts[labels == j]).query(pts, k=1, distance_upper_bound=tau)
         passes[:, j - 1] = dist < tau
     return passes
+
+
+def rotation_about_axis(axis, angle: float) -> np.ndarray:
+    """Rotation matrix for ``angle`` radians about the unit vector ``axis`` (Rodrigues)."""
+    u = np.asarray(axis, dtype=np.float64)
+    norm = np.linalg.norm(u)
+    if norm == 0:
+        raise ValueError("axis must be nonzero")
+    u = u / norm
+    k = np.array([
+        [0.0, -u[2], u[1]],
+        [u[2], 0.0, -u[0]],
+        [-u[1], u[0], 0.0],
+    ])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def compose(first: RigidTransform, second: RigidTransform) -> RigidTransform:
+    """Transform equal to applying ``second`` first, then ``first``."""
+    return RigidTransform(first.rotation @ second.rotation,
+                          first.rotation @ second.translation + first.translation)
+
+
+def almost_equal(s: RigidTransform, t: RigidTransform, tol: float = 1e-12) -> bool:
+    return (float(np.linalg.norm(s.rotation - t.rotation)) <= tol
+            and float(np.linalg.norm(s.translation - t.translation)) <= tol)
+
+
+def compact(clustering: Clustering) -> Clustering:
+    """Drop empty cluster ids, renumbering survivors in order."""
+    return clustering.keep(clustering.sizes()[1:] > 0)
 
 
 @pytest.fixture

@@ -195,6 +195,16 @@ def _negative_label_to_run(tmp_path, scene_file):
             "--set", f"init.file={labels}"]
 
 
+def _alpha_below_one_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=good-split",
+            "--set", "init.alpha=0.5"]
+
+
+def _zero_fragments_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=good-split",
+            "--set", "init.fragments=0"]
+
+
 @pytest.mark.parametrize("bad_input", [
     _non_scene_to_eval,
     _truncated_scene_to_run,
@@ -202,6 +212,8 @@ def _negative_label_to_run(tmp_path, scene_file):
     _label_above_m_to_eval,
     _negative_label_to_eval,
     _negative_label_to_run,
+    _alpha_below_one_to_run,
+    _zero_fragments_to_run,
 ])
 def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     argv = bad_input(tmp_path, scene_file)
@@ -272,6 +284,15 @@ def test_bench_csv_and_summary(tmp_path):
     assert run_cli("bench", "--seed", "3", "--out", str(out2),
                    "--set", "bench.m_values=50,100", "--set", "bench.trials=10") == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_bench_negative_sigma_exits_2_before_sampling(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = run_cli("bench", "--out", str(out), "--set", "bench.sigma=-1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: sigma must be nonnegative\n"
+    assert not out.exists()
 
 
 def test_bench_noise_ratio_suite(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force_components, brute_force_connected,
-                      brute_force_fragments, distance_to_cluster)
+                      brute_force_fragments, compact, distance_to_cluster)
 from multireg.clustering import (Clustering, check_initial_clustering,
                                  connected_components, euclidean_cluster,
                                  fragment_connected_set, is_connected)
@@ -258,10 +258,10 @@ def test_check_initial_clustering_small_cluster_fails(rng):
 def test_clustering_validation_and_compact():
     clustering = Clustering([1, 1, 3, 0], num_clusters=3)
     np.testing.assert_array_equal(clustering.sizes(), [1, 2, 0, 1])
-    compacted = clustering.compact()
+    compacted = compact(clustering)
     np.testing.assert_array_equal(compacted.labels, [1, 1, 2, 0])
     assert compacted.num_clusters == 2
-    assert compacted.compact() is compacted
+    assert compact(compacted) is compacted
     with pytest.raises(ValueError):
         Clustering([-1, 0, 1])
     with pytest.raises(ValueError):

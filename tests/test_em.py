@@ -6,8 +6,8 @@ import pytest
 
 from conftest import distance_to_cluster, kd_tree_gate
 from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster
-from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, e_step,
-                         fit_models, m_step, prune_small, run_em)
+from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _log_scores, assign,
+                         e_step, fit_models, m_step, prune_small, run_em)
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
 from multireg.metrics import mask_iou
 from multireg.scenes import SceneSpec, generate_scene, make_good_split
@@ -181,19 +181,100 @@ def test_e_step_rejects_a_grid_of_other_points_or_tau():
         e_step(cs, clustering, models, cfg))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_grid_gate_matches_kd_tree_gate_on_fragmented_scenes(seed):
-    # the em_large shape, smaller: fragments interleave at their borders, so
-    # many (point, cluster) pairs are left to the k-d queries
+def _fragmented_scene(seed):
+    """The em_large shape, smaller: fragments interleave at their borders, so
+    many (point, cluster) pairs are left to the k-d queries."""
     scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(600, 600, 600),
                                      sigma=0.015, tau=TAU, bound_b=4.0, num_outliers=60,
                                      seed=seed))
     split = make_good_split(scene, alpha=2.0, fragments_per_object=6, seed=seed)
-    pruned = prune_small(split, EMConfig(tau=TAU))
-    a, k = scene.correspondences.a, pruned.num_clusters
+    return scene.correspondences, prune_small(split, EMConfig(tau=TAU))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grid_gate_matches_kd_tree_gate_on_fragmented_scenes(seed):
+    cs, pruned = _fragmented_scene(seed)
+    a, k = cs.a, pruned.num_clusters
     for tau in (TAU, 0.17):
         np.testing.assert_array_equal(_CliqueGrid(a, tau).near(pruned.labels, k),
                                       kd_tree_gate(a, pruned.labels, k, tau))
+
+
+def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
+    # 130 clusters: the hood union spans three 64-bit words per cell
+    a = rng.uniform(0.0, 2.0, (3000, 3))
+    labels = rng.integers(0, 131, 3000)
+    np.testing.assert_array_equal(_CliqueGrid(a, TAU).near(labels, 130),
+                                  kd_tree_gate(a, labels, 130, TAU))
+
+
+def _full_gate_assignment(cs, clustering, models, grid):
+    """The argmax over every gated log-score, every pair gated exactly; a row
+    with no gated cluster keeps its label. The oracle for ``assign``."""
+    gated = grid.near(clustering.labels, clustering.num_clusters)
+    best = np.argmax(np.where(gated, _log_scores(cs, models), -np.inf), axis=1)
+    return np.where(gated.any(axis=1), best + 1, clustering.labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tau", [TAU, 0.17])
+def test_assign_matches_full_gate_argmax_on_fragmented_scenes(seed, tau):
+    cs, clustering = _fragmented_scene(seed)
+    cfg = EMConfig(tau=tau)
+    grid = _CliqueGrid(cs.a, tau)
+    for _ in range(2):  # the split, then the first reassignment
+        clustering = prune_small(clustering, cfg)
+        models = fit_models(cs, clustering, cfg)
+        updated = assign(cs, clustering, models, grid)
+        expected = _full_gate_assignment(cs, clustering, models, grid)
+        np.testing.assert_array_equal(updated.labels, expected)
+        assert updated.num_clusters == clustering.num_clusters
+        assert np.any(updated.labels != clustering.labels)
+        clustering = updated
+
+
+def test_assign_breaks_an_exact_tie_toward_the_lower_id():
+    # identical models tie on every row. The probe shares a cell with cluster
+    # 2 only; cluster 1 passes its gate through the exact test alone, and
+    # still wins the tie.
+    tau = 0.3
+    a = np.array([(0.01, 0.01, 0.01), (0.02, 0.01, 0.01), (0.01, 0.02, 0.01),
+                  (0.2, 0.01, 0.01), (0.21, 0.01, 0.01), (0.2, 0.02, 0.01),
+                  (0.22, 0.02, 0.02)])
+    cs = CorrespondenceSet(a, a + 0.05)
+    clustering = Clustering([1, 1, 1, 2, 2, 2, 0], num_clusters=2)
+    grid = _CliqueGrid(cs.a, tau)
+    own, hood = grid.occupancy(clustering.labels, 2)
+    np.testing.assert_array_equal(own[-1], [False, True])
+    assert hood.all()
+    model = ClusterModel(RigidTransform.identity(), 0.1, 0.5)
+    updated = assign(cs, clustering, [model, model], grid)
+    np.testing.assert_array_equal(updated.labels, [1, 1, 1, 1, 1, 1, 1])
+    np.testing.assert_array_equal(updated.labels,
+                                  _full_gate_assignment(cs, clustering, [model, model], grid))
+
+
+def test_assign_is_immune_to_the_underflow_of_normalised_weights():
+    # A label-0 probe lies within tau of cluster 2 only, but its b-point
+    # follows cluster 1's motion: normalised over both clusters, its cluster-2
+    # weight underflows to 0, so e_step gives it the row [0, 0]. Its gated
+    # log-score is finite, and cluster 2 is its one gated cluster.
+    pad = np.array([(0.0, 0.0, 0.0), (0.05, 0.0, 0.0), (0.0, 0.05, 0.0),
+                    (0.05, 0.05, 0.0), (0.0, 0.0, 0.05)])
+    shift = np.array([1.0, 0.0, 0.0])
+    probe = np.array([[1.1, 0.0, 0.0]])
+    a = np.vstack([pad, pad + 2 * shift, probe])
+    b = np.vstack([pad, pad + 3 * shift, probe])  # cluster 2 moves by +x
+    cs = CorrespondenceSet(a, b)
+    initial = Clustering([1] * 5 + [2] * 5 + [0], num_clusters=2)
+    cfg = EMConfig(tau=1.0, m_min=3)
+    models = fit_models(cs, initial, cfg)
+    np.testing.assert_array_equal(e_step(cs, initial, models, cfg)[-1], [0.0, 0.0])
+    grid = _CliqueGrid(cs.a, cfg.tau)
+    assert assign(cs, initial, models, grid).labels[-1] == 2
+    result = run_em(cs, initial, cfg)
+    assert result.converged
+    np.testing.assert_array_equal(result.clustering.labels, [1] * 5 + [2] * 6)
 
 
 def test_e_step_memory_is_linear_in_points_times_clusters():
@@ -215,6 +296,25 @@ def test_e_step_memory_is_linear_in_points_times_clusters():
     assert peak < 40 * 2 ** 20
     links = _CliqueGrid(cs.a, TAU).links()
     assert all(c.dtype == np.int32 and d.dtype == np.int32 for c, d in links)
+
+
+def test_assign_memory_is_linear_in_points_times_clusters():
+    # the input of the e_step memory test; this peaks at about 14 MB (e_step
+    # at 22 MB), where one n x k float64 array is 3.7 MB
+    rng = np.random.default_rng(5)
+    n, k = 20_000, 24
+    a = rng.uniform(0.0, 3.0, (n, 3))
+    cs = CorrespondenceSet(a, a)
+    clustering = Clustering(rng.integers(0, k + 1, n), num_clusters=k)
+    models = [ClusterModel(RigidTransform.identity(), 0.1, 1.0 / k)] * k
+    grid = _CliqueGrid(cs.a, TAU)
+    tracemalloc.start()
+    try:
+        assign(cs, clustering, models, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_e_step_density_ratio_three_sigma():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import almost_equal, compose, rotation_about_axis
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
-                               is_rotation, random_rotation, rotation_about_axis)
+                               is_rotation, random_rotation)
 
 
 def test_apply_identity():
@@ -26,15 +27,15 @@ def test_apply_hand_computed_with_translation():
 
 def test_compose_identity_and_inverse():
     t = RigidTransform(random_rotation(5), np.array([0.3, -0.7, 1.1]))
-    assert RigidTransform.identity().compose(t).almost_equal(t)
-    assert t.compose(t.inverse()).almost_equal(RigidTransform.identity(), tol=1e-12)
+    assert almost_equal(compose(RigidTransform.identity(), t), t)
+    assert almost_equal(compose(t, t.inverse()), RigidTransform.identity(), tol=1e-12)
 
 
 def test_compose_matches_pointwise_application(rng):
     for seed in range(10):
         t1 = RigidTransform(random_rotation(seed), rng.uniform(-2, 2, 3))
         t2 = RigidTransform(random_rotation(seed + 100), rng.uniform(-2, 2, 3))
-        composed = t1.compose(t2)
+        composed = compose(t1, t2)
         points = rng.uniform(-5, 5, (100, 3))
         np.testing.assert_allclose(composed.apply(points), t1.apply(t2.apply(points)),
                                    atol=1e-12)
@@ -42,14 +43,14 @@ def test_compose_matches_pointwise_application(rng):
 
 def test_compose_associative(rng):
     ts = [RigidTransform(random_rotation(s), rng.uniform(-1, 1, 3)) for s in range(3)]
-    left = ts[0].compose(ts[1]).compose(ts[2])
-    right = ts[0].compose(ts[1].compose(ts[2]))
+    left = compose(compose(ts[0], ts[1]), ts[2])
+    right = compose(ts[0], compose(ts[1], ts[2]))
     assert np.linalg.norm(left.rotation - right.rotation) <= 1e-12
     assert np.linalg.norm(left.translation - right.translation) <= 1e-12
 
 
 def test_inverse_trivials_and_roundtrip(rng):
-    assert RigidTransform.identity().inverse().almost_equal(RigidTransform.identity())
+    assert almost_equal(RigidTransform.identity().inverse(), RigidTransform.identity())
     shift = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(shift.inverse().translation, [-1.0, -2.0, -3.0])
     t = RigidTransform(random_rotation(9), rng.uniform(-3, 3, 3))

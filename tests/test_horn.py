@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import almost_equal, rotation_about_axis
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
-                               is_rotation, random_rotation, rotation_about_axis)
+                               is_rotation, random_rotation)
 from multireg.horn import (SIGMA_FLOOR, center, cross_covariance, estimate_noise_std,
                            estimate_translation, horn_register, solve_rotation)
 
@@ -133,7 +134,7 @@ def test_horn_register_exact_recovery(rng):
 def test_horn_register_identity_case(rng):
     a = rng.uniform(-1, 1, (20, 3))
     est = horn_register(CorrespondenceSet(a, a))
-    assert est.transform.almost_equal(RigidTransform.identity(), tol=1e-12)
+    assert almost_equal(est.transform, RigidTransform.identity(), tol=1e-12)
     assert est.sigma_hat == SIGMA_FLOOR
 
 

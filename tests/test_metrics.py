@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import rotation_about_axis
 from multireg.clustering import Clustering
-from multireg.geometry import RigidTransform, rotation_about_axis
+from multireg.geometry import RigidTransform
 from multireg.metrics import evaluate, iou_per_cluster, mask_iou, point_error, pose_error
 from multireg.scenes import SceneSpec, generate_scene
 
