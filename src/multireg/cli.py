@@ -26,8 +26,8 @@ from .horn import horn_register
 from .io import (fmt_float, read_clustering, read_scene, write_bench_csv,
                  write_clustering, write_result, write_scene, RESULT_FORMAT_VERSION)
 from .metrics import EvalReport, evaluate
-from .scenes import (InfeasibleSceneError, SceneSpec, check_split, generate_scene,
-                     make_good_split)
+from .scenes import (InfeasibleSceneError, SceneSpec, SplitSizeError, check_split,
+                     generate_scene, make_good_split)
 
 ALGORITHMS = ("em", "sransac", "tlinkage", "naive-horn-per-cluster")
 INIT_KINDS = ("euclidean", "good-split", "from-file")
@@ -473,10 +473,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleSceneError as exc:
+    except (UsageError, InfeasibleSceneError, SplitSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,16 +4,18 @@ Connectivity at radius ``tau`` means the graph with an edge between every
 pair of points at distance <= tau is connected. One grid serves every tau
 query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
-Components come from union-find over neighbouring cells, testing a pair of
-cells only while they are still apart; fragment growth draws its candidate
-neighbours from the same blocks, and the EM proximity gate reads cluster
-occupancy off them. The O(n^2) brute-force oracles live in the test suite.
+Each pair of neighbouring occupied cells is listed once, by forward offset:
+components come from union-find over that list, testing a pair of cells only
+while they are still apart, and the EM proximity gate reads cluster occupancy
+across each pair both ways. Fragment growth draws its candidate neighbours
+from the same blocks. The O(n^2) brute-force oracles live in the test suite.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -103,8 +105,6 @@ _PAIR_CHUNK = 1 << 10
 # 62 rows after it hold one offset of each +-pair.
 _REACH = np.array([(dx, dy, dz) for dx in range(-2, 3) for dy in range(-2, 3)
                    for dz in range(-2, 3)], dtype=np.int64)
-# The 124 offsets to the other cells of a hood.
-_AROUND = _REACH[_REACH.any(axis=1)]
 # The forward half, nearest first: near cells join most often, so testing them
 # first leaves the fewest far pairs still apart.
 _FORWARD = _REACH[63:][np.argsort(np.sum(_REACH[63:] ** 2, axis=1), kind="stable")]
@@ -118,7 +118,9 @@ class _CliqueGrid:
     axis: the 125 cells of the 5x5x5 block around a cell (its hood) hold every
     tau-neighbour of its points. Occupied cells are kept as sorted unique int64
     codes; ``order[starts[c]:starts[c + 1]]`` lists the points of cell c in
-    index order and ``cell_of[i]`` is the cell of point i.
+    index order and ``cell_of[i]`` is the cell of point i. ``pairs`` lists each
+    pair of neighbouring occupied cells once: connectivity reads it in order,
+    the gate in both directions.
     """
 
     def __init__(self, points: np.ndarray, tau: float):
@@ -145,10 +147,9 @@ class _CliqueGrid:
         self.starts = np.append(first, len(codes))
         self.cell_of = np.searchsorted(self.codes, codes)
         self._cell_list = self.cell_of.tolist()
-        # cached hoods hold each point many times: half the bytes when it fits
+        # cached hoods and cell pairs repeat indices many times: half the bytes when it fits
         self._index_dtype = np.int32 if len(points) < 2 ** 31 else np.intp
         self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
-        self._links: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def find_cells(self, target: np.ndarray) -> np.ndarray:
         """Index of the occupied cell with each code in ``target``, or -1."""
@@ -169,16 +170,16 @@ class _CliqueGrid:
             members = self._hoods[cell] = self.order[ranks].astype(self._index_dtype)
         return members
 
-    def links(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per offset in ``_AROUND``, the occupied cells c and d with d at that
-        offset from c, as two index arrays; computed once."""
-        if self._links is None:
-            self._links = []
-            for delta in (_AROUND @ self.strides).tolist():
-                d = self.find_cells(self.codes + delta)
-                c = np.flatnonzero(d >= 0)
-                self._links.append((c.astype(self._index_dtype), d[c].astype(self._index_dtype)))
-        return self._links
+    @cached_property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per offset in ``_FORWARD``, the occupied cells c and d with d at that
+        offset from c, as two index arrays; each is unique within its offset."""
+        pairs = []
+        for delta in (_FORWARD @ self.strides).tolist():
+            d = self.find_cells(self.codes + delta)
+            c = np.flatnonzero(d >= 0)
+            pairs.append((c.astype(self._index_dtype), d[c].astype(self._index_dtype)))
+        return pairs
 
     def occupancy(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(n, k) masks ``own`` and ``hood``: entry (i, j) is True iff a point
@@ -192,8 +193,9 @@ class _CliqueGrid:
         words[:, :-(-k // 8)] = np.packbits(occupied, axis=1, bitorder="little")
         words = words.view(np.uint64)
         in_hood = words.copy()
-        for c, d in self.links():
+        for c, d in self.pairs:
             in_hood[c] |= words[d]
+            in_hood[d] |= words[c]
         in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
         return occupied[self.cell_of], in_hood.view(bool)[self.cell_of]
 
@@ -263,11 +265,8 @@ def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
 
     # Union-find over pairs of neighbouring cells, one offset at a time; a pair
     # is tested only while its two cells are still in different sets.
-    for delta in (_FORWARD @ grid.strides).tolist():
+    for c, d in grid.pairs:
         _flatten(parent)
-        d = grid.find_cells(grid.codes + delta)
-        c = np.flatnonzero(d >= 0)
-        d = d[c]
         apart = parent[c] != parent[d]
         for ci, di in zip(c[apart].tolist(), d[apart].tolist()):
             rc, rd = find(ci), find(di)

@@ -116,8 +116,7 @@ def _log_scores(cs: CorrespondenceSet, models, pairs: np.ndarray | None = None) 
     return scores
 
 
-def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig,
-           grid: _CliqueGrid | None = None) -> np.ndarray:
+def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig) -> np.ndarray:
     """Weighted-likelihood responsibilities, gated by cluster proximity.
 
     Entry (i, j) is pi_j * phi_j(b_i | a_i) normalized over all clusters,
@@ -128,9 +127,7 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig,
     underflow the ratios. Rows whose indicators are all zero are all zero.
 
     This is the reference form of the E-step; ``run_em`` assigns through
-    ``assign``, which never forms these ratios. ``grid`` is the tau/2 cell
-    grid over ``cs.a`` at ``cfg.tau`` that decides the indicators; it is built
-    here when not given.
+    ``assign``, which never forms these ratios.
     """
     k = clustering.num_clusters
     if len(models) != k:
@@ -139,12 +136,7 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig,
     row_max = log_scores.max(axis=1, keepdims=True)
     unnorm = np.exp(log_scores - row_max)
     weights = unnorm / unnorm.sum(axis=1, keepdims=True)
-
-    if grid is None:
-        grid = _CliqueGrid(cs.a, cfg.tau)
-    elif grid.tau != cfg.tau or grid.points is not cs.a:
-        raise ValueError("the grid must be built over cs.a at cfg.tau")
-    return weights * grid.near(clustering.labels, k)
+    return weights * _CliqueGrid(cs.a, cfg.tau).near(clustering.labels, k)
 
 
 def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clustering:

@@ -168,20 +168,6 @@ def write_result(pairs, path) -> None:
         fh.write(result_to_text(pairs))
 
 
-def read_result(path) -> dict[str, str]:
-    record: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition(" = ")
-            if not sep and line.endswith(" ="):  # empty value
-                key, value = line[:-2], ""
-            record[key] = value
-    return record
-
-
 def bench_csv_text(trials: list[BoundTrial]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -199,8 +185,3 @@ def bench_csv_text(trials: list[BoundTrial]) -> str:
 def write_bench_csv(trials: list[BoundTrial], path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(bench_csv_text(trials))
-
-
-def read_bench_csv(path) -> list[dict[str, str]]:
-    with open(path, "r", encoding="ascii") as fh:
-        return list(csv.DictReader(fh))

@@ -31,6 +31,10 @@ class InfeasibleSceneError(RuntimeError):
     """Raised when the requested scene cannot be packed into the bounding ball."""
 
 
+class SplitSizeError(ValueError):
+    """Raised when an object has too few points for the requested good split."""
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Parameters of a synthetic scene; identical specs generate identical scenes."""
@@ -310,7 +314,7 @@ def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int
             small = int(n_g // (2.0 * alpha + (k - 1)))
             big = n_g - (k - 1) * small
             if small < 1 or big <= alpha * small:
-                raise ValueError(
+                raise SplitSizeError(
                     f"object {g} with {n_g} points is too small to split into "
                     f"{k} fragments at dominance ratio {alpha}")
             sizes = [big] + [small] * (k - 1)

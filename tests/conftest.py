@@ -1,7 +1,8 @@
 """Shared test helpers: the brute-force connectivity, fragment-growth and
-distance oracles, the per-cluster k-d proximity gate, and the small geometry
-and clustering helpers only tests use."""
+distance oracles, the per-cluster k-d proximity gate, the small geometry
+and clustering helpers only tests use, and the result and bench CSV readers."""
 
+import csv
 import heapq
 
 import numpy as np
@@ -180,6 +181,25 @@ def almost_equal(s: RigidTransform, t: RigidTransform, tol: float = 1e-12) -> bo
 def compact(clustering: Clustering) -> Clustering:
     """Drop empty cluster ids, renumbering survivors in order."""
     return clustering.keep(clustering.sizes()[1:] > 0)
+
+
+def read_result(path) -> dict[str, str]:
+    record: dict[str, str] = {}
+    with open(path, "r", encoding="ascii") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            key, sep, value = line.partition(" = ")
+            if not sep and line.endswith(" ="):  # empty value
+                key, value = line[:-2], ""
+            record[key] = value
+    return record
+
+
+def read_bench_csv(path) -> list[dict[str, str]]:
+    with open(path, "r", encoding="ascii") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture

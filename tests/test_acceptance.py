@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_connected
+from conftest import brute_force_connected, read_result
 from multireg.baselines import (RansacConfig, sequential_ransac, tanimoto_distance)
 from multireg.bounds import (dominance_margin, dominance_ratio_threshold,
                              hoeffding_bound, min_cluster_size_threshold,
@@ -21,7 +21,7 @@ from multireg.em import EMConfig, e_step, fit_models, run_em
 from multireg.geometry import (CorrespondenceSet, geodesic_distance, is_rotation,
                                random_rotation)
 from multireg.horn import horn_register
-from multireg.io import read_result, read_scene, scene_to_text, write_scene
+from multireg.io import read_scene, scene_to_text, write_scene
 from multireg.metrics import mask_iou
 from multireg.scenes import SceneSpec, generate_scene, make_good_split
 

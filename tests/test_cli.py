@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import read_result
 from multireg.cli import main
 from multireg.clustering import Clustering
-from multireg.io import read_clustering, read_result, read_scene, write_clustering
+from multireg.io import read_clustering, read_scene, write_clustering
 
 
 def run_cli(*argv):
@@ -205,6 +206,11 @@ def _zero_fragments_to_run(tmp_path, scene_file):
             "--set", "init.fragments=0"]
 
 
+def _too_many_fragments_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=good-split",
+            "--set", "init.fragments=70"]
+
+
 @pytest.mark.parametrize("bad_input", [
     _non_scene_to_eval,
     _truncated_scene_to_run,
@@ -214,6 +220,7 @@ def _zero_fragments_to_run(tmp_path, scene_file):
     _negative_label_to_run,
     _alpha_below_one_to_run,
     _zero_fragments_to_run,
+    _too_many_fragments_to_run,
 ])
 def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     argv = bad_input(tmp_path, scene_file)

@@ -170,17 +170,6 @@ def test_e_step_gate_at_em_tau_other_than_scene_tau(rng, tau):
     assert oracle.any() and not oracle.all()
 
 
-def test_e_step_rejects_a_grid_of_other_points_or_tau():
-    cs, clustering, cfg = _two_cluster_setup()
-    models = [ClusterModel(RigidTransform.identity(), 0.1, 0.5)] * 2
-    for grid in (_CliqueGrid(cs.a, 0.5), _CliqueGrid(cs.a.copy(), cfg.tau)):
-        with pytest.raises(ValueError, match="grid"):
-            e_step(cs, clustering, models, cfg, grid=grid)
-    np.testing.assert_array_equal(
-        e_step(cs, clustering, models, cfg, grid=_CliqueGrid(cs.a, cfg.tau)),
-        e_step(cs, clustering, models, cfg))
-
-
 def _fragmented_scene(seed):
     """The em_large shape, smaller: fragments interleave at their borders, so
     many (point, cluster) pairs are left to the k-d queries."""
@@ -279,7 +268,7 @@ def test_assign_is_immune_to_the_underflow_of_normalised_weights():
 
 def test_e_step_memory_is_linear_in_points_times_clusters():
     # 20 000 points, 24 clusters mixed at random: nearly every pair is in the
-    # boundary band. This peaks at about 23 MB (the per-cluster k-d gate it
+    # boundary band. This peaks at about 19 MB (the per-cluster k-d gate it
     # replaced, at 16 MB); one n x k float64 array is 3.7 MB.
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
@@ -294,13 +283,13 @@ def test_e_step_memory_is_linear_in_points_times_clusters():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
-    links = _CliqueGrid(cs.a, TAU).links()
-    assert all(c.dtype == np.int32 and d.dtype == np.int32 for c, d in links)
+    pairs = _CliqueGrid(cs.a, TAU).pairs
+    assert all(c.dtype == np.int32 and d.dtype == np.int32 for c, d in pairs)
 
 
 def test_assign_memory_is_linear_in_points_times_clusters():
-    # the input of the e_step memory test; this peaks at about 14 MB (e_step
-    # at 22 MB), where one n x k float64 array is 3.7 MB
+    # the input of the e_step memory test; this peaks at about 12 MB (e_step
+    # at 19 MB), where one n x k float64 array is 3.7 MB
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
     a = rng.uniform(0.0, 3.0, (n, 3))

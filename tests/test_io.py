@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import read_bench_csv, read_result
 from multireg.bounds import run_consistency_bench
 from multireg.clustering import Clustering
-from multireg.io import (BENCH_CSV_COLUMNS, bench_csv_text, fmt_float,
-                         read_bench_csv, read_clustering, read_result, read_scene,
-                         result_to_text, scene_to_text, write_bench_csv,
+from multireg.io import (BENCH_CSV_COLUMNS, bench_csv_text, fmt_float, read_clustering,
+                         read_scene, result_to_text, scene_to_text, write_bench_csv,
                          write_clustering, write_result, write_scene)
 from multireg.scenes import SceneSpec, generate_scene
 
