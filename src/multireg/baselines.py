@@ -8,7 +8,10 @@ import numpy as np
 
 from .clustering import Clustering
 from .geometry import CorrespondenceSet, make_rng
-from .horn import horn_register
+from .horn import horn_register, horn_stack
+
+# Minimal samples fitted per stack; memory does not grow with the trial count.
+FIT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -43,15 +46,28 @@ class TLinkageConfig:
             raise ValueError("num_hypotheses must be nonnegative")
 
 
+def _minimal_fits(cs: CorrespondenceSet, draw, count: int):
+    """Yield (rotation, translation) for ``count`` samples of ``draw()``, in order.
+
+    Each block of FIT_BLOCK samples is drawn, then fitted as one ``horn_stack``
+    (the bits of ``horn_register``); fits draw nothing, so the random stream
+    is the one of a fit per draw.
+    """
+    for start in range(0, count, FIT_BLOCK):
+        picks = np.array([draw() for _ in range(min(FIT_BLOCK, count - start))])
+        yield from zip(*horn_stack(cs.a[picks], cs.b[picks]))
+
+
 def ransac_single(cs: CorrespondenceSet, active_indices, cfg: RansacConfig,
                   rng: np.random.Generator | None = None):
     """Fit one rigid motion to the active points by consensus.
 
-    Runs ``max_trials`` minimal 3-point fits, keeps the trial with the most
-    points within ``inlier_threshold`` of its model (ties go to the earliest
-    trial), and refits with Horn on that trial's full inlier set. Returns
-    (transform, inlier indices), or None when the best consensus is below
-    ``min_model_inliers``.
+    Draws ``max_trials`` 3-point samples (one ``rng.choice`` each, in trial
+    order) and fits them in stacks (``_minimal_fits``), keeps the trial with
+    the most points within ``inlier_threshold`` of its model (ties go to the
+    earliest trial), and refits with Horn on that trial's full inlier set.
+    Returns (transform, inlier indices), or None when the best consensus is
+    below ``min_model_inliers``.
     """
     active = np.asarray(active_indices, dtype=np.intp).reshape(-1)
     if active.size < 3:
@@ -59,12 +75,13 @@ def ransac_single(cs: CorrespondenceSet, active_indices, cfg: RansacConfig,
     rng = make_rng(cfg.seed) if rng is None else rng
     a_act, b_act = cs.a[active], cs.b[active]
 
+    def draw():
+        return active[rng.choice(active.size, size=3, replace=False)]
+
     best_count = -1
     best_mask = None
-    for _ in range(cfg.max_trials):
-        pick = rng.choice(active.size, size=3, replace=False)
-        est = horn_register(cs.subset(active[pick]))
-        residual = b_act - est.transform.apply(a_act)
+    for rotation, translation in _minimal_fits(cs, draw, cfg.max_trials):
+        residual = b_act - (a_act @ rotation.T + translation)
         mask = np.linalg.norm(residual, axis=1) <= cfg.inlier_threshold
         count = int(mask.sum())
         if count > best_count:
@@ -100,8 +117,8 @@ def sequential_ransac(cs: CorrespondenceSet, cfg: RansacConfig) -> Clustering:
 
 def _preference_matrix(cs: CorrespondenceSet, hypotheses, cfg: TLinkageConfig) -> np.ndarray:
     prefs = np.empty((len(cs), len(hypotheses)))
-    for h, transform in enumerate(hypotheses):
-        residual = np.linalg.norm(cs.b - transform.apply(cs.a), axis=1)
+    for h, (rotation, translation) in enumerate(hypotheses):
+        residual = np.linalg.norm(cs.b - (cs.a @ rotation.T + translation), axis=1)
         prefs[:, h] = np.where(residual <= 5.0 * cfg.tau, np.exp(-residual / cfg.tau_t), 0.0)
     return prefs
 
@@ -173,8 +190,9 @@ def tlinkage_cluster(cs: CorrespondenceSet, initial: Clustering,
     """Agglomerate initial clusters by Tanimoto distance between preferences.
 
     Hypotheses are Horn fits on minimal samples drawn within single initial
-    clusters; a point's preference for a hypothesis decays as
-    exp(-residual / tau_t) and is zero beyond 5 * tau, and a cluster's
+    clusters (an ``integers`` then a ``choice`` draw each, in order, fitted in
+    stacks by ``_minimal_fits``); a point's preference for a hypothesis decays
+    as exp(-residual / tau_t) and is zero beyond 5 * tau, and a cluster's
     preference vector is the element-wise minimum over its members. The
     closest pair below distance 1 merges (merged preference = element-wise
     min) until every remaining pair is at distance 1; ties go to the lowest
@@ -188,12 +206,11 @@ def tlinkage_cluster(cs: CorrespondenceSet, initial: Clustering,
     groups = [g for g in groups if g.size > 0]
     eligible = [g for g in groups if g.size >= 3]
 
-    hypotheses = []
-    if cfg.num_hypotheses > 0 and eligible:
-        for _ in range(cfg.num_hypotheses):
-            g = eligible[int(rng.integers(len(eligible)))]
-            pick = rng.choice(g.size, size=3, replace=False)
-            hypotheses.append(horn_register(cs.subset(g[pick])).transform)
+    def draw():
+        g = eligible[int(rng.integers(len(eligible)))]
+        return g[rng.choice(g.size, size=3, replace=False)]
+
+    hypotheses = list(_minimal_fits(cs, draw, cfg.num_hypotheses)) if eligible else []
     if not hypotheses:
         return Clustering(initial.labels, num_clusters=initial.num_clusters)
 

@@ -21,7 +21,7 @@ def _as_array(x, shape, name: str) -> np.ndarray:
     arr = np.array(x, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
@@ -34,21 +34,15 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def so3_residuals(matrix) -> tuple[float, float]:
-    """Orthogonality residual ||R^T R - I||_F and determinant deviation |det - 1|."""
-    R = np.asarray(matrix, dtype=np.float64)
-    ortho = float(np.linalg.norm(R.T @ R - np.eye(3)))
-    det_dev = float(abs(np.linalg.det(R) - 1.0))
-    return ortho, det_dev
-
-
 def is_rotation(matrix, tol: float = SO3_TOL) -> bool:
-    """True iff ``matrix`` is a 3x3 rotation within tolerance."""
+    """True iff ``matrix`` is a 3x3 rotation, or a (..., 3, 3) stack of them:
+    each has ||R^T R - I||_F <= tol and |det R - 1| <= tol."""
     R = np.asarray(matrix, dtype=np.float64)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+    if R.shape[-2:] != (3, 3) or not np.isfinite(R).all():
         return False
-    ortho, det_dev = so3_residuals(R)
-    return ortho <= tol and det_dev <= tol
+    gap = R.swapaxes(-1, -2) @ R - np.eye(3)
+    ortho = np.sqrt((gap * gap).sum(axis=(-2, -1)))
+    return bool((ortho <= tol).all() and (abs(np.linalg.det(R) - 1.0) <= tol).all())
 
 
 def require_rotation(matrix, tol: float = SO3_TOL) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Closed-form single-model rigid registration (Horn's method).
+"""Closed-form rigid registration (Horn's method).
 
 Pipeline: center both clouds, build the cross-covariance, solve the rotation
-by SVD with a reflection guard, recover the translation from the means, and
-estimate the residual noise level. This is the inner solver used by the EM
-fit step and by the RANSAC baseline.
+by SVD with a reflection guard, and recover the translation from the means.
+Each step works over leading stack axes: ``horn_stack`` fits T equal-size
+sets at once (one stacked SVD; the minimal samples of sRANSAC and T-Linkage),
+``horn_register`` fits one set with the same bits and adds the noise level
+and conditioning (the EM fit step and the bounds).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CorrespondenceSet, RigidTransform
+from .geometry import CorrespondenceSet, RigidTransform, is_rotation
 
 # Absolute floor for the estimated noise std; prevents division by zero in
 # the Gaussian density when a cluster is noiseless.
@@ -40,50 +42,54 @@ class HornEstimate:
 
 
 def center(points) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the mean; returns (centered points, mean)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
+    """Subtract the mean over the point axis of (..., m, 3) points; returns
+    (centered points, (..., 3) means)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[-2] == 0:
         raise ValueError("empty point set")
-    mean = pts.mean(axis=0)
-    return pts - mean, mean
+    mean = pts.mean(axis=-2)
+    return pts - mean[..., None, :], mean
 
 
 def cross_covariance(a_centered, b_centered) -> np.ndarray:
-    """(1/m) sum_i b'_i a'_i^T.
+    """(1/m) sum_i b'_i a'_i^T, per set of a (..., m, 3) stack.
 
     Under this convention the rotation maximizing <X, H> over SO(3) aligns
     b ~= X a, which is what exact recovery requires.
     """
-    a = np.asarray(a_centered, dtype=np.float64).reshape(-1, 3)
-    b = np.asarray(b_centered, dtype=np.float64).reshape(-1, 3)
+    a = np.asarray(a_centered, dtype=np.float64)
+    b = np.asarray(b_centered, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"centered clouds must match, got {a.shape} vs {b.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-2] == 0:
         raise ValueError("empty point set")
-    return (b.T @ a) / a.shape[0]
+    return (np.swapaxes(b, -1, -2) @ a) / a.shape[-2]
 
 
 def solve_rotation(h) -> np.ndarray:
-    """Rotation maximizing <X, H> over SO(3) via SVD.
+    """Rotation maximizing <X, H> over SO(3) via SVD, per matrix of a
+    (..., 3, 3) stack.
 
     The det(U V^T) sign guard prevents reflections. Degenerate H (including
     H = 0, for which numpy's SVD yields the identity) still returns a valid
     rotation; callers needing a well-posed fit should check lambda_min.
     """
     H = np.asarray(h, dtype=np.float64)
-    if H.shape != (3, 3) or not np.all(np.isfinite(H)):
+    if H.shape[-2:] != (3, 3) or not np.isfinite(H).all():
         raise ValueError("cross-covariance must be a finite 3x3 matrix")
     u, _, vt = np.linalg.svd(H)
     d = np.sign(np.linalg.det(u @ vt))
-    if d == 0:
-        d = 1.0
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    guard = np.zeros(H.shape)
+    guard[..., 0, 0] = guard[..., 1, 1] = 1.0
+    guard[..., 2, 2] = np.where(d == 0, 1.0, d)
+    return u @ guard @ vt
 
 
 def estimate_translation(r_hat, a_mean, b_mean) -> np.ndarray:
-    """b_mean - R a_mean (equal to the average of b_i - R a_i)."""
+    """b_mean - R a_mean (equal to the average of b_i - R a_i), per fit of a stack."""
     R = np.asarray(r_hat, dtype=np.float64)
-    return np.asarray(b_mean, dtype=np.float64) - R @ np.asarray(a_mean, dtype=np.float64)
+    a_mean = np.asarray(a_mean, dtype=np.float64)[..., None]
+    return np.asarray(b_mean, dtype=np.float64) - (R @ a_mean)[..., 0]
 
 
 def estimate_noise_std(residuals, sigma_floor: float = SIGMA_FLOOR) -> float:
@@ -101,21 +107,36 @@ def estimate_noise_std(residuals, sigma_floor: float = SIGMA_FLOOR) -> float:
     return max(float(np.sqrt(per_axis_var.mean())), sigma_floor)
 
 
+def _fit(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotations, translations and centered a-points of (..., m, 3) pairs."""
+    if np.shape(a)[-2] < 3:
+        raise ValueError("underdetermined")
+    a_centered, a_mean = center(a)
+    b_centered, b_mean = center(b)
+    rotations = solve_rotation(cross_covariance(a_centered, b_centered))
+    return rotations, estimate_translation(rotations, a_mean, b_mean), a_centered
+
+
+def horn_stack(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Fit T sets of m >= 3 pairs at once: (T, m, 3) ``a`` and ``b`` give the
+    (T, 3, 3) rotations and (T, 3) translations, the bits ``horn_register``
+    gives per set. Every fit passes the checks ``RigidTransform`` runs: an
+    SO(3) rotation and a finite translation."""
+    rotations, translations, _ = _fit(a, b)
+    if not (is_rotation(rotations) and np.isfinite(translations).all()):
+        raise ValueError("a fit is not a rigid transform")
+    return rotations, translations
+
+
 def horn_register(cs: CorrespondenceSet, sigma_floor: float = SIGMA_FLOOR) -> HornEstimate:
     """Register a correspondence set; requires at least 3 pairs."""
-    if len(cs) < 3:
-        raise ValueError("underdetermined")
-    a_centered, a_mean = center(cs.a)
-    b_centered, b_mean = center(cs.b)
-    h = cross_covariance(a_centered, b_centered)
-    r_hat = solve_rotation(h)
-    t_hat = estimate_translation(r_hat, a_mean, b_mean)
-    residuals = cs.b - (cs.a @ r_hat.T + t_hat)
-    sigma_hat = estimate_noise_std(residuals, sigma_floor)
+    r_hat, t_hat, a_centered = _fit(cs.a, cs.b)
+    transform = RigidTransform(r_hat, t_hat)
+    sigma_hat = estimate_noise_std(cs.b - transform.apply(cs.a), sigma_floor)
     second_moment = (a_centered.T @ a_centered) / len(cs)
     lambda_min = float(np.linalg.eigvalsh(second_moment)[0])
     return HornEstimate(
-        transform=RigidTransform(r_hat, t_hat),
+        transform=transform,
         sigma_hat=sigma_hat,
         lambda_min=max(lambda_min, 0.0),
     )

@@ -302,9 +302,8 @@ def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int
     """
     check_split(alpha, fragments_per_object)
     k = int(fragments_per_object)
-    rng = make_rng(seed)
-    labels = np.zeros(len(scene.correspondences), dtype=np.int64)
-    next_id = 1
+    # every object's sizes are checked before any fragment grows
+    objects = []
     for g in range(1, scene.num_objects + 1):
         idx = scene.object_indices(g)
         n_g = idx.size
@@ -318,6 +317,12 @@ def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int
                     f"object {g} with {n_g} points is too small to split into "
                     f"{k} fragments at dominance ratio {alpha}")
             sizes = [big] + [small] * (k - 1)
+        objects.append((idx, sizes))
+
+    rng = make_rng(seed)
+    labels = np.zeros(len(scene.correspondences), dtype=np.int64)
+    next_id = 1
+    for idx, sizes in objects:
         fragment = fragment_connected_set(scene.correspondences.a[idx], scene.spec.tau,
                                           sizes, rng)
         labels[idx] = next_id + fragment

@@ -11,6 +11,7 @@ from scipy.spatial import cKDTree
 
 from multireg.clustering import Clustering
 from multireg.geometry import RigidTransform, make_rng
+from multireg.horn import horn_register
 
 
 def brute_force_connected(points, tau):
@@ -150,6 +151,42 @@ def kd_tree_gate(points, labels, k, tau):
         dist, _ = cKDTree(pts[labels == j]).query(pts, k=1, distance_upper_bound=tau)
         passes[:, j - 1] = dist < tau
     return passes
+
+
+def horn_fit_per_set(a, b):
+    """(rotation, translation) of one (m, 3) set, with the arithmetic of the
+    single-set Horn solver that the stacked kernel replaced: its bit-level
+    oracle."""
+    a_mean, b_mean = a.mean(axis=0), b.mean(axis=0)
+    u, _, vt = np.linalg.svd(((b - b_mean).T @ (a - a_mean)) / a.shape[0])
+    d = np.sign(np.linalg.det(u @ vt))
+    rotation = u @ np.diag([1.0, 1.0, 1.0 if d == 0 else d]) @ vt
+    return rotation, b_mean - rotation @ a_mean
+
+
+def ransac_single_per_trial(cs, active_indices, cfg, rng):
+    """One Horn fit per drawn 3-point sample, scored before the next draw: the
+    sRANSAC model search before the stacked minimal fits, kept as their oracle.
+
+    Returns (refit transform, inliers, best trial index, every trial's
+    transform); ties go to the earliest trial, and None stands for the refit
+    and inliers when the best consensus is below ``min_model_inliers``.
+    """
+    active = np.asarray(active_indices, dtype=np.intp).reshape(-1)
+    a_act, b_act = cs.a[active], cs.b[active]
+    best_count, best_trial, best_mask, trials = -1, None, None, []
+    for trial in range(cfg.max_trials):
+        pick = rng.choice(active.size, size=3, replace=False)
+        transform = horn_register(cs.subset(active[pick])).transform
+        trials.append(transform)
+        residual = b_act - transform.apply(a_act)
+        mask = np.linalg.norm(residual, axis=1) <= cfg.inlier_threshold
+        if int(mask.sum()) > best_count:
+            best_count, best_trial, best_mask = int(mask.sum()), trial, mask
+    if best_count < cfg.min_model_inliers:
+        return None, None, best_trial, trials
+    inliers = active[best_mask]
+    return horn_register(cs.subset(inliers)).transform, inliers, best_trial, trials
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

@@ -1,14 +1,18 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import ransac_single_per_trial
 from multireg import baselines
 from multireg.baselines import (RansacConfig, TLinkageConfig, ransac_single,
                                 sequential_ransac, tanimoto_distance, tlinkage_cluster)
 from multireg.clustering import Clustering, euclidean_cluster
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
-                               random_rotation)
+                               make_rng, random_rotation)
+from multireg.horn import horn_register
 from multireg.metrics import mask_iou
 from multireg.scenes import SceneSpec, generate_scene, make_good_split
 
@@ -137,7 +141,8 @@ def test_preference_values(rng):
     far = RigidTransform(np.eye(3), np.array([5.0 * cfg.tau + 0.1, 0.0, 0.0]))
     assert tlinkage_preference(cs, 0, far, cfg) == 0.0
     hypotheses = [identity, shifted, far, RigidTransform(random_rotation(3), np.ones(3))]
-    matrix = baselines._preference_matrix(cs, hypotheses, cfg)
+    matrix = baselines._preference_matrix(
+        cs, [(h.rotation, h.translation) for h in hypotheses], cfg)
     expected = [[tlinkage_preference(cs, i, h, cfg) for h in hypotheses] for i in range(len(cs))]
     # batched and per-point residuals differ in the last bits, which exp
     # scales by residual / tau_t (here at most 5 * tau / tau_t = 25)
@@ -285,3 +290,153 @@ def test_config_validation():
         RansacConfig(inlier_threshold=0.1, min_model_inliers=2)
     with pytest.raises(ValueError):
         TLinkageConfig(tau_t=0.0, tau=1.0)
+
+
+def _outlier_scene(seed):
+    """The outlier_baselines benchmark shape: 3 x 600 points plus 300 outliers."""
+    return generate_scene(SceneSpec(num_objects=3, points_per_object=(600,) * 3, sigma=0.015,
+                                    tau=0.3, bound_b=4.0, num_outliers=300, seed=seed))
+
+
+def _cli_ransac_config(scene, seed, max_trials=100):
+    return RansacConfig(inlier_threshold=math.sqrt(3.0) * scene.spec.sigma,
+                        max_trials=max_trials, seed=seed)
+
+
+def _same_fit(transform, rotation, translation):
+    return (np.array_equal(transform.rotation, rotation)
+            and np.array_equal(transform.translation, translation))
+
+
+def _ransac_against_oracle(monkeypatch, cs, active, cfg):
+    """ransac_single with its minimal fits recorded, then the per-trial oracle
+    on a fresh generator of the same seed; asserts the two agree."""
+    fits = []
+    minimal_fits = baselines._minimal_fits
+
+    def recording(*args):
+        for fit in minimal_fits(*args):
+            fits.append(fit)
+            yield fit
+
+    rng, oracle_rng = make_rng(cfg.seed), make_rng(cfg.seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_minimal_fits", recording)
+        result = ransac_single(cs, active, cfg, rng)
+    refit, inliers, _, trials = ransac_single_per_trial(cs, active, cfg, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state  # same draws
+    assert len(fits) == len(trials) == cfg.max_trials
+    assert all(_same_fit(t, r, tr) for t, (r, tr) in zip(trials, fits))
+    # with every trial's model equal, equal inliers mean the same best trial
+    assert result is not None and refit is not None
+    np.testing.assert_array_equal(result[1], inliers)
+    assert _same_fit(result[0], refit.rotation, refit.translation)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ransac_single_matches_per_trial_oracle(monkeypatch, seed):
+    scene = _outlier_scene(seed)
+    active = np.arange(len(scene.correspondences))
+    _ransac_against_oracle(monkeypatch, scene.correspondences, active,
+                           _cli_ransac_config(scene, seed))
+
+
+def test_ransac_single_ties_go_to_the_earliest_trial(monkeypatch, rng):
+    # two noiseless 20-point motions: a pure triple of either one finds
+    # exactly 20 inliers, so the best count ties between the two models
+    a = rng.uniform(-1, 1, (40, 3))
+    b = np.vstack([a[:20] @ random_rotation(1).T, a[20:] @ random_rotation(2).T + 1.0])
+    cs = CorrespondenceSet(a, b)
+    cfg = RansacConfig(inlier_threshold=1e-6, max_trials=60, seed=2)
+    *_, trials = ransac_single_per_trial(cs, np.arange(40), cfg, make_rng(cfg.seed))
+    best = [np.flatnonzero(np.linalg.norm(b - t.apply(a), axis=1) <= 1e-6) for t in trials]
+    best = [m for m in best if m.size == 20]
+    assert best[0][0] != best[-1][0]  # the first and the last best trial differ
+    _ransac_against_oracle(monkeypatch, cs, np.arange(40), cfg)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ransac_single_blocks_keep_the_draw_order(monkeypatch, seed):
+    # blocks of 7 split a 30-trial search mid-way; the active set skips
+    # points, so picks index into it rather than into the scene
+    scene = _outlier_scene(seed)
+    active = np.arange(len(scene.correspondences))[::2]
+    monkeypatch.setattr(baselines, "FIT_BLOCK", 7)
+    _ransac_against_oracle(monkeypatch, scene.correspondences, active,
+                           _cli_ransac_config(scene, seed, max_trials=30))
+
+
+@pytest.mark.parametrize("block", [None, 16])
+def test_tlinkage_hypotheses_match_per_sample_fits(monkeypatch, block):
+    scene = _outlier_scene(0)
+    cs = scene.correspondences
+    initial = euclidean_cluster(cs, scene.spec.tau)
+    cfg = _cli_tlinkage_config(scene, 0)
+    recorded = []
+    preference_matrix = baselines._preference_matrix
+
+    def recording(cs, hypotheses, cfg):
+        recorded.extend(hypotheses)
+        return preference_matrix(cs, hypotheses, cfg)
+
+    if block is not None:
+        monkeypatch.setattr(baselines, "FIT_BLOCK", block)
+    monkeypatch.setattr(baselines, "_preference_matrix", recording)
+    tlinkage_cluster(cs, initial, cfg)
+    groups = [initial.members(j) for j in range(1, initial.num_clusters + 1)]
+    eligible = [g for g in groups if g.size >= 3]
+    rng = make_rng(cfg.seed)
+    expected = []
+    for _ in range(cfg.num_hypotheses):
+        g = eligible[int(rng.integers(len(eligible)))]
+        pick = rng.choice(g.size, size=3, replace=False)
+        expected.append(horn_register(cs.subset(g[pick])).transform)
+    assert len(recorded) == len(expected) == cfg.num_hypotheses
+    assert all(_same_fit(t, r, tr) for t, (r, tr) in zip(expected, recorded))
+
+
+def test_ransac_fit_memory_stays_flat_past_one_block():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1, 1, (60, 3))
+    cs = CorrespondenceSet(a, a + rng.normal(0.0, 0.01, a.shape))
+
+    def peak(max_trials):
+        cfg = RansacConfig(inlier_threshold=0.05, max_trials=max_trials, seed=0)
+        tracemalloc.start()
+        try:
+            ransac_single(cs, np.arange(60), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # about 0.85 MB at one block and 0.95 MB at four (the previous block's
+    # stack lives until the next is fitted); one stack of 4 blocks is 3.4 MB
+    assert peak(4 * baselines.FIT_BLOCK) < 1.5 * peak(baselines.FIT_BLOCK)
+
+
+# sha256 of the int64 little-endian labels and the cluster count of the
+# baselines on the outlier_baselines shape (Euclidean init for T-Linkage,
+# the CLI's default configs), recorded with one horn_register per sample.
+BASELINE_LABELS = {
+    0: (("d2c12aede77c9eef4bbe6669f53c52296bba7eb721be56a83e29d4a8df258b2b", 4),
+        ("72fcc9df7ba8cfe397101929729f4e4d6314488e1d08696880954175e5e97836", 284)),
+    1: (("a30dc1a4ffc66049a9321109587d908125723a5d0bbb9a569ddaf995ee110bcd", 4),
+        ("2d8e44e4d8ea3740fcfe3efb47fbc45114fee58ba2aebbaefa3977e273042edd", 282)),
+    2: (("eed8f4290d31a8b4c1f25d26e5ba2541dc28b97e21d89afb4e7b4dd4c946f36f", 4),
+        ("70eb383bb7dcccedf340c8f61039b12b157a6f6040ff83de3fdd55f8c08e27c8", 285)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BASELINE_LABELS))
+def test_baselines_match_recorded_labels(seed):
+    scene = _outlier_scene(seed)
+    cs = scene.correspondences
+
+    def digest(clustering):
+        return (hashlib.sha256(clustering.labels.astype("<i8").tobytes()).hexdigest(),
+                clustering.num_clusters)
+
+    ransac = sequential_ransac(cs, _cli_ransac_config(scene, seed))
+    tlinkage = tlinkage_cluster(cs, euclidean_cluster(cs, scene.spec.tau),
+                                _cli_tlinkage_config(scene, seed))
+    assert (digest(ransac), digest(tlinkage)) == BASELINE_LABELS[seed]

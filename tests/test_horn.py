@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import almost_equal, rotation_about_axis
+from conftest import almost_equal, horn_fit_per_set, rotation_about_axis
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
                                is_rotation, random_rotation)
+from multireg import horn
 from multireg.horn import (SIGMA_FLOOR, center, cross_covariance, estimate_noise_std,
-                           estimate_translation, horn_register, solve_rotation)
+                           estimate_translation, horn_register, horn_stack, solve_rotation)
 
 
 def test_center_examples():
@@ -185,3 +186,64 @@ def test_horn_error_within_theory_bound(rng):
         if trans_err_sq > translation_error_bound(2000, 0.1, np.sqrt(3), delta):
             violations += 1
     assert violations == 0
+
+
+def _assert_stack_matches_horn_register(a, b):
+    """horn_stack on (T, m, 3) pairs gives the bits of one horn_register per
+    set, and both give those of the single-set reference arithmetic."""
+    rotations, translations = horn_stack(a, b)
+    fits = [horn_register(CorrespondenceSet(x, y)).transform for x, y in zip(a, b)]
+    reference = [horn_fit_per_set(x, y) for x, y in zip(a, b)]
+    assert rotations.shape == (len(a), 3, 3) and translations.shape == (len(a), 3)
+    assert np.array_equal(rotations, [f.rotation for f in fits])
+    assert np.array_equal(translations, [f.translation for f in fits])
+    # array_equal takes -0.0 == 0.0; the bytes tell the signed zeros apart
+    for expected in ([(f.rotation, f.translation) for f in fits], reference):
+        assert rotations.tobytes() == np.array([r for r, _ in expected]).tobytes()
+        assert translations.tobytes() == np.array([t for _, t in expected]).tobytes()
+
+
+def test_horn_stack_matches_horn_register_on_random_triples(rng):
+    a = rng.uniform(-1, 1, (500, 3, 3))
+    b = a @ random_rotation(5).T + rng.uniform(-2, 2, 3) + rng.normal(0, 0.05, a.shape)
+    _assert_stack_matches_horn_register(a, b)
+    _assert_stack_matches_horn_register(a, rng.uniform(-1, 1, a.shape))
+
+
+def test_horn_stack_matches_horn_register_on_degenerate_triples(rng):
+    # collinear triples (rank-1 H) and coincident ones (H = 0, so R = I)
+    steps = np.array([0.0, 0.5, 2.0])[None, :, None]
+    collinear = rng.uniform(-1, 1, (50, 1, 3)) + steps * rng.uniform(-1, 1, (50, 1, 3))
+    _assert_stack_matches_horn_register(collinear, collinear @ random_rotation(6).T + 1.0)
+    # quarter steps: the mean of three copies is exact, so H is exactly 0
+    coincident = np.repeat(rng.integers(-8, 9, (50, 1, 3)) * 0.25, 3, axis=1)
+    rotations, _ = horn_stack(coincident, rng.uniform(-1, 1, coincident.shape))
+    np.testing.assert_array_equal(rotations, np.broadcast_to(np.eye(3), rotations.shape))
+    _assert_stack_matches_horn_register(coincident, rng.uniform(-1, 1, coincident.shape))
+
+
+def test_horn_stack_matches_horn_register_on_reflections(rng):
+    # b mirrors a: the best orthogonal U V^T has det -1, so the guard flips it
+    a = rng.uniform(-1, 1, (20, 5, 3))
+    b = a * np.array([1.0, 1.0, -1.0])
+    u, _, vt = np.linalg.svd(cross_covariance(*(center(x)[0] for x in (a, b))))
+    assert np.all(np.linalg.det(u @ vt) < 0)
+    _assert_stack_matches_horn_register(a, b)
+    assert is_rotation(horn_stack(a, b)[0])
+
+
+def test_horn_stack_matches_horn_register_on_one_large_set(rng):
+    cs, _ = _random_scene(rng, 10_000, sigma=0.1)
+    _assert_stack_matches_horn_register(cs.a[None], cs.b[None])
+
+
+def test_horn_stack_checks_every_fit(monkeypatch, rng):
+    a = rng.uniform(-1, 1, (4, 3, 3))
+    with pytest.raises(ValueError, match="underdetermined"):
+        horn_stack(a[:, :2], a[:, :2])
+    # one reflection in the stack fails the SO(3) check RigidTransform runs
+    solve = horn.solve_rotation
+    monkeypatch.setattr(horn, "solve_rotation",
+                        lambda h: solve(h) * np.where(np.arange(4) == 2, -1.0, 1.0)[:, None, None])
+    with pytest.raises(ValueError, match="not a rigid transform"):
+        horn_stack(a, a)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from multireg import scenes
 from multireg.clustering import check_initial_clustering
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
 from multireg.horn import horn_register
 from multireg.io import scene_to_text
-from multireg.scenes import (InfeasibleSceneError, LabeledScene, SceneSpec,
+from multireg.scenes import (InfeasibleSceneError, LabeledScene, SceneSpec, SplitSizeError,
                              generate_scene, make_good_split, validate_scene)
 
 
@@ -189,3 +190,15 @@ def test_good_split_infeasible_ratio_errors():
         make_good_split(scene, alpha=2.0, fragments_per_object=2, seed=0)
     with pytest.raises(ValueError):
         make_good_split(scene, alpha=1.0, fragments_per_object=2, seed=0)
+
+
+def test_good_split_checks_every_object_before_growing_fragments(monkeypatch):
+    # object 1 (80 points) splits into 8 fragments, object 2 (10) cannot: the
+    # split must fail before it grows any fragment of object 1
+    calls, grow = [], scenes.fragment_connected_set
+    monkeypatch.setattr(scenes, "fragment_connected_set",
+                        lambda *args: calls.append(args) or grow(*args))
+    scene = generate_scene(_spec(num_objects=2, points_per_object=(80, 10)))
+    with pytest.raises(SplitSizeError, match="object 2 with 10 points"):
+        make_good_split(scene, alpha=2.0, fragments_per_object=8, seed=0)
+    assert calls == []
