@@ -8,7 +8,7 @@ import numpy as np
 
 from .clustering import Clustering
 from .geometry import CorrespondenceSet, make_rng
-from .horn import horn_register, horn_stack
+from .horn import horn_stack
 
 # Minimal samples fitted per stack; memory does not grow with the trial count.
 FIT_BLOCK = 1024
@@ -65,9 +65,8 @@ def ransac_single(cs: CorrespondenceSet, active_indices, cfg: RansacConfig,
     Draws ``max_trials`` 3-point samples (one ``rng.choice`` each, in trial
     order) and fits them in stacks (``_minimal_fits``), keeps the trial with
     the most points within ``inlier_threshold`` of its model (ties go to the
-    earliest trial), and refits with Horn on that trial's full inlier set.
-    Returns (transform, inlier indices), or None when the best consensus is
-    below ``min_model_inliers``.
+    earliest trial). Returns that trial's inlier indices, or None when the
+    best consensus is below ``min_model_inliers``.
     """
     active = np.asarray(active_indices, dtype=np.intp).reshape(-1)
     if active.size < 3:
@@ -89,9 +88,7 @@ def ransac_single(cs: CorrespondenceSet, active_indices, cfg: RansacConfig,
             best_mask = mask
     if best_count < cfg.min_model_inliers:
         return None
-    inliers = active[best_mask]
-    refit = horn_register(cs.subset(inliers))
-    return refit.transform, inliers
+    return active[best_mask]
 
 
 def sequential_ransac(cs: CorrespondenceSet, cfg: RansacConfig) -> Clustering:
@@ -105,10 +102,9 @@ def sequential_ransac(cs: CorrespondenceSet, cfg: RansacConfig) -> Clustering:
     active = np.arange(len(cs), dtype=np.intp)
     next_id = 1
     while active.size >= max(3, cfg.min_model_inliers):
-        result = ransac_single(cs, active, cfg, rng)
-        if result is None:
+        inliers = ransac_single(cs, active, cfg, rng)
+        if inliers is None:
             break
-        _, inliers = result
         labels[inliers] = next_id
         next_id += 1
         active = active[~np.isin(active, inliers)]

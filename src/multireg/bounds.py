@@ -241,12 +241,13 @@ class NoiseRatioSummary:
     ratios: tuple[float, ...]
 
 
-def run_noise_ratio_bench(m_values, delta, trials, seed, sigma: float = 1.0):
+def run_noise_ratio_bench(m_values, delta, trials, seed):
     """Check the (estimated std / sigma) interval on uniform noise samples.
 
-    Every requested m must clear the interval's validity floor. The ratio
-    statistic is scale-free, so results are identical for any sigma with
-    matched seeds. Returns per-m summaries.
+    The noise is uniform on [-1, 1]^3, so sigma is 1; the ratio statistic is
+    scale-free, so any other sigma would give the same ratios. Every
+    requested m must clear the interval's validity floor. Returns per-m
+    summaries.
     """
     m_values = [int(m) for m in m_values]
     floor = noise_ratio_sample_floor(delta)
@@ -255,8 +256,6 @@ def run_noise_ratio_bench(m_values, delta, trials, seed, sigma: float = 1.0):
             raise ValueError(f"m={m} is below the interval's validity floor {floor:.0f}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     children = np.random.SeedSequence(seed).spawn(len(m_values) * trials)
 
     center = 1.0 / math.sqrt(3.0)
@@ -268,8 +267,8 @@ def run_noise_ratio_bench(m_values, delta, trials, seed, sigma: float = 1.0):
         ratios = []
         for _ in range(trials):
             rng = np.random.default_rng(next(child_iter))
-            noise = rng.uniform(-sigma, sigma, size=(m, 3))
-            ratio = estimate_noise_std(noise) / sigma
+            noise = rng.uniform(-1.0, 1.0, size=(m, 3))
+            ratio = estimate_noise_std(noise)
             ratios.append(ratio)
             if not low <= ratio <= high:
                 violations += 1

@@ -171,6 +171,14 @@ def _read_input(reader, path):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_labels(path, scene) -> Clustering:
+    """Read a label file with one label per correspondence of ``scene``."""
+    clustering = _read_input(read_clustering, path)
+    if len(clustering) != len(scene.correspondences):
+        raise UsageError(f"{path} has {len(clustering)} labels, not {len(scene.correspondences)}")
+    return clustering
+
+
 def fit_cluster_transforms(cs, clustering: Clustering):
     """Horn fit per predicted cluster; clusters under 3 points dissolve to 0.
 
@@ -221,29 +229,23 @@ def cmd_synth(cfg: dict[str, str]) -> int:
     return 0
 
 
-def _check_init(cfg) -> None:
-    """Reject a bad init config before any work is done."""
-    kind = cfg.get("init.kind", "euclidean")
-    if kind not in INIT_KINDS:
-        raise UsageError(f"unknown init.kind '{kind}'; expected one of {INIT_KINDS}")
-    if kind == "good-split":
-        try:
-            check_split(_as_float(cfg, "init.alpha"), _as_int(cfg, "init.fragments"))
-        except ValueError as exc:
-            raise UsageError(f"invalid init config: {exc}") from exc
-
-
-def _build_initialization(cfg, scene, cs, seed):
+def _initializer(cfg, seed):
+    """Check the init.* settings before any work is done; returns the function
+    that builds the initial clustering from the scene."""
     kind = cfg.get("init.kind", "euclidean")
     if kind == "euclidean":
-        return euclidean_cluster(cs, scene.spec.tau)
+        return lambda scene: euclidean_cluster(scene.correspondences, scene.spec.tau)
     if kind == "good-split":
-        return make_good_split(scene, _as_float(cfg, "init.alpha"),
-                               _as_int(cfg, "init.fragments"), seed)
-    labels = _read_input(read_clustering, _need(cfg, "init.file"))
-    if labels.shape[0] != len(cs):
-        raise UsageError("initialization file length does not match the scene")
-    return Clustering(labels)
+        alpha, fragments = _as_float(cfg, "init.alpha"), _as_int(cfg, "init.fragments")
+        try:
+            check_split(alpha, fragments)
+        except ValueError as exc:
+            raise UsageError(f"invalid init config: {exc}") from exc
+        return lambda scene: make_good_split(scene, alpha, fragments, seed)
+    if kind == "from-file":
+        path = _need(cfg, "init.file")
+        return lambda scene: _read_labels(path, scene)
+    raise UsageError(f"unknown init.kind '{kind}'; expected one of {INIT_KINDS}")
 
 
 def _algorithm_config(cfg, algorithm, seed, sigma, tau):
@@ -284,18 +286,16 @@ def cmd_run(cfg: dict[str, str]) -> int:
     algorithm = cfg.get("algorithm", "em")
     if algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm '{algorithm}'; expected one of {ALGORITHMS}")
-    _check_init(cfg)
+    seed = _as_int(cfg, "seed")
+    build_initial = _initializer(cfg, seed)
     t_start = time.perf_counter()
     scene = _read_input(read_scene, _need(cfg, "scene.file"))
     cs = scene.correspondences
-    seed = _as_int(cfg, "seed")
     algo_cfg = _algorithm_config(cfg, algorithm, seed, scene.spec.sigma, scene.spec.tau)
 
-    initial = _build_initialization(cfg, scene, cs, seed)
+    # sequential RANSAC starts from the whole scene, not from a clustering
+    initial = None if algorithm == "sransac" else build_initial(scene)
     em_pairs: list[tuple[str, str]] = []
-    error_message = None
-    clustering = None
-    transforms: list = []
 
     t_algo = time.perf_counter()
     try:
@@ -323,17 +323,15 @@ def cmd_run(cfg: dict[str, str]) -> int:
         else:  # naive-horn-per-cluster
             clustering, transforms = fit_cluster_transforms(cs, initial)
     except NoViableClustersError as exc:
-        error_message = str(exc)
+        pairs = _base_pairs(cfg, algorithm)
+        pairs.append(("result.status", "error"))
+        pairs.append(("result.error", str(exc)))
+        write_result(pairs, out)
+        print(f"algorithm failed: {exc}", file=sys.stderr)
+        return 1
     t_done = time.perf_counter()
 
     pairs = _base_pairs(cfg, algorithm)
-    if error_message is not None:
-        pairs.append(("result.status", "error"))
-        pairs.append(("result.error", error_message))
-        write_result(pairs, out)
-        print(f"algorithm failed: {error_message}", file=sys.stderr)
-        return 1
-
     report = evaluate(cs, clustering, transforms, scene)
     pairs.append(("result.status", "ok"))
     pairs.extend(_metric_pairs(report))
@@ -361,10 +359,8 @@ def cmd_run(cfg: dict[str, str]) -> int:
 
 def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
     scene = _read_input(read_scene, scene_path)
-    labels = _read_input(read_clustering, pred_path)
-    if labels.shape[0] != len(scene.correspondences):
-        raise UsageError("prediction length does not match the scene")
-    clustering, transforms = fit_cluster_transforms(scene.correspondences, Clustering(labels))
+    pred = _read_labels(pred_path, scene)
+    clustering, transforms = fit_cluster_transforms(scene.correspondences, pred)
     report = evaluate(scene.correspondences, clustering, transforms, scene)
     pairs = _metric_pairs(report)
     for key, value in pairs:
@@ -470,9 +466,7 @@ def main(argv=None) -> int:
             return cmd_synth(cfg)
         if args.command == "run":
             return cmd_run(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_bench(cfg)
     except (UsageError, InfeasibleSceneError, SplitSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

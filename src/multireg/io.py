@@ -137,22 +137,19 @@ def _check_field_counts(rows: list[str]) -> None:
             raise ValueError(f"correspondence line {i} has {fields} fields, expected 7")
 
 
-def clustering_to_text(clustering) -> str:
-    labels = clustering.labels if isinstance(clustering, Clustering) else np.asarray(clustering)
-    return "".join(f"{int(v)}\n" for v in labels)
+def clustering_to_text(clustering: Clustering) -> str:
+    return "".join(f"{int(v)}\n" for v in clustering.labels)
 
 
-def write_clustering(clustering, path) -> None:
+def write_clustering(clustering: Clustering, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(clustering_to_text(clustering))
 
 
-def read_clustering(path) -> np.ndarray:
+def read_clustering(path) -> Clustering:
+    """One label per line; a negative label raises ValueError (from Clustering)."""
     with open(path, "r", encoding="ascii") as fh:
-        labels = np.asarray([int(line) for line in fh if line.strip()], dtype=np.int64)
-    if labels.size and labels.min() < 0:
-        raise ValueError("cluster labels must be nonnegative")
-    return labels
+        return Clustering([int(line) for line in fh if line.strip()])
 
 
 def result_to_text(pairs) -> str:

@@ -33,17 +33,7 @@ class EvalReport:
     per_cluster_translation_error: tuple[float, ...]
 
 
-def _labels_of(clustering) -> np.ndarray:
-    if isinstance(clustering, Clustering):
-        return clustering.labels
-    return np.asarray(clustering, dtype=np.int64).reshape(-1)
-
-
-def _clustering_of(pred) -> Clustering:
-    return pred if isinstance(pred, Clustering) else Clustering(pred)
-
-
-def iou_per_cluster(pred, truth) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def iou_per_cluster(pred: Clustering, truth) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """IoU of each predicted cluster against its best-matching true object.
 
     The match is the true object with the largest intersection (ties to the
@@ -51,7 +41,7 @@ def iou_per_cluster(pred, truth) -> tuple[tuple[int, ...], tuple[float, ...]]:
     points belong to no predicted cluster but still count in the union
     through the matched object's side.
     """
-    table = _clustering_of(pred).contingency(_labels_of(truth))
+    table = pred.contingency(truth)
     sizes = table.sum(axis=1)
     true_sizes = table.sum(axis=0)
 
@@ -69,13 +59,13 @@ def iou_per_cluster(pred, truth) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return tuple(ids), tuple(ious)
 
 
-def mask_iou(pred, truth) -> float:
+def mask_iou(pred: Clustering, truth) -> float:
     """Mean IoU over predicted clusters (0.0 when there are none)."""
     _, ious = iou_per_cluster(pred, truth)
     return float(np.mean(ious)) if ious else 0.0
 
 
-def point_error(cs, pred, pred_models, scene: LabeledScene):
+def point_error(cs, pred: Clustering, pred_models, scene: LabeledScene):
     """Average displacement gap between predicted and true motion, per object.
 
     For each ground-truth (non-outlier) point, the error is the distance
@@ -85,7 +75,7 @@ def point_error(cs, pred, pred_models, scene: LabeledScene):
     displacement of the point. Returns (mean over objects of per-object mean,
     per-object means, mean over points).
     """
-    pred_labels = _labels_of(pred)
+    pred_labels = pred.labels
     true_labels = scene.true_labels
     if pred_labels.shape[0] != len(cs):
         raise ValueError("prediction length must match the correspondences")
@@ -113,7 +103,7 @@ def point_error(cs, pred, pred_models, scene: LabeledScene):
     return overall, tuple(per_object), per_point_mean
 
 
-def pose_error(pred, pred_models, scene: LabeledScene):
+def pose_error(pred: Clustering, pred_models, scene: LabeledScene):
     """Intersection-weighted pose error of each predicted cluster.
 
     Per predicted cluster, every intersecting true object contributes its
@@ -122,11 +112,11 @@ def pose_error(pred, pred_models, scene: LabeledScene):
     outliers are excluded from the means. Returns (rotation mean, translation
     mean, included ids, per-cluster rotation, per-cluster translation).
     """
-    pred_labels = _labels_of(pred)
+    pred_labels = pred.labels
     num_pred = int(pred_labels.max()) if pred_labels.size else 0
     if len(pred_models) < num_pred:
         raise ValueError("every predicted cluster needs a model")
-    table = _clustering_of(pred).contingency(scene.true_labels)
+    table = pred.contingency(scene.true_labels)
 
     ids, rot_errors, trans_errors = [], [], []
     for j in range(1, table.shape[0]):
@@ -150,7 +140,7 @@ def pose_error(pred, pred_models, scene: LabeledScene):
     return rot_mean, trans_mean, tuple(ids), tuple(rot_errors), tuple(trans_errors)
 
 
-def evaluate(cs, pred, pred_models, scene: LabeledScene) -> EvalReport:
+def evaluate(cs, pred: Clustering, pred_models, scene: LabeledScene) -> EvalReport:
     """All three metrics in one report."""
     overall_point, per_object, per_point_mean = point_error(cs, pred, pred_models, scene)
     rot, trans, pose_ids, per_rot, per_trans = pose_error(pred, pred_models, scene)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import read_result
+from multireg import cli
 from multireg.cli import main
 from multireg.clustering import Clustering
 from multireg.io import read_clustering, read_scene, write_clustering
@@ -56,8 +59,7 @@ def test_run_em_noiseless_good_split(tmp_path, scene_file):
     assert float(record["metrics.mask_iou"]) == 1.0
     assert record["em.converged"] == "true"
     scene = read_scene(scene_file)
-    labels = read_clustering(labels_out)
-    assert labels.shape[0] == len(scene.correspondences)
+    assert len(read_clustering(labels_out)) == len(scene.correspondences)
 
 
 def test_run_is_byte_deterministic(tmp_path, scene_file):
@@ -211,6 +213,11 @@ def _too_many_fragments_to_run(tmp_path, scene_file):
             "--set", "init.fragments=70"]
 
 
+def _unknown_init_kind_to_sransac(tmp_path, scene_file):
+    return ["run", "--algorithm", "sransac", "--set", f"scene.file={scene_file}",
+            "--set", "init.kind=bogus"]
+
+
 @pytest.mark.parametrize("bad_input", [
     _non_scene_to_eval,
     _truncated_scene_to_run,
@@ -221,6 +228,7 @@ def _too_many_fragments_to_run(tmp_path, scene_file):
     _alpha_below_one_to_run,
     _zero_fragments_to_run,
     _too_many_fragments_to_run,
+    _unknown_init_kind_to_sransac,
 ])
 def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     argv = bad_input(tmp_path, scene_file)
@@ -233,6 +241,57 @@ def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_sransac_builds_no_initial_clustering(tmp_path, scene_file, monkeypatch):
+    calls = []
+    euclidean_cluster = cli.euclidean_cluster
+
+    def counting(*args):
+        calls.append(args)
+        return euclidean_cluster(*args)
+
+    monkeypatch.setattr(cli, "euclidean_cluster", counting)
+    assert run_cli("run", "--algorithm", "sransac", "--out", str(tmp_path / "r.txt"),
+                   "--set", f"scene.file={scene_file}") == 0
+    assert calls == []
+
+
+# sha256 of the files of one outlier_baselines case (3x600 points, 300
+# outliers, sigma 0.015, seed 10000): the scene, each algorithm's result and
+# labels from a Euclidean init, and the eval report of the EM labels. Paths
+# are relative, so the config.* lines do not depend on the directory.
+RUN_FILES_SHA256 = {
+    "eval_em.txt": "8df929b21a436fc7c6120911ed926dbbbe9b586534bacffd836ee89943116201",
+    "labels_em.txt": "ac9704e16dfd1da82c07b88e240f79f09fad76d0abe1312f1cd6c6a3a4d9b6cb",
+    "labels_naive.txt": "ac9704e16dfd1da82c07b88e240f79f09fad76d0abe1312f1cd6c6a3a4d9b6cb",
+    "labels_sransac.txt": "d7267764e746e33d91d4d43e81279b81262a06bf298af6102ac8f87ec94fd7ff",
+    "labels_tlinkage.txt": "3a613c00fbafa0bdfbe57aec08f0c749c123ac5fd80e2bd36b3f4c4cc4b94369",
+    "result_em.txt": "d2880e28b6e4eb27f14ac89f00f8a61eba38cadb094471e487e3962383d320d1",
+    "result_naive.txt": "365539937444cfdcf5570ec7a361a0fc6ef6560f71206b7cdbd6bdb6f72eb84b",
+    "result_sransac.txt": "717dfceeab37a85b14a289f3f716c8fc4f41259fdb0dc75b07886c3da1f6d99d",
+    "result_tlinkage.txt": "ed2b1fef8f5965fe167be3cabd9b8dc1a1f98073c53402d6c19161a5a2dcd2fd",
+    "scene.txt": "c8745a625d75a8c53e320b801ce30c9cc90beb84bbce12bbc1218980b1ea1e39",
+}
+
+
+def test_run_results_match_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scene = {"scene.num_objects": 3, "scene.points_per_object": 600,
+             "scene.num_outliers": 300, "scene.sigma": 0.015, "scene.tau": 0.3,
+             "scene.bound_b": 4}
+    settings = [f"--set={key}={value}" for key, value in scene.items()]
+    assert run_cli("synth", "--seed", "10000", "--out", "scene.txt", *settings) == 0
+    for short, algorithm in (("em", "em"), ("sransac", "sransac"), ("tlinkage", "tlinkage"),
+                             ("naive", "naive-horn-per-cluster")):
+        assert run_cli("run", "--seed", "10000", "--algorithm", algorithm,
+                       "--out", f"result_{short}.txt", "--set", "scene.file=scene.txt",
+                       "--set", "init.kind=euclidean",
+                       "--set", f"out_labels=labels_{short}.txt") == 0
+    assert run_cli("eval", "labels_em.txt", "scene.txt", "--out", "eval_em.txt") == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == RUN_FILES_SHA256
 
 
 def test_eval_perfect_permuted_and_degraded(tmp_path, scene_file, capsys):

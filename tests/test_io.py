@@ -77,7 +77,7 @@ def test_clustering_roundtrip(tmp_path):
     path = tmp_path / "labels.txt"
     write_clustering(Clustering(labels), path)
     assert path.read_text() == "0\n1\n1\n2\n0\n3\n"
-    np.testing.assert_array_equal(read_clustering(path), labels)
+    np.testing.assert_array_equal(read_clustering(path).labels, labels)
 
 
 def test_result_roundtrip(tmp_path):

@@ -16,23 +16,23 @@ def _scene(seed=31, sigma=0.0, outliers=0):
 
 def test_mask_iou_perfect_and_set_arithmetic():
     truth = np.array([0, 1, 1, 1, 2, 2])
-    assert mask_iou(truth, truth) == pytest.approx(1.0)
+    assert mask_iou(Clustering(truth), truth) == pytest.approx(1.0)
     # pred {1,2,3} vs truth {2,3,4} as single clusters: 2 common / 4 total
-    pred = np.array([0, 1, 1, 1, 0, 0])
+    pred = Clustering([0, 1, 1, 1, 0, 0])
     true = np.array([0, 0, 1, 1, 1, 0])
     assert mask_iou(pred, true) == pytest.approx(0.5)
 
 
 def test_mask_iou_split_object_halves():
     truth = np.array([1] * 10)
-    pred = np.array([1] * 5 + [2] * 5)
+    pred = Clustering([1] * 5 + [2] * 5)
     assert mask_iou(pred, truth) == pytest.approx(0.5)
 
 
 def test_mask_iou_ties_and_empty():
-    assert mask_iou(np.zeros(4, dtype=int), np.array([1, 1, 2, 2])) == 0.0
+    assert mask_iou(Clustering(np.zeros(4, dtype=int)), np.array([1, 1, 2, 2])) == 0.0
     # tie on intersection goes to the lower truth id
-    pred = np.array([1, 1])
+    pred = Clustering([1, 1])
     truth = np.array([1, 2])
     ids, ious = iou_per_cluster(pred, truth)
     assert ids == (1,)
@@ -40,7 +40,7 @@ def test_mask_iou_ties_and_empty():
 
 
 def test_mask_iou_outlier_only_cluster_scores_zero():
-    pred = np.array([1, 1, 2, 2])
+    pred = Clustering([1, 1, 2, 2])
     truth = np.array([1, 1, 0, 0])
     ids, ious = iou_per_cluster(pred, truth)
     assert ious == (1.0, 0.0)
