@@ -175,6 +175,19 @@ class ConsistencySummary:
     median_trans_err_sq: float
 
 
+def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int]:
+    """The m values as ints, once every setting ``run_consistency_bench``
+    takes is valid; raises ValueError otherwise, before anything is drawn."""
+    m_values = [int(m) for m in m_values]
+    for m in m_values:
+        if m < 3:
+            raise ValueError("every m must be at least 3")
+        _check_common(m, sigma, bound_b, delta)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    return m_values
+
+
 def run_consistency_bench(m_values, sigma, bound_b, delta, trials, seed):
     """Sample single-object registrations and compare errors to the bounds.
 
@@ -184,13 +197,7 @@ def run_consistency_bench(m_values, sigma, bound_b, delta, trials, seed):
     trial's measured lambda_min) and violation flags. Returns (trials list,
     per-m summaries). Deterministic given the seed.
     """
-    m_values = [int(m) for m in m_values]
-    for m in m_values:
-        if m < 3:
-            raise ValueError("every m must be at least 3")
-        _check_common(m, sigma, bound_b, delta)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    m_values = check_consistency_bench(m_values, sigma, bound_b, delta, trials)
     children = np.random.SeedSequence(seed).spawn(len(m_values) * trials)
 
     all_trials: list[BoundTrial] = []
@@ -198,6 +205,7 @@ def run_consistency_bench(m_values, sigma, bound_b, delta, trials, seed):
     child_iter = iter(children)
     for m in m_values:
         rows: list[BoundTrial] = []
+        trans_bound = translation_error_bound(m, sigma, bound_b, delta)
         for _ in range(trials):
             rng = np.random.default_rng(next(child_iter))
             rotation = random_rotation(rng)
@@ -209,7 +217,6 @@ def run_consistency_bench(m_values, sigma, bound_b, delta, trials, seed):
             rot_err_sq = float(np.sum((est.transform.rotation - rotation) ** 2))
             trans_err_sq = float(np.sum((est.transform.translation - translation) ** 2))
             rot_bound = rotation_error_bound(m, sigma, bound_b, delta, est.lambda_min)
-            trans_bound = translation_error_bound(m, sigma, bound_b, delta)
             rows.append(BoundTrial(
                 m=m, sigma=sigma, bound_b=bound_b, delta=delta,
                 lambda_min=est.lambda_min,
@@ -241,6 +248,19 @@ class NoiseRatioSummary:
     ratios: tuple[float, ...]
 
 
+def check_noise_ratio_bench(m_values, delta, trials) -> list[int]:
+    """The m values as ints, once every setting ``run_noise_ratio_bench``
+    takes is valid; raises ValueError otherwise, before anything is drawn."""
+    m_values = [int(m) for m in m_values]
+    floor = noise_ratio_sample_floor(delta)
+    for m in m_values:
+        if m < floor:
+            raise ValueError(f"m={m} is below the interval's validity floor {floor:.0f}")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    return m_values
+
+
 def run_noise_ratio_bench(m_values, delta, trials, seed):
     """Check the (estimated std / sigma) interval on uniform noise samples.
 
@@ -249,13 +269,7 @@ def run_noise_ratio_bench(m_values, delta, trials, seed):
     requested m must clear the interval's validity floor. Returns per-m
     summaries.
     """
-    m_values = [int(m) for m in m_values]
-    floor = noise_ratio_sample_floor(delta)
-    for m in m_values:
-        if m < floor:
-            raise ValueError(f"m={m} is below the interval's validity floor {floor:.0f}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    m_values = check_noise_ratio_bench(m_values, delta, trials)
     children = np.random.SeedSequence(seed).spawn(len(m_values) * trials)
 
     center = 1.0 / math.sqrt(3.0)

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import RansacConfig, TLinkageConfig, sequential_ransac, tlinkage_cluster
-from .bounds import run_consistency_bench, run_noise_ratio_bench
+from .bounds import (check_consistency_bench, check_noise_ratio_bench, run_consistency_bench,
+                     run_noise_ratio_bench)
 from .clustering import Clustering, euclidean_cluster
 from .em import EMConfig, NoViableClustersError, run_em
 from .horn import horn_register
@@ -378,19 +379,31 @@ def cmd_bench(cfg: dict[str, str]) -> int:
     seed = _as_int(cfg, "seed")
     summary_pairs = _base_pairs(cfg)
 
-    if suite in ("consistency", "both"):
-        m_values = _as_int_list(cfg, "bench.m_values")
-        try:
-            trials, summaries = run_consistency_bench(
-                m_values,
+    # Every setting of the suites that run is checked before either samples,
+    # so a bad one exits 2 without work and without a partial file.
+    consistency = ratio = None
+    try:
+        if suite in ("consistency", "both"):
+            consistency = dict(
+                m_values=_as_int_list(cfg, "bench.m_values"),
                 sigma=_as_float(cfg, "bench.sigma"),
                 bound_b=_as_float(cfg, "bench.bound_b"),
                 delta=_as_float(cfg, "bench.delta"),
                 trials=_as_int(cfg, "bench.trials"),
-                seed=seed,
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            check_consistency_bench(**consistency)
+        if suite in ("noise-ratio", "both"):
+            ratio = dict(
+                m_values=_as_int_list(cfg, "bench.noise_ratio_m"),
+                delta=_as_float(cfg, "bench.noise_ratio_delta"),
+                trials=_as_int(cfg, "bench.noise_ratio_trials"),
+            )
+            check_noise_ratio_bench(**ratio)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+    if consistency is not None:
+        trials, summaries = run_consistency_bench(**consistency, seed=seed)
         write_bench_csv(trials, out)
         for s in summaries:
             prefix = f"bench.consistency.m{s.m}"
@@ -402,17 +415,8 @@ def cmd_bench(cfg: dict[str, str]) -> int:
                 (f"{prefix}.median_trans_err_sq", fmt_float(s.median_trans_err_sq)),
             ])
 
-    if suite in ("noise-ratio", "both"):
-        try:
-            ratio_summaries = run_noise_ratio_bench(
-                _as_int_list(cfg, "bench.noise_ratio_m"),
-                delta=_as_float(cfg, "bench.noise_ratio_delta"),
-                trials=_as_int(cfg, "bench.noise_ratio_trials"),
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        for s in ratio_summaries:
+    if ratio is not None:
+        for s in run_noise_ratio_bench(**ratio, seed=seed):
             prefix = f"bench.noise_ratio.m{s.m}"
             summary_pairs.extend([
                 (f"{prefix}.trials", str(s.trials)),

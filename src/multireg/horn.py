@@ -4,13 +4,14 @@ Pipeline: center both clouds, build the cross-covariance, solve the rotation
 by SVD with a reflection guard, and recover the translation from the means.
 Each step works over leading stack axes: ``horn_stack`` fits T equal-size
 sets at once (one stacked SVD; the minimal samples of sRANSAC and T-Linkage),
-``horn_register`` fits one set with the same bits and adds the noise level
-and conditioning (the EM fit step and the bounds).
+``horn_register`` fits one set with the same bits and offers the noise level
+and conditioning, computed when read (the EM fit step and the bounds).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,20 +26,37 @@ SIGMA_FLOOR = 1e-8
 class HornEstimate:
     """Registration result plus diagnostics.
 
+    The diagnostics are computed on first read from the fit's inputs
+    (``correspondences``, ``a_centered``, ``sigma_floor``) and then kept: the
+    bounds read only ``lambda_min``, EM only ``sigma_hat``, and the
+    per-cluster fits of the baselines neither.
+
     Attributes
     ----------
     transform : RigidTransform
         Estimated rotation and translation.
     sigma_hat : float
-        Estimated per-axis noise std (floored at SIGMA_FLOOR).
+        Estimated per-axis noise std (floored at sigma_floor).
     lambda_min : float
         Smallest eigenvalue of the centered second-moment matrix of the
         a-points; measures geometric conditioning of the fit.
     """
 
     transform: RigidTransform
-    sigma_hat: float
-    lambda_min: float
+    correspondences: CorrespondenceSet = field(repr=False)
+    a_centered: np.ndarray = field(repr=False)
+    sigma_floor: float = SIGMA_FLOOR
+
+    @cached_property
+    def sigma_hat(self) -> float:
+        cs = self.correspondences
+        return estimate_noise_std(cs.b - self.transform.apply(cs.a), self.sigma_floor)
+
+    @cached_property
+    def lambda_min(self) -> float:
+        a = self.a_centered
+        second_moment = (a.T @ a) / a.shape[0]
+        return max(float(np.linalg.eigvalsh(second_moment)[0]), 0.0)
 
 
 def center(points) -> tuple[np.ndarray, np.ndarray]:
@@ -101,9 +119,16 @@ def estimate_noise_std(residuals, sigma_floor: float = SIGMA_FLOOR) -> float:
     density used by the EM weighting.
     """
     r = np.asarray(residuals, dtype=np.float64).reshape(-1, 3)
-    if r.shape[0] < 2:
+    n = r.shape[0]
+    if n < 2:
         raise ValueError("insufficient residuals")
-    per_axis_var = r.var(axis=0)  # population (1/n) variance
+    # Population variance per axis, one column at a time. cumsum adds in row
+    # order, as var(axis=0) does, so the bits are the same; var(axis=0) runs
+    # its inner loop over each 3-wide row and is several times slower.
+    per_axis_var = np.empty(3)
+    for k in range(3):
+        deviation = r[:, k] - r[:, k].cumsum()[-1] / n
+        per_axis_var[k] = (deviation * deviation).cumsum()[-1] / n
     return max(float(np.sqrt(per_axis_var.mean())), sigma_floor)
 
 
@@ -131,12 +156,4 @@ def horn_stack(a, b) -> tuple[np.ndarray, np.ndarray]:
 def horn_register(cs: CorrespondenceSet, sigma_floor: float = SIGMA_FLOOR) -> HornEstimate:
     """Register a correspondence set; requires at least 3 pairs."""
     r_hat, t_hat, a_centered = _fit(cs.a, cs.b)
-    transform = RigidTransform(r_hat, t_hat)
-    sigma_hat = estimate_noise_std(cs.b - transform.apply(cs.a), sigma_floor)
-    second_moment = (a_centered.T @ a_centered) / len(cs)
-    lambda_min = float(np.linalg.eigvalsh(second_moment)[0])
-    return HornEstimate(
-        transform=transform,
-        sigma_hat=sigma_hat,
-        lambda_min=max(lambda_min, 0.0),
-    )
+    return HornEstimate(RigidTransform(r_hat, t_hat), cs, a_centered, sigma_floor)

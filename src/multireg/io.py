@@ -147,9 +147,14 @@ def write_clustering(clustering: Clustering, path) -> None:
 
 
 def read_clustering(path) -> Clustering:
-    """One label per line; a negative label raises ValueError (from Clustering)."""
+    """One label per line, each in 0..(number of labels); any other label
+    raises ValueError before it can size a table or overflow int64."""
     with open(path, "r", encoding="ascii") as fh:
-        return Clustering([int(line) for line in fh if line.strip()])
+        labels = [int(line) for line in fh if line.strip()]
+    low, high = min(labels, default=0), max(labels, default=0)
+    if low < 0 or high > len(labels):
+        raise ValueError(f"label {low if low < 0 else high} is outside 0..{len(labels)}")
+    return Clustering(labels)
 
 
 def result_to_text(pairs) -> str:

@@ -1,6 +1,7 @@
 """Shared test helpers: the brute-force connectivity, fragment-growth and
-distance oracles, the per-cluster k-d proximity gate, the small geometry
-and clustering helpers only tests use, and the result and bench CSV readers."""
+distance oracles, the per-cluster k-d proximity gate, the row-wise forms of
+the ball sampler and the Horn diagnostics, the small geometry and clustering
+helpers only tests use, and the result and bench CSV readers."""
 
 import csv
 import heapq
@@ -11,7 +12,7 @@ from scipy.spatial import cKDTree
 
 from multireg.clustering import Clustering
 from multireg.geometry import RigidTransform, make_rng
-from multireg.horn import horn_register
+from multireg.horn import SIGMA_FLOOR, horn_register
 
 
 def brute_force_connected(points, tau):
@@ -187,6 +188,40 @@ def ransac_single_per_trial(cs, active_indices, cfg, rng):
         return None, None, best_trial, trials
     inliers = active[best_mask]
     return horn_register(cs.subset(inliers)).transform, inliers, best_trial, trials
+
+
+def ball_sample_by_row_sums(rng, radius, size=None):
+    """``random_point_in_ball`` with each candidate's squared radius summed
+    across its 3-wide row and the accepted rows taken by a boolean mask: the
+    form that the column sums and ``compress`` replaced, kept as their
+    bit-level oracle (same draws, same accepted points)."""
+    n = 1 if size is None else size
+    pts = np.empty((n, 3))
+    filled = 0
+    while filled < n:
+        cand = rng.uniform(-radius, radius, size=(2 * (n - filled) + 8, 3))
+        ok = cand[np.sum(cand * cand, axis=1) <= radius * radius]
+        take = min(len(ok), n - filled)
+        pts[filled:filled + take] = ok[:take]
+        filled += take
+    return pts[0] if size is None else pts
+
+
+def noise_std_by_var(residuals, sigma_floor=SIGMA_FLOOR):
+    """``estimate_noise_std`` through ``var(axis=0)``: the form the per-column
+    sums replaced, kept as their bit-level oracle."""
+    r = np.asarray(residuals, dtype=np.float64).reshape(-1, 3)
+    return max(float(np.sqrt(r.var(axis=0).mean())), sigma_floor)
+
+
+def eager_diagnostics(cs, sigma_floor=SIGMA_FLOOR):
+    """(sigma_hat, lambda_min) of ``horn_register(cs)`` computed as the fit
+    once did on every call, before they became read-on-demand properties."""
+    est = horn_register(cs, sigma_floor)
+    sigma_hat = noise_std_by_var(cs.b - est.transform.apply(cs.a), sigma_floor)
+    a_centered = cs.a - cs.a.mean(axis=0)
+    second_moment = (a_centered.T @ a_centered) / len(cs)
+    return sigma_hat, max(float(np.linalg.eigvalsh(second_moment)[0]), 0.0)
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

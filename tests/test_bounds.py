@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multireg import horn
 from multireg.bounds import (dominance_margin, dominance_ratio_threshold,
                              hoeffding_bound, min_cluster_size_threshold,
                              noise_ratio_interval, noise_ratio_sample_floor,
@@ -151,6 +152,18 @@ def test_consistency_bench_deterministic():
                                   trials=5, seed=99)
     assert [(a.rot_err_sq, a.trans_err_sq) for a in t1] == \
            [(b.rot_err_sq, b.trans_err_sq) for b in t2]
+
+
+def test_consistency_bench_never_estimates_the_noise(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the consistency bench reads only lambda_min")
+
+    expected, _ = run_consistency_bench([3, 100], sigma=0.1, bound_b=1.0, delta=0.05,
+                                        trials=3, seed=8)
+    monkeypatch.setattr(horn, "estimate_noise_std", refuse)
+    trials, _ = run_consistency_bench([3, 100], sigma=0.1, bound_b=1.0, delta=0.05,
+                                      trials=3, seed=8)
+    assert trials == expected
 
 
 def test_noise_ratio_bench_quick():

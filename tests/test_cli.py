@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import read_result
-from multireg import cli
+from multireg import cli, horn
 from multireg.cli import main
 from multireg.clustering import Clustering
 from multireg.io import read_clustering, read_scene, write_clustering
@@ -198,6 +198,31 @@ def _negative_label_to_run(tmp_path, scene_file):
             "--set", f"init.file={labels}"]
 
 
+def _labels_with_first(tmp_path, scene_file, first):
+    labels = _truth_labels(tmp_path, scene_file)
+    labels.write_text(f"{first}\n" + labels.read_text().split("\n", 1)[1])
+    return labels
+
+
+def _label_beyond_int64_to_eval(tmp_path, scene_file):
+    return ["eval", _labels_with_first(tmp_path, scene_file, 99999999999999999999), scene_file]
+
+
+def _label_below_int64_to_eval(tmp_path, scene_file):
+    return ["eval", _labels_with_first(tmp_path, scene_file, -99999999999999999999), scene_file]
+
+
+def _label_beyond_int64_to_run(tmp_path, scene_file):
+    labels = _labels_with_first(tmp_path, scene_file, 99999999999999999999)
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=from-file",
+            "--set", f"init.file={labels}"]
+
+
+def _label_above_count_to_eval(tmp_path, scene_file):
+    # fits int64, but would size every per-cluster table by 10^12
+    return ["eval", _labels_with_first(tmp_path, scene_file, 10 ** 12), scene_file]
+
+
 def _alpha_below_one_to_run(tmp_path, scene_file):
     return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=good-split",
             "--set", "init.alpha=0.5"]
@@ -225,6 +250,10 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _label_above_m_to_eval,
     _negative_label_to_eval,
     _negative_label_to_run,
+    _label_beyond_int64_to_eval,
+    _label_below_int64_to_eval,
+    _label_beyond_int64_to_run,
+    _label_above_count_to_eval,
     _alpha_below_one_to_run,
     _zero_fragments_to_run,
     _too_many_fragments_to_run,
@@ -255,6 +284,21 @@ def test_sransac_builds_no_initial_clustering(tmp_path, scene_file, monkeypatch)
     assert run_cli("run", "--algorithm", "sransac", "--out", str(tmp_path / "r.txt"),
                    "--set", f"scene.file={scene_file}") == 0
     assert calls == []
+
+
+def test_fits_per_cluster_read_no_diagnostics(monkeypatch, scene_file):
+    def refuse(*args):
+        raise AssertionError("fit_cluster_transforms reads only the transforms")
+
+    scene = read_scene(scene_file)
+    expected = cli.fit_cluster_transforms(scene.correspondences, Clustering(scene.true_labels))
+    monkeypatch.setattr(horn, "estimate_noise_std", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    clustering, transforms = cli.fit_cluster_transforms(scene.correspondences,
+                                                        Clustering(scene.true_labels))
+    np.testing.assert_array_equal(clustering.labels, expected[0].labels)
+    assert [(t.rotation.tobytes(), t.translation.tobytes()) for t in transforms] == \
+           [(t.rotation.tobytes(), t.translation.tobytes()) for t in expected[1]]
 
 
 # sha256 of the files of one outlier_baselines case (3x600 points, 300
@@ -359,6 +403,43 @@ def test_bench_negative_sigma_exits_2_before_sampling(tmp_path, capsys):
     assert code == 2
     assert err == "error: sigma must be nonnegative\n"
     assert not out.exists()
+
+
+# sha256 of `bench --suite both` with every noise-ratio m at least 10 000 and
+# a consistency grid from the degenerate m = 3 (lambda_min 0, bound inf) to
+# m = 10 000. The relative --out keeps config.out the same in every directory.
+BENCH_FILES_SHA256 = {
+    "bench.csv": "3e536208a6ab021130de00284a3a528e9328c8f9a0bf59d976f1d76defea35bd",
+    "bench.csv.summary": "fd2cb332fc78266f06a6d286b944b6c7bebaea937dc02b89b3dcf03fca9f1294",
+}
+
+
+def test_bench_matches_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("bench", "--seed", "7", "--out", "bench.csv",
+                   "--set", "bench.suite=both", "--set", "bench.m_values=3,100,10000",
+                   "--set", "bench.trials=4", "--set", "bench.noise_ratio_m=10000,100000",
+                   "--set", "bench.noise_ratio_trials=3") == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == BENCH_FILES_SHA256
+
+
+@pytest.mark.parametrize("setting", ["bench.noise_ratio_m=10", "bench.noise_ratio_trials=0",
+                                     "bench.noise_ratio_delta=1.5", "bench.m_values=100,2",
+                                     "bench.trials=0", "bench.delta=0", "bench.bound_b=0"])
+def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatch, setting):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bench ran before every setting was checked")
+
+    monkeypatch.setattr(cli, "run_consistency_bench", refuse)
+    monkeypatch.setattr(cli, "run_noise_ratio_bench", refuse)
+    out = tmp_path / "bench.csv"
+    code = run_cli("bench", "--out", str(out), "--set", "bench.suite=both", "--set", setting)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_noise_ratio_suite(tmp_path):

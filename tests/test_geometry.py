@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import almost_equal, compose, rotation_about_axis
+from conftest import almost_equal, ball_sample_by_row_sums, compose, rotation_about_axis
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
-                               is_rotation, random_rotation)
+                               is_rotation, random_point_in_ball, random_rotation)
 
 
 def test_apply_identity():
@@ -121,3 +121,14 @@ def test_correspondence_set_validation_and_subset(rng):
 def test_rigid_transform_rejects_invalid_rotation():
     with pytest.raises(ValueError):
         RigidTransform(np.eye(3) * 1.5, np.zeros(3))
+
+
+@pytest.mark.parametrize("size", [None, 1, 3, 10_000])
+def test_ball_sampler_matches_row_sum_oracle(size):
+    rng, oracle_rng = np.random.default_rng(size or 0), np.random.default_rng(size or 0)
+    for radius in (1.0, 2.5, 1e-3):
+        got = random_point_in_ball(rng, radius, size)
+        want = ball_sample_by_row_sums(oracle_rng, radius, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the same draws: both streams stand at the same position afterwards
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state

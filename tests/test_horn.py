@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import almost_equal, horn_fit_per_set, rotation_about_axis
+from conftest import (almost_equal, eager_diagnostics, horn_fit_per_set, noise_std_by_var,
+                      rotation_about_axis)
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
                                is_rotation, random_rotation)
 from multireg import horn
@@ -114,6 +115,39 @@ def test_estimate_noise_std_examples(rng):
     assert estimate_noise_std(residuals) == pytest.approx(sigma / np.sqrt(3.0), abs=0.003)
     with pytest.raises(ValueError, match="insufficient residuals"):
         estimate_noise_std([(1, 2, 3)])
+
+
+@pytest.mark.parametrize("rows", [2, 10, 10_000, 100_000])
+def test_estimate_noise_std_matches_var_oracle(rng, rows):
+    for offset in (0.0, 5.0, -1e3):
+        residuals = rng.uniform(-0.3, 0.3, (rows, 3)) + offset
+        assert estimate_noise_std(residuals) == noise_std_by_var(residuals)
+        # the oracle's own float() and max(): compare the raw bits too
+        assert np.float64(estimate_noise_std(residuals)).tobytes() == \
+               np.float64(noise_std_by_var(residuals)).tobytes()
+
+
+@pytest.mark.parametrize("m, sigma", [(3, 0.1), (3, 0.0), (50, 0.0), (1000, 0.05),
+                                      (10_000, 0.1)])
+def test_lazy_diagnostics_match_eager_forms(rng, m, sigma):
+    cs, _ = _random_scene(rng, m, sigma)
+    sigma_hat, lambda_min = eager_diagnostics(cs)
+    forward, backward = horn_register(cs), horn_register(cs)
+    assert (forward.sigma_hat, forward.lambda_min) == (sigma_hat, lambda_min)
+    assert (backward.lambda_min, backward.sigma_hat) == (lambda_min, sigma_hat)
+    assert np.float64(forward.lambda_min).tobytes() == np.float64(lambda_min).tobytes()
+    assert np.float64(forward.sigma_hat).tobytes() == np.float64(sigma_hat).tobytes()
+
+
+def test_diagnostics_are_computed_once_on_read(monkeypatch, rng):
+    cs, _ = _random_scene(rng, 20, 0.1)
+    est = horn_register(cs)
+    calls = []
+    noise_std = horn.estimate_noise_std
+    monkeypatch.setattr(horn, "estimate_noise_std",
+                        lambda *args: calls.append(args) or noise_std(*args))
+    assert est.sigma_hat == est.sigma_hat
+    assert len(calls) == 1
 
 
 def _random_scene(rng, m, sigma=0.0):
