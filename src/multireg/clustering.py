@@ -7,8 +7,18 @@ tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Each pair of neighbouring occupied cells is listed once, by forward offset:
 components come from union-find over that list, testing a pair of cells only
 while they are still apart, and the EM proximity gate reads cluster occupancy
-across each pair both ways. Fragment growth draws its candidate neighbours
-from the same blocks. The O(n^2) brute-force oracles live in the test suite.
+across each pair both ways.
+
+Fragment growth is a priority flood with static keys: each fragment pops its
+nearest unassigned tau-neighbour by (squared distance to its seed, index).
+While that point is also the fragment's nearest unassigned point overall,
+the flood is a walk down each fragment's presorted points, so growth plans
+a batch of such steps, checks them together (a point sharing a cell with an
+earlier point of its fragment passes at once, the rest get an exact distance
+test over the block around them) and keeps the valid prefix. From the first
+step that fails, a heap per fragment, built from the state at that step,
+finishes the attempt; it pops what the plain heap flood would, so the splits
+are the same. The O(n^2) brute-force oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -108,6 +118,11 @@ _REACH = np.array([(dx, dy, dz) for dx in range(-2, 3) for dy in range(-2, 3)
 # The forward half, nearest first: near cells join most often, so testing them
 # first leaves the fewest far pairs still apart.
 _FORWARD = _REACH[63:][np.argsort(np.sum(_REACH[63:] ** 2, axis=1), kind="stable")]
+# Fragment-growth steps planned before one vectorised check: long enough to
+# amortise the check, short enough that the steps undone at a miss cost little.
+_BATCH = 128
+# Most hood points one distance test of fragment growth gathers at once.
+_HOOD_CHUNK = 1 << 15
 
 
 class _CliqueGrid:
@@ -139,7 +154,9 @@ class _CliqueGrid:
             raise ValueError("point set spans too many tau/2 cells for int64 cell codes")
         self.strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
         codes = cells @ self.strides
-        self.order = np.argsort(codes, kind="stable")
+        # cached hoods and cell pairs repeat indices many times: half the bytes when it fits
+        self._index_dtype = np.int32 if len(points) < 2 ** 31 else np.intp
+        self.order = np.argsort(codes, kind="stable").astype(self._index_dtype)
         self.sorted_points = points[self.order]
         sorted_codes = codes[self.order]
         first = np.flatnonzero(np.diff(sorted_codes, prepend=-1))  # codes are >= 0
@@ -147,9 +164,9 @@ class _CliqueGrid:
         self.starts = np.append(first, len(codes))
         self.cell_of = np.searchsorted(self.codes, codes)
         self._cell_list = self.cell_of.tolist()
-        # cached hoods and cell pairs repeat indices many times: half the bytes when it fits
-        self._index_dtype = np.int32 if len(points) < 2 ** 31 else np.intp
         self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
+        # code bounds [dz = -2, dz = 3) of the hood's 25 columns, relative to its centre
+        self._columns = ((_REACH[2::5] @ self.strides)[:, None] + np.array([-2, 3])).ravel()
 
     def find_cells(self, target: np.ndarray) -> np.ndarray:
         """Index of the occupied cell with each code in ``target``, or -1."""
@@ -158,16 +175,15 @@ class _CliqueGrid:
 
     def hood(self, point: int) -> np.ndarray:
         """Indices of the points in the 125 cells around the cell of ``point``
-        (a superset of its tau-neighbours, itself included); cached per cell."""
+        (a superset of its tau-neighbours, itself included); cached per cell.
+        The five cells of one (dx, dy) column have consecutive codes, so the
+        hood is 25 runs of ``order``."""
         cell = self._cell_list[point]
         members = self._hoods[cell]
         if members is None:
-            near = self.find_cells(self.codes[cell] + _REACH @ self.strides)
-            near = near[near >= 0]
-            lo, sizes = self.starts[near], np.diff(self.starts)[near]
-            # the ranges order[lo:lo + size], concatenated without a Python loop
-            ranks = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-            members = self._hoods[cell] = self.order[ranks].astype(self._index_dtype)
+            ends = self.starts[np.searchsorted(self.codes, self.codes[cell] + self._columns)]
+            members = self._hoods[cell] = np.concatenate(
+                [self.order[a:b] for a, b in ends.reshape(-1, 2).tolist()])
         return members
 
     @cached_property
@@ -307,11 +323,16 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
 
     Grows fragments simultaneously from farthest-point seeds through the
     tau-proximity graph, always extending the fragment with the largest
-    remaining deficit. Each fragment is tau-connected by construction: a point
-    joins only through a tau-neighbour already in the fragment. Returns a
-    fragment id (0..k-1) per point. Retries with fresh seeds when a growth
-    attempt strands points; raises ValueError when the targets cannot be met
-    after ``max_retries`` attempts.
+    remaining deficit (ties to the lowest fragment) by its nearest unassigned
+    tau-neighbour: smallest squared distance to its seed, then smallest
+    index. Each fragment is tau-connected by construction: a point joins only
+    through a tau-neighbour already in the fragment. An attempt first scans
+    each fragment's points in that order, ``_BATCH`` steps at a time, and
+    keeps the steps whose point has such a neighbour; from the first that
+    has none, per-fragment heaps finish the attempt with the same pops.
+    Returns a fragment id (0..k-1) per point. Retries with fresh seeds when a
+    growth attempt strands points; raises ValueError when the targets cannot
+    be met after ``max_retries`` attempts.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
@@ -345,17 +366,122 @@ def _farthest_point_seeds(pts: np.ndarray, k: int, rng: np.random.Generator) -> 
     return seeds
 
 
+def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k: int,
+                keep) -> np.ndarray:
+    """(len(probe), k) mask: entry (t, j) is True iff a point m of fragment j
+    that passes the mask ``keep(t, m)`` lies within tau of ``probe[t]``.
+
+    Only hood points are compared, about ``_HOOD_CHUNK`` at a time, and the
+    distance test is the one ``absorb`` makes on the same operands, so the
+    two agree bit for bit."""
+    hit = np.zeros((len(probe), k), dtype=bool)
+    hoods = [grid.hood(i) for i in probe.tolist()]
+    ends = np.cumsum([len(h) for h in hoods])
+    cuts = np.searchsorted(ends, np.arange(_HOOD_CHUNK, ends[-1], _HOOD_CHUNK)).tolist()
+    for a, b in zip([0] + cuts, cuts + [len(hoods)]):
+        m = np.concatenate(hoods[a:b])
+        t = np.repeat(np.arange(a, b), [len(h) for h in hoods[a:b]])
+        mask = keep(t, m)
+        t, m = t[mask], m[mask]
+        diff = grid.points.take(probe[t], axis=0) - grid.points.take(m, axis=0)
+        near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
+        hit[t[near], assignment.take(m[near])] = True
+    return hit
+
+
 def _grow_fragments(pts, grid, seeds, targets):
     n = pts.shape[0]
     k = len(targets)
     assignment = np.full(n, -1, dtype=np.int64)
-    sizes = [0] * k
-    frontiers: list[list[tuple[float, int]]] = [[] for _ in range(k)]
+    for j, s in enumerate(seeds):
+        if assignment[s] >= 0:
+            return None  # duplicate seed (tiny sets); retry with new seeds
+        assignment[s] = j
+    sizes = [1] * k
+    # squared distance of every point to seed j: fragment j's growth key
+    to_seed = [np.sum((pts - pts[s]) ** 2, axis=1) for s in seeds]
+    if not _scan(grid, assignment, sizes, targets, to_seed):
+        _heap_tail(grid, assignment, sizes, targets, to_seed)
+    if sizes != targets:
+        return None
+    return assignment
+
+
+def _scan(grid, assignment, sizes, targets, to_seed) -> bool:
+    """Grow the fragments in heap order for as long as each step's pop is the
+    fragment's nearest unassigned point (by key, then index) overall; True
+    when that lasts to the end. Steps are planned ``_BATCH`` at a time and
+    checked together; the first step whose point has no tau-neighbour among
+    its fragment's earlier points is undone with every step after it."""
+    n, k = len(assignment), len(targets)
+    ranked = [np.argsort(key, kind="stable").tolist() for key in to_seed]
+    cursor = [0] * k
+    taken = (assignment >= 0).tolist()
+    deficit = [t - s for t, s in zip(targets, sizes)]
+    # cell_has[j, c]: fragment j has a point in cell c, so within tau of all of c
+    cell_has = np.zeros((k, len(grid.codes)), dtype=bool)
+    cell_has[assignment[assignment >= 0], grid.cell_of[assignment >= 0]] = True
+    # step[i]: batch position of point i, -1 for points placed before the batch
+    step = np.full(n, -1, dtype=np.int64)
+    remaining = n - k
+    while remaining > 0:
+        batch, frags = [], []
+        for _ in range(min(_BATCH, remaining)):
+            j = deficit.index(max(deficit))  # the largest deficit, ties to the lowest j
+            deficit[j] -= 1
+            order, c = ranked[j], cursor[j]
+            while taken[order[c]]:
+                c += 1
+            cursor[j] = c + 1
+            taken[order[c]] = True
+            batch.append(order[c])
+            frags.append(j)
+        batch, frags = np.array(batch), np.array(frags)
+        assignment[batch] = frags
+        step[batch] = np.arange(len(batch))
+        cells = grid.cell_of[batch]
+        # own cell: the fragment had a point there before, or gains one earlier in the batch
+        valid = np.ones(len(batch), dtype=bool)
+        valid[np.unique(frags * len(grid.codes) + cells, return_index=True)[1]] = False
+        valid |= cell_has[frags, cells]
+        rest = np.flatnonzero(~valid)
+        if rest.size:
+            owner = frags[rest]
+            valid[rest] = _within_tau(grid, batch[rest], assignment, k, lambda t, m: (
+                (assignment.take(m) == owner.take(t)) & (step.take(m) < rest.take(t)))).any(axis=1)
+        good = len(batch) if valid.all() else int(np.argmin(valid))
+        step[batch] = -1
+        cell_has[frags[:good], cells[:good]] = True
+        for j in frags[:good].tolist():
+            sizes[j] += 1
+        remaining -= good
+        if good < len(batch):
+            assignment[batch[good:]] = -1
+            return False
+    return True
+
+
+def _heap_tail(grid, assignment, sizes, targets, to_seed) -> None:
+    """Finish the growth from the current state with one heap per fragment:
+    each pops its nearest unassigned tau-neighbour, by key and then index."""
+    pts = grid.points
+    k = len(targets)
+    free = assignment < 0
+    # frontier[i, j]: unassigned point i lies within tau of fragment j
+    frontier, near = grid.occupancy(assignment + 1, k)
+    frontier &= free[:, None]
+    probe = np.flatnonzero(free & (near & ~frontier).any(axis=1))
+    if probe.size:
+        frontier[probe] |= _within_tau(grid, probe, assignment, k,
+                                       lambda t, m: assignment[m] >= 0)
+    frontiers: list[list[tuple[float, int]]] = []
+    for j in range(k):
+        queued = np.flatnonzero(frontier[:, j])
+        frontiers.append(list(zip(to_seed[j].take(queued).tolist(), queued.tolist())))
+        heapq.heapify(frontiers[j])
     # open_[j, i]: i is unassigned and not yet queued by fragment j; the queued
     # part caps heap growth on dense graphs
-    open_ = np.ones((k, n), dtype=bool)
-    # squared distance of every point to seed j: fragment j's heap key
-    to_seed = [np.sum((pts - pts[s]) ** 2, axis=1) for s in seeds]
+    open_ = free[None, :] & ~frontier.T
 
     def absorb(j: int, i: int):
         assignment[i] = j
@@ -371,12 +497,7 @@ def _grow_fragments(pts, grid, seeds, targets):
         for d, nb in zip(to_seed[j].take(fresh).tolist(), fresh.tolist()):
             heapq.heappush(frontiers[j], (d, nb))
 
-    for j, s in enumerate(seeds):
-        if assignment[s] >= 0:
-            return None  # duplicate seed (tiny sets); retry with new seeds
-        absorb(j, s)
-
-    remaining = n - k
+    remaining = int(np.count_nonzero(free))
     while remaining > 0:
         order = sorted(range(k), key=lambda j: (-(targets[j] - sizes[j]), j))
         grew = False
@@ -393,10 +514,7 @@ def _grow_fragments(pts, grid, seeds, targets):
             if grew:
                 break
         if not grew:
-            return None
-    if sizes != targets:
-        return None
-    return assignment
+            return
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ a ball of radius 3 * bound_b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,18 +57,19 @@ class SceneSpec:
             raise ValueError("points_per_object length must equal num_objects")
         if any(p < 1 for p in self.points_per_object):
             raise ValueError("every object needs at least one point")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.bound_b <= 0:
-            raise ValueError("bound_b must be positive")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
+        if not (math.isfinite(self.bound_b) and self.bound_b > 0):
+            raise ValueError("bound_b must be finite and positive")
         if self.num_outliers < 0:
             raise ValueError("num_outliers must be nonnegative")
         if self.separation_margin is None:
             object.__setattr__(self, "separation_margin", 2.0 * self.tau)
-        if self.separation_margin <= self.tau:
-            raise ValueError("separation_margin must exceed tau")
+        if not (math.isfinite(self.separation_margin) and self.separation_margin > self.tau):
+            raise ValueError("separation_margin must be finite and exceed tau")
 
     @property
     def total_points(self) -> int:
@@ -127,15 +129,17 @@ def _random_walk_blob(rng: np.random.Generator, center: np.ndarray, count: int,
     pts = np.empty((count, 3))
     x = center.copy()
     pts[0] = x
+    # sqrt(v.dot(v)) is how np.linalg.norm computes a real vector's norm, so
+    # the lengths match it bit for bit without its per-call dispatch
     for k in range(1, count):
         direction = rng.standard_normal(3)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction.dot(direction))
         while norm < 1e-12:
             direction = rng.standard_normal(3)
-            norm = np.linalg.norm(direction)
+            norm = math.sqrt(direction.dot(direction))
         x = x + direction / norm * rng.uniform(0.0, tau / 2.0)
         off = x - center
-        dist = np.linalg.norm(off)
+        dist = math.sqrt(off.dot(off))
         if dist > radius:
             x = center + off * (radius / dist)
         pts[k] = x

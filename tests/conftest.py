@@ -1,7 +1,8 @@
 """Shared test helpers: the brute-force connectivity, fragment-growth and
 distance oracles, the per-cluster k-d proximity gate, the row-wise forms of
-the ball sampler and the Horn diagnostics, the small geometry and clustering
-helpers only tests use, and the result and bench CSV readers."""
+the ball sampler and the Horn diagnostics, the norm form of the random walk,
+the small geometry and clustering helpers only tests use, and the result and
+bench CSV readers."""
 
 import csv
 import heapq
@@ -222,6 +223,28 @@ def eager_diagnostics(cs, sigma_floor=SIGMA_FLOOR):
     a_centered = cs.a - cs.a.mean(axis=0)
     second_moment = (a_centered.T @ a_centered) / len(cs)
     return sigma_hat, max(float(np.linalg.eigvalsh(second_moment)[0]), 0.0)
+
+
+def random_walk_blob_by_norm(rng, center, count, tau, radius):
+    """The random-walk blob of ``scenes`` with every length taken by
+    ``np.linalg.norm``: the form ``math.sqrt(v.dot(v))`` replaced, kept as its
+    bit-level oracle (same draws, same points)."""
+    pts = np.empty((count, 3))
+    x = center.copy()
+    pts[0] = x
+    for k in range(1, count):
+        direction = rng.standard_normal(3)
+        norm = np.linalg.norm(direction)
+        while norm < 1e-12:
+            direction = rng.standard_normal(3)
+            norm = np.linalg.norm(direction)
+        x = x + direction / norm * rng.uniform(0.0, tau / 2.0)
+        off = x - center
+        dist = np.linalg.norm(off)
+        if dist > radius:
+            x = center + off * (radius / dist)
+        pts[k] = x
+    return pts
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

@@ -164,6 +164,40 @@ def _edited_scene(tmp_path, scene_file, edit):
     return path
 
 
+def _scene_with_header(tmp_path, scene_file, key, value):
+    """``["run", ...]`` on a copy of the scene whose header line ``# key``
+    reads ``value``."""
+    lines = [f"# {key} {value}" if line.split()[:2] == ["#", key] else line
+             for line in scene_file.read_text().splitlines()]
+    path = tmp_path / "edited_scene.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return ["run", "--set", f"scene.file={path}"]
+
+
+def _tau_nan_header_to_run(tmp_path, scene_file):
+    return _scene_with_header(tmp_path, scene_file, "tau", "nan")
+
+
+def _sigma_nan_header_to_run(tmp_path, scene_file):
+    return _scene_with_header(tmp_path, scene_file, "sigma", "nan")
+
+
+def _sigma_inf_header_to_run(tmp_path, scene_file):
+    return _scene_with_header(tmp_path, scene_file, "sigma", "inf")
+
+
+def _synth_sigma_nan(tmp_path, scene_file):
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=nan"]
+
+
+def _synth_sigma_inf(tmp_path, scene_file):
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=inf"]
+
+
+def _synth_tau_nan(tmp_path, scene_file):
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.tau=nan"]
+
+
 def _non_scene_to_eval(tmp_path, scene_file):
     labels = _truth_labels(tmp_path, scene_file)
     return ["eval", labels, labels]
@@ -258,6 +292,12 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _zero_fragments_to_run,
     _too_many_fragments_to_run,
     _unknown_init_kind_to_sransac,
+    _synth_sigma_nan,
+    _synth_sigma_inf,
+    _synth_tau_nan,
+    _tau_nan_header_to_run,
+    _sigma_nan_header_to_run,
+    _sigma_inf_header_to_run,
 ])
 def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     argv = bad_input(tmp_path, scene_file)

@@ -5,10 +5,12 @@ import pytest
 
 from conftest import (brute_force_components, brute_force_connected,
                       brute_force_fragments, compact, distance_to_cluster)
-from multireg.clustering import (Clustering, check_initial_clustering,
+from multireg import clustering
+from multireg.clustering import (_BATCH, Clustering, _CliqueGrid, check_initial_clustering,
                                  connected_components, euclidean_cluster,
                                  fragment_connected_set, is_connected)
 from multireg.geometry import CorrespondenceSet
+from multireg.scenes import SceneSpec, generate_scene
 
 
 def test_distance_to_cluster_examples():
@@ -154,6 +156,96 @@ def test_fragments_match_heap_growth_oracle(rng):
         np.testing.assert_array_equal(
             fragment_connected_set(pts, 0.3, targets, seed=trial), expected)
     assert max(attempts) > 1  # some first attempts strand points and retry
+
+
+@pytest.fixture
+def heap_tails(monkeypatch):
+    """Per growth attempt that leaves the scan: (scan steps taken, fragment
+    sizes then, fragment sizes after the heap tail)."""
+    tails, heap_tail = [], clustering._heap_tail
+
+    def recording(grid, assignment, sizes, targets, to_seed):
+        before = list(sizes)
+        heap_tail(grid, assignment, sizes, targets, to_seed)
+        tails.append((sum(before) - len(before), before, list(sizes)))
+
+    monkeypatch.setattr(clustering, "_heap_tail", recording)
+    return tails
+
+
+def test_fragments_of_criterion4_objects_match_oracle(heap_tails):
+    attempts = []
+    for seed in range(6):
+        scene = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
+                                         tau=0.3, bound_b=4.0, seed=seed))
+        pts = scene.correspondences.a
+        expected, attempt = brute_force_fragments(pts, 0.3, [1334, 333, 333], seed=seed)
+        attempts.append(attempt)
+        np.testing.assert_array_equal(
+            fragment_connected_set(pts, 0.3, [1334, 333, 333], seed=seed), expected)
+    assert max(attempts) > 1  # retries
+    assert 0 < len(heap_tails) < sum(attempts)  # some attempts finish in the scan, some do not
+
+
+def test_fragments_with_equal_keys_and_coincident_points_match_oracle():
+    # an integer lattice, every point doubled: keys are exact and tie often,
+    # coincident points connect, and axis neighbours sit at exactly tau
+    lattice = np.stack(np.meshgrid(np.arange(6), np.arange(6), np.arange(4), indexing="ij"),
+                       axis=-1).reshape(-1, 3).astype(float)
+    pts = np.concatenate([lattice, lattice[::-1], lattice[:40]])
+    n = len(pts)
+    targets = [n - 2 * (n // 5), n // 5, n // 5]
+    attempts = []
+    for seed in range(6):
+        expected, attempt = brute_force_fragments(pts, 1.0, targets, seed=seed)
+        attempts.append(attempt)
+        np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, targets, seed=seed),
+                                      expected)
+    assert max(attempts) > 1
+
+
+@pytest.mark.parametrize("n", range(_BATCH - 1, _BATCH + 5))
+def test_fragments_around_one_batch_match_oracle(n, heap_tails):
+    # three fragments take n - 3 steps: from one step short of a batch to one past it
+    pts = np.random.default_rng(n).uniform(0, 1, (n, 3))
+    targets = [n - 2 * (n // 6), n // 6, n // 6]
+    expected, attempt = brute_force_fragments(pts, 0.8, targets, seed=0)
+    np.testing.assert_array_equal(fragment_connected_set(pts, 0.8, targets, seed=0), expected)
+    assert attempt == 1 and not heap_tails  # the scan alone grew every fragment
+
+
+def test_fragment_stalling_mid_batch_matches_oracle(heap_tails):
+    # on a line, the small fragment is walled in by the large one before it
+    # reaches its target: the first two attempts stall and retry
+    pts = np.zeros((300, 3))
+    pts[:, 0] = np.arange(300)
+    expected, attempt = brute_force_fragments(pts, 1.0, [200, 100], seed=1)
+    np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [200, 100], seed=1), expected)
+    assert attempt == 3 and len(heap_tails) == 2
+    for steps, before, after in heap_tails:
+        assert steps % _BATCH != 0
+        assert after[1] == before[1] < 100 and after[0] == 200
+
+
+def test_fragments_of_horseshoe_keep_hood_calls_linear(monkeypatch):
+    # two parallel arms 3.5 tau apart, joined at one end: each arm's tip is
+    # near the other arm's by key but far along the graph, so the scan stops
+    # early and the heap finishes; a scan that skipped ahead instead of
+    # handing over would take quadratically many hood calls
+    n, tau = 2000, 1.0
+    arm = np.arange((n - 6) // 2) * 0.5
+    zeros = np.zeros_like(arm)
+    pts = np.concatenate([np.c_[arm, zeros, zeros],
+                          np.c_[np.zeros(6), np.arange(1, 7) * 0.5, np.zeros(6)],
+                          np.c_[arm, zeros + 3.5, zeros]])
+    calls, hood = [], _CliqueGrid.hood
+    monkeypatch.setattr(_CliqueGrid, "hood", lambda grid, i: calls.append(i) or hood(grid, i))
+    for seed in (1, 2):
+        calls.clear()
+        expected, attempt = brute_force_fragments(pts, tau, [1600, 400], seed=seed)
+        np.testing.assert_array_equal(fragment_connected_set(pts, tau, [1600, 400], seed=seed),
+                                      expected)
+        assert len(calls) <= attempt * (2 * n + _BATCH)
 
 
 def test_fragment_single_target():

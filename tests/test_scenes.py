@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from conftest import random_walk_blob_by_norm
 from multireg import scenes
 from multireg.clustering import check_initial_clustering
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
@@ -130,6 +131,23 @@ def test_spec_validation():
         _spec(points_per_object=(60, 50))  # length mismatch
     with pytest.raises(ValueError):
         _spec(sigma=-0.1)
+
+
+@pytest.mark.parametrize("field", ["sigma", "tau", "bound_b", "separation_margin"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=field):
+        _spec(**{field: value})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_walk_matches_norm_form(seed):
+    # radius 0.5 clamps often, radius 10 never: both branches keep the bytes
+    for radius in (0.5, 10.0):
+        center = np.random.default_rng(seed).uniform(-2, 2, 3)
+        walk = scenes._random_walk_blob(np.random.default_rng(seed), center, 2000, 0.3, radius)
+        oracle = random_walk_blob_by_norm(np.random.default_rng(seed), center, 2000, 0.3, radius)
+        assert walk.tobytes() == oracle.tobytes()
 
 
 def test_good_split_single_fragment_equals_truth():
