@@ -121,7 +121,8 @@ _FORWARD = _REACH[63:][np.argsort(np.sum(_REACH[63:] ** 2, axis=1), kind="stable
 # Fragment-growth steps planned before one vectorised check: long enough to
 # amortise the check, short enough that the steps undone at a miss cost little.
 _BATCH = 128
-# Most hood points one distance test of fragment growth gathers at once.
+# Hood points one distance test of fragment growth gathers at once, unless a
+# single hood holds more.
 _HOOD_CHUNK = 1 << 15
 
 
@@ -371,14 +372,17 @@ def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k:
     """(len(probe), k) mask: entry (t, j) is True iff a point m of fragment j
     that passes the mask ``keep(t, m)`` lies within tau of ``probe[t]``.
 
-    Only hood points are compared, about ``_HOOD_CHUNK`` at a time, and the
-    distance test is the one ``absorb`` makes on the same operands, so the
-    two agree bit for bit."""
+    Only hood points are compared, whole hoods at a time and about
+    ``_HOOD_CHUNK`` points per pass, and the distance test is the one
+    ``absorb`` makes on the same operands, so the two agree bit for bit."""
     hit = np.zeros((len(probe), k), dtype=bool)
     hoods = [grid.hood(i) for i in probe.tolist()]
     ends = np.cumsum([len(h) for h in hoods])
-    cuts = np.searchsorted(ends, np.arange(_HOOD_CHUNK, ends[-1], _HOOD_CHUNK)).tolist()
-    for a, b in zip([0] + cuts, cuts + [len(hoods)]):
+    # a pass ends after the last hood that ends within each multiple of
+    # _HOOD_CHUNK; a hood larger than that makes a pass of its own
+    cuts = np.searchsorted(ends, np.arange(_HOOD_CHUNK, ends[-1], _HOOD_CHUNK), side="right")
+    bounds = np.unique(np.r_[0, cuts, len(hoods)]).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
         m = np.concatenate(hoods[a:b])
         t = np.repeat(np.arange(a, b), [len(h) for h in hoods[a:b]])
         mask = keep(t, m)

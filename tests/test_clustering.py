@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -246,6 +247,49 @@ def test_fragments_of_horseshoe_keep_hood_calls_linear(monkeypatch):
         np.testing.assert_array_equal(fragment_connected_set(pts, tau, [1600, 400], seed=seed),
                                       expected)
         assert len(calls) <= attempt * (2 * n + _BATCH)
+
+
+@pytest.mark.parametrize("chunk, hood_over_chunk", [(1, True), (300, True), (5000, False)])
+def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, monkeypatch):
+    # the distance tests gather whole hoods, about chunk points per pass: a
+    # hood longer than a chunk makes a pass of its own, and a multiple of the
+    # chunk that falls inside a hood ends the pass at that hood's end
+    monkeypatch.setattr(clustering, "_HOOD_CHUNK", chunk)
+    callers, over, inside, within_tau = set(), [], [], clustering._within_tau
+
+    def recording(grid, probe, *args):
+        callers.add(sys._getframe(1).f_code.co_name)
+        ends = np.cumsum([len(grid.hood(i)) for i in probe.tolist()])
+        over.append(np.diff(ends, prepend=0).max() > chunk)
+        inside.append(np.setdiff1d(np.arange(chunk, ends[-1], chunk), ends).size > 0)
+        return within_tau(grid, probe, *args)
+
+    monkeypatch.setattr(clustering, "_within_tau", recording)
+    for seed in (0, 4):
+        scene = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
+                                         tau=0.3, bound_b=4.0, seed=seed))
+        pts = scene.correspondences.a
+        expected, _ = brute_force_fragments(pts, 0.3, [1334, 333, 333], seed=seed)
+        np.testing.assert_array_equal(
+            fragment_connected_set(pts, 0.3, [1334, 333, 333], seed=seed), expected)
+    assert callers == {"_scan", "_heap_tail"}
+    assert any(over) == hood_over_chunk and any(inside)
+
+
+def test_fragments_with_hoods_over_one_chunk(monkeypatch):
+    # two dense clumps 0.6 tau apart in neighbouring cells: every hood holds
+    # both, more points than one distance-test pass gathers
+    rng = np.random.default_rng(0)
+    half = 17000
+    pts = np.concatenate([rng.uniform(0, 0.01, (half, 3)),
+                          rng.uniform(0, 0.01, (half, 3)) + [0.6, 0.0, 0.0]])
+    assert len(_CliqueGrid(pts, 1.0).hood(0)) > clustering._HOOD_CHUNK
+    labels = fragment_connected_set(pts, 1.0, [30000, 4000], seed=1)
+    assert np.bincount(labels).tolist() == [30000, 4000]
+    assert all(is_connected(pts[labels == j], 1.0) for j in range(2))
+    monkeypatch.setattr(clustering, "_HOOD_CHUNK", 1 << 40)  # one pass per test
+    np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [30000, 4000], seed=1),
+                                  labels)
 
 
 def test_fragment_single_target():
