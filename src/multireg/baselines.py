@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise ValueError("inlier_threshold must be finite and positive")
         if self.max_trials < 1:
             raise ValueError("max_trials must be at least 1")
         if self.min_model_inliers < 3:
@@ -38,10 +39,10 @@ class TLinkageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau_t <= 0:
-            raise ValueError("tau_t must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau_t) and self.tau_t > 0):
+            raise ValueError("tau_t must be finite and positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
         if self.num_hypotheses < 0:
             raise ValueError("num_hypotheses must be nonnegative")
 

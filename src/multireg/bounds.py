@@ -29,9 +29,9 @@ MIN_CLUSTER_SIZE_VARIANTS = ("a", "b")
 def _check_common(m, sigma, bound_b, delta):
     if m < 1:
         raise ValueError("m must be positive")
-    if sigma < 0:
+    if not sigma >= 0:  # NaN fails
         raise ValueError("sigma must be nonnegative")
-    if bound_b <= 0:
+    if not bound_b > 0:
         raise ValueError("bound_b must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -183,6 +183,9 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
         if m < 3:
             raise ValueError("every m must be at least 3")
         _check_common(m, sigma, bound_b, delta)
+    # the noise and ball draws span 2 sigma and 2 bound_b
+    if not (math.isfinite(2.0 * sigma) and math.isfinite(2.0 * bound_b)):
+        raise ValueError("2*sigma and 2*bound_b must be finite")
     if trials < 1:
         raise ValueError("trials must be positive")
     return m_values

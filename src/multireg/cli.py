@@ -15,6 +15,7 @@ import hashlib
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -31,43 +32,56 @@ from .scenes import (InfeasibleSceneError, SceneSpec, SplitSizeError, check_spli
                      generate_scene, make_good_split)
 
 ALGORITHMS = ("em", "sransac", "tlinkage", "naive-horn-per-cluster")
-INIT_KINDS = ("euclidean", "good-split", "from-file")
 
-DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "algorithm": "em",
-    "out": "",
-    "out_labels": "",
-    "scene.file": "scene.txt",
-    "scene.num_objects": "3",
-    "scene.points_per_object": "200",
-    "scene.sigma": "0.01",
-    "scene.tau": "0.3",
-    "scene.bound_b": "4.0",
-    "scene.num_outliers": "0",
-    "scene.separation_margin": "",
-    "init.kind": "euclidean",
-    "init.alpha": "2.0",
-    "init.fragments": "3",
-    "init.file": "",
-    "em.tau": "",
-    "em.m_min": "10",
-    "em.max_iters": "100",
-    "em.sigma_floor": "1e-8",
-    "ransac.inlier_threshold": "",
-    "ransac.max_trials": "100",
-    "ransac.min_model_inliers": "10",
-    "tlinkage.tau_t": "",
-    "tlinkage.num_hypotheses": "100",
-    "bench.suite": "consistency",
-    "bench.m_values": "100,1000,10000",
-    "bench.sigma": "0.1",
-    "bench.bound_b": "1.0",
-    "bench.delta": "0.05",
-    "bench.trials": "200",
-    "bench.noise_ratio_m": "100000",
-    "bench.noise_ratio_trials": "100",
-    "bench.noise_ratio_delta": "0.1",
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError("must be nonnegative")
+    return int(text)
+
+
+# key -> (default string, kind): a parser or a tuple of allowed values. The
+# defaults go into every result file and config_hash; other domains are
+# checked by the objects the values build.
+CONFIG: dict[str, tuple[str, object]] = {
+    "seed": ("0", _seed),
+    "algorithm": ("em", ALGORITHMS),
+    "out": ("", str),
+    "out_labels": ("", str),
+    "scene.file": ("scene.txt", str),
+    "scene.num_objects": ("3", int),
+    "scene.points_per_object": ("200", _int_list),
+    "scene.sigma": ("0.01", float),
+    "scene.tau": ("0.3", float),
+    "scene.bound_b": ("4.0", float),
+    "scene.num_outliers": ("0", int),
+    "scene.separation_margin": ("", float),
+    "init.kind": ("euclidean", ("euclidean", "good-split", "from-file")),
+    "init.alpha": ("2.0", float),
+    "init.fragments": ("3", int),
+    "init.file": ("", str),
+    "em.tau": ("", float),
+    "em.m_min": ("10", int),
+    "em.max_iters": ("100", int),
+    "em.sigma_floor": ("1e-8", float),
+    "ransac.inlier_threshold": ("", float),
+    "ransac.max_trials": ("100", int),
+    "ransac.min_model_inliers": ("10", int),
+    "tlinkage.tau_t": ("", float),
+    "tlinkage.num_hypotheses": ("100", int),
+    "bench.suite": ("consistency", ("consistency", "noise-ratio", "both")),
+    "bench.m_values": ("100,1000,10000", _int_list),
+    "bench.sigma": ("0.1", float),
+    "bench.bound_b": ("1.0", float),
+    "bench.delta": ("0.05", float),
+    "bench.trials": ("200", int),
+    "bench.noise_ratio_m": ("100000", _int_list),
+    "bench.noise_ratio_trials": ("100", int),
+    "bench.noise_ratio_delta": ("0.1", float),
 }
 
 
@@ -75,38 +89,36 @@ class UsageError(Exception):
     """Bad configuration or arguments; maps to exit code 2."""
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+@contextmanager
+def _usage(prefix: str = ""):
+    """Re-raise a ValueError or OSError from the block as a UsageError."""
     try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
+
+
+def load_config_file(path: str) -> list[str]:
+    """The key=value lines of a config file, without blank and # lines."""
+    with _usage(f"cannot read config file {path}: "):
         lines = Path(path).read_text(encoding="ascii").splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"malformed config line: {raw!r}")
-        cfg[key.strip()] = value.strip()
-    return cfg
+    return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
 
 
 def effective_config(args) -> dict[str, str]:
-    cfg = dict(DEFAULTS)
-    if args.config:
-        cfg.update(load_config_file(args.config))
-    for item in args.set or []:
-        key, sep, value = item.partition("=")
+    """The defaults, then the config file's lines, then each --set, then the
+    --seed/--algorithm/--out flags; an unknown key is a usage error."""
+    cfg = {key: default for key, (default, _) in CONFIG.items()}
+    for item in (load_config_file(args.config) if args.config else []) + (args.set or []):
+        key, sep, value = (part.strip() for part in item.partition("="))
         if not sep:
-            raise UsageError(f"--set expects key=value, got {item!r}")
-        cfg[key.strip()] = value.strip()
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if getattr(args, "algorithm", None):
-        cfg["algorithm"] = args.algorithm
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
+            raise UsageError(f"expected key=value, got {item!r}")
+        if key not in CONFIG:
+            raise UsageError(f"unknown config key '{key}'")
+        cfg[key] = value
+    for key in ("seed", "algorithm", "out"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = str(getattr(args, key))
     return cfg
 
 
@@ -115,66 +127,42 @@ def config_hash(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:12]
 
 
-def _need(cfg, key) -> str:
-    value = cfg.get(key, "")
+def _get(cfg, key, unset=...):
+    """The value of ``key`` parsed by its kind in CONFIG. An empty value
+    gives ``unset``, or is an error when no ``unset`` is given."""
+    value, kind = cfg[key], CONFIG[key][1]
     if not value:
-        raise UsageError(f"config key '{key}' is required")
-    return value
-
-
-def _as_int(cfg, key) -> int:
-    try:
-        return int(_need(cfg, key))
-    except ValueError as exc:
-        raise UsageError(f"config key '{key}' must be an integer") from exc
-
-
-def _as_float(cfg, key) -> float:
-    try:
-        return float(_need(cfg, key))
-    except ValueError as exc:
-        raise UsageError(f"config key '{key}' must be a number") from exc
-
-
-def _as_int_list(cfg, key) -> list[int]:
-    try:
-        return [int(v) for v in _need(cfg, key).split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"config key '{key}' must be a comma-separated integer list") from exc
+        if unset is ...:
+            raise UsageError(f"config key '{key}' is required")
+        return unset
+    with _usage(f"config key '{key}': "):
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"expected one of {', '.join(kind)}, got {value!r}")
+        return value if isinstance(kind, tuple) else kind(value)
 
 
 def scene_spec_from_config(cfg: dict[str, str]) -> SceneSpec:
-    num_objects = _as_int(cfg, "scene.num_objects")
-    counts = _as_int_list(cfg, "scene.points_per_object")
+    num_objects = _get(cfg, "scene.num_objects")
+    counts = _get(cfg, "scene.points_per_object")
     if len(counts) == 1:
         counts = counts * num_objects
-    margin = cfg.get("scene.separation_margin", "")
-    try:
+    with _usage("invalid scene spec: "):
         return SceneSpec(
             num_objects=num_objects,
             points_per_object=tuple(counts),
-            sigma=_as_float(cfg, "scene.sigma"),
-            tau=_as_float(cfg, "scene.tau"),
-            bound_b=_as_float(cfg, "scene.bound_b"),
-            num_outliers=_as_int(cfg, "scene.num_outliers"),
-            separation_margin=float(margin) if margin else None,
-            seed=_as_int(cfg, "seed"),
+            sigma=_get(cfg, "scene.sigma"),
+            tau=_get(cfg, "scene.tau"),
+            bound_b=_get(cfg, "scene.bound_b"),
+            num_outliers=_get(cfg, "scene.num_outliers"),
+            separation_margin=_get(cfg, "scene.separation_margin", unset=None),
+            seed=_get(cfg, "seed"),
         )
-    except ValueError as exc:
-        raise UsageError(f"invalid scene spec: {exc}") from exc
-
-
-def _read_input(reader, path):
-    """Read a scene or label file; a missing or malformed one is a usage error."""
-    try:
-        return reader(path)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_labels(path, scene) -> Clustering:
     """Read a label file with one label per correspondence of ``scene``."""
-    clustering = _read_input(read_clustering, path)
+    with _usage(f"cannot read {path}: "):
+        clustering = read_clustering(path)
     if len(clustering) != len(scene.correspondences):
         raise UsageError(f"{path} has {len(clustering)} labels, not {len(scene.correspondences)}")
     return clustering
@@ -221,7 +209,7 @@ def _base_pairs(cfg, algorithm=None) -> list[tuple[str, str]]:
 
 
 def cmd_synth(cfg: dict[str, str]) -> int:
-    out = _need(cfg, "out")
+    out = _get(cfg, "out")
     spec = scene_spec_from_config(cfg)
     scene = generate_scene(spec)
     write_scene(scene, out)
@@ -233,64 +221,55 @@ def cmd_synth(cfg: dict[str, str]) -> int:
 def _initializer(cfg, seed):
     """Check the init.* settings before any work is done; returns the function
     that builds the initial clustering from the scene."""
-    kind = cfg.get("init.kind", "euclidean")
+    kind = _get(cfg, "init.kind")
     if kind == "euclidean":
         return lambda scene: euclidean_cluster(scene.correspondences, scene.spec.tau)
     if kind == "good-split":
-        alpha, fragments = _as_float(cfg, "init.alpha"), _as_int(cfg, "init.fragments")
-        try:
+        alpha, fragments = _get(cfg, "init.alpha"), _get(cfg, "init.fragments")
+        with _usage("invalid init config: "):
             check_split(alpha, fragments)
-        except ValueError as exc:
-            raise UsageError(f"invalid init config: {exc}") from exc
         return lambda scene: make_good_split(scene, alpha, fragments, seed)
-    if kind == "from-file":
-        path = _need(cfg, "init.file")
-        return lambda scene: _read_labels(path, scene)
-    raise UsageError(f"unknown init.kind '{kind}'; expected one of {INIT_KINDS}")
+    path = _get(cfg, "init.file")  # from-file
+    return lambda scene: _read_labels(path, scene)
 
 
 def _algorithm_config(cfg, algorithm, seed, sigma, tau):
     """The algorithm's config (None for the naive baseline); a value that a
     config rejects is a usage error."""
-    try:
+    with _usage(f"invalid {algorithm} config: "):
         if algorithm == "em":
             return EMConfig(
-                tau=_as_float(cfg, "em.tau") if cfg.get("em.tau") else tau,
-                m_min=_as_int(cfg, "em.m_min"),
-                max_iters=_as_int(cfg, "em.max_iters"),
-                sigma_floor=_as_float(cfg, "em.sigma_floor"),
+                tau=_get(cfg, "em.tau", unset=tau),
+                m_min=_get(cfg, "em.m_min"),
+                max_iters=_get(cfg, "em.max_iters"),
+                sigma_floor=_get(cfg, "em.sigma_floor"),
             )
         if algorithm == "sransac":
             return RansacConfig(
-                inlier_threshold=(_as_float(cfg, "ransac.inlier_threshold")
-                                  if cfg.get("ransac.inlier_threshold")
-                                  else max(math.sqrt(3.0) * sigma, 1e-6)),
-                max_trials=_as_int(cfg, "ransac.max_trials"),
-                min_model_inliers=_as_int(cfg, "ransac.min_model_inliers"),
+                inlier_threshold=_get(cfg, "ransac.inlier_threshold",
+                                      unset=max(math.sqrt(3.0) * sigma, 1e-6)),
+                max_trials=_get(cfg, "ransac.max_trials"),
+                min_model_inliers=_get(cfg, "ransac.min_model_inliers"),
                 seed=seed,
             )
         if algorithm == "tlinkage":
             return TLinkageConfig(
-                tau_t=(_as_float(cfg, "tlinkage.tau_t") if cfg.get("tlinkage.tau_t")
-                       else max(math.sqrt(3.0) * sigma, 0.01 * tau)),
+                tau_t=_get(cfg, "tlinkage.tau_t", unset=max(math.sqrt(3.0) * sigma, 0.01 * tau)),
                 tau=tau,
-                num_hypotheses=_as_int(cfg, "tlinkage.num_hypotheses"),
+                num_hypotheses=_get(cfg, "tlinkage.num_hypotheses"),
                 seed=seed,
             )
-    except ValueError as exc:
-        raise UsageError(f"invalid {algorithm} config: {exc}") from exc
     return None
 
 
 def cmd_run(cfg: dict[str, str]) -> int:
-    out = _need(cfg, "out")
-    algorithm = cfg.get("algorithm", "em")
-    if algorithm not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm '{algorithm}'; expected one of {ALGORITHMS}")
-    seed = _as_int(cfg, "seed")
+    out = _get(cfg, "out")
+    algorithm = _get(cfg, "algorithm")
+    seed = _get(cfg, "seed")
     build_initial = _initializer(cfg, seed)
     t_start = time.perf_counter()
-    scene = _read_input(read_scene, _need(cfg, "scene.file"))
+    with _usage(f"cannot read {cfg['scene.file']}: "):
+        scene = read_scene(_get(cfg, "scene.file"))
     cs = scene.correspondences
     algo_cfg = _algorithm_config(cfg, algorithm, seed, scene.spec.sigma, scene.spec.tau)
 
@@ -345,8 +324,8 @@ def cmd_run(cfg: dict[str, str]) -> int:
     pairs.extend(em_pairs)
     pairs.append(("labels", ",".join(str(v) for v in clustering.labels)))
     write_result(pairs, out)
-    if cfg.get("out_labels"):
-        write_clustering(clustering, cfg["out_labels"])
+    if labels_out := _get(cfg, "out_labels", unset=None):
+        write_clustering(clustering, labels_out)
 
     print(f"result written to {out}: algorithm={algorithm} "
           f"mask_iou={fmt_float(report.mask_iou)} "
@@ -359,7 +338,8 @@ def cmd_run(cfg: dict[str, str]) -> int:
 
 
 def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
-    scene = _read_input(read_scene, scene_path)
+    with _usage(f"cannot read {scene_path}: "):
+        scene = read_scene(scene_path)
     pred = _read_labels(pred_path, scene)
     clustering, transforms = fit_cluster_transforms(scene.correspondences, pred)
     report = evaluate(scene.correspondences, clustering, transforms, scene)
@@ -372,35 +352,31 @@ def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
 
 
 def cmd_bench(cfg: dict[str, str]) -> int:
-    out = _need(cfg, "out")
-    suite = cfg.get("bench.suite", "consistency")
-    if suite not in ("consistency", "noise-ratio", "both"):
-        raise UsageError(f"unknown bench.suite '{suite}'")
-    seed = _as_int(cfg, "seed")
+    out = _get(cfg, "out")
+    suite = _get(cfg, "bench.suite")
+    seed = _get(cfg, "seed")
     summary_pairs = _base_pairs(cfg)
 
     # Every setting of the suites that run is checked before either samples,
     # so a bad one exits 2 without work and without a partial file.
     consistency = ratio = None
-    try:
+    with _usage():
         if suite in ("consistency", "both"):
             consistency = dict(
-                m_values=_as_int_list(cfg, "bench.m_values"),
-                sigma=_as_float(cfg, "bench.sigma"),
-                bound_b=_as_float(cfg, "bench.bound_b"),
-                delta=_as_float(cfg, "bench.delta"),
-                trials=_as_int(cfg, "bench.trials"),
+                m_values=_get(cfg, "bench.m_values"),
+                sigma=_get(cfg, "bench.sigma"),
+                bound_b=_get(cfg, "bench.bound_b"),
+                delta=_get(cfg, "bench.delta"),
+                trials=_get(cfg, "bench.trials"),
             )
             check_consistency_bench(**consistency)
         if suite in ("noise-ratio", "both"):
             ratio = dict(
-                m_values=_as_int_list(cfg, "bench.noise_ratio_m"),
-                delta=_as_float(cfg, "bench.noise_ratio_delta"),
-                trials=_as_int(cfg, "bench.noise_ratio_trials"),
+                m_values=_get(cfg, "bench.noise_ratio_m"),
+                delta=_get(cfg, "bench.noise_ratio_delta"),
+                trials=_get(cfg, "bench.noise_ratio_trials"),
             )
             check_noise_ratio_bench(**ratio)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
     if consistency is not None:
         trials, summaries = run_consistency_bench(**consistency, seed=seed)

@@ -9,6 +9,7 @@ cap is hit. Clusters only ever shrink or merge; no new clusters are created.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,15 @@ class EMConfig:
     sigma_floor: float = SIGMA_FLOOR
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
         if self.m_min < 3:
             raise ValueError("m_min must be at least 3")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.sigma_floor <= 0:
-            raise ValueError("sigma_floor must be positive")
+        if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0):
+            raise ValueError("sigma_floor must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -57,13 +57,14 @@ class SceneSpec:
             raise ValueError("points_per_object length must equal num_objects")
         if any(p < 1 for p in self.points_per_object):
             raise ValueError("every object needs at least one point")
-        # written so that NaN fails every check
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError("sigma must be finite and nonnegative")
+        # written so that NaN fails every check; the draws span 2 sigma and
+        # 6 bound_b (outliers lie in the ball of radius 3 bound_b)
+        if not (math.isfinite(2.0 * self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be nonnegative, with 2*sigma finite")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
-        if not (math.isfinite(self.bound_b) and self.bound_b > 0):
-            raise ValueError("bound_b must be finite and positive")
+        if not (math.isfinite(6.0 * self.bound_b) and self.bound_b > 0):
+            raise ValueError("bound_b must be positive, with 6*bound_b finite")
         if self.num_outliers < 0:
             raise ValueError("num_outliers must be nonnegative")
         if self.separation_margin is None:

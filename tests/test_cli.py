@@ -136,6 +136,14 @@ def test_run_missing_scene_exits_2(tmp_path):
     ("em", "em.tau=abc"),
     ("tlinkage", "tlinkage.tau_t=abc"),
     ("tlinkage", "tlinkage.num_hypotheses=-1"),
+    ("em", "em.tau=nan"),
+    ("em", "em.tau=inf"),
+    ("em", "em.sigma_floor=nan"),
+    ("em", "em.sigma_floor=inf"),
+    ("sransac", "ransac.inlier_threshold=nan"),
+    ("sransac", "ransac.inlier_threshold=inf"),
+    ("tlinkage", "tlinkage.tau_t=nan"),
+    ("tlinkage", "tlinkage.tau_t=inf"),
 ])
 def test_run_bad_algorithm_config_exits_2(tmp_path, scene_file, capsys, algorithm, setting):
     out = tmp_path / "r.txt"
@@ -196,6 +204,36 @@ def _synth_sigma_inf(tmp_path, scene_file):
 
 def _synth_tau_nan(tmp_path, scene_file):
     return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.tau=nan"]
+
+
+def _synth_sigma_huge(tmp_path, scene_file):
+    # finite, but the noise range 2 sigma is not
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=1e308"]
+
+
+def _synth_bound_b_huge(tmp_path, scene_file):
+    # finite, but the outlier range 6 B is not
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.bound_b=1e308"]
+
+
+def _unknown_key_set_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "scene.num_outlier=5"]
+
+
+def _unknown_key_in_config_to_run(tmp_path, scene_file):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"scene.file = {scene_file}\nem.taus = 0.5\n")
+    return ["run", "--config", config]
+
+
+def _non_ascii_config_to_run(tmp_path, scene_file):
+    config = tmp_path / "exp.cfg"
+    config.write_bytes(b"scene.file = caf\xc3\xa9.txt\n")
+    return ["run", "--config", config]
+
+
+def _negative_seed_to_sransac(tmp_path, scene_file):
+    return ["run", "--algorithm", "sransac", "--seed", "-1", "--set", f"scene.file={scene_file}"]
 
 
 def _non_scene_to_eval(tmp_path, scene_file):
@@ -298,6 +336,12 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _tau_nan_header_to_run,
     _sigma_nan_header_to_run,
     _sigma_inf_header_to_run,
+    _synth_sigma_huge,
+    _synth_bound_b_huge,
+    _unknown_key_set_to_run,
+    _unknown_key_in_config_to_run,
+    _non_ascii_config_to_run,
+    _negative_seed_to_sransac,
 ])
 def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     argv = bad_input(tmp_path, scene_file)
@@ -467,7 +511,8 @@ def test_bench_matches_recorded_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("setting", ["bench.noise_ratio_m=10", "bench.noise_ratio_trials=0",
                                      "bench.noise_ratio_delta=1.5", "bench.m_values=100,2",
-                                     "bench.trials=0", "bench.delta=0", "bench.bound_b=0"])
+                                     "bench.trials=0", "bench.delta=0", "bench.bound_b=0",
+                                     "bench.sigma=nan", "bench.sigma=inf", "bench.bound_b=inf"])
 def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatch, setting):
     def refuse(*args, **kwargs):
         raise AssertionError("a bench ran before every setting was checked")
