@@ -16,7 +16,10 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .baselines import RansacConfig, TLinkageConfig, sequential_ransac, tlinkage_cluster
@@ -27,7 +30,7 @@ from .em import EMConfig, NoViableClustersError, run_em
 from .horn import horn_register
 from .io import (fmt_float, read_clustering, read_scene, write_bench_csv,
                  write_clustering, write_result, write_scene, RESULT_FORMAT_VERSION)
-from .metrics import EvalReport, evaluate
+from .metrics import evaluate
 from .scenes import (InfeasibleSceneError, SceneSpec, SplitSizeError, check_split,
                      generate_scene, make_good_split)
 
@@ -107,7 +110,8 @@ def load_config_file(path: str) -> list[str]:
 
 def effective_config(args) -> dict[str, str]:
     """The defaults, then the config file's lines, then each --set, then the
-    --seed/--algorithm/--out flags; an unknown key is a usage error."""
+    --seed/--algorithm/--out flags; an unknown key or a value that is not
+    ASCII (config_hash and the result files are ASCII) is a usage error."""
     cfg = {key: default for key, (default, _) in CONFIG.items()}
     for item in (load_config_file(args.config) if args.config else []) + (args.set or []):
         key, sep, value = (part.strip() for part in item.partition("="))
@@ -119,6 +123,9 @@ def effective_config(args) -> dict[str, str]:
     for key in ("seed", "algorithm", "out"):
         if getattr(args, key, None) is not None:
             cfg[key] = str(getattr(args, key))
+    for key, value in cfg.items():
+        if not value.isascii():
+            raise UsageError(f"config key '{key}': value {ascii(value)} is not ASCII")
     return cfg
 
 
@@ -180,32 +187,31 @@ def fit_cluster_transforms(cs, clustering: Clustering):
     return clustering, transforms
 
 
-def _metric_pairs(report: EvalReport) -> list[tuple[str, str]]:
-    join = lambda values: ",".join(fmt_float(v) for v in values)
-    return [
-        ("metrics.mask_iou", fmt_float(report.mask_iou)),
-        ("metrics.point_error", fmt_float(report.point_error)),
-        ("metrics.rotation_error", fmt_float(report.rotation_error)),
-        ("metrics.translation_error", fmt_float(report.translation_error)),
-        ("metrics.per_object_point_error", join(report.per_object_point_error)),
-        ("metrics.per_point_mean_error", fmt_float(report.per_point_mean_error)),
-        ("metrics.per_cluster_iou", join(report.per_cluster_iou)),
-        ("metrics.pose_cluster_ids", ",".join(str(i) for i in report.pose_cluster_ids)),
-        ("metrics.per_cluster_rotation_error", join(report.per_cluster_rotation_error)),
-        ("metrics.per_cluster_translation_error", join(report.per_cluster_translation_error)),
-    ]
+def _text(value) -> str:
+    """Record text of a value: a flag is true/false, an int decimal, a float
+    ``fmt_float``'s full precision, and an array or tuple its items joined by
+    commas."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, np.ndarray):
+        value = value.ravel().tolist()
+    return ",".join(map(_text, value))
+
+
+def _pairs(prefix: str, **values) -> list[tuple[str, str]]:
+    """One ``prefix.key`` record line per keyword, in keyword order."""
+    return [(f"{prefix}.{key}", _text(value)) for key, value in values.items()]
 
 
 def _base_pairs(cfg, algorithm=None) -> list[tuple[str, str]]:
-    pairs = [
-        ("version", str(RESULT_FORMAT_VERSION)),
-        ("tool_version", __version__),
-        ("config_hash", config_hash(cfg)),
-    ]
-    if algorithm:
-        pairs.append(("algorithm", algorithm))
-    pairs.extend((f"config.{k}", v) for k, v in sorted(cfg.items()))
-    return pairs
+    pairs = [("version", str(RESULT_FORMAT_VERSION)), ("tool_version", __version__),
+             ("config_hash", config_hash(cfg))]
+    pairs += [("algorithm", algorithm)] if algorithm else []
+    return pairs + [(f"config.{k}", v) for k, v in sorted(cfg.items())]
 
 
 def cmd_synth(cfg: dict[str, str]) -> int:
@@ -283,19 +289,14 @@ def cmd_run(cfg: dict[str, str]) -> int:
             result = run_em(cs, initial, algo_cfg)
             clustering = result.clustering
             transforms = [m.transform for m in result.models]
-            em_pairs = [
-                ("em.iterations_run", str(result.iterations_run)),
-                ("em.converged", "true" if result.converged else "false"),
-                ("em.assignment_changes", ",".join(str(c) for c in result.assignment_changes)),
-            ]
+            em_pairs = _pairs("em", iterations_run=result.iterations_run,
+                              converged=result.converged,
+                              assignment_changes=result.assignment_changes)
             for stats in result.trace:
-                prefix = f"em.trace.{stats.iteration}"
-                em_pairs.append((f"{prefix}.sizes", ",".join(str(s) for s in stats.cluster_sizes)))
-                em_pairs.append((f"{prefix}.weights", ",".join(fmt_float(w) for w in stats.weights)))
-                em_pairs.append((f"{prefix}.sigmas", ",".join(fmt_float(s) for s in stats.sigmas)))
+                em_pairs += _pairs(f"em.trace.{stats.iteration}", sizes=stats.cluster_sizes,
+                                   weights=stats.weights, sigmas=stats.sigmas)
             for j, model in enumerate(result.models, start=1):
-                em_pairs.append((f"models.{j}.sigma", fmt_float(model.sigma_hat)))
-                em_pairs.append((f"models.{j}.weight", fmt_float(model.weight)))
+                em_pairs += _pairs(f"models.{j}", sigma=model.sigma_hat, weight=model.weight)
         elif algorithm == "sransac":
             clustering, transforms = fit_cluster_transforms(cs, sequential_ransac(cs, algo_cfg))
         elif algorithm == "tlinkage":
@@ -303,10 +304,8 @@ def cmd_run(cfg: dict[str, str]) -> int:
         else:  # naive-horn-per-cluster
             clustering, transforms = fit_cluster_transforms(cs, initial)
     except NoViableClustersError as exc:
-        pairs = _base_pairs(cfg, algorithm)
-        pairs.append(("result.status", "error"))
-        pairs.append(("result.error", str(exc)))
-        write_result(pairs, out)
+        write_result(_base_pairs(cfg, algorithm)
+                     + [("result.status", "error"), ("result.error", str(exc))], out)
         print(f"algorithm failed: {exc}", file=sys.stderr)
         return 1
     t_done = time.perf_counter()
@@ -314,15 +313,13 @@ def cmd_run(cfg: dict[str, str]) -> int:
     pairs = _base_pairs(cfg, algorithm)
     report = evaluate(cs, clustering, transforms, scene)
     pairs.append(("result.status", "ok"))
-    pairs.extend(_metric_pairs(report))
-    pairs.append(("models.count", str(len(transforms))))
+    pairs += _pairs("metrics", **asdict(report))
+    pairs += _pairs("models", count=len(transforms))
     for j, transform in enumerate(transforms, start=1):
-        pairs.append((f"models.{j}.rotation",
-                      ",".join(fmt_float(v) for v in transform.rotation.reshape(-1))))
-        pairs.append((f"models.{j}.translation",
-                      ",".join(fmt_float(v) for v in transform.translation)))
-    pairs.extend(em_pairs)
-    pairs.append(("labels", ",".join(str(v) for v in clustering.labels)))
+        pairs += _pairs(f"models.{j}", rotation=transform.rotation,
+                        translation=transform.translation)
+    pairs += em_pairs
+    pairs.append(("labels", _text(clustering.labels)))
     write_result(pairs, out)
     if labels_out := _get(cfg, "out_labels", unset=None):
         write_clustering(clustering, labels_out)
@@ -343,7 +340,7 @@ def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
     pred = _read_labels(pred_path, scene)
     clustering, transforms = fit_cluster_transforms(scene.correspondences, pred)
     report = evaluate(scene.correspondences, clustering, transforms, scene)
-    pairs = _metric_pairs(report)
+    pairs = _pairs("metrics", **asdict(report))
     for key, value in pairs:
         print(f"{key} = {value}")
     if out:
@@ -362,14 +359,16 @@ def cmd_bench(cfg: dict[str, str]) -> int:
     consistency = ratio = None
     with _usage():
         if suite in ("consistency", "both"):
-            consistency = dict(
-                m_values=_get(cfg, "bench.m_values"),
-                sigma=_get(cfg, "bench.sigma"),
-                bound_b=_get(cfg, "bench.bound_b"),
-                delta=_get(cfg, "bench.delta"),
-                trials=_get(cfg, "bench.trials"),
-            )
+            consistency = {key: _get(cfg, f"bench.{key}")
+                           for key in ("m_values", "sigma", "bound_b", "delta", "trials")}
             check_consistency_bench(**consistency)
+            # A trial's points and translation lie in the B-ball and its noise
+            # within sigma, so the largest sum horn_register forms, the m
+            # products of the cross-covariance, is at most 4 m B (2B + sigma).
+            m, bound_b = max(consistency["m_values"], default=3), consistency["bound_b"]
+            if not math.isfinite(4.0 * m * bound_b * (2.0 * bound_b + consistency["sigma"])):
+                raise ValueError(f"bench.bound_b = {bound_b!r} overflows the Horn fit's "
+                                 f"sums at m = {m}")
         if suite in ("noise-ratio", "both"):
             ratio = dict(
                 m_values=_get(cfg, "bench.noise_ratio_m"),
@@ -382,25 +381,18 @@ def cmd_bench(cfg: dict[str, str]) -> int:
         trials, summaries = run_consistency_bench(**consistency, seed=seed)
         write_bench_csv(trials, out)
         for s in summaries:
-            prefix = f"bench.consistency.m{s.m}"
-            summary_pairs.extend([
-                (f"{prefix}.trials", str(s.trials)),
-                (f"{prefix}.violation_rate_rot", fmt_float(s.violation_rate_rot)),
-                (f"{prefix}.violation_rate_trans", fmt_float(s.violation_rate_trans)),
-                (f"{prefix}.median_rot_err_sq", fmt_float(s.median_rot_err_sq)),
-                (f"{prefix}.median_trans_err_sq", fmt_float(s.median_trans_err_sq)),
-            ])
+            summary_pairs += _pairs(
+                f"bench.consistency.m{s.m}", trials=s.trials,
+                violation_rate_rot=s.violation_rate_rot,
+                violation_rate_trans=s.violation_rate_trans,
+                median_rot_err_sq=s.median_rot_err_sq, median_trans_err_sq=s.median_trans_err_sq)
 
     if ratio is not None:
         for s in run_noise_ratio_bench(**ratio, seed=seed):
-            prefix = f"bench.noise_ratio.m{s.m}"
-            summary_pairs.extend([
-                (f"{prefix}.trials", str(s.trials)),
-                (f"{prefix}.violation_rate", fmt_float(s.violation_rate)),
-                (f"{prefix}.max_abs_deviation", fmt_float(s.max_abs_deviation)),
-                (f"{prefix}.interval_low", fmt_float(s.interval_low)),
-                (f"{prefix}.interval_high", fmt_float(s.interval_high)),
-            ])
+            summary_pairs += _pairs(
+                f"bench.noise_ratio.m{s.m}", trials=s.trials, violation_rate=s.violation_rate,
+                max_abs_deviation=s.max_abs_deviation, interval_low=s.interval_low,
+                interval_high=s.interval_high)
 
     write_result(summary_pairs, out + ".summary")
     for key, value in summary_pairs:

@@ -227,13 +227,6 @@ class _CliqueGrid:
             passes[query, j] = dist < self.tau
         return passes
 
-    def near(self, labels: np.ndarray, k: int) -> np.ndarray:
-        """(n, k) mask: entry (i, j) is True iff point i lies strictly within
-        tau of some point labelled j + 1 (label 0 is no cluster's). Occupancy
-        settles most pairs; ``confirm`` decides the rest."""
-        own, hood = self.occupancy(labels, k)
-        return own | self.confirm(labels, hood & ~own)
-
     def touch(self, c: int, d: int) -> bool:
         """True iff some point of cell c lies within tau of some point of cell d.
 
@@ -302,11 +295,7 @@ def is_connected(points, tau: float) -> bool:
 
     Empty and singleton sets count as connected.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] <= 1:
-        return True
-    _, count = connected_components(pts, tau)
-    return count == 1
+    return connected_components(points, tau)[1] <= 1
 
 
 def euclidean_cluster(cs, tau: float) -> Clustering:
@@ -519,67 +508,3 @@ def _heap_tail(grid, assignment, sizes, targets, to_seed) -> None:
                 break
         if not grew:
             return
-
-
-@dataclass(frozen=True)
-class InitialClusteringReport:
-    """Checks an initial partition against the EM convergence preconditions."""
-
-    cluster_sizes: tuple[int, ...]
-    cluster_connected: tuple[bool, ...]
-    cluster_size_ok: tuple[bool, ...]
-    cluster_pure: tuple[bool, ...]
-    object_dominance: tuple[float, ...]
-    object_dominance_ok: tuple[bool, ...]
-    fully_assigned: bool
-    passed: bool
-
-
-def check_initial_clustering(clustering: Clustering, a_points, true_labels, tau: float,
-                             alpha: float, min_size: int) -> InitialClusteringReport:
-    """Verify the three initial-clustering conditions against ground truth.
-
-    Per cluster: tau-connectivity over a-points and size >= ``min_size``.
-    Per ground-truth object: among the clusters intersecting it, the largest
-    must strictly exceed ``alpha`` times every other. Additionally every
-    cluster must sit inside a single object or consist purely of outliers,
-    and every index must be assigned to some cluster.
-    """
-    pts = np.asarray(a_points, dtype=np.float64).reshape(-1, 3)
-    truth = np.asarray(true_labels, dtype=np.int64).reshape(-1)
-    if len(clustering) != pts.shape[0] or truth.shape[0] != pts.shape[0]:
-        raise ValueError("clustering, points and labels must have equal length")
-
-    table = clustering.contingency(truth)
-    sizes = table[1:].sum(axis=1)
-    connected = [is_connected(pts[clustering.members(j)], tau)
-                 for j in range(1, clustering.num_clusters + 1)]
-    size_ok = sizes >= min_size
-    pure = np.count_nonzero(table[1:], axis=1) == 1
-
-    dominance, dominance_ok = [], []
-    for g in range(1, table.shape[1]):
-        hit = np.sort(sizes[table[1:, g] > 0])[::-1]
-        if hit.size == 0:
-            dominance.append(0.0)
-            dominance_ok.append(False)
-        elif hit.size == 1:
-            dominance.append(float("inf"))
-            dominance_ok.append(True)
-        else:
-            dominance.append(float(hit[0] / hit[1]))
-            dominance_ok.append(bool(hit[0] > alpha * hit[1]))
-
-    fully_assigned = bool(np.all(clustering.labels > 0)) if len(clustering) else True
-    passed = (fully_assigned and all(connected) and bool(size_ok.all())
-              and bool(pure.all()) and all(dominance_ok))
-    return InitialClusteringReport(
-        cluster_sizes=tuple(sizes.tolist()),
-        cluster_connected=tuple(connected),
-        cluster_size_ok=tuple(size_ok.tolist()),
-        cluster_pure=tuple(pure.tolist()),
-        object_dominance=tuple(dominance),
-        object_dominance_ok=tuple(dominance_ok),
-        fully_assigned=fully_assigned,
-        passed=passed,
-    )

@@ -138,7 +138,10 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     row_max = log_scores.max(axis=1, keepdims=True)
     unnorm = np.exp(log_scores - row_max)
     weights = unnorm / unnorm.sum(axis=1, keepdims=True)
-    return weights * _CliqueGrid(cs.a, cfg.tau).near(clustering.labels, k)
+    # occupancy settles most pairs, the exact test the rest
+    grid = _CliqueGrid(cs.a, cfg.tau)
+    own, hood = grid.occupancy(clustering.labels, k)
+    return weights * (own | grid.confirm(clustering.labels, hood & ~own))
 
 
 def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clustering:
@@ -198,9 +201,6 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
     clustering = initial
     changes: list[int] = []
     trace: list[IterationStats] = []
-    models: list[ClusterModel] = []
-    converged = False
-    iterations = 0
     grid = _CliqueGrid(cs.a, cfg.tau)
 
     for iteration in range(1, cfg.max_iters + 1):
@@ -218,18 +218,16 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
             sigmas=tuple(m.sigma_hat for m in models),
             assignment_changes=changed,
         ))
-        iterations = iteration
         clustering = updated
         if changed == 0:
-            converged = True
             break
 
     clustering, models = _drop_empty(clustering, models)
     return EMResult(
         clustering=clustering,
         models=tuple(models),
-        iterations_run=iterations,
-        converged=converged,
+        iterations_run=len(changes),
+        converged=changes[-1] == 0,
         assignment_changes=tuple(changes),
         trace=tuple(trace),
     )

@@ -159,10 +159,7 @@ def read_clustering(path) -> Clustering:
 
 def result_to_text(pairs) -> str:
     """Flat 'key = value' record; ``pairs`` is an ordered (key, value) iterable."""
-    lines = []
-    for key, value in pairs:
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
 def write_result(pairs, path) -> None:

@@ -19,12 +19,13 @@ from .scenes import LabeledScene
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Scalar metrics plus the per-object / per-cluster breakdowns they average."""
+    """Scalar metrics plus the per-object / per-cluster breakdowns they
+    average, in the order of the ``metrics.*`` lines of a result file."""
 
+    mask_iou: float
     point_error: float
     rotation_error: float
     translation_error: float
-    mask_iou: float
     per_object_point_error: tuple[float, ...]
     per_point_mean_error: float
     per_cluster_iou: tuple[float, ...]
@@ -42,27 +43,27 @@ def iou_per_cluster(pred: Clustering, truth) -> tuple[tuple[int, ...], tuple[flo
     through the matched object's side.
     """
     table = pred.contingency(truth)
-    sizes = table.sum(axis=1)
-    true_sizes = table.sum(axis=0)
+    sizes, true_sizes = table.sum(axis=1), table.sum(axis=0)
+    ids = np.flatnonzero(sizes[1:]) + 1
+    inter = table[ids]
+    inter[:, 0] = 0  # outliers are no match target
+    # the first maximum: the lower object id, or column 0 (overlap 0) when
+    # the cluster meets no object
+    g = np.argmax(inter, axis=1)
+    overlap = inter[np.arange(ids.size), g]
+    ious = overlap / (sizes[ids] + true_sizes[g] - overlap)
+    return tuple(ids.tolist()), tuple(ious.tolist())
 
-    ids, ious = [], []
-    for j in np.flatnonzero(sizes[1:]) + 1:
-        inter = table[j, 1:]
-        ids.append(int(j))
-        if inter.size == 0 or inter.max() == 0:
-            ious.append(0.0)
-            continue
-        g = int(np.argmax(inter)) + 1
-        overlap = int(inter[g - 1])
-        union = int(sizes[j]) + int(true_sizes[g]) - overlap
-        ious.append(overlap / union)
-    return tuple(ids), tuple(ious)
+
+def _mean(values) -> float:
+    """The mean of ``values``; 0.0 when there are none."""
+    return float(np.mean(values)) if len(values) else 0.0
 
 
 def mask_iou(pred: Clustering, truth) -> float:
     """Mean IoU over predicted clusters (0.0 when there are none)."""
     _, ious = iou_per_cluster(pred, truth)
-    return float(np.mean(ious)) if ious else 0.0
+    return _mean(ious)
 
 
 def point_error(cs, pred: Clustering, pred_models, scene: LabeledScene):
@@ -85,8 +86,7 @@ def point_error(cs, pred: Clustering, pred_models, scene: LabeledScene):
     predicted_target = cs.a.copy()
     for j, model in enumerate(pred_models, start=1):
         members = pred_labels == j
-        if np.any(members):
-            predicted_target[members] = model.apply(cs.a[members])
+        predicted_target[members] = model.apply(cs.a[members])
 
     per_object = []
     errors = np.zeros(len(cs))
@@ -95,12 +95,9 @@ def point_error(cs, pred: Clustering, pred_models, scene: LabeledScene):
         true_target = scene.true_transforms[g - 1].apply(cs.a[members])
         err = np.linalg.norm(predicted_target[members] - true_target, axis=1)
         errors[members] = err
-        per_object.append(float(err.mean()) if err.size else 0.0)
+        per_object.append(_mean(err))
 
-    non_outlier = true_labels > 0
-    per_point_mean = float(errors[non_outlier].mean()) if np.any(non_outlier) else 0.0
-    overall = float(np.mean(per_object)) if per_object else 0.0
-    return overall, tuple(per_object), per_point_mean
+    return _mean(per_object), tuple(per_object), _mean(errors[true_labels > 0])
 
 
 def pose_error(pred: Clustering, pred_models, scene: LabeledScene):
@@ -135,9 +132,8 @@ def pose_error(pred: Clustering, pred_models, scene: LabeledScene):
         rot_errors.append(rot)
         trans_errors.append(trans)
 
-    rot_mean = float(np.mean(rot_errors)) if rot_errors else 0.0
-    trans_mean = float(np.mean(trans_errors)) if trans_errors else 0.0
-    return rot_mean, trans_mean, tuple(ids), tuple(rot_errors), tuple(trans_errors)
+    return (_mean(rot_errors), _mean(trans_errors), tuple(ids), tuple(rot_errors),
+            tuple(trans_errors))
 
 
 def evaluate(cs, pred: Clustering, pred_models, scene: LabeledScene) -> EvalReport:
@@ -149,7 +145,7 @@ def evaluate(cs, pred: Clustering, pred_models, scene: LabeledScene) -> EvalRepo
         point_error=overall_point,
         rotation_error=rot,
         translation_error=trans,
-        mask_iou=float(np.mean(per_iou)) if per_iou else 0.0,
+        mask_iou=_mean(per_iou),
         per_object_point_error=per_object,
         per_point_mean_error=per_point_mean,
         per_cluster_iou=per_iou,

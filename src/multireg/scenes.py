@@ -58,11 +58,12 @@ class SceneSpec:
         if any(p < 1 for p in self.points_per_object):
             raise ValueError("every object needs at least one point")
         # written so that NaN fails every check; the draws span 2 sigma and
-        # 6 bound_b (outliers lie in the ball of radius 3 bound_b)
+        # 6 bound_b (outliers lie in the ball of radius 3 bound_b), and blobs
+        # and the default separation_margin span 2 tau
         if not (math.isfinite(2.0 * self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be nonnegative, with 2*sigma finite")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be finite and positive")
+        if not (math.isfinite(2.0 * self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive, with 2*tau finite")
         if not (math.isfinite(6.0 * self.bound_b) and self.bound_b > 0):
             raise ValueError("bound_b must be positive, with 6*bound_b finite")
         if self.num_outliers < 0:
@@ -213,8 +214,6 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
 
 def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
                     object_points: np.ndarray) -> np.ndarray | None:
-    if spec.num_outliers == 0:
-        return np.empty((0, 3))
     clearance = _OUTLIER_CLEARANCE_FACTOR * spec.tau
     out = np.empty((spec.num_outliers, 3))
     for i in range(spec.num_outliers):
@@ -302,8 +301,9 @@ def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int
     With k fragments per object the dominant one gets roughly a 2*alpha : 1
     share against each of the others, so its size strictly exceeds alpha
     times every sibling. Outliers (if any) are grouped into their own
-    tau-connected clusters. The result satisfies ``check_initial_clustering``
-    at the requested alpha whenever every fragment clears the size floor.
+    tau-connected clusters. So every point has a cluster, and every cluster
+    is tau-connected and lies inside one object or among the outliers: the
+    paper's conditions on an initial clustering at the requested alpha.
     """
     check_split(alpha, fragments_per_object)
     k = int(fragments_per_object)

@@ -1,17 +1,19 @@
 """Shared test helpers: the brute-force connectivity, fragment-growth and
 distance oracles, the per-cluster k-d proximity gate, the row-wise forms of
 the ball sampler and the Horn diagnostics, the norm form of the random walk,
-the small geometry and clustering helpers only tests use, and the result and
-bench CSV readers."""
+the small geometry and clustering helpers only tests use, the check of an
+initial clustering against the EM preconditions, the per-cluster IoU loop,
+and the result and bench CSV readers."""
 
 import csv
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from multireg.clustering import Clustering
+from multireg.clustering import Clustering, is_connected
 from multireg.geometry import RigidTransform, make_rng
 from multireg.horn import SIGMA_FLOOR, horn_register
 
@@ -276,6 +278,88 @@ def almost_equal(s: RigidTransform, t: RigidTransform, tol: float = 1e-12) -> bo
 def compact(clustering: Clustering) -> Clustering:
     """Drop empty cluster ids, renumbering survivors in order."""
     return clustering.keep(clustering.sizes()[1:] > 0)
+
+
+@dataclass(frozen=True)
+class InitialClusteringReport:
+    """Checks an initial partition against the EM convergence preconditions."""
+
+    cluster_sizes: tuple[int, ...]
+    cluster_connected: tuple[bool, ...]
+    cluster_size_ok: tuple[bool, ...]
+    cluster_pure: tuple[bool, ...]
+    object_dominance: tuple[float, ...]
+    object_dominance_ok: tuple[bool, ...]
+    fully_assigned: bool
+    passed: bool
+
+
+def check_initial_clustering(clustering: Clustering, a_points, true_labels, tau: float,
+                             alpha: float, min_size: int) -> InitialClusteringReport:
+    """Verify the three initial-clustering conditions against ground truth.
+
+    Per cluster: tau-connectivity over a-points and size >= ``min_size``.
+    Per ground-truth object: among the clusters intersecting it, the largest
+    must strictly exceed ``alpha`` times every other. Additionally every
+    cluster must sit inside a single object or consist purely of outliers,
+    and every index must be assigned to some cluster.
+    """
+    pts = np.asarray(a_points, dtype=np.float64).reshape(-1, 3)
+    truth = np.asarray(true_labels, dtype=np.int64).reshape(-1)
+    if len(clustering) != pts.shape[0] or truth.shape[0] != pts.shape[0]:
+        raise ValueError("clustering, points and labels must have equal length")
+
+    table = clustering.contingency(truth)
+    sizes = table[1:].sum(axis=1)
+    connected = [is_connected(pts[clustering.members(j)], tau)
+                 for j in range(1, clustering.num_clusters + 1)]
+    size_ok = sizes >= min_size
+    pure = np.count_nonzero(table[1:], axis=1) == 1
+
+    dominance, dominance_ok = [], []
+    for g in range(1, table.shape[1]):
+        hit = np.sort(sizes[table[1:, g] > 0])[::-1]
+        if hit.size == 0:
+            dominance.append(0.0)
+            dominance_ok.append(False)
+        elif hit.size == 1:
+            dominance.append(float("inf"))
+            dominance_ok.append(True)
+        else:
+            dominance.append(float(hit[0] / hit[1]))
+            dominance_ok.append(bool(hit[0] > alpha * hit[1]))
+
+    fully_assigned = bool(np.all(clustering.labels > 0)) if len(clustering) else True
+    passed = (fully_assigned and all(connected) and bool(size_ok.all())
+              and bool(pure.all()) and all(dominance_ok))
+    return InitialClusteringReport(
+        cluster_sizes=tuple(sizes.tolist()),
+        cluster_connected=tuple(connected),
+        cluster_size_ok=tuple(size_ok.tolist()),
+        cluster_pure=tuple(pure.tolist()),
+        object_dominance=tuple(dominance),
+        object_dominance_ok=tuple(dominance_ok),
+        fully_assigned=fully_assigned,
+        passed=passed,
+    )
+
+
+def iou_per_cluster_by_loop(pred: Clustering, truth):
+    """One predicted cluster at a time, with Python ints: the per-cluster
+    form of ``metrics.iou_per_cluster``, its reference."""
+    table = pred.contingency(truth)
+    sizes, true_sizes = table.sum(axis=1), table.sum(axis=0)
+    ids, ious = [], []
+    for j in np.flatnonzero(sizes[1:]) + 1:
+        inter = table[j, 1:]
+        ids.append(int(j))
+        if inter.size == 0 or inter.max() == 0:
+            ious.append(0.0)
+            continue
+        g = int(np.argmax(inter)) + 1
+        overlap = int(inter[g - 1])
+        ious.append(overlap / (int(sizes[j]) + int(true_sizes[g]) - overlap))
+    return tuple(ids), tuple(ious)
 
 
 def read_result(path) -> dict[str, str]:

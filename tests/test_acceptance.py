@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_connected, read_result
+from conftest import brute_force_connected, check_initial_clustering, read_result
 from multireg.baselines import (RansacConfig, sequential_ransac, tanimoto_distance)
 from multireg.bounds import (dominance_margin, dominance_ratio_threshold,
                              hoeffding_bound, min_cluster_size_threshold,
                              rotation_error_bound, run_consistency_bench,
                              run_noise_ratio_bench, translation_error_bound)
-from multireg.clustering import check_initial_clustering, euclidean_cluster, is_connected
+from multireg.clustering import euclidean_cluster, is_connected
 from multireg.em import EMConfig, e_step, fit_models, run_em
 from multireg.geometry import (CorrespondenceSet, geodesic_distance, is_rotation,
                                random_rotation)

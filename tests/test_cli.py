@@ -1,4 +1,6 @@
 import hashlib
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -232,6 +234,19 @@ def _non_ascii_config_to_run(tmp_path, scene_file):
     return ["run", "--config", config]
 
 
+def _non_ascii_labels_out_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--set",
+            f"out_labels={tmp_path / 'café.txt'}"]
+
+
+def _non_ascii_out_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "café.txt"]
+
+
+def _non_ascii_out_to_synth(tmp_path, scene_file):
+    return ["synth", "--out", tmp_path / "café.txt"]
+
+
 def _negative_seed_to_sransac(tmp_path, scene_file):
     return ["run", "--algorithm", "sransac", "--seed", "-1", "--set", f"scene.file={scene_file}"]
 
@@ -341,19 +356,24 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _unknown_key_set_to_run,
     _unknown_key_in_config_to_run,
     _non_ascii_config_to_run,
+    _non_ascii_labels_out_to_run,
+    _non_ascii_out_to_run,
+    _non_ascii_out_to_synth,
     _negative_seed_to_sransac,
 ])
 def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     argv = bad_input(tmp_path, scene_file)
+    files = set(tmp_path.iterdir())
     out = tmp_path / "r.txt"
     if argv[0] == "run":
-        argv += ["--out", str(out)]
+        argv[1:1] = ["--out", str(out)]  # a later --out of the row wins
     code = run_cli(*(str(arg) for arg in argv))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+    assert set(tmp_path.iterdir()) == files
 
 
 def test_sransac_builds_no_initial_clustering(tmp_path, scene_file, monkeypatch):
@@ -512,7 +532,8 @@ def test_bench_matches_recorded_bytes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("setting", ["bench.noise_ratio_m=10", "bench.noise_ratio_trials=0",
                                      "bench.noise_ratio_delta=1.5", "bench.m_values=100,2",
                                      "bench.trials=0", "bench.delta=0", "bench.bound_b=0",
-                                     "bench.sigma=nan", "bench.sigma=inf", "bench.bound_b=inf"])
+                                     "bench.sigma=nan", "bench.sigma=inf", "bench.bound_b=inf",
+                                     "bench.bound_b=1e200"])
 def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatch, setting):
     def refuse(*args, **kwargs):
         raise AssertionError("a bench ran before every setting was checked")
@@ -525,6 +546,31 @@ def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatc
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_bound_b_may_reach_the_limit_of_the_horn_sums(tmp_path, capsys):
+    # the largest m, 100, sets the limit: 4 m B (2B + sigma) is about 8 m B^2
+    # there. Just inside it the bench runs with no overflow warning (which
+    # pytest turns into an error); just outside it exits 2 before sampling.
+    limit = math.sqrt(sys.float_info.max / (8 * 100))
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--out", str(out), "--set", "bench.m_values=10,100",
+            "--set", "bench.trials=3", "--set", "bench.sigma=0.1"]
+    assert run_cli(*argv, "--set", f"bench.bound_b={limit * (1 + 1e-6)!r}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench.bound_b = ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*argv, "--set", f"bench.bound_b={limit * (1 - 1e-6)!r}") == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
+
+def test_synth_huge_tau_names_tau(tmp_path, capsys):
+    # 2 tau, the default separation_margin, overflows: the error is about tau
+    out = tmp_path / "scene.txt"
+    assert run_cli("synth", "--out", str(out), "--set", "scene.tau=1e308") == 2
+    err = capsys.readouterr().err
+    assert "tau" in err and "separation_margin" not in err
+    assert not out.exists()
 
 
 def test_bench_noise_ratio_suite(tmp_path):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force_components, brute_force_connected,
-                      brute_force_fragments, compact, distance_to_cluster)
+                      brute_force_fragments, check_initial_clustering, compact,
+                      distance_to_cluster)
 from multireg import clustering
-from multireg.clustering import (_BATCH, Clustering, _CliqueGrid, check_initial_clustering,
-                                 connected_components, euclidean_cluster,
-                                 fragment_connected_set, is_connected)
+from multireg.clustering import (_BATCH, Clustering, _CliqueGrid, connected_components,
+                                 euclidean_cluster, fragment_connected_set, is_connected)
 from multireg.geometry import CorrespondenceSet
 from multireg.scenes import SceneSpec, generate_scene
 

@@ -185,7 +185,7 @@ def test_grid_gate_matches_kd_tree_gate_on_fragmented_scenes(seed):
     cs, pruned = _fragmented_scene(seed)
     a, k = cs.a, pruned.num_clusters
     for tau in (TAU, 0.17):
-        np.testing.assert_array_equal(_CliqueGrid(a, tau).near(pruned.labels, k),
+        np.testing.assert_array_equal(_gate(a, pruned.labels, k, tau),
                                       kd_tree_gate(a, pruned.labels, k, tau))
 
 
@@ -193,14 +193,14 @@ def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
     # 130 clusters: the hood union spans three 64-bit words per cell
     a = rng.uniform(0.0, 2.0, (3000, 3))
     labels = rng.integers(0, 131, 3000)
-    np.testing.assert_array_equal(_CliqueGrid(a, TAU).near(labels, 130),
-                                  kd_tree_gate(a, labels, 130, TAU))
+    np.testing.assert_array_equal(_gate(a, labels, 130, TAU), kd_tree_gate(a, labels, 130, TAU))
 
 
-def _full_gate_assignment(cs, clustering, models, grid):
-    """The argmax over every gated log-score, every pair gated exactly; a row
-    with no gated cluster keeps its label. The oracle for ``assign``."""
-    gated = grid.near(clustering.labels, clustering.num_clusters)
+def _full_gate_assignment(cs, clustering, models, tau):
+    """The argmax over every gated log-score, every pair gated exactly (by
+    ``e_step``); a row with no gated cluster keeps its label. The oracle for
+    ``assign``."""
+    gated = _gate(cs.a, clustering.labels, clustering.num_clusters, tau)
     best = np.argmax(np.where(gated, _log_scores(cs, models), -np.inf), axis=1)
     return np.where(gated.any(axis=1), best + 1, clustering.labels)
 
@@ -215,7 +215,7 @@ def test_assign_matches_full_gate_argmax_on_fragmented_scenes(seed, tau):
         clustering = prune_small(clustering, cfg)
         models = fit_models(cs, clustering, cfg)
         updated = assign(cs, clustering, models, grid)
-        expected = _full_gate_assignment(cs, clustering, models, grid)
+        expected = _full_gate_assignment(cs, clustering, models, tau)
         np.testing.assert_array_equal(updated.labels, expected)
         assert updated.num_clusters == clustering.num_clusters
         assert np.any(updated.labels != clustering.labels)
@@ -240,7 +240,7 @@ def test_assign_breaks_an_exact_tie_toward_the_lower_id():
     updated = assign(cs, clustering, [model, model], grid)
     np.testing.assert_array_equal(updated.labels, [1, 1, 1, 1, 1, 1, 1])
     np.testing.assert_array_equal(updated.labels,
-                                  _full_gate_assignment(cs, clustering, [model, model], grid))
+                                  _full_gate_assignment(cs, clustering, [model, model], tau))
 
 
 def test_assign_is_immune_to_the_underflow_of_normalised_weights():

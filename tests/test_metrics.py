@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rotation_about_axis
+from conftest import iou_per_cluster_by_loop, rotation_about_axis
 from multireg.clustering import Clustering
 from multireg.geometry import RigidTransform
 from multireg.metrics import evaluate, iou_per_cluster, mask_iou, point_error, pose_error
@@ -37,6 +37,25 @@ def test_mask_iou_ties_and_empty():
     ids, ious = iou_per_cluster(pred, truth)
     assert ids == (1,)
     assert ious[0] == pytest.approx(1.0 / 2.0)  # matched object 1: 1 common / 2 union
+
+
+@pytest.mark.parametrize("num_objects", [0, 1, 4])
+def test_iou_per_cluster_matches_per_cluster_loop(rng, num_objects):
+    # random labels with empty ids, ties and clusters of outliers only
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        pred = Clustering(rng.integers(0, 8, n), num_clusters=9)
+        truth = rng.integers(0, num_objects + 1, n)
+        ids, ious = iou_per_cluster(pred, truth)
+        assert (ids, ious) == iou_per_cluster_by_loop(pred, truth)
+        assert all(type(i) is int for i in ids) and all(type(v) is float for v in ious)
+
+
+def test_iou_per_cluster_without_true_objects():
+    # every true label is 0 (M = 0): each nonempty cluster scores 0.0
+    pred = Clustering([2, 2, 0, 4, 2], num_clusters=4)
+    assert iou_per_cluster(pred, np.zeros(5, dtype=int)) == ((2, 4), (0.0, 0.0))
+    assert mask_iou(pred, np.zeros(5, dtype=int)) == 0.0
 
 
 def test_mask_iou_outlier_only_cluster_scores_zero():

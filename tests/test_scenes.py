@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from conftest import random_walk_blob_by_norm
+from conftest import check_initial_clustering, random_walk_blob_by_norm
 from multireg import scenes
-from multireg.clustering import check_initial_clustering
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
 from multireg.horn import horn_register
 from multireg.io import scene_to_text
