@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering
-from .geometry import CorrespondenceSet, make_rng
+from .geometry import CorrespondenceSet, make_rng, move, row_norms
 from .horn import horn_stack
 
 # Minimal samples fitted per stack; memory does not grow with the trial count.
@@ -81,8 +81,7 @@ def ransac_single(cs: CorrespondenceSet, active_indices, cfg: RansacConfig,
     best_count = -1
     best_mask = None
     for rotation, translation in _minimal_fits(cs, draw, cfg.max_trials):
-        residual = b_act - (a_act @ rotation.T + translation)
-        mask = np.linalg.norm(residual, axis=1) <= cfg.inlier_threshold
+        mask = row_norms(b_act - move(a_act, rotation, translation)) <= cfg.inlier_threshold
         count = int(mask.sum())
         if count > best_count:
             best_count = count
@@ -115,7 +114,7 @@ def sequential_ransac(cs: CorrespondenceSet, cfg: RansacConfig) -> Clustering:
 def _preference_matrix(cs: CorrespondenceSet, hypotheses, cfg: TLinkageConfig) -> np.ndarray:
     prefs = np.empty((len(cs), len(hypotheses)))
     for h, (rotation, translation) in enumerate(hypotheses):
-        residual = np.linalg.norm(cs.b - (cs.a @ rotation.T + translation), axis=1)
+        residual = row_norms(cs.b - move(cs.a, rotation, translation))
         prefs[:, h] = np.where(residual <= 5.0 * cfg.tau, np.exp(-residual / cfg.tau_t), 0.0)
     return prefs
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CorrespondenceSet, random_point_in_ball, random_rotation
+from .geometry import CorrespondenceSet, move, random_point_in_ball, random_rotation
 from .horn import estimate_noise_std, horn_register
 
 MIN_CLUSTER_SIZE_VARIANTS = ("a", "b")
@@ -179,13 +179,15 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
     """The m values as ints, once every setting ``run_consistency_bench``
     takes is valid; raises ValueError otherwise, before anything is drawn."""
     m_values = [int(m) for m in m_values]
+    if not m_values or min(m_values) < 3:
+        raise ValueError("bench.m_values must list at least one m, each at least 3")
     for m in m_values:
-        if m < 3:
-            raise ValueError("every m must be at least 3")
         _check_common(m, sigma, bound_b, delta)
-    # the noise and ball draws span 2 sigma and 2 bound_b
-    if not (math.isfinite(2.0 * sigma) and math.isfinite(2.0 * bound_b)):
-        raise ValueError("2*sigma and 2*bound_b must be finite")
+    # the draws span 2 bound_b and 2 sigma; translation_error_bound squares sigma
+    if not math.isfinite(2.0 * bound_b):
+        raise ValueError("2*bound_b must be finite")
+    if not math.isfinite(sigma * sigma):
+        raise ValueError(f"bench.sigma = {sigma!r} overflows sigma * sigma")
     if trials < 1:
         raise ValueError("trials must be positive")
     return m_values
@@ -215,7 +217,7 @@ def run_consistency_bench(m_values, sigma, bound_b, delta, trials, seed):
             translation = random_point_in_ball(rng, bound_b)
             a = random_point_in_ball(rng, bound_b, m)
             noise = rng.uniform(-sigma, sigma, size=(m, 3))
-            b = a @ rotation.T + translation + noise
+            b = move(a, rotation, translation) + noise
             est = horn_register(CorrespondenceSet(a, b))
             rot_err_sq = float(np.sum((est.transform.rotation - rotation) ** 2))
             trans_err_sq = float(np.sum((est.transform.translation - translation) ** 2))
@@ -256,9 +258,9 @@ def check_noise_ratio_bench(m_values, delta, trials) -> list[int]:
     takes is valid; raises ValueError otherwise, before anything is drawn."""
     m_values = [int(m) for m in m_values]
     floor = noise_ratio_sample_floor(delta)
-    for m in m_values:
-        if m < floor:
-            raise ValueError(f"m={m} is below the interval's validity floor {floor:.0f}")
+    if not m_values or min(m_values) < floor:
+        raise ValueError("bench.noise_ratio_m must list at least one m, each at least "
+                         f"the interval's validity floor {floor:.0f}")
     if trials < 1:
         raise ValueError("trials must be positive")
     return m_values

@@ -6,8 +6,8 @@ query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Each pair of neighbouring occupied cells is listed once, by forward offset:
 components come from union-find over that list, testing a pair of cells only
-while they are still apart, and the EM proximity gate reads cluster occupancy
-across each pair both ways.
+while they are still apart (their first points, then all of them), and the
+EM proximity gate reads cluster occupancy across each pair both ways.
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -274,13 +274,18 @@ def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
         return c
 
     # Union-find over pairs of neighbouring cells, one offset at a time; a pair
-    # is tested only while its two cells are still in different sets.
+    # is tested only while its two cells are still in different sets: most join
+    # on their first points (touch's own test, in one pass), the rest on touch.
+    witness = grid.sorted_points[grid.starts[:-1]]
     for c, d in grid.pairs:
         _flatten(parent)
         apart = parent[c] != parent[d]
-        for ci, di in zip(c[apart].tolist(), d[apart].tolist()):
+        c, d = c[apart], d[apart]
+        diff = witness[d] - witness[c]
+        near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
+        for ci, di, joined in zip(c.tolist(), d.tolist(), near.tolist()):
             rc, rd = find(ci), find(di)
-            if rc != rd and grid.touch(ci, di):
+            if rc != rd and (joined or grid.touch(ci, di)):
                 parent[max(rc, rd)] = min(rc, rd)
     _flatten(parent)
     _, first, inverse = np.unique(parent[grid.cell_of], return_index=True,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering
-from .geometry import geodesic_distance
+from .geometry import geodesic_distance, row_norms
 from .scenes import LabeledScene
 
 
@@ -93,7 +93,7 @@ def point_error(cs, pred: Clustering, pred_models, scene: LabeledScene):
     for g in range(1, scene.num_objects + 1):
         members = true_labels == g
         true_target = scene.true_transforms[g - 1].apply(cs.a[members])
-        err = np.linalg.norm(predicted_target[members] - true_target, axis=1)
+        err = row_norms(predicted_target[members] - true_target)
         errors[members] = err
         per_object.append(_mean(err))
 

@@ -19,7 +19,8 @@ from scipy.spatial import cKDTree
 
 from .clustering import (Clustering, connected_components, fragment_connected_set,
                          is_connected)
-from .geometry import CorrespondenceSet, RigidTransform, make_rng, random_point_in_ball, random_rotation
+from .geometry import (CorrespondenceSet, RigidTransform, make_rng, random_point_in_ball,
+                       random_rotation, row_norms)
 
 # Objects are confined to balls of this radius (in units of tau) around their
 # centers, which keeps the separation bookkeeping simple.
@@ -219,7 +220,7 @@ def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
     for i in range(spec.num_outliers):
         for _ in range(500):
             cand = random_point_in_ball(rng, spec.bound_b)
-            if np.min(np.linalg.norm(object_points - cand, axis=1)) >= clearance:
+            if row_norms(object_points - cand).min() >= clearance:
                 out[i] = cand
                 break
         else:
@@ -262,7 +263,7 @@ def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
                 min_gap = min(min_gap, _min_distance(object_sets[i], object_sets[j]))
     separation_ok = min_gap > spec.tau
 
-    max_norm = float(np.linalg.norm(a, axis=1).max()) if len(a) else 0.0
+    max_norm = float(row_norms(a).max()) if len(a) else 0.0
     point_bound_ok = max_norm <= spec.bound_b + atol
 
     outlier_idx = scene.outlier_indices()

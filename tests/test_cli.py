@@ -533,7 +533,8 @@ def test_bench_matches_recorded_bytes(tmp_path, monkeypatch):
                                      "bench.noise_ratio_delta=1.5", "bench.m_values=100,2",
                                      "bench.trials=0", "bench.delta=0", "bench.bound_b=0",
                                      "bench.sigma=nan", "bench.sigma=inf", "bench.bound_b=inf",
-                                     "bench.bound_b=1e200"])
+                                     "bench.bound_b=1e200", "bench.sigma=1e160",
+                                     "bench.m_values=,", "bench.noise_ratio_m=,"])
 def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatch, setting):
     def refuse(*args, **kwargs):
         raise AssertionError("a bench ran before every setting was checked")

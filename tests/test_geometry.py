@@ -3,7 +3,8 @@ import pytest
 
 from conftest import almost_equal, ball_sample_by_row_sums, compose, rotation_about_axis
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
-                               is_rotation, random_point_in_ball, random_rotation)
+                               is_rotation, move, random_point_in_ball, random_rotation,
+                               row_norms)
 
 
 def test_apply_identity():
@@ -23,6 +24,26 @@ def test_apply_hand_computed_with_translation():
     np.testing.assert_allclose(result, [1.0, 0.0, 1.0], atol=1e-15)
     # cross-check by inverse round trip
     np.testing.assert_allclose(t.inverse().apply(result), [0.0, 1.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5000])
+def test_column_forms_have_the_bits_of_the_row_forms(n):
+    # every coordinate has its own magnitude, so the three terms of a row's
+    # sum round differently
+    rng = np.random.default_rng(n)
+    pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
+    rotation = random_rotation(rng)
+    translation = rng.standard_normal(3) * 10.0 ** rng.integers(-8, 9, size=3)
+    transform = RigidTransform(rotation, translation)
+    norms = row_norms(pts)
+    assert norms.shape == (n,) and norms.tobytes() == np.linalg.norm(pts, axis=1).tobytes()
+    want = pts @ rotation.T + translation
+    for got in (move(pts, rotation, translation), transform.apply(pts)):
+        assert got.shape == (n, 3) and got.tobytes() == want.tobytes()
+    single = rng.standard_normal(3) * 1e4
+    got = transform.apply(single)
+    assert got.shape == (3,) and got.tobytes() == (single @ rotation.T + translation).tobytes()
+    assert transform.apply(single.tolist()).tobytes() == got.tobytes()
 
 
 def test_compose_identity_and_inverse():
