@@ -128,36 +128,37 @@ def test_connected_components_exact_tau_and_coincident_points_connect():
     assert connected_components(np.empty((0, 3)), 0.1)[1] == 0
 
 
-def _components_and_touches(monkeypatch, pts, tau):
-    """connected_components, checked against the brute-force oracle, and the
-    number of full cell-pair tests it made."""
+def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
     calls = []
     touch = _CliqueGrid.touch
     monkeypatch.setattr(_CliqueGrid, "touch", lambda grid, c, d: calls.append((c, d))
                         or touch(grid, c, d))
-    comp, count = connected_components(pts, tau)
-    expected, expected_count = brute_force_components(pts, tau)
-    assert count == expected_count
-    np.testing.assert_array_equal(comp, expected)
-    return count, len(calls)
 
+    def components_and_touches(pts, tau):
+        # connected_components against the brute-force oracle, and the number
+        # of full cell-pair tests it made
+        calls.clear()
+        comp, count = connected_components(pts, tau)
+        expected, expected_count = brute_force_components(pts, tau)
+        assert count == expected_count
+        np.testing.assert_array_equal(comp, expected)
+        return count, len(calls)
 
-def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
     # tau = 1: cells of side 0.5, and (0, 0, 0) and (1, 0, 0) two cells apart
     # on x. A cell's first point is its lowest index.
     firsts = [(0.01, 0.25, 0.25), (1.49, 0.25, 0.25)]
     # first points 1.48 apart, later points 0.52 apart: the full test joins them
     pts = np.array(firsts + [(0.49, 0.25, 0.25), (1.01, 0.25, 0.25)])
-    assert _components_and_touches(monkeypatch, pts, 1.0) == (1, 1)
+    assert components_and_touches(pts, 1.0) == (1, 1)
     # first points exactly tau apart (0.25 is exact): the witness joins them
     pts = np.array([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.1, 0.1, 0.1)])
-    assert _components_and_touches(monkeypatch, pts, 0.5) == (1, 0)
-    # a hair beyond tau: the pair falls through to the full test, which
-    # finds no contact, and then finds one through a later point
+    assert components_and_touches(pts, 0.5) == (1, 0)
+    # a hair beyond tau: the pair falls through to the full test, which finds
+    # no contact, and with one more point in the first cell finds one
     pts = np.array([(0.0, 0.0, 0.0), (0.5 * (1 + 1e-12), 0.0, 0.0)])
-    assert _components_and_touches(monkeypatch, pts, 0.5) == (2, 1)
+    assert components_and_touches(pts, 0.5) == (2, 1)
     pts = np.vstack([pts, [(0.5 * (1 + 1e-12) - 0.5, 0.0, 0.0)]])
-    assert _components_and_touches(monkeypatch, pts, 0.5) == (1, 1)
+    assert components_and_touches(pts, 0.5) == (1, 1)
 
 
 def test_connected_components_two_dense_cells_stay_small():
