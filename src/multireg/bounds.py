@@ -29,7 +29,7 @@ MIN_CLUSTER_SIZE_VARIANTS = ("a", "b")
 def _check_common(m, sigma, bound_b, delta):
     if m < 1:
         raise ValueError("m must be positive")
-    if not sigma >= 0:  # NaN fails
+    if not (sigma >= 0 and math.copysign(1.0, sigma) > 0):  # NaN and -0.0 fail
         raise ValueError("sigma must be nonnegative")
     if not bound_b > 0:
         raise ValueError("bound_b must be positive")
@@ -183,7 +183,10 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
         raise ValueError("bench.m_values must list at least one m, each at least 3")
     for m in m_values:
         _check_common(m, sigma, bound_b, delta)
-    # the draws span 2 bound_b and 2 sigma; translation_error_bound squares sigma
+    # the draws span 2 bound_b and 2 sigma; translation_error_bound squares
+    # sigma and takes log(18/delta)
+    if not math.isfinite(18.0 / delta):
+        raise ValueError(f"bench.delta = {delta!r} overflows 18/delta")
     if not math.isfinite(2.0 * bound_b):
         raise ValueError("2*bound_b must be finite")
     if not math.isfinite(sigma * sigma):
@@ -258,6 +261,8 @@ def check_noise_ratio_bench(m_values, delta, trials) -> list[int]:
     takes is valid; raises ValueError otherwise, before anything is drawn."""
     m_values = [int(m) for m in m_values]
     floor = noise_ratio_sample_floor(delta)
+    if not math.isfinite(2.0 / delta):
+        raise ValueError(f"bench.noise_ratio_delta = {delta!r} overflows 2/delta")
     if not m_values or min(m_values) < floor:
         raise ValueError("bench.noise_ratio_m must list at least one m, each at least "
                          f"the interval's validity floor {floor:.0f}")

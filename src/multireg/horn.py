@@ -65,7 +65,9 @@ def center(points) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[-2] == 0:
         raise ValueError("empty point set")
-    mean = pts.mean(axis=-2)
+    # the running sum adds in point order, as mean(axis=-2) does, so the bits
+    # are the same; mean's inner loop runs over each 3-wide row and is slower
+    mean = pts.cumsum(axis=-2)[..., -1, :] / pts.shape[-2]
     return pts - mean[..., None, :], mean
 
 

@@ -58,10 +58,11 @@ class SceneSpec:
             raise ValueError("points_per_object length must equal num_objects")
         if any(p < 1 for p in self.points_per_object):
             raise ValueError("every object needs at least one point")
-        # written so that NaN fails every check; the draws span 2 sigma and
-        # 6 bound_b (outliers lie in the ball of radius 3 bound_b), and blobs
-        # and the default separation_margin span 2 tau
-        if not (math.isfinite(2.0 * self.sigma) and self.sigma >= 0):
+        # written so that NaN fails every check, and a sigma of -0.0 too (the
+        # noise draw needs -sigma <= sigma bit for bit); the draws span 2 sigma
+        # and 6 bound_b (outliers lie in the ball of radius 3 bound_b), and
+        # blobs and the default separation_margin span 2 tau
+        if not (math.isfinite(2.0 * self.sigma) and math.copysign(1.0, self.sigma) > 0):
             raise ValueError("sigma must be nonnegative, with 2*sigma finite")
         if not (math.isfinite(2.0 * self.tau) and self.tau > 0):
             raise ValueError("tau must be positive, with 2*tau finite")
@@ -129,24 +130,39 @@ class SceneReport:
 
 def _random_walk_blob(rng: np.random.Generator, center: np.ndarray, count: int,
                       tau: float, radius: float) -> np.ndarray:
-    pts = np.empty((count, 3))
-    x = center.copy()
-    pts[0] = x
-    # sqrt(v.dot(v)) is how np.linalg.norm computes a real vector's norm, so
-    # the lengths match it bit for bit without its per-call dispatch
-    for k in range(1, count):
-        direction = rng.standard_normal(3)
-        norm = math.sqrt(direction.dot(direction))
-        while norm < 1e-12:
-            direction = rng.standard_normal(3)
-            norm = math.sqrt(direction.dot(direction))
-        x = x + direction / norm * rng.uniform(0.0, tau / 2.0)
-        off = x - center
-        dist = math.sqrt(off.dot(off))
-        if dist > radius:
-            x = center + off * (radius / dist)
-        pts[k] = x
-    return pts
+    # Every length is sqrt(v.dot(v)), the bits of np.linalg.norm(v). The draws
+    # come first, in the order of one step at a time (half * random() is the
+    # bits and the stream word of uniform(0, half)); a stacked (1, 3) @ (3, 1)
+    # matmul is v.dot(v) per row; the walk then moves on floats, and a float
+    # sum of squares only screens which steps need dot's bits.
+    half, directions, scales = tau / 2.0, np.empty((count - 1, 3)), []
+    for k in range(count - 1):
+        d = rng.standard_normal(3)
+        a, b, c = d.tolist()
+        while a * a + b * b + c * c < 4e-24 and math.sqrt(d.dot(d)) < 1e-12:
+            d = rng.standard_normal(3)
+            a, b, c = d.tolist()
+        directions[k] = d
+        scales.append(half * rng.random())
+    norms = np.sqrt(np.matmul(directions[:, None, :], directions[:, :, None])).ravel()
+    # the screen's 1e-9 margin covers its rounding only for a normal radius^2;
+    # otherwise every step takes dot's path
+    limit = radius * radius * (1.0 - 1e-9)
+    if not 1e-290 < limit < 1e290:
+        limit = 0.0
+    cx, cy, cz = x, y, z = center.tolist()
+    pts = [x, y, z]
+    for (dx, dy, dz), n, s in zip(directions.tolist(), norms.tolist(), scales):
+        x, y, z = x + dx / n * s, y + dy / n * s, z + dz / n * s
+        ox, oy, oz = x - cx, y - cy, z - cz
+        if ox * ox + oy * oy + oz * oz >= limit:
+            off = np.array((ox, oy, oz))
+            dist = math.sqrt(off.dot(off))
+            if dist > radius:
+                f = radius / dist
+                x, y, z = cx + ox * f, cy + oy * f, cz + oz * f
+        pts += (x, y, z)
+    return np.array(pts).reshape(count, 3)
 
 
 def _place_centers(rng: np.random.Generator, count: int, avail_radius: float,
@@ -216,11 +232,18 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
 def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
                     object_points: np.ndarray) -> np.ndarray | None:
     clearance = _OUTLIER_CLEARANCE_FACTOR * spec.tau
+    # row_norms(object_points - cand).min() down kept columns, summed in its
+    # order; sqrt is monotone, so one sqrt of the minimum gives the same bits
+    columns = object_points.T.copy()
+    diff = np.empty_like(columns)
     out = np.empty((spec.num_outliers, 3))
     for i in range(spec.num_outliers):
         for _ in range(500):
             cand = random_point_in_ball(rng, spec.bound_b)
-            if row_norms(object_points - cand).min() >= clearance:
+            np.subtract(columns, cand[:, None], out=diff)
+            diff *= diff
+            x, y, z = diff
+            if math.sqrt((x + y + z).min()) >= clearance:
                 out[i] = cand
                 break
         else:

@@ -204,6 +204,11 @@ def _synth_sigma_inf(tmp_path, scene_file):
     return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=inf"]
 
 
+def _synth_sigma_negative_zero(tmp_path, scene_file):
+    # the noise draw on [-sigma, sigma] would have high < low bit for bit
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=-0.0"]
+
+
 def _synth_tau_nan(tmp_path, scene_file):
     return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.tau=nan"]
 
@@ -347,6 +352,7 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _unknown_init_kind_to_sransac,
     _synth_sigma_nan,
     _synth_sigma_inf,
+    _synth_sigma_negative_zero,
     _synth_tau_nan,
     _tau_nan_header_to_run,
     _sigma_nan_header_to_run,
@@ -534,7 +540,9 @@ def test_bench_matches_recorded_bytes(tmp_path, monkeypatch):
                                      "bench.trials=0", "bench.delta=0", "bench.bound_b=0",
                                      "bench.sigma=nan", "bench.sigma=inf", "bench.bound_b=inf",
                                      "bench.bound_b=1e200", "bench.sigma=1e160",
-                                     "bench.m_values=,", "bench.noise_ratio_m=,"])
+                                     "bench.m_values=,", "bench.noise_ratio_m=,",
+                                     "bench.sigma=-0.0", "bench.delta=1e-320",
+                                     "bench.noise_ratio_delta=1e-320"])
 def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatch, setting):
     def refuse(*args, **kwargs):
         raise AssertionError("a bench ran before every setting was checked")
@@ -563,6 +571,18 @@ def test_bench_bound_b_may_reach_the_limit_of_the_horn_sums(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert run_cli(*argv, "--set", f"bench.bound_b={limit * (1 - 1e-6)!r}") == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("key, overflow", [("bench.delta", "18/delta"),
+                                           ("bench.noise_ratio_delta", "2/delta")])
+def test_bench_delta_overflow_names_its_key(tmp_path, capsys, key, overflow):
+    # 1e-320 lies in (0, 1), but the bounds take log(18/delta) and the
+    # interval log(2/delta): an infinite bound would check nothing
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--out", str(out), "--set", "bench.suite=both",
+                   "--set", f"{key}=1e-320") == 2
+    assert capsys.readouterr().err == f"error: {key} = 1e-320 overflows {overflow}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_huge_tau_names_tau(tmp_path, capsys):

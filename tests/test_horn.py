@@ -29,6 +29,25 @@ def test_center_empty_errors():
         center(np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (3, 3), (9, 3), (100, 3), (10_000, 3), (1024, 3, 3)])
+def test_center_has_the_bits_of_the_mean(shape):
+    rng = np.random.default_rng(shape[0])
+    pts = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    mean = pts.mean(axis=-2)
+    centered, got = center(pts)
+    assert got.shape == mean.shape and got.tobytes() == mean.tobytes()
+    assert centered.tobytes() == (pts - mean[..., None, :]).tobytes()
+
+
+def test_center_of_a_stack_is_each_set_centred_alone():
+    pts = np.random.default_rng(5).uniform(-3, 3, (6, 40, 3))
+    centered, mean = center(pts)
+    for t in range(len(pts)):
+        alone_centered, alone_mean = center(pts[t])
+        assert centered[t].tobytes() == alone_centered.tobytes()
+        assert mean[t].tobytes() == alone_mean.tobytes()
+
+
 def test_center_mean_residual(rng):
     pts = rng.uniform(-5, 5, (1000, 3))
     centered, _ = center(pts)

@@ -7,7 +7,8 @@ from scipy.spatial.distance import cdist
 
 from conftest import check_initial_clustering, random_walk_blob_by_norm
 from multireg import scenes
-from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
+from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
+                               random_point_in_ball, row_norms)
 from multireg.horn import horn_register
 from multireg.io import scene_to_text
 from multireg.scenes import (InfeasibleSceneError, LabeledScene, SceneSpec, SplitSizeError,
@@ -139,14 +140,121 @@ def test_spec_rejects_nan_and_inf(field, value):
         _spec(**{field: value})
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_random_walk_matches_norm_form(seed):
+class _Preset:
+    """A generator whose first draws are preset: ``normals`` for
+    ``standard_normal``, ``units`` for the unit draw of ``random`` and of a
+    scalar ``uniform``."""
+
+    def __init__(self, seed, normals=(), units=()):
+        self._rng = np.random.default_rng(seed)
+        self._normals = [np.array(v, dtype=float) for v in normals]
+        self._units = list(units)
+
+    def standard_normal(self, size):
+        return self._normals.pop(0) if self._normals else self._rng.standard_normal(size)
+
+    def random(self):
+        return self._units.pop(0) if self._units else self._rng.random()
+
+    def uniform(self, low, high):
+        return low + (high - low) * self._units.pop(0) if self._units else self._rng.uniform(low, high)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("seed, count, tau, radii, scale, preset", [
     # radius 0.5 clamps often, radius 10 never: both branches keep the bytes
-    for radius in (0.5, 10.0):
-        center = np.random.default_rng(seed).uniform(-2, 2, 3)
-        walk = scenes._random_walk_blob(np.random.default_rng(seed), center, 2000, 0.3, radius)
-        oracle = random_walk_blob_by_norm(np.random.default_rng(seed), center, 2000, 0.3, radius)
-        assert walk.tobytes() == oracle.tobytes()
+    *(pytest.param(seed, 2000, 0.3, (0.5, 10.0), 1.0, (), id=str(seed)) for seed in range(4)),
+    pytest.param(4, 1, 0.3, (0.5,), 1.0, (), id="one-point"),
+    # radius^2 is 0, subnormal or huge (finite or not): every step takes
+    # dot's path; the walks near 1e-160 and 1e153 clamp
+    pytest.param(5, 500, 1e-170, (2e-170,), 1e-170, (), id="radius-squared-underflows"),
+    pytest.param(6, 500, 1e-160, (2e-160,), 1e-160, (), id="radius-squared-subnormal"),
+    pytest.param(7, 500, 1e152, (1e153, 1.5e154), 1e152, (), id="radius-squared-overflows"),
+    # a zero and a 1e-13 direction are drawn again; 1.5e-12 passes the screen
+    # and is kept
+    pytest.param(8, 300, 0.3, (0.5,), 1.0, ((0, 0, 0), (1e-13, 0, 0), (1.5e-12, 0, 0)),
+                 id="short-first-normals"),
+])
+def test_random_walk_matches_norm_form(seed, count, tau, radii, scale, preset):
+    for radius in radii:
+        center = np.random.default_rng(seed).uniform(-2, 2, 3) * scale
+        rng, oracle_rng = _Preset(seed, preset), _Preset(seed, preset)
+        walk = scenes._random_walk_blob(rng, center, count, tau, radius)
+        oracle = random_walk_blob_by_norm(oracle_rng, center, count, tau, radius)
+        assert walk.shape == (count, 3) and walk.tobytes() == oracle.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("unit", [0.25, np.nextafter(0.25, 1), np.nextafter(0.25, 0)])
+def test_random_walk_clamps_from_one_ulp_past_the_sphere(unit):
+    # steps of tau/2 = 1 along x: the first lands on the sphere of radius
+    # 0.25, one ulp outside it or one ulp inside, the second past it
+    for center in (np.zeros(3), np.array([0.3, -1.7, 2.9])):
+        draws = dict(normals=[(1, 0, 0)] * 2, units=[unit] * 2)
+        rng, oracle_rng = _Preset(0, **draws), _Preset(0, **draws)
+        walk = scenes._random_walk_blob(rng, center, 3, 2.0, 0.25)
+        assert walk.tobytes() == random_walk_blob_by_norm(oracle_rng, center, 3, 2.0, 0.25).tobytes()
+
+
+def test_stacked_matmul_lengths_are_the_per_row_dot():
+    # the walk's direction lengths: one stacked matmul for v.dot(v) per row
+    rng = np.random.default_rng(3)
+    d = rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-150, 150, (20000, 3))
+    stacked = np.matmul(d[:, None, :], d[:, :, None]).ravel()
+    assert stacked.tobytes() == np.array([v.dot(v) for v in d]).tobytes()
+
+
+def _place_outliers_by_row_norms(rng, spec, object_points):
+    """``scenes._place_outliers`` with each clearance taken as
+    ``row_norms(object_points - cand).min()``."""
+    clearance = scenes._OUTLIER_CLEARANCE_FACTOR * spec.tau
+    out = np.empty((spec.num_outliers, 3))
+    for i in range(spec.num_outliers):
+        for _ in range(500):
+            cand = random_point_in_ball(rng, spec.bound_b)
+            if row_norms(object_points - cand).min() >= clearance:
+                out[i] = cand
+                break
+        else:
+            return None
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_outlier_clearance_matches_row_norms_form(seed):
+    # a small ball around the blob rejects many candidates
+    spec = _spec(num_objects=1, points_per_object=(400,), num_outliers=40, bound_b=1.5)
+    blob = scenes._random_walk_blob(np.random.default_rng(seed), np.zeros(3), 400, 0.3, 0.6)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = scenes._place_outliers(rng, spec, blob)
+    want = _place_outliers_by_row_norms(oracle_rng, spec, blob)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_outlier_clearance_takes_the_exact_bound():
+    # one object point at the origin, and every candidate the same point p:
+    # a clearance 1.5 tau of exactly row_norms' distance passes, and the next
+    # tau fails every try. For the last p, row_norms' sum (x^2 + y^2) + z^2
+    # is one ulp above x^2 + (y^2 + z^2).
+    class Fixed:
+        def __init__(self, p):
+            self.p = p
+
+        def uniform(self, low, high, size):
+            return np.tile(self.p, (size[0], 1))
+
+    for p in ((1.5, 0, 0), (0, 0, 3.0), (0.938, 1.392, 1.114)):
+        dist = row_norms(np.array([p]))[0]
+        tau = dist / scenes._OUTLIER_CLEARANCE_FACTOR
+        assert tau * scenes._OUTLIER_CLEARANCE_FACTOR == dist
+        assert np.nextafter(tau, 3) * scenes._OUTLIER_CLEARANCE_FACTOR > dist
+        for tau, placed in ((tau, True), (np.nextafter(tau, 3), False)):
+            spec = _spec(num_objects=1, points_per_object=(1,), num_outliers=1, tau=tau)
+            got = scenes._place_outliers(Fixed(p), spec, np.zeros((1, 3)))
+            assert got.tolist() == [list(p)] if placed else got is None
 
 
 def test_good_split_single_fragment_equals_truth():
