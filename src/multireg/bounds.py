@@ -193,6 +193,12 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
         raise ValueError(f"bench.sigma = {sigma!r} overflows sigma * sigma")
     if trials < 1:
         raise ValueError("trials must be positive")
+    # A trial's points and translation lie in the B-ball and its noise within
+    # sigma, so the largest sum horn_register forms, the m products of the
+    # cross-covariance, is at most 4 m B (2B + sigma).
+    m = max(m_values)
+    if not math.isfinite(4.0 * m * bound_b * (2.0 * bound_b + sigma)):
+        raise ValueError(f"bench.bound_b = {bound_b!r} overflows the Horn fit's sums at m = {m}")
     return m_values
 
 

@@ -362,13 +362,6 @@ def cmd_bench(cfg: dict[str, str]) -> int:
             consistency = {key: _get(cfg, f"bench.{key}")
                            for key in ("m_values", "sigma", "bound_b", "delta", "trials")}
             check_consistency_bench(**consistency)
-            # A trial's points and translation lie in the B-ball and its noise
-            # within sigma, so the largest sum horn_register forms, the m
-            # products of the cross-covariance, is at most 4 m B (2B + sigma).
-            m, bound_b = max(consistency["m_values"]), consistency["bound_b"]
-            if not math.isfinite(4.0 * m * bound_b * (2.0 * bound_b + consistency["sigma"])):
-                raise ValueError(f"bench.bound_b = {bound_b!r} overflows the Horn fit's "
-                                 f"sums at m = {m}")
         if suite in ("noise-ratio", "both"):
             ratio = dict(
                 m_values=_get(cfg, "bench.noise_ratio_m"),

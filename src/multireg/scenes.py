@@ -6,7 +6,10 @@ gaps larger than ``separation_margin`` (> tau) and everything stays inside
 the ball of radius ``bound_b``. Targets are the rigidly moved sources plus
 per-coordinate uniform noise on [-sigma, sigma]. An outlier pair has its
 source farther than tau from every object and an arbitrary target drawn from
-a ball of radius 3 * bound_b.
+a ball of radius 3 * bound_b. A scene is accepted only when it meets the
+paper's premise, checked in one tau-component pass: every tau-component of
+the source points lies inside one object or among the outliers, and every
+object is one component.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .clustering import (Clustering, connected_components, fragment_connected_set,
-                         is_connected)
+from .clustering import Clustering, connected_components, fragment_connected_set
 from .geometry import (CorrespondenceSet, RigidTransform, make_rng, random_point_in_ball,
                        random_rotation, row_norms)
 
@@ -118,9 +119,7 @@ class SceneReport:
     outliers_ok: bool
     connectivity_ok: bool
     max_noise_residual: float
-    min_object_gap: float
     max_point_norm: float
-    min_outlier_clearance: float
     passed: bool = field(init=False)
 
     def __post_init__(self):
@@ -190,6 +189,12 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
     if avail_radius < 0:
         raise InfeasibleSceneError("infeasible scene spec")
     min_gap = spec.separation_margin + 2.0 * blob_radius
+    # balls of radius min_gap/2 around the centers are disjoint and lie in the
+    # ball of radius avail_radius + min_gap/2, so their volumes bound the count
+    ratio = 1.0 + 2.0 * avail_radius / min_gap
+    if spec.num_objects > ratio * ratio * ratio:
+        raise InfeasibleSceneError(f"infeasible scene spec: {spec.num_objects} objects cannot "
+                                   f"be packed into the ball of radius {spec.bound_b:g}")
 
     for _ in range(max_attempts):
         centers = _place_centers(rng, spec.num_objects, avail_radius, min_gap,
@@ -251,62 +256,36 @@ def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
     return out
 
 
-def _min_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Smallest distance between two nonempty point sets, in O(|p| + |q|)
-    memory: a k-d tree on the larger set, queried with the smaller."""
-    if len(p) < len(q):
-        p, q = q, p
-    return float(cKDTree(p).query(q, k=1)[0].min())
-
-
 def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
-    """Check every generative condition of the scene; separation and outlier
-    clearance use exact nearest-neighbour distances."""
+    """Check every generative condition of the scene.
+
+    Separation, outlier clearance and connectivity are the paper's premise,
+    read off one tau-component pass over the a-points: every component holds
+    points of one object or only outliers, and every object is one component.
+    """
     spec = scene.spec
     a, b = scene.correspondences.a, scene.correspondences.b
-    labels = scene.true_labels
 
     max_noise = 0.0
-    connectivity_ok = True
-    object_sets = []
     for g in range(1, scene.num_objects + 1):
         idx = scene.object_indices(g)
-        object_sets.append(a[idx])
         if idx.size:
             residual = b[idx] - scene.true_transforms[g - 1].apply(a[idx])
             max_noise = max(max_noise, float(np.abs(residual).max()))
-        if not is_connected(a[idx], spec.tau):
-            connectivity_ok = False
-    noise_ok = max_noise <= spec.sigma + atol
-
-    min_gap = float("inf")
-    for i in range(len(object_sets)):
-        for j in range(i + 1, len(object_sets)):
-            if object_sets[i].size and object_sets[j].size:
-                min_gap = min(min_gap, _min_distance(object_sets[i], object_sets[j]))
-    separation_ok = min_gap > spec.tau
-
     max_norm = float(row_norms(a).max()) if len(a) else 0.0
-    point_bound_ok = max_norm <= spec.bound_b + atol
 
-    outlier_idx = scene.outlier_indices()
-    min_clearance = float("inf")
-    if outlier_idx.size:
-        for pts in object_sets:
-            if pts.size:
-                min_clearance = min(min_clearance, _min_distance(a[outlier_idx], pts))
-    outliers_ok = min_clearance > spec.tau
-
+    comp, count = connected_components(a, spec.tau)
+    # held[c, g]: component c holds a point of label g (0 = outlier)
+    held = Clustering(comp + 1, num_clusters=count).contingency(scene.true_labels)[1:] > 0
+    objects = held[:, 1:]
     return SceneReport(
-        noise_bound_ok=noise_ok,
-        separation_ok=separation_ok,
-        point_bound_ok=point_bound_ok,
-        outliers_ok=outliers_ok,
-        connectivity_ok=connectivity_ok,
+        noise_bound_ok=max_noise <= spec.sigma + atol,
+        separation_ok=bool((objects.sum(axis=1) <= 1).all()),
+        point_bound_ok=max_norm <= spec.bound_b + atol,
+        outliers_ok=not (held[:, 0] & objects.any(axis=1)).any(),
+        connectivity_ok=bool((objects.sum(axis=0) <= 1).all()),
         max_noise_residual=max_noise,
-        min_object_gap=min_gap,
         max_point_norm=max_norm,
-        min_outlier_clearance=min_clearance,
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multireg import horn
-from multireg.bounds import (dominance_margin, dominance_ratio_threshold,
+from multireg.bounds import (check_consistency_bench, dominance_margin, dominance_ratio_threshold,
                              hoeffding_bound, min_cluster_size_threshold,
                              noise_ratio_interval, noise_ratio_sample_floor,
                              rotation_error_bound, run_consistency_bench,
@@ -137,6 +137,17 @@ def test_consistency_bench_small_grid():
         assert s.violation_rate_rot <= 2 * 0.05 + 3 * math.sqrt(2 * 0.05 / 20)
         assert s.violation_rate_trans <= 2 * 0.05 + 3 * math.sqrt(2 * 0.05 / 20)
     assert summaries[0].median_rot_err_sq > summaries[1].median_rot_err_sq
+
+
+def test_consistency_bench_refuses_a_ball_that_overflows_the_horn_sums(monkeypatch):
+    # 4 m B (2B + sigma) is inf at B = 1e200: a direct caller is refused too,
+    # before any trial is drawn
+    monkeypatch.setattr(np.random, "SeedSequence", None)
+    message = r"bench.bound_b = 1e\+200 overflows the Horn fit's sums at m = 100"
+    with pytest.raises(ValueError, match=message):
+        check_consistency_bench([100], 0.1, 1e200, 0.05, 3)
+    with pytest.raises(ValueError, match=message):
+        run_consistency_bench([10, 100], sigma=0.1, bound_b=1e200, delta=0.05, trials=3, seed=0)
 
 
 def test_consistency_bench_noiseless():

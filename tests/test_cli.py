@@ -223,6 +223,12 @@ def _synth_bound_b_huge(tmp_path, scene_file):
     return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.bound_b=1e308"]
 
 
+def _synth_objects_cannot_be_packed(tmp_path, scene_file):
+    # 200 blobs 1.8 apart in the default ball: refused before any packing try
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.num_objects=200",
+            "--set", "scene.points_per_object=5"]
+
+
 def _unknown_key_set_to_run(tmp_path, scene_file):
     return ["run", "--set", f"scene.file={scene_file}", "--set", "scene.num_outlier=5"]
 
@@ -359,6 +365,7 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _sigma_inf_header_to_run,
     _synth_sigma_huge,
     _synth_bound_b_huge,
+    _synth_objects_cannot_be_packed,
     _unknown_key_set_to_run,
     _unknown_key_in_config_to_run,
     _non_ascii_config_to_run,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from conftest import check_initial_clustering, random_walk_blob_by_norm
+from conftest import brute_force_components, check_initial_clustering, random_walk_blob_by_norm
 from multireg import scenes
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
                                random_point_in_ball, row_norms)
@@ -35,9 +35,7 @@ def test_generated_scene_validates():
     scene = generate_scene(_spec(num_outliers=8))
     report = validate_scene(scene)
     assert report.passed
-    assert report.min_object_gap > scene.spec.tau
     assert report.max_point_norm <= scene.spec.bound_b + 1e-12
-    assert report.min_outlier_clearance > scene.spec.tau
 
 
 def test_scene_determinism_byte_for_byte():
@@ -55,16 +53,63 @@ def test_validate_scene_detects_relabeled_point():
     assert not report.passed
 
 
-def test_validate_scene_distances_match_brute_force():
-    scene = generate_scene(_spec(num_outliers=8))
-    a, labels = scene.correspondences.a, scene.true_labels
-    objects = [a[labels == g] for g in range(1, scene.num_objects + 1)]
-    gap = min(cdist(objects[i], objects[j]).min()
-              for i in range(len(objects)) for j in range(i + 1, len(objects)))
-    clearance = min(cdist(a[labels == 0], pts).min() for pts in objects)
+def _axis_scene(points, tau=0.5):
+    """A noiseless scene of ``(x, label)`` points on the x axis."""
+    x, labels = np.array(points, dtype=float).T
+    labels = labels.astype(np.int64)
+    a = np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
+    k = int(labels.max())
+    spec = SceneSpec(num_objects=k, points_per_object=np.bincount(labels)[1:], sigma=0.0,
+                     tau=tau, bound_b=10.0, num_outliers=int(np.sum(labels == 0)))
+    return LabeledScene(CorrespondenceSet(a, a), labels, (RigidTransform.identity(),) * k, spec)
+
+
+def _flags_by_brute_force(scene):
+    """(separation_ok, outliers_ok, connectivity_ok) over brute-force
+    tau-components: no component holds two objects, none holds an outlier
+    and an object point, and no object spans two components."""
+    comp, count = brute_force_components(scene.correspondences.a, scene.spec.tau)
+    labels = scene.true_labels
+    held = [set(labels[comp == c].tolist()) for c in range(count)]
+    spans = [set(comp[labels == g].tolist()) for g in range(1, scene.num_objects + 1)]
+    return (all(len(h - {0}) <= 1 for h in held),
+            all(h == {0} or 0 not in h for h in held),
+            all(len(s) <= 1 for s in spans))
+
+
+def _pairwise_verdict(scene):
+    """The earlier form of the check: no pair at <= tau joins two labels, and
+    every object is tau-connected on its own."""
+    a, labels, tau = scene.correspondences.a, scene.true_labels, scene.spec.tau
+    joins = (cdist(a, a) <= tau) & (labels[:, None] != labels[None, :])
+    return not joins.any() and all(brute_force_components(a[labels == g], tau)[1] <= 1
+                                   for g in range(1, scene.num_objects + 1))
+
+
+# (separation_ok, outliers_ok, connectivity_ok) at tau = 0.5; the pairwise
+# check read (True, False, True) for the objects joined through an outlier
+# and (True, False, False) for the split object bridged by one
+@pytest.mark.parametrize("points, flags", [
+    pytest.param([(0, 1), (0.25, 1), (0.75, 2), (1, 2)], (False, True, True),
+                 id="objects-tau-apart"),
+    pytest.param([(0, 1), (0.25, 1), (0.75 + 1e-10, 2), (1 + 1e-10, 2)], (True, True, True),
+                 id="objects-just-past-tau"),
+    pytest.param([(0, 1), (0.25, 1), (0.75, 0)], (True, False, True),
+                 id="outlier-tau-from-object"),
+    pytest.param([(0, 1), (0.25, 1), (0.75, 0), (1.25, 2), (1.5, 2)], (False, False, True),
+                 id="objects-joined-through-outlier"),
+    pytest.param([(0, 1), (0.25, 1), (0.75, 0), (1.25, 1), (1.5, 1)], (True, False, True),
+                 id="split-object-bridged-by-outlier"),
+    pytest.param([(0, 1), (0.25, 1), (1.25, 1)], (True, True, False), id="split-object"),
+    *(pytest.param(seed, (True, True, True), id=f"generated-{seed}") for seed in range(3)),
+])
+def test_validate_scene_flags_match_brute_force_components(points, flags):
+    scene = (generate_scene(_spec(num_outliers=8, seed=points)) if isinstance(points, int)
+             else _axis_scene(points))
     report = validate_scene(scene)
-    assert report.min_object_gap == pytest.approx(gap, rel=1e-12)
-    assert report.min_outlier_clearance == pytest.approx(clearance, rel=1e-12)
+    got = (report.separation_ok, report.outliers_ok, report.connectivity_ok)
+    assert got == _flags_by_brute_force(scene) == flags
+    assert report.passed == all(flags) == _pairwise_verdict(scene)
 
 
 def test_validate_scene_memory_is_linear(rng):
@@ -122,6 +167,24 @@ def test_infeasible_packing_raises():
     with pytest.raises(InfeasibleSceneError):
         generate_scene(_spec(num_objects=3, points_per_object=(10, 10, 10),
                              tau=1.0, bound_b=3.5), max_attempts=4)
+
+
+def test_provably_infeasible_object_count_fails_before_any_draw(monkeypatch):
+    # tau 0.3 and B 4: centers 1.8 apart lie in a ball of radius 3.4, and the
+    # disjoint balls of radius 0.9 around them fit in radius 4.3, so at most
+    # (4.3 / 0.9)^3 < 110 objects fit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a packing was tried")
+
+    monkeypatch.setattr(scenes, "_place_centers", refuse)
+    with pytest.raises(InfeasibleSceneError, match="200 objects"):
+        generate_scene(_spec(num_objects=200, points_per_object=(5,) * 200))
+
+
+def test_one_object_fits_with_no_room_to_spare():
+    # B = 2 tau leaves the center no room: the bound (1 + 0)^3 = 1 admits it
+    scene = generate_scene(_spec(num_objects=1, points_per_object=(50,), bound_b=0.6))
+    assert validate_scene(scene).passed
 
 
 def test_spec_validation():
