@@ -198,6 +198,8 @@ def _text(value) -> str:
     if isinstance(value, float):
         return fmt_float(value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu":  # label arrays: str of an int is its record text
+            return ",".join(map(str, value.ravel().tolist()))
         value = value.ravel().tolist()
     return ",".join(map(_text, value))
 

@@ -216,15 +216,26 @@ class _CliqueGrid:
         in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
         return occupied[self.cell_of], in_hood.view(bool)[self.cell_of]
 
-    def confirm(self, labels: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """The (n, k) mask ``pairs`` narrowed to the (i, j) with point i strictly
-        within tau of a point labelled j + 1: one k-d query per flagged cluster."""
-        passes = np.zeros_like(pairs)
-        for j in np.flatnonzero(pairs.any(axis=0)).tolist():
-            query = np.flatnonzero(pairs[:, j])
-            tree = cKDTree(self.points[labels == j + 1])
-            dist, _ = tree.query(self.points[query], k=1, distance_upper_bound=self.tau)
-            passes[query, j] = dist < self.tau
+    def confirm(self, labels: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                trees: dict) -> np.ndarray:
+        """The exact gate for a batch of queries: entry q is True iff point
+        ``rows[q]`` lies strictly within tau of a point labelled ``cols[q] + 1``.
+
+        One k-d query per cluster in the batch. ``trees`` maps a cluster to its
+        tree and is held by the caller, so batches over one labelling build each
+        tree once. Trees are sliding-midpoint (unbalanced, uncompacted): cheaper
+        to build, and the nearest distance within the bound does not depend on
+        the tree's shape.
+        """
+        passes = np.zeros(len(rows), dtype=bool)
+        for j in np.unique(cols).tolist():
+            query = np.flatnonzero(cols == j)
+            tree = trees.get(j)
+            if tree is None:
+                tree = trees[j] = cKDTree(self.points[labels == j + 1], balanced_tree=False,
+                                          compact_nodes=False)
+            dist, _ = tree.query(self.points[rows[query]], k=1, distance_upper_bound=self.tau)
+            passes[query] = dist < self.tau
         return passes
 
     def touch(self, c: int, d: int) -> bool:

@@ -140,8 +140,10 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     weights = unnorm / unnorm.sum(axis=1, keepdims=True)
     # occupancy settles most pairs, the exact test the rest
     grid = _CliqueGrid(cs.a, cfg.tau)
-    own, hood = grid.occupancy(clustering.labels, k)
-    return weights * (own | grid.confirm(clustering.labels, hood & ~own))
+    gated, hood = grid.occupancy(clustering.labels, k)
+    rows, cols = np.nonzero(hood & ~gated)
+    gated[rows, cols] = grid.confirm(clustering.labels, rows, cols, {})
+    return weights * gated
 
 
 def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clustering:
@@ -164,15 +166,34 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
     a point that passes no gate keeps its label. This is ``m_step(e_step())``
     without the normalisation, so underflow cannot change a label.
 
-    Only hood pairs are scored, and only those outside the point's own cell
-    that score at least its best own-cell cluster (which passes) get an exact
-    tau test: no other pair can win. ``grid`` is ``run_em``'s cell grid.
+    Only hood pairs are scored. The candidates are the pairs outside the
+    point's own cell that score at least its best own-cell cluster (which
+    passes): no other pair can win. They get the exact tau test best first, in
+    descending score with ties to the lower id, and a row stops at its first
+    pass: the argmax over gated entries is the first gated entry in that
+    order, so a candidate never tested could not have won. Round r tests the
+    r-th candidate of every open row in one batch; a cluster's k-d tree is
+    built the first time a round needs it and kept for the later rounds of
+    this call. ``grid`` is ``run_em``'s cell grid.
     """
     k = clustering.num_clusters
-    own, hood = grid.occupancy(clustering.labels, k)
+    gated, hood = grid.occupancy(clustering.labels, k)
     scores = _log_scores(cs, models, hood)
-    best_own = np.where(own, scores, -np.inf).max(axis=1, keepdims=True)
-    gated = own | grid.confirm(clustering.labels, hood & ~own & (scores >= best_own))
+    best_own = np.where(gated, scores, -np.inf).max(axis=1, keepdims=True)
+    candidate = hood & ~gated & (scores >= best_own)
+    rows = np.flatnonzero(candidate.any(axis=1))
+    candidate = candidate[rows]
+    count = np.count_nonzero(candidate, axis=1)
+    # NaN sorts last, after a candidate that scores -inf
+    order = np.argsort(np.where(candidate, -scores[rows], np.nan), axis=1, kind="stable")
+    open_rows = np.arange(rows.size)
+    trees: dict = {}
+    for r in range(int(count.max(initial=0))):
+        open_rows = open_rows[count[open_rows] > r]
+        i, j = rows[open_rows], order[open_rows, r]
+        passes = grid.confirm(clustering.labels, i, j, trees)
+        gated[i[passes], j[passes]] = True
+        open_rows = open_rows[~passes]
     best = np.argmax(np.where(gated, scores, -np.inf), axis=1)
     # ungated entries are -inf: the winner is gated unless the row passes no
     # gate (or every gated score is -inf), and such a row keeps its label

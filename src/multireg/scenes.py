@@ -231,7 +231,9 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
         scene = LabeledScene(CorrespondenceSet(a, b), labels, tuple(transforms), spec)
         if validate_scene(scene).passed:
             return scene
-    raise InfeasibleSceneError("infeasible scene spec")
+    raise InfeasibleSceneError(f"infeasible scene spec: no valid scene in {max_attempts} attempts "
+                               f"({spec.num_objects} objects, min_gap {min_gap:g}, "
+                               f"avail_radius {avail_radius:g})")
 
 
 def _place_outliers(rng: np.random.Generator, spec: SceneSpec,

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import multireg.clustering
 from conftest import distance_to_cluster, kd_tree_gate
 from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster
 from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _log_scores, assign,
@@ -243,6 +245,127 @@ def test_assign_breaks_an_exact_tie_toward_the_lower_id():
                                   _full_gate_assignment(cs, clustering, [model, model], tau))
 
 
+def _count_queries(monkeypatch):
+    """Record (tree size, rows queried) for every k-d query ``confirm`` makes."""
+    queries = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queries.append((self.n, len(x)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(multireg.clustering, "cKDTree", CountingTree)
+    return queries
+
+
+def _best_first_queries(cs, clustering, models, grid, tau):
+    """Exact tests a best-first walk makes: per row, the candidates (hood
+    pairs outside the own cell scoring at least the best own-cell cluster) in
+    descending score, ties to the lower id, up to the first that passes the
+    brute-force gate."""
+    k = clustering.num_clusters
+    own, hood = grid.occupancy(clustering.labels, k)
+    scores = _log_scores(cs, models, hood)
+    exact = kd_tree_gate(cs.a, clustering.labels, k, tau)
+    walked = candidates = 0
+    for i in range(len(cs)):
+        best_own = max(scores[i, own[i]], default=-np.inf)
+        row = [j for j in range(k) if hood[i, j] and not own[i, j] and scores[i, j] >= best_own]
+        candidates += len(row)
+        for j in sorted(row, key=lambda j: (-scores[i, j], j)):
+            walked += 1
+            if exact[i, j]:
+                break
+    return walked, candidates
+
+
+def test_assign_queries_each_row_best_first_until_a_pass(monkeypatch):
+    cs, clustering = _fragmented_scene(0)
+    cfg = EMConfig(tau=TAU)
+    grid = _CliqueGrid(cs.a, TAU)
+    queries = _count_queries(monkeypatch)
+    for _ in range(2):  # the split, then the first reassignment
+        models = fit_models(cs, clustering, cfg)
+        walked, candidates = _best_first_queries(cs, clustering, models, grid, TAU)
+        queries.clear()
+        updated = assign(cs, clustering, models, grid)
+        assert sum(rows for _, rows in queries) == walked
+        np.testing.assert_array_equal(updated.labels,
+                                      _full_gate_assignment(cs, clustering, models, TAU))
+        clustering = prune_small(updated, cfg)
+    # the walk stops early on this scene: fewer queries than candidates
+    assert 0 < walked < candidates
+
+
+@pytest.mark.parametrize("lower_x, expected", [(0.35, 2), (0.2, 1)])
+def test_assign_tests_equal_candidates_in_id_order(monkeypatch, lower_x, expected):
+    # a label-0 probe alone in its cell scores the same for both clusters.
+    # Cluster 1 (3 members) lies at lower_x on +x, beyond tau or within it;
+    # cluster 2 (4 members) lies within tau on -x. The clusters are out of
+    # each other's hoods, so the probe's are the only queries.
+    tau = 0.3
+    probe = [(0.0, 0.0, 0.0)]
+    one = [(lower_x, 0.0, 0.0), (lower_x, 0.01, 0.0), (lower_x, 0.0, 0.01)]
+    two = [(-0.2, 0.0, 0.0), (-0.2, 0.01, 0.0), (-0.2, 0.0, 0.01), (-0.21, 0.0, 0.0)]
+    a = np.array(probe + one + two)
+    cs = CorrespondenceSet(a, a + 0.05)
+    clustering = Clustering([0, 1, 1, 1, 2, 2, 2, 2], num_clusters=2)
+    grid = _CliqueGrid(cs.a, tau)
+    own, hood = grid.occupancy(clustering.labels, 2)
+    np.testing.assert_array_equal(own[0], [False, False])
+    np.testing.assert_array_equal(hood[0], [True, True])
+    np.testing.assert_array_equal(hood[1:], own[1:])
+    model = ClusterModel(RigidTransform.identity(), 0.1, 0.5)
+    oracle = _full_gate_assignment(cs, clustering, [model, model], tau)
+    queries = _count_queries(monkeypatch)
+    updated = assign(cs, clustering, [model, model], grid)
+    assert updated.labels[0] == expected
+    np.testing.assert_array_equal(updated.labels, oracle)
+    # cluster 1 first; cluster 2 only when cluster 1 fails
+    assert queries == ([(3, 1), (4, 1)] if expected == 2 else [(3, 1)])
+
+
+def test_assign_tests_a_candidate_that_scores_minus_inf(monkeypatch):
+    # the probe's b-point is so far off that its squared residual overflows:
+    # both clusters score -inf there. Cluster 1 (3 members) is out of the
+    # probe's hood, cluster 2 (4 members) is its one candidate and gets the
+    # query.
+    tau = 0.3
+    a = np.array([(0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (5.0, 0.01, 0.0), (5.0, 0.0, 0.01),
+                  (0.2, 0.0, 0.0), (0.2, 0.01, 0.0), (0.2, 0.0, 0.01), (0.21, 0.0, 0.0)])
+    b = a.copy()
+    b[0] = 1e200
+    cs = CorrespondenceSet(a, b)
+    clustering = Clustering([0, 1, 1, 1, 2, 2, 2, 2], num_clusters=2)
+    grid = _CliqueGrid(cs.a, tau)
+    own, hood = grid.occupancy(clustering.labels, 2)
+    np.testing.assert_array_equal(hood[0] & ~own[0], [False, True])
+    model = ClusterModel(RigidTransform.identity(), 0.1, 0.5)
+    with np.errstate(over="ignore"):
+        assert np.all(_log_scores(cs, [model, model])[0] == -np.inf)
+        queries = _count_queries(monkeypatch)
+        updated = assign(cs, clustering, [model, model], grid)
+    assert queries == [(4, 1)]
+    # every gated score of the probe is -inf: it keeps its label
+    np.testing.assert_array_equal(updated.labels, clustering.labels)
+
+
+def test_assign_candidate_exactly_tau_away_fails():
+    # two label-0 probes, each alone in its cell, with cluster 1 (one point at
+    # the origin) as their only candidate: one exactly tau away, one a hair
+    # inside
+    tau = TAU
+    a = np.array([(0.0, 0.0, 0.0), (tau, 0.0, 0.0), (0.0, -tau * (1 - 1e-12), 0.0)])
+    cs = CorrespondenceSet(a, a)
+    clustering = Clustering([1, 0, 0], num_clusters=1)
+    grid = _CliqueGrid(cs.a, tau)
+    own, hood = grid.occupancy(clustering.labels, 1)
+    np.testing.assert_array_equal(own[1:], [[False], [False]])
+    np.testing.assert_array_equal(hood[1:], [[True], [True]])
+    model = ClusterModel(RigidTransform.identity(), 0.1, 1.0)
+    np.testing.assert_array_equal(assign(cs, clustering, [model], grid).labels, [1, 0, 1])
+
+
 def test_assign_is_immune_to_the_underflow_of_normalised_weights():
     # A label-0 probe lies within tau of cluster 2 only, but its b-point
     # follows cluster 1's motion: normalised over both clusters, its cluster-2
@@ -268,8 +391,9 @@ def test_assign_is_immune_to_the_underflow_of_normalised_weights():
 
 def test_e_step_memory_is_linear_in_points_times_clusters():
     # 20 000 points, 24 clusters mixed at random: nearly every pair is in the
-    # boundary band. This peaks at about 19 MB (the per-cluster k-d gate it
-    # replaced, at 16 MB); one n x k float64 array is 3.7 MB.
+    # boundary band. This peaks at about 26 MB, with the flagged pairs as
+    # index arrays (the per-cluster k-d gate it replaced, at 16 MB); one n x k
+    # float64 array is 3.7 MB.
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
     a = rng.uniform(0.0, 3.0, (n, 3))
@@ -288,8 +412,8 @@ def test_e_step_memory_is_linear_in_points_times_clusters():
 
 
 def test_assign_memory_is_linear_in_points_times_clusters():
-    # the input of the e_step memory test; this peaks at about 12 MB (e_step
-    # at 19 MB), where one n x k float64 array is 3.7 MB
+    # the input of the e_step memory test; this peaks at about 16 MB with the
+    # best-first order (e_step at 26 MB), where one n x k float64 array is 3.7 MB
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
     a = rng.uniform(0.0, 3.0, (n, 3))
