@@ -25,7 +25,7 @@ from . import __version__
 from .baselines import RansacConfig, TLinkageConfig, sequential_ransac, tlinkage_cluster
 from .bounds import (check_consistency_bench, check_noise_ratio_bench, run_consistency_bench,
                      run_noise_ratio_bench)
-from .clustering import Clustering, euclidean_cluster
+from .clustering import Clustering, GridError, euclidean_cluster
 from .em import EMConfig, NoViableClustersError, run_em
 from .horn import horn_register
 from .io import (fmt_float, read_clustering, read_scene, write_bench_csv,
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg)
         return cmd_bench(cfg)
-    except (UsageError, InfeasibleSceneError, SplitSizeError) as exc:
+    except (UsageError, GridError, InfeasibleSceneError, SplitSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

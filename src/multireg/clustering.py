@@ -5,9 +5,9 @@ pair of points at distance <= tau is connected. One grid serves every tau
 query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Each pair of neighbouring occupied cells is listed once, by forward offset:
-components come from union-find over that list, testing a pair of cells only
-while they are still apart (their first points, then all of them), and the
-EM proximity gate reads cluster occupancy across each pair both ways.
+components come from hook-and-compress joins over that whole list (pairs
+whose first points lie within tau, then those still apart that touch), and
+the EM proximity gate reads cluster occupancy across each pair both ways.
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -115,15 +115,16 @@ _PAIR_CHUNK = 1 << 10
 # 62 rows after it hold one offset of each +-pair.
 _REACH = np.array([(dx, dy, dz) for dx in range(-2, 3) for dy in range(-2, 3)
                    for dz in range(-2, 3)], dtype=np.int64)
-# The forward half, nearest first: near cells join most often, so testing them
-# first leaves the fewest far pairs still apart.
-_FORWARD = _REACH[63:][np.argsort(np.sum(_REACH[63:] ** 2, axis=1), kind="stable")]
 # Fragment-growth steps planned before one vectorised check: long enough to
 # amortise the check, short enough that the steps undone at a miss cost little.
 _BATCH = 128
 # Hood points one distance test of fragment growth gathers at once, unless a
 # single hood holds more.
 _HOOD_CHUNK = 1 << 15
+
+
+class GridError(ValueError):
+    """A tau that is not positive, or that puts a cell index or code beyond int64."""
 
 
 class _CliqueGrid:
@@ -135,15 +136,19 @@ class _CliqueGrid:
     tau-neighbour of its points. Occupied cells are kept as sorted unique int64
     codes; ``order[starts[c]:starts[c + 1]]`` lists the points of cell c in
     index order and ``cell_of[i]`` is the cell of point i. ``pairs`` lists each
-    pair of neighbouring occupied cells once: connectivity reads it in order,
-    the gate in both directions.
+    pair of neighbouring occupied cells once: connectivity joins them all at
+    once, the gate reads them in both directions.
     """
 
     def __init__(self, points: np.ndarray, tau: float):
         self.points = points
         self.tau = tau
         self.tau_sq = tau * tau
-        cells = np.floor(points / (0.5 * tau * _SIDE_SLACK)).astype(np.int64)
+        side = 0.5 * tau * _SIDE_SLACK
+        # cell indices, and the differences of two of them, must fit int64
+        if not (tau > 0 and np.abs(points).max(initial=0.0) < 2.0 ** 61 * side):
+            raise GridError(f"tau {tau:g} is not positive, or too small for int64 cell indices")
+        cells = np.floor(points / side).astype(np.int64)
         for axis in range(3):
             # gaps above 3 cells shrink to 3: cells within two of each other
             # keep their distance, and every axis spans fewer than 3n cells
@@ -152,7 +157,7 @@ class _CliqueGrid:
             cells[:, axis] = np.concatenate(([2], 2 + np.cumsum(steps)))[inverse]
         dims = [int(v) + 3 for v in cells.max(axis=0, initial=0)]
         if dims[0] * dims[1] * dims[2] >= 2 ** 63:
-            raise ValueError("point set spans too many tau/2 cells for int64 cell codes")
+            raise GridError(f"tau {tau:g} puts the points in too many cells for int64 codes")
         self.strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
         codes = cells @ self.strides
         # cached hoods and cell pairs repeat indices many times: half the bytes when it fits
@@ -189,10 +194,10 @@ class _CliqueGrid:
 
     @cached_property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per offset in ``_FORWARD``, the occupied cells c and d with d at that
-        offset from c, as two index arrays; each is unique within its offset."""
+        """Per forward offset (a row of ``_REACH`` after (0, 0, 0)), the occupied
+        cells c and d with d at that offset from c: two index arrays, each unique."""
         pairs = []
-        for delta in (_FORWARD @ self.strides).tolist():
+        for delta in (_REACH[63:] @ self.strides).tolist():
             d = self.find_cells(self.codes + delta)
             c = np.flatnonzero(d >= 0)
             pairs.append((c.astype(self._index_dtype), d[c].astype(self._index_dtype)))
@@ -255,50 +260,40 @@ class _CliqueGrid:
         return False
 
 
-def _flatten(parent: np.ndarray) -> None:
-    """Point every union-find node straight at its root, in place."""
-    while True:
-        up = parent[parent]
-        if np.array_equal(up, parent):
-            return
-        parent[:] = up
+def _join(parent: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
+    """Merge the sets of c[i] and d[i] for every i in the flat forest ``parent``
+    (each cell points at its root, the smallest cell of its set), in place. Each
+    round hooks every root onto the smallest root it shares a pair still apart
+    with (never a larger one, so no cycle forms), then pointer-jumps until flat."""
+    while (apart := parent[c] != parent[d]).any():
+        c, d = c[apart], d[apart]
+        rc, rd = parent[c], parent[d]
+        np.minimum.at(parent, np.maximum(rc, rd), np.minimum(rc, rd))
+        while not np.array_equal(up := parent[parent], parent):
+            parent[:] = up
 
 
 def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
     """Component id per point of the tau-proximity graph, plus component count.
 
     Components are numbered 0..count-1 in order of their smallest member index.
+    A tau the cell grid cannot index the points with raises GridError.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = pts.shape[0]
-    if n == 0:
-        return np.full(0, -1, dtype=np.int64), 0
     grid = _CliqueGrid(pts, tau)
-    parent = np.arange(len(grid.codes))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    # Union-find over pairs of neighbouring cells, one offset at a time; a pair
-    # is tested only while its two cells are still in different sets: most join
-    # on their first points (touch's own test, in one pass), the rest on touch.
+    # Every pair of neighbouring cells: those whose first points lie within tau
+    # (touch's own test, on all pairs in one pass) join first, then touch runs
+    # on the rest that are still apart.
+    c, d = (np.concatenate(side) for side in zip(*grid.pairs))
     witness = grid.sorted_points[grid.starts[:-1]]
-    for c, d in grid.pairs:
-        _flatten(parent)
-        apart = parent[c] != parent[d]
-        c, d = c[apart], d[apart]
-        diff = witness[d] - witness[c]
-        near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
-        for ci, di, joined in zip(c.tolist(), d.tolist(), near.tolist()):
-            rc, rd = find(ci), find(di)
-            if rc != rd and (joined or grid.touch(ci, di)):
-                parent[max(rc, rd)] = min(rc, rd)
-    _flatten(parent)
+    diff = witness[d] - witness[c]
+    near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
+    parent = np.arange(len(grid.codes))
+    _join(parent, c[near], d[near])
+    rest = ~near & (parent[c] != parent[d])
+    c, d = c[rest], d[rest]
+    touching = np.fromiter(map(grid.touch, c.tolist(), d.tolist()), dtype=bool, count=len(c))
+    _join(parent, c[touching], d[touching])
     _, first, inverse = np.unique(parent[grid.cell_of], return_index=True,
                                   return_inverse=True)
     # each point's smallest fellow member, ranked

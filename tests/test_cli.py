@@ -213,6 +213,15 @@ def _synth_tau_nan(tmp_path, scene_file):
     return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.tau=nan"]
 
 
+def _synth_tau_tiny(tmp_path, scene_file):
+    # positive, but coordinates up to B = 4 are beyond int64 cells of tau/2
+    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.tau=1e-19"]
+
+
+def _em_tau_tiny_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "em.tau=1e-19"]
+
+
 def _synth_sigma_huge(tmp_path, scene_file):
     # finite, but the noise range 2 sigma is not
     return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=1e308"]
@@ -360,6 +369,8 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _synth_sigma_inf,
     _synth_sigma_negative_zero,
     _synth_tau_nan,
+    _synth_tau_tiny,
+    _em_tau_tiny_to_run,
     _tau_nan_header_to_run,
     _sigma_nan_header_to_run,
     _sigma_inf_header_to_run,

@@ -8,8 +8,9 @@ from conftest import (brute_force_components, brute_force_connected,
                       brute_force_fragments, check_initial_clustering, compact,
                       distance_to_cluster)
 from multireg import clustering
-from multireg.clustering import (_BATCH, Clustering, _CliqueGrid, connected_components,
-                                 euclidean_cluster, fragment_connected_set, is_connected)
+from multireg.clustering import (_BATCH, Clustering, GridError, _CliqueGrid,
+                                 connected_components, euclidean_cluster,
+                                 fragment_connected_set, is_connected)
 from multireg.geometry import CorrespondenceSet
 from multireg.scenes import SceneSpec, generate_scene
 
@@ -98,6 +99,18 @@ def _component_sets():
     far_a = rng.uniform(0.0, 0.02, (600, 3))
     far_b = rng.uniform(0.0, 0.02, (600, 3)) + (1.48, 0.48, 0.48)
     far_a[-1], far_b[-1] = (0.49, 0.25, 0.25), (1.01, 0.25, 0.25)
+    # tau 1: a hub in cell (2, 2, 2), the largest code, whose first point lies
+    # within tau of the first points of four spokes in cells at x = 1 that are
+    # more than tau apart from each other
+    hub = np.array([1.02, 1.25, 1.25])
+    spokes = hub + 0.95 * np.array([(-0.5, s * 0.866, t * 0.866) for s, t in
+                                    ((1, 0), (-1, 0), (0, 1), (0, -1))])
+    # tau 1: cells two apart on x whose first points (y alternating 0.01 and
+    # 0.49) lie more than tau apart, so only the later points at the cells'
+    # x edges join them
+    firsts = [(k + 0.25, 0.01 + 0.48 * (k % 2), 0.25) for k in range(12)]
+    edges = [(k + e, 0.25, 0.25) for k in range(12) for e in (0.01, 0.49)]
+    centers = rng.uniform(0, 30, (500, 3))
     return {
         "sparse uniform": (rng.uniform(-1, 1, (300, 3)), 0.15),
         "dense uniform": (rng.uniform(0, 1, (1000, 3)), 0.2),
@@ -109,6 +122,10 @@ def _component_sets():
         "chain with a gap": (np.vstack([chain, chain[-1] + (0.5 + 1e-9, 0, 0)]), 0.5),
         "dense cells, late contact": (np.vstack([far_a, far_b]), 1.0),
         "far outlier": (np.vstack([rng.uniform(0, 1, (200, 3)), [(1e9, -1e9, 3.0)]]), 0.2),
+        "hub with the largest code": (np.vstack([spokes, hub]), 1.0),
+        "chain joined only by touch": (np.array(firsts + edges), 1.0),
+        "many small components": (np.repeat(centers, 3, axis=0)
+                                  + rng.uniform(0, 0.05, (1500, 3)), 0.1),
     }
 
 
@@ -159,6 +176,43 @@ def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
     assert components_and_touches(pts, 0.5) == (2, 1)
     pts = np.vstack([pts, [(0.5 * (1 + 1e-12) - 0.5, 0.0, 0.0)]])
     assert components_and_touches(pts, 0.5) == (1, 1)
+    # cells (0, 0, 0) and (1, 0, 0) at tau 1 have first points 1.21 apart, but
+    # both join (0, 1, 1) on first points: every witness joins before any
+    # touch, so that pair is no longer apart and is never tested
+    pts = np.array([(0.0, 0.0, 0.0), (0.99, 0.49, 0.49), (0.2, 0.52, 0.52)])
+    assert components_and_touches(pts, 1.0) == (1, 0)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), 1e-19])
+def test_tau_the_grid_cannot_index_is_refused(tau):
+    # at 1e-19, coordinates up to 4 are about 8e19 cells of tau/2 from the
+    # origin, beyond int64
+    pts = np.random.default_rng(0).uniform(0, 4, (50, 3))
+    with pytest.raises(ValueError, match="tau"):
+        connected_components(pts, tau)
+    with pytest.raises(ValueError, match="tau"):
+        euclidean_cluster(CorrespondenceSet(pts, pts), tau)
+    # one target returns before any grid is built
+    with pytest.raises(ValueError, match="tau"):
+        fragment_connected_set(pts, tau, [25, 25], seed=0)
+
+
+def test_grid_refusals_are_grid_errors():
+    # the command line turns a GridError into exit 2; 700 000 points 20 cells
+    # apart on every axis make (3n + 2)^3 > 2^63 cells
+    pts = np.repeat(np.arange(700_000) * 10.0, 3).reshape(-1, 3)
+    with pytest.raises(GridError, match="tau 1 puts the points in too many"):
+        _CliqueGrid(pts, 1.0)
+    with pytest.raises(GridError, match="tau 0 is not positive"):
+        _CliqueGrid(pts[:2], 0.0)
+
+
+def test_tiny_tau_within_int64_matches_bruteforce():
+    # at 1e-17 the cell indices still fit: no pair is within tau
+    pts = np.random.default_rng(0).uniform(0, 4, (50, 3))
+    comp, count = connected_components(pts, 1e-17)
+    assert count == 50
+    np.testing.assert_array_equal(comp, brute_force_components(pts, 1e-17)[0])
 
 
 def test_connected_components_two_dense_cells_stay_small():
