@@ -26,8 +26,7 @@ from .baselines import RansacConfig, TLinkageConfig, sequential_ransac, tlinkage
 from .bounds import (check_consistency_bench, check_noise_ratio_bench, run_consistency_bench,
                      run_noise_ratio_bench)
 from .clustering import Clustering, GridError, euclidean_cluster
-from .em import EMConfig, NoViableClustersError, run_em
-from .horn import horn_register
+from .em import EMConfig, NoViableClustersError, fit_clusters, run_em
 from .io import (fmt_float, read_clustering, read_scene, write_bench_csv,
                  write_clustering, write_result, write_scene, RESULT_FORMAT_VERSION)
 from .metrics import evaluate
@@ -176,15 +175,10 @@ def _read_labels(path, scene) -> Clustering:
 
 
 def fit_cluster_transforms(cs, clustering: Clustering):
-    """Horn fit per predicted cluster; clusters under 3 points dissolve to 0.
-
-    Returns the (possibly relabeled) clustering and one transform per
-    surviving cluster id.
-    """
+    """The clustering with clusters under 3 points dissolved to 0 (survivors
+    renumbered 1..K'), and one Horn-fit transform per surviving cluster."""
     clustering = clustering.keep(clustering.sizes()[1:] >= 3)
-    transforms = [horn_register(cs.subset(clustering.members(j))).transform
-                  for j in range(1, clustering.num_clusters + 1)]
-    return clustering, transforms
+    return clustering, [est.transform for est in fit_clusters(cs, clustering)]
 
 
 def _text(value) -> str:

@@ -75,12 +75,7 @@ class Clustering:
         clusters get label 0. Returns ``self`` when every cluster is kept.
         """
         mask = np.asarray(mask, dtype=bool)
-        if mask.all():
-            return self
-        kept = int(np.count_nonzero(mask))
-        remap = np.zeros(self.num_clusters + 1, dtype=np.int64)
-        remap[1:][mask] = np.arange(1, kept + 1)
-        return Clustering(remap[self.labels], num_clusters=kept)
+        return self if mask.all() else self.renumber(np.flatnonzero(mask) + 1)
 
     def by_size(self) -> "Clustering":
         """Renumber the nonempty clusters 1..K' by decreasing size, ties going
@@ -89,10 +84,14 @@ class Clustering:
         first_member = np.full(self.num_clusters + 1, len(self), dtype=np.int64)
         np.minimum.at(first_member, self.labels, np.arange(len(self)))
         ids = np.flatnonzero(sizes[1:]) + 1
-        order = ids[np.lexsort((first_member[ids], -sizes[ids]))]
+        return self.renumber(ids[np.lexsort((first_member[ids], -sizes[ids]))])
+
+    def renumber(self, ids) -> "Clustering":
+        """Cluster ``ids[r]`` (each in 1..K) becomes cluster r + 1; the points
+        of every other cluster get label 0."""
         remap = np.zeros(self.num_clusters + 1, dtype=np.int64)
-        remap[order] = np.arange(1, order.size + 1)
-        return Clustering(remap[self.labels], num_clusters=order.size)
+        remap[ids] = np.arange(1, len(ids) + 1)
+        return Clustering(remap[self.labels], num_clusters=len(ids))
 
     def contingency(self, truth) -> np.ndarray:
         """Point counts per (cluster id 0..K, true label 0..M): a (K+1) x (M+1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import Clustering, _CliqueGrid
 from .geometry import CorrespondenceSet, RigidTransform
-from .horn import SIGMA_FLOOR, horn_register
+from .horn import SIGMA_FLOOR, HornEstimate, horn_register
 
 
 class NoViableClustersError(RuntimeError):
@@ -78,6 +78,13 @@ class EMResult:
     trace: tuple[IterationStats, ...]
 
 
+def fit_clusters(cs: CorrespondenceSet, clustering: Clustering,
+                 sigma_floor: float = SIGMA_FLOOR) -> list[HornEstimate]:
+    """One Horn fit per cluster id 1..K; its diagnostics are computed when read."""
+    return [horn_register(cs.subset(clustering.members(j)), sigma_floor=sigma_floor)
+            for j in range(1, clustering.num_clusters + 1)]
+
+
 def fit_models(cs: CorrespondenceSet, clustering: Clustering, cfg: EMConfig) -> list[ClusterModel]:
     """Fit a rigid motion and noise level per cluster; weights are size fractions.
 
@@ -85,23 +92,15 @@ def fit_models(cs: CorrespondenceSet, clustering: Clustering, cfg: EMConfig) -> 
     across live clusters. A cluster smaller than 3 reaching this point is a
     pipeline bug: pruning must run first.
     """
-    sizes = clustering.sizes()
-    total_assigned = int(sizes[1:].sum())
+    sizes = clustering.sizes()[1:].tolist()
+    total_assigned = sum(sizes)
     if total_assigned == 0:
         raise NoViableClustersError("no viable clusters")
-    models = []
-    for j in range(1, clustering.num_clusters + 1):
-        members = clustering.members(j)
-        if members.size < 3:
-            raise RuntimeError(
-                f"cluster {j} has {members.size} members; pruning must run before fitting")
-        est = horn_register(cs.subset(members), sigma_floor=cfg.sigma_floor)
-        models.append(ClusterModel(
-            transform=est.transform,
-            sigma_hat=est.sigma_hat,
-            weight=members.size / total_assigned,
-        ))
-    return models
+    for j, size in enumerate(sizes, start=1):
+        if size < 3:
+            raise RuntimeError(f"cluster {j} has {size} members; pruning must run before fitting")
+    return [ClusterModel(est.transform, est.sigma_hat, size / total_assigned)
+            for est, size in zip(fit_clusters(cs, clustering, cfg.sigma_floor), sizes)]
 
 
 def _log_scores(cs: CorrespondenceSet, models, pairs: np.ndarray | None = None) -> np.ndarray:

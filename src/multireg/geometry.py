@@ -125,6 +125,16 @@ def move(points: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> n
     return moved
 
 
+def move_each(points: np.ndarray, labels: np.ndarray, transforms) -> np.ndarray:
+    """Each row of (n, 3) ``points`` moved by the transform of its label:
+    label j by ``transforms[j - 1]``; label-0 rows stay put."""
+    moved = np.array(points, dtype=np.float64)
+    for j, transform in enumerate(transforms, start=1):
+        members = labels == j
+        moved[members] = transform.apply(points[members])
+    return moved
+
+
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """A rotation plus translation; the motion hypothesis for one object."""

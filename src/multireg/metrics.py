@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering
-from .geometry import geodesic_distance, row_norms
+from .geometry import geodesic_distance, move_each, row_norms
 from .scenes import LabeledScene
 
 
@@ -83,19 +83,9 @@ def point_error(cs, pred: Clustering, pred_models, scene: LabeledScene):
     if len(pred_models) < int(pred_labels.max() if pred_labels.size else 0):
         raise ValueError("every predicted cluster needs a model")
 
-    predicted_target = cs.a.copy()
-    for j, model in enumerate(pred_models, start=1):
-        members = pred_labels == j
-        predicted_target[members] = model.apply(cs.a[members])
-
-    per_object = []
-    errors = np.zeros(len(cs))
-    for g in range(1, scene.num_objects + 1):
-        members = true_labels == g
-        true_target = scene.true_transforms[g - 1].apply(cs.a[members])
-        err = row_norms(predicted_target[members] - true_target)
-        errors[members] = err
-        per_object.append(_mean(err))
+    errors = row_norms(move_each(cs.a, pred_labels, pred_models)
+                       - move_each(cs.a, true_labels, scene.true_transforms))
+    per_object = [_mean(errors[true_labels == g]) for g in range(1, scene.num_objects + 1)]
 
     return _mean(per_object), tuple(per_object), _mean(errors[true_labels > 0])
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import Clustering, connected_components, fragment_connected_set
-from .geometry import (CorrespondenceSet, RigidTransform, make_rng, random_point_in_ball,
-                       random_rotation, row_norms)
+from .geometry import (CorrespondenceSet, RigidTransform, make_rng, move_each,
+                       random_point_in_ball, random_rotation, row_norms)
 
 # Objects are confined to balls of this radius (in units of tau) around their
 # centers, which keeps the separation bookkeeping simple.
@@ -268,12 +268,8 @@ def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
     spec = scene.spec
     a, b = scene.correspondences.a, scene.correspondences.b
 
-    max_noise = 0.0
-    for g in range(1, scene.num_objects + 1):
-        idx = scene.object_indices(g)
-        if idx.size:
-            residual = b[idx] - scene.true_transforms[g - 1].apply(a[idx])
-            max_noise = max(max_noise, float(np.abs(residual).max()))
+    residual = (b - move_each(a, scene.true_labels, scene.true_transforms))[scene.true_labels > 0]
+    max_noise = float(np.abs(residual).max()) if residual.size else 0.0
     max_norm = float(row_norms(a).max()) if len(a) else 0.0
 
     comp, count = connected_components(a, spec.tau)

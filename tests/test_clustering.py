@@ -507,6 +507,15 @@ def test_by_size_orders_by_size_then_first_member():
     assert ordered.num_clusters == 3
 
 
+def test_renumber_maps_the_listed_ids_in_order_and_drops_the_rest():
+    clustering = Clustering([3, 1, 2, 0, 3, 2, 4], num_clusters=4)
+    renumbered = clustering.renumber([3, 1])
+    np.testing.assert_array_equal(renumbered.labels, [1, 2, 0, 0, 1, 0, 0])
+    assert renumbered.num_clusters == 2
+    assert clustering.renumber([]).num_clusters == 0
+    assert not clustering.renumber(np.array([], dtype=np.int64)).labels.any()
+
+
 def test_contingency_counts_cluster_truth_pairs():
     clustering = Clustering([1, 1, 2, 0, 2, 2], num_clusters=3)
     table = clustering.contingency([1, 0, 1, 2, 2, 2])

@@ -6,11 +6,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 import multireg.clustering
+import multireg.horn
 from conftest import distance_to_cluster, kd_tree_gate
 from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster
 from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _log_scores, assign,
-                         e_step, fit_models, m_step, prune_small, run_em)
+                         e_step, fit_clusters, fit_models, m_step, prune_small, run_em)
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
+from multireg.horn import horn_register
 from multireg.metrics import mask_iou
 from multireg.scenes import SceneSpec, generate_scene, make_good_split
 
@@ -49,6 +51,24 @@ def test_fit_models_sigma_tracks_uniform_noise():
     expected = sigma / np.sqrt(3.0)
     for model in models:
         assert abs(model.sigma_hat - expected) <= 0.15 * expected
+
+
+def test_fit_clusters_fits_each_id_as_horn_register_does_and_reads_no_diagnostics(monkeypatch):
+    scene = _scene(num_objects=2, points=(120, 80), sigma=0.02, seed=7)
+    cs = scene.correspondences
+    clustering = make_good_split(scene, alpha=2.0, fragments_per_object=2, seed=4)
+    reads = []
+    monkeypatch.setattr(multireg.horn, "estimate_noise_std",
+                        lambda *args: reads.append(args) or 0.5)
+    estimates = fit_clusters(cs, clustering, sigma_floor=0.25)
+    assert len(estimates) == clustering.num_clusters == 4
+    assert reads == []
+    for j, est in enumerate(estimates, start=1):
+        want = horn_register(cs.subset(clustering.members(j)))
+        assert est.transform.rotation.tobytes() == want.transform.rotation.tobytes()
+        assert est.transform.translation.tobytes() == want.transform.translation.tobytes()
+        assert est.sigma_floor == 0.25
+    assert estimates[0].sigma_hat == 0.5 and len(reads) == 1
 
 
 def test_fit_models_rejects_tiny_cluster():

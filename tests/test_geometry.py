@@ -3,8 +3,8 @@ import pytest
 
 from conftest import almost_equal, ball_sample_by_row_sums, compose, rotation_about_axis
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
-                               is_rotation, move, random_point_in_ball, random_rotation,
-                               row_norms)
+                               is_rotation, move, move_each, random_point_in_ball,
+                               random_rotation, row_norms)
 
 
 def test_apply_identity():
@@ -44,6 +44,25 @@ def test_column_forms_have_the_bits_of_the_row_forms(n):
     got = transform.apply(single)
     assert got.shape == (3,) and got.tobytes() == (single @ rotation.T + translation).tobytes()
     assert transform.apply(single.tolist()).tobytes() == got.tobytes()
+
+
+def test_move_each_moves_rows_by_their_label_and_leaves_label_0(rng):
+    pts = rng.standard_normal((40, 3))
+    pts.flags.writeable = False
+    labels = rng.integers(0, 4, 40)
+    transforms = [RigidTransform(random_rotation(rng), rng.standard_normal(3)) for _ in range(3)]
+    moved = move_each(pts, labels, transforms)
+    assert moved.shape == (40, 3)
+    # the bits of one apply per label's rows (a lone row's matmul may round
+    # otherwise), and close to each row moved alone
+    assert moved[labels == 0].tobytes() == pts[labels == 0].tobytes()
+    for j, transform in enumerate(transforms, start=1):
+        assert moved[labels == j].tobytes() == transform.apply(pts[labels == j]).tobytes()
+    for i, label in enumerate(labels):
+        want = pts[i] if label == 0 else transforms[label - 1].apply(pts[i])
+        np.testing.assert_allclose(moved[i], want, rtol=0, atol=1e-14)
+    # a transform past the largest label moves nothing
+    assert move_each(pts, np.zeros(40, dtype=int), transforms).tobytes() == pts.tobytes()
 
 
 def test_compose_identity_and_inverse():
