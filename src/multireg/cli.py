@@ -100,6 +100,30 @@ def _usage(prefix: str = ""):
         raise UsageError(f"{prefix}{exc}") from exc
 
 
+def _check_outputs(outputs, inputs) -> None:
+    """Refuse, before any work, an output path whose directory does not
+    exist, that is a directory, or that resolves to one of the command's
+    input files or to another of its outputs. Empty paths are skipped."""
+    taken = {Path(path).resolve(): "an input" for path in inputs if path}
+    for path in filter(None, outputs):
+        resolved = Path(path).resolve()
+        if not resolved.parent.is_dir():
+            raise UsageError(f"cannot write {path}: directory {Path(path).parent} does not exist")
+        if resolved.is_dir():
+            raise UsageError(f"cannot write {path}: it is a directory")
+        if resolved in taken:
+            raise UsageError(f"cannot write {path}: it is also {taken[resolved]} of this command")
+        taken[resolved] = "an output"
+
+
+def _write(write, value, path) -> None:
+    """``write(value, path)``; an OSError there is a usage error naming the path."""
+    try:
+        write(value, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def load_config_file(path: str) -> list[str]:
     """The key=value lines of a config file, without blank and # lines."""
     with _usage(f"cannot read config file {path}: "):
@@ -210,11 +234,12 @@ def _base_pairs(cfg, algorithm=None) -> list[tuple[str, str]]:
     return pairs + [(f"config.{k}", v) for k, v in sorted(cfg.items())]
 
 
-def cmd_synth(cfg: dict[str, str]) -> int:
+def cmd_synth(cfg: dict[str, str], config_file: str | None = None) -> int:
     out = _get(cfg, "out")
+    _check_outputs([out], [config_file])
     spec = scene_spec_from_config(cfg)
     scene = generate_scene(spec)
-    write_scene(scene, out)
+    _write(write_scene, scene, out)
     print(f"scene written to {out}: n={spec.total_points} M={spec.num_objects} "
           f"sigma={fmt_float(spec.sigma)} tau={fmt_float(spec.tau)}")
     return 0
@@ -264,8 +289,9 @@ def _algorithm_config(cfg, algorithm, seed, sigma, tau):
     return None
 
 
-def cmd_run(cfg: dict[str, str]) -> int:
-    out = _get(cfg, "out")
+def cmd_run(cfg: dict[str, str], config_file: str | None = None) -> int:
+    out, labels_out = _get(cfg, "out"), _get(cfg, "out_labels", unset=None)
+    _check_outputs([out, labels_out], [config_file, cfg["scene.file"], cfg["init.file"]])
     algorithm = _get(cfg, "algorithm")
     seed = _get(cfg, "seed")
     build_initial = _initializer(cfg, seed)
@@ -300,8 +326,8 @@ def cmd_run(cfg: dict[str, str]) -> int:
         else:  # naive-horn-per-cluster
             clustering, transforms = fit_cluster_transforms(cs, initial)
     except NoViableClustersError as exc:
-        write_result(_base_pairs(cfg, algorithm)
-                     + [("result.status", "error"), ("result.error", str(exc))], out)
+        _write(write_result, _base_pairs(cfg, algorithm)
+               + [("result.status", "error"), ("result.error", str(exc))], out)
         print(f"algorithm failed: {exc}", file=sys.stderr)
         return 1
     t_done = time.perf_counter()
@@ -316,9 +342,9 @@ def cmd_run(cfg: dict[str, str]) -> int:
                         translation=transform.translation)
     pairs += em_pairs
     pairs.append(("labels", _text(clustering.labels)))
-    write_result(pairs, out)
-    if labels_out := _get(cfg, "out_labels", unset=None):
-        write_clustering(clustering, labels_out)
+    _write(write_result, pairs, out)
+    if labels_out:
+        _write(write_clustering, clustering, labels_out)
 
     print(f"result written to {out}: algorithm={algorithm} "
           f"mask_iou={fmt_float(report.mask_iou)} "
@@ -331,6 +357,7 @@ def cmd_run(cfg: dict[str, str]) -> int:
 
 
 def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
+    _check_outputs([out], [pred_path, scene_path])
     with _usage(f"cannot read {scene_path}: "):
         scene = read_scene(scene_path)
     pred = _read_labels(pred_path, scene)
@@ -340,12 +367,13 @@ def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
     for key, value in pairs:
         print(f"{key} = {value}")
     if out:
-        write_result(pairs, out)
+        _write(write_result, pairs, out)
     return 0
 
 
-def cmd_bench(cfg: dict[str, str]) -> int:
+def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
     out = _get(cfg, "out")
+    _check_outputs([out, out + ".summary"], [config_file])
     suite = _get(cfg, "bench.suite")
     seed = _get(cfg, "seed")
     summary_pairs = _base_pairs(cfg)
@@ -368,7 +396,7 @@ def cmd_bench(cfg: dict[str, str]) -> int:
 
     if consistency is not None:
         trials, summaries = run_consistency_bench(**consistency, seed=seed)
-        write_bench_csv(trials, out)
+        _write(write_bench_csv, trials, out)
         for s in summaries:
             summary_pairs += _pairs(
                 f"bench.consistency.m{s.m}", trials=s.trials,
@@ -383,7 +411,7 @@ def cmd_bench(cfg: dict[str, str]) -> int:
                 max_abs_deviation=s.max_abs_deviation, interval_low=s.interval_low,
                 interval_high=s.interval_high)
 
-    write_result(summary_pairs, out + ".summary")
+    _write(write_result, summary_pairs, out + ".summary")
     for key, value in summary_pairs:
         if key.startswith("bench."):
             print(f"{key} = {value}")
@@ -424,10 +452,10 @@ def main(argv=None) -> int:
             return cmd_eval(args.pred, args.scene, args.out)
         cfg = effective_config(args)
         if args.command == "synth":
-            return cmd_synth(cfg)
+            return cmd_synth(cfg, args.config)
         if args.command == "run":
-            return cmd_run(cfg)
-        return cmd_bench(cfg)
+            return cmd_run(cfg, args.config)
+        return cmd_bench(cfg, args.config)
     except (UsageError, GridError, InfeasibleSceneError, SplitSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

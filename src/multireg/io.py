@@ -76,15 +76,19 @@ def read_scene(path) -> LabeledScene:
                 fields = line.split()
                 if len(fields) != 14:
                     raise ValueError("a POSE line must carry an object id and 12 numbers")
-                values = [float(v) for v in fields[2:]]
-                poses[int(fields[1])] = RigidTransform(np.array(values[:9]).reshape(3, 3),
-                                                       np.array(values[9:]))
+                object_id, values = int(fields[1]), [float(v) for v in fields[2:]]
+                if object_id in poses:
+                    raise ValueError(f"POSE {object_id} appears more than once")
+                poses[object_id] = RigidTransform(np.array(values[:9]).reshape(3, 3),
+                                                  np.array(values[9:]))
             else:
                 rows.append(line)
 
     for key in ("version", "n", "M", "sigma", "tau", "B", "seed"):
         if key not in header:
             raise ValueError(f"scene file is missing header key '{key}'")
+    if header["version"] != str(SCENE_FORMAT_VERSION):
+        raise ValueError(f"scene format version {header['version']} is not {SCENE_FORMAT_VERSION}")
     n = int(header["n"])
     num_objects = int(header["M"])
     if len(rows) != n:

@@ -350,6 +350,79 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
             "--set", "init.kind=bogus"]
 
 
+def _synth_out_in_missing_dir(tmp_path, scene_file):
+    return ["synth", "--out", tmp_path / "missing" / "x.txt"]
+
+
+def _run_out_in_missing_dir(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "missing" / "r.txt"]
+
+
+def _bench_out_in_missing_dir(tmp_path, scene_file):
+    return ["bench", "--out", tmp_path / "missing" / "b.csv", "--set", "bench.m_values=10",
+            "--set", "bench.trials=3"]
+
+
+def _eval_out_in_missing_dir(tmp_path, scene_file):
+    return ["eval", _truth_labels(tmp_path, scene_file), scene_file,
+            "--out", tmp_path / "missing" / "e.txt"]
+
+
+def _labels_out_in_missing_dir_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}",
+            "--set", f"out_labels={tmp_path / 'missing' / 'l.txt'}"]
+
+
+def _out_is_a_directory_to_run(tmp_path, scene_file):
+    (tmp_path / "results").mkdir()
+    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "results"]
+
+
+def _out_is_the_scene_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--out", scene_file]
+
+
+def _out_is_the_init_file_to_run(tmp_path, scene_file):
+    labels = _truth_labels(tmp_path, scene_file)
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=from-file",
+            "--set", f"init.file={labels}", "--out", labels]
+
+
+def _out_is_the_config_to_synth(tmp_path, scene_file):
+    config = tmp_path / "exp.cfg"
+    config.write_text("scene.num_objects = 2\n")
+    return ["synth", "--config", config, "--out", config]
+
+
+def _out_is_the_scene_to_eval(tmp_path, scene_file):
+    return ["eval", _truth_labels(tmp_path, scene_file), scene_file, "--out", scene_file]
+
+
+def _out_is_the_labels_to_eval(tmp_path, scene_file):
+    labels = _truth_labels(tmp_path, scene_file)
+    return ["eval", labels, scene_file, "--out", labels]
+
+
+def _out_is_labels_out_to_run(tmp_path, scene_file):
+    # the same file twice, once through a detour
+    (tmp_path / "sub").mkdir()
+    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "R.txt",
+            "--set", f"out_labels={tmp_path / 'sub' / '..' / 'R.txt'}"]
+
+
+def _repeated_pose_to_run(tmp_path, scene_file):
+    # a third POSE line gives object 1 the motion of object 2
+    pose_2 = next(line for line in scene_file.read_text().splitlines()
+                  if line.startswith("POSE 2 "))
+    path = tmp_path / "edited_scene.txt"
+    path.write_text(scene_file.read_text() + "POSE 1 " + pose_2[len("POSE 2 "):] + "\n")
+    return ["run", "--set", f"scene.file={path}"]
+
+
+def _unknown_scene_version_to_run(tmp_path, scene_file):
+    return _scene_with_header(tmp_path, scene_file, "version", "7")
+
+
 @pytest.mark.parametrize("bad_input", [
     _non_scene_to_eval,
     _truncated_scene_to_run,
@@ -384,10 +457,25 @@ def _unknown_init_kind_to_sransac(tmp_path, scene_file):
     _non_ascii_out_to_run,
     _non_ascii_out_to_synth,
     _negative_seed_to_sransac,
+    _synth_out_in_missing_dir,
+    _run_out_in_missing_dir,
+    _bench_out_in_missing_dir,
+    _eval_out_in_missing_dir,
+    _labels_out_in_missing_dir_to_run,
+    _out_is_a_directory_to_run,
+    _out_is_the_scene_to_run,
+    _out_is_the_init_file_to_run,
+    _out_is_the_config_to_synth,
+    _out_is_the_scene_to_eval,
+    _out_is_the_labels_to_eval,
+    _out_is_labels_out_to_run,
+    _repeated_pose_to_run,
+    _unknown_scene_version_to_run,
 ])
 def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     argv = bad_input(tmp_path, scene_file)
     files = set(tmp_path.iterdir())
+    contents = {path: path.read_bytes() for path in files if path.is_file()}
     out = tmp_path / "r.txt"
     if argv[0] == "run":
         argv[1:1] = ["--out", str(out)]  # a later --out of the row wins
@@ -398,6 +486,20 @@ def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     assert "Traceback" not in err
     assert not out.exists()
     assert set(tmp_path.iterdir()) == files
+    assert {path: path.read_bytes() for path in contents} == contents
+
+
+def test_failed_write_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_scene", full_disk)
+    out = tmp_path / "x.txt"
+    assert run_cli("synth", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "No space left on device" in err
+    assert not out.exists()
 
 
 def test_sransac_builds_no_initial_clustering(tmp_path, scene_file, monkeypatch):

@@ -140,6 +140,18 @@ def _gate(points, labels, k, tau):
     return weights > 0
 
 
+def _grid_gate(points, labels, k, tau):
+    """The gate as ``assign``'s cell grid decides it for every pair: the
+    occupancy settles the own-cell and out-of-hood pairs, the exact test the
+    other hood pairs."""
+    grid = _CliqueGrid(np.asarray(points, dtype=np.float64), tau)
+    labels = Clustering(labels, num_clusters=k).labels
+    gated, hood = grid.occupancy(labels, k)
+    rows, cols = np.nonzero(hood & ~gated)
+    gated[rows, cols] = grid.confirm(labels, rows, cols, {})
+    return gated
+
+
 def _gate_oracle(points, labels, k, tau):
     a = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -207,7 +219,7 @@ def test_grid_gate_matches_kd_tree_gate_on_fragmented_scenes(seed):
     cs, pruned = _fragmented_scene(seed)
     a, k = cs.a, pruned.num_clusters
     for tau in (TAU, 0.17):
-        np.testing.assert_array_equal(_gate(a, pruned.labels, k, tau),
+        np.testing.assert_array_equal(_grid_gate(a, pruned.labels, k, tau),
                                       kd_tree_gate(a, pruned.labels, k, tau))
 
 
@@ -215,14 +227,15 @@ def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
     # 130 clusters: the hood union spans three 64-bit words per cell
     a = rng.uniform(0.0, 2.0, (3000, 3))
     labels = rng.integers(0, 131, 3000)
-    np.testing.assert_array_equal(_gate(a, labels, 130, TAU), kd_tree_gate(a, labels, 130, TAU))
+    np.testing.assert_array_equal(_grid_gate(a, labels, 130, TAU),
+                                  kd_tree_gate(a, labels, 130, TAU))
 
 
 def _full_gate_assignment(cs, clustering, models, tau):
-    """The argmax over every gated log-score, every pair gated exactly (by
-    ``e_step``); a row with no gated cluster keeps its label. The oracle for
-    ``assign``."""
-    gated = _gate(cs.a, clustering.labels, clustering.num_clusters, tau)
+    """The argmax over every gated log-score, every pair gated exactly by one
+    k-d tree per cluster (no code shared with the cell grid); a row with no
+    gated cluster keeps its label. The oracle for ``assign``."""
+    gated = kd_tree_gate(cs.a, clustering.labels, clustering.num_clusters, tau)
     best = np.argmax(np.where(gated, _log_scores(cs, models), -np.inf), axis=1)
     return np.where(gated.any(axis=1), best + 1, clustering.labels)
 
