@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -104,12 +105,12 @@ def _check_outputs(outputs, inputs) -> None:
     """Refuse, before any work, an output path whose directory does not
     exist, that is a directory, or that resolves to one of the command's
     input files or to another of its outputs. Empty paths are skipped."""
-    taken = {Path(path).resolve(): "an input" for path in inputs if path}
+    taken = {os.path.realpath(path): "an input" for path in inputs if path}
     for path in filter(None, outputs):
-        resolved = Path(path).resolve()
-        if not resolved.parent.is_dir():
-            raise UsageError(f"cannot write {path}: directory {Path(path).parent} does not exist")
-        if resolved.is_dir():
+        resolved = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(resolved)):
+            raise UsageError(f"cannot write {path}: directory {os.path.dirname(path)} does not exist")
+        if os.path.isdir(resolved):
             raise UsageError(f"cannot write {path}: it is a directory")
         if resolved in taken:
             raise UsageError(f"cannot write {path}: it is also {taken[resolved]} of this command")
