@@ -117,12 +117,22 @@ def _check_outputs(outputs, inputs) -> None:
         taken[resolved] = "an output"
 
 
-def _write(write, value, path) -> None:
-    """``write(value, path)``; an OSError there is a usage error naming the path."""
+def _write(write, value, path, written: list) -> None:
+    """``write(value, path)`` as one of a command's writes, which share ``written``.
+    On an OSError each regular file the command has opened for writing is
+    removed, so nothing partial is left, and a usage error names the path.
+    Files are written in place, never renamed over the target: a device node
+    given as an output stays one."""
+    # an existing file the command may not write is never opened, so it stays
+    kept = os.path.exists(path) and not os.access(path, os.W_OK)
     try:
         write(value, path)
     except OSError as exc:
+        for done in map(os.path.realpath, written + ([] if kept else [path])):
+            if os.path.isfile(done):
+                os.remove(done)
         raise UsageError(f"cannot write {path}: {exc}") from exc
+    written.append(path)
 
 
 def load_config_file(path: str) -> list[str]:
@@ -240,7 +250,7 @@ def cmd_synth(cfg: dict[str, str], config_file: str | None = None) -> int:
     _check_outputs([out], [config_file])
     spec = scene_spec_from_config(cfg)
     scene = generate_scene(spec)
-    _write(write_scene, scene, out)
+    _write(write_scene, scene, out, [])
     print(f"scene written to {out}: n={spec.total_points} M={spec.num_objects} "
           f"sigma={fmt_float(spec.sigma)} tau={fmt_float(spec.tau)}")
     return 0
@@ -328,7 +338,7 @@ def cmd_run(cfg: dict[str, str], config_file: str | None = None) -> int:
             clustering, transforms = fit_cluster_transforms(cs, initial)
     except NoViableClustersError as exc:
         _write(write_result, _base_pairs(cfg, algorithm)
-               + [("result.status", "error"), ("result.error", str(exc))], out)
+               + [("result.status", "error"), ("result.error", str(exc))], out, [])
         print(f"algorithm failed: {exc}", file=sys.stderr)
         return 1
     t_done = time.perf_counter()
@@ -343,9 +353,10 @@ def cmd_run(cfg: dict[str, str], config_file: str | None = None) -> int:
                         translation=transform.translation)
     pairs += em_pairs
     pairs.append(("labels", _text(clustering.labels)))
-    _write(write_result, pairs, out)
+    written: list[str] = []
+    _write(write_result, pairs, out, written)
     if labels_out:
-        _write(write_clustering, clustering, labels_out)
+        _write(write_clustering, clustering, labels_out, written)
 
     print(f"result written to {out}: algorithm={algorithm} "
           f"mask_iou={fmt_float(report.mask_iou)} "
@@ -368,7 +379,7 @@ def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
     for key, value in pairs:
         print(f"{key} = {value}")
     if out:
-        _write(write_result, pairs, out)
+        _write(write_result, pairs, out, [])
     return 0
 
 
@@ -378,6 +389,7 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
     suite = _get(cfg, "bench.suite")
     seed = _get(cfg, "seed")
     summary_pairs = _base_pairs(cfg)
+    written: list[str] = []
 
     # Every setting of the suites that run is checked before either samples,
     # so a bad one exits 2 without work and without a partial file.
@@ -397,7 +409,7 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
 
     if consistency is not None:
         trials, summaries = run_consistency_bench(**consistency, seed=seed)
-        _write(write_bench_csv, trials, out)
+        _write(write_bench_csv, trials, out, written)
         for s in summaries:
             summary_pairs += _pairs(
                 f"bench.consistency.m{s.m}", trials=s.trials,
@@ -412,7 +424,7 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
                 max_abs_deviation=s.max_abs_deviation, interval_low=s.interval_low,
                 interval_high=s.interval_high)
 
-    _write(write_result, summary_pairs, out + ".summary")
+    _write(write_result, summary_pairs, out + ".summary", written)
     for key, value in summary_pairs:
         if key.startswith("bench."):
             print(f"{key} = {value}")

@@ -4,10 +4,10 @@ Connectivity at radius ``tau`` means the graph with an edge between every
 pair of points at distance <= tau is connected. One grid serves every tau
 query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
-Each pair of neighbouring occupied cells is listed once, by forward offset:
-components come from hook-and-compress joins over that whole list (pairs
-whose first points lie within tau, then those still apart that touch), and
-the EM proximity gate reads cluster occupancy across each pair both ways.
+Each occupied cell's block is found once, as 25 runs of occupied cells, and
+hoods, the flat cell-pair list, the EM gate's occupancy union and components
+(hook-and-compress joins of pairs whose first points lie within tau, then of
+those still apart that a batched point-pair test finds in contact) read it.
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -108,17 +108,13 @@ class Clustering:
 # A hair over 1: float rounding in ``points / side`` then cannot put two points
 # at distance <= tau three cells apart on an axis.
 _SIDE_SLACK = 1.0 + 2.0 ** -30
-# Most point pairs one chunk of a cell-pair test compares at once.
-_PAIR_CHUNK = 1 << 10
-# Cell offsets of a hood, in lexicographic order: (0, 0, 0) is row 62, and the
-# 62 rows after it hold one offset of each +-pair.
-_REACH = np.array([(dx, dy, dz) for dx in range(-2, 3) for dy in range(-2, 3)
-                   for dz in range(-2, 3)], dtype=np.int64)
+# The (dx, dy) offsets of a hood's 25 columns, in lexicographic order.
+_REACH = np.array([(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)], dtype=np.int64)
 # Fragment-growth steps planned before one vectorised check: long enough to
 # amortise the check, short enough that the steps undone at a miss cost little.
 _BATCH = 128
-# Hood points one distance test of fragment growth gathers at once, unless a
-# single hood holds more.
+# Point pairs one distance-test pass gathers at once (fragment growth's hoods,
+# the cell-pair contact test's rows), unless a single hood or row holds more.
 _HOOD_CHUNK = 1 << 15
 
 
@@ -134,9 +130,9 @@ class _CliqueGrid:
     axis: the 125 cells of the 5x5x5 block around a cell (its hood) hold every
     tau-neighbour of its points. Occupied cells are kept as sorted unique int64
     codes; ``order[starts[c]:starts[c + 1]]`` lists the points of cell c in
-    index order and ``cell_of[i]`` is the cell of point i. ``pairs`` lists each
-    pair of neighbouring occupied cells once: connectivity joins them all at
-    once, the gate reads them in both directions.
+    index order and ``cell_of[i]`` is the cell of point i. A (dx, dy) column of
+    a hood is five consecutive codes: ``runs[c, j]`` bounds the occupied cells
+    of column j of c's hood.
     """
 
     def __init__(self, points: np.ndarray, tau: float):
@@ -170,37 +166,27 @@ class _CliqueGrid:
         self.cell_of = np.searchsorted(self.codes, codes)
         self._cell_list = self.cell_of.tolist()
         self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
-        # code bounds [dz = -2, dz = 3) of the hood's 25 columns, relative to its centre
-        self._columns = ((_REACH[2::5] @ self.strides)[:, None] + np.array([-2, 3])).ravel()
-
-    def find_cells(self, target: np.ndarray) -> np.ndarray:
-        """Index of the occupied cell with each code in ``target``, or -1."""
-        pos = np.minimum(np.searchsorted(self.codes, target), len(self.codes) - 1)
-        return np.where(self.codes[pos] == target, pos, -1)
+        # code bounds [dz = -2, dz = 3) of each column; cell indices lie in [2, dim - 3]
+        bounds = ((_REACH @ self.strides[:2])[:, None] + np.array([-2, 3])).ravel()
+        self.runs = np.searchsorted(self.codes, self.codes[:, None] + bounds).reshape(-1, 25, 2)
 
     def hood(self, point: int) -> np.ndarray:
         """Indices of the points in the 125 cells around the cell of ``point``
-        (a superset of its tau-neighbours, itself included); cached per cell.
-        The five cells of one (dx, dy) column have consecutive codes, so the
-        hood is 25 runs of ``order``."""
+        (a superset of its tau-neighbours, itself included); cached per cell."""
         cell = self._cell_list[point]
         members = self._hoods[cell]
         if members is None:
-            ends = self.starts[np.searchsorted(self.codes, self.codes[cell] + self._columns)]
-            members = self._hoods[cell] = np.concatenate(
-                [self.order[a:b] for a, b in ends.reshape(-1, 2).tolist()])
+            members = self._hoods[cell] = self.order[_expand(*self.starts[self.runs[cell]].T)]
         return members
 
     @cached_property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per forward offset (a row of ``_REACH`` after (0, 0, 0)), the occupied
-        cells c and d with d at that offset from c: two index arrays, each unique."""
-        pairs = []
-        for delta in (_REACH[63:] @ self.strides).tolist():
-            d = self.find_cells(self.codes + delta)
-            c = np.flatnonzero(d >= 0)
-            pairs.append((c.astype(self._index_dtype), d[c].astype(self._index_dtype)))
-        return pairs
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every occupied cell c with each occupied cell d of its hood (c itself
+        included), as two flat index arrays with c ascending. The relation is
+        symmetric: d > c lists each pair of distinct neighbours once."""
+        lo, hi = self.runs.reshape(-1, 2).T
+        c = np.repeat(np.arange(len(self.codes)).repeat(25), hi - lo)
+        return c.astype(self._index_dtype), _expand(lo, hi).astype(self._index_dtype)
 
     def occupancy(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(n, k) masks ``own`` and ``hood``: entry (i, j) is True iff a point
@@ -213,10 +199,9 @@ class _CliqueGrid:
         words = np.zeros((len(self.codes), -(-k // 64) * 8), dtype=np.uint8)
         words[:, :-(-k // 8)] = np.packbits(occupied, axis=1, bitorder="little")
         words = words.view(np.uint64)
-        in_hood = words.copy()
-        for c, d in self.pairs:
-            in_hood[c] |= words[d]
-            in_hood[d] |= words[c]
+        c, d = self.pairs
+        # every cell is its own first pair, so no run of c is empty
+        in_hood = np.bitwise_or.reduceat(words[d], np.flatnonzero(np.diff(c, prepend=-1)))
         in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
         return occupied[self.cell_of], in_hood.view(bool)[self.cell_of]
 
@@ -242,21 +227,38 @@ class _CliqueGrid:
             passes[query] = dist < self.tau
         return passes
 
-    def touch(self, c: int, d: int) -> bool:
-        """True iff some point of cell c lies within tau of some point of cell d.
+    def touching(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Entry i is True iff some point of cell ``c[i]`` lies within tau of
+        some point of cell ``d[i]``. Each point of c[i] is a row tested against
+        all of d[i], about ``_HOOD_CHUNK`` point pairs per pass (rows of pairs
+        already in contact skipped), so dense cells need no |c| x |d| buffer."""
+        lo, hi = self.starts[c], self.starts[c + 1]
+        pair = np.repeat(np.arange(len(c)), hi - lo)
+        p = _expand(lo, hi)  # the sorted position of each row's point
+        lo, hi = self.starts[d][pair], self.starts[d + 1][pair]
+        hit = np.zeros(len(c), dtype=bool)
+        for a, b in _passes(hi - lo):
+            rows = np.arange(a, b)[~hit[pair[a:b]]]
+            q = _expand(lo[rows], hi[rows])
+            rows = np.repeat(rows, hi[rows] - lo[rows])  # the row of each point pair
+            diff = self.sorted_points[q] - self.sorted_points[p[rows]]
+            hit[pair[rows[np.einsum("ij,ij->i", diff, diff) <= self.tau_sq]]] = True
+        return hit
 
-        Compares at most ``_PAIR_CHUNK`` point pairs at a time (one row of c
-        against all of d at least), so two dense cells never need a |c| x |d|
-        buffer.
-        """
-        p = self.sorted_points[self.starts[c]:self.starts[c + 1]]
-        q = self.sorted_points[self.starts[d]:self.starts[d + 1]]
-        step = max(1, _PAIR_CHUNK // len(q))
-        for s in range(0, len(p), step):
-            diff = q[None, :, :] - p[s:s + step, None, :]
-            if np.any(np.einsum("ijk,ijk->ij", diff, diff) <= self.tau_sq):
-                return True
-        return False
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The runs ``np.arange(lo[i], hi[i])``, concatenated in order of i."""
+    counts = hi - lo
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+
+
+def _passes(lengths) -> list[tuple[int, int]]:
+    """Bounds [a, b) of the passes over rows of these lengths: each ends after the
+    last row ending within a multiple of ``_HOOD_CHUNK``; a longer row is one pass."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    marks = np.arange(_HOOD_CHUNK, ends.max(initial=0), _HOOD_CHUNK)
+    bounds = np.unique(np.r_[0, np.searchsorted(ends, marks, "right"), len(ends)]).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _join(parent: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
@@ -280,10 +282,10 @@ def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     grid = _CliqueGrid(pts, tau)
-    # Every pair of neighbouring cells: those whose first points lie within tau
-    # (touch's own test, on all pairs in one pass) join first, then touch runs
-    # on the rest that are still apart.
-    c, d = (np.concatenate(side) for side in zip(*grid.pairs))
+    # Neighbouring cells whose first points lie within tau (touching's own test,
+    # all pairs in one pass) join first; touching tests the pairs still apart.
+    c, d = grid.pairs
+    c, d = c[d > c], d[d > c]
     witness = grid.sorted_points[grid.starts[:-1]]
     diff = witness[d] - witness[c]
     near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
@@ -291,7 +293,7 @@ def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
     _join(parent, c[near], d[near])
     rest = ~near & (parent[c] != parent[d])
     c, d = c[rest], d[rest]
-    touching = np.fromiter(map(grid.touch, c.tolist(), d.tolist()), dtype=bool, count=len(c))
+    touching = grid.touching(c, d)
     _join(parent, c[touching], d[touching])
     _, first, inverse = np.unique(parent[grid.cell_of], return_index=True,
                                   return_inverse=True)
@@ -376,14 +378,10 @@ def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k:
     ``absorb`` makes on the same operands, so the two agree bit for bit."""
     hit = np.zeros((len(probe), k), dtype=bool)
     hoods = [grid.hood(i) for i in probe.tolist()]
-    ends = np.cumsum([len(h) for h in hoods])
-    # a pass ends after the last hood that ends within each multiple of
-    # _HOOD_CHUNK; a hood larger than that makes a pass of its own
-    cuts = np.searchsorted(ends, np.arange(_HOOD_CHUNK, ends[-1], _HOOD_CHUNK), side="right")
-    bounds = np.unique(np.r_[0, cuts, len(hoods)]).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    lengths = [len(h) for h in hoods]
+    for a, b in _passes(lengths):
         m = np.concatenate(hoods[a:b])
-        t = np.repeat(np.arange(a, b), [len(h) for h in hoods[a:b]])
+        t = np.repeat(np.arange(a, b), lengths[a:b])
         mask = keep(t, m)
         t, m = t[mask], m[mask]
         diff = grid.points.take(probe[t], axis=0) - grid.points.take(m, axis=0)

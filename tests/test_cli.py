@@ -489,17 +489,31 @@ def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     assert {path: path.read_bytes() for path in contents} == contents
 
 
-def test_failed_write_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
-    def full_disk(*args):
+@pytest.mark.parametrize("command", ["synth", "run", "bench"])
+def test_failed_write_exits_2_with_one_line(command, tmp_path, capsys, monkeypatch, scene_file):
+    # the command's last write fails part way, as on a full disk: it exits 2
+    # and leaves none of its outputs, the ones written before it included
+    def full_disk(value, path):
+        with open(path, "w") as fh:
+            fh.write("partial")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "write_scene", full_disk)
-    out = tmp_path / "x.txt"
-    assert run_cli("synth", "--out", str(out)) == 2
+    out, labels = tmp_path / "out.txt", tmp_path / "labels.txt"
+    summary = tmp_path / "out.txt.summary"
+    argv, writer, outputs = {
+        "synth": (["synth", "--out", str(out)], "write_scene", [out]),
+        "run": (["run", "--out", str(out), "--set", f"scene.file={scene_file}",
+                 "--set", f"out_labels={labels}"], "write_clustering", [out, labels]),
+        "bench": (["bench", "--out", str(out), "--set", "bench.m_values=10",
+                   "--set", "bench.trials=3"], "write_result", [out, summary]),
+    }[command]
+    monkeypatch.setattr(cli, writer, full_disk)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {outputs[-1]}: ") and err.count("\n") == 1
     assert "No space left on device" in err
-    assert not out.exists()
+    assert not any(path.exists() for path in outputs)
 
 
 def test_sransac_builds_no_initial_clustering(tmp_path, scene_file, monkeypatch):

@@ -138,6 +138,33 @@ def test_connected_components_match_bruteforce(name):
     np.testing.assert_array_equal(comp, expected)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("name", ["dense cells, late contact", "chain joined only by touch",
+                                  "chain with a gap"])
+def test_connected_components_in_small_chunks_match_bruteforce(name, chunk, monkeypatch):
+    # the contact test's passes end inside one cell pair: at chunk 1 every row
+    # is a pass, at 7 the rows of the chains' two-point cells split across passes
+    monkeypatch.setattr(clustering, "_HOOD_CHUNK", chunk)
+    test_connected_components_match_bruteforce(name)
+
+
+@pytest.mark.parametrize("name", ["far outlier", "negative coordinates", "tau/2 boundaries"])
+def test_pairs_and_hoods_are_the_blocks_of_occupied_cells(name):
+    pts, tau = _component_sets()[name]
+    grid = _CliqueGrid(pts, tau)
+    x, rest = np.divmod(grid.codes, grid.strides[0])
+    cells = np.stack([x, *np.divmod(rest, grid.strides[1])], axis=1)
+    # ordered pairs of occupied cells at most 2 apart on every axis, each cell
+    # with itself; np.nonzero lists them with c ascending, then d
+    block = (np.abs(cells[:, None, :] - cells[None, :, :]) <= 2).all(axis=2)
+    c, d = grid.pairs
+    np.testing.assert_array_equal(c, np.nonzero(block)[0])
+    np.testing.assert_array_equal(d, np.nonzero(block)[1])
+    for i in range(len(pts)):
+        np.testing.assert_array_equal(np.sort(grid.hood(i)),
+                                      np.flatnonzero(block[grid.cell_of[i]][grid.cell_of]))
+
+
 def test_connected_components_exact_tau_and_coincident_points_connect():
     chain = np.array([(0.5 * i, 0, 0) for i in range(10)], dtype=float)
     assert connected_components(chain, 0.5)[1] == 1
@@ -147,19 +174,19 @@ def test_connected_components_exact_tau_and_coincident_points_connect():
 
 def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
     calls = []
-    touch = _CliqueGrid.touch
-    monkeypatch.setattr(_CliqueGrid, "touch", lambda grid, c, d: calls.append((c, d))
-                        or touch(grid, c, d))
+    touching = _CliqueGrid.touching
+    monkeypatch.setattr(_CliqueGrid, "touching", lambda grid, c, d: calls.append(len(c))
+                        or touching(grid, c, d))
 
     def components_and_touches(pts, tau):
         # connected_components against the brute-force oracle, and the number
-        # of full cell-pair tests it made
+        # of cell pairs given to the full contact test
         calls.clear()
         comp, count = connected_components(pts, tau)
         expected, expected_count = brute_force_components(pts, tau)
         assert count == expected_count
         np.testing.assert_array_equal(comp, expected)
-        return count, len(calls)
+        return count, sum(calls)
 
     # tau = 1: cells of side 0.5, and (0, 0, 0) and (1, 0, 0) two cells apart
     # on x. A cell's first point is its lowest index.
@@ -177,8 +204,8 @@ def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
     pts = np.vstack([pts, [(0.5 * (1 + 1e-12) - 0.5, 0.0, 0.0)]])
     assert components_and_touches(pts, 0.5) == (1, 1)
     # cells (0, 0, 0) and (1, 0, 0) at tau 1 have first points 1.21 apart, but
-    # both join (0, 1, 1) on first points: every witness joins before any
-    # touch, so that pair is no longer apart and is never tested
+    # both join (0, 1, 1) on first points: every witness joins before the
+    # contact test, so that pair is no longer apart and is never tested
     pts = np.array([(0.0, 0.0, 0.0), (0.99, 0.49, 0.49), (0.2, 0.52, 0.52)])
     assert components_and_touches(pts, 1.0) == (1, 0)
 
@@ -230,6 +257,37 @@ def test_connected_components_two_dense_cells_stay_small():
         tracemalloc.stop()
     assert count == 1
     assert peak < 50 * 2 ** 20
+
+
+def test_contact_test_of_two_dense_cells_stays_small():
+    # tau = 1: two 3000-point clumps in cells two apart on x, 1.18 apart, so
+    # the contact test compares all 9 M point pairs; in one pass that would
+    # need about 216 MB of differences
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 0.02, (3000, 3))
+    pts = np.vstack([a, a + (1.2, 0, 0)])
+    tracemalloc.start()
+    try:
+        _, count = connected_components(pts, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2
+    assert peak < 16 * 2 ** 20
+
+
+def test_flat_pair_sums_are_the_blocked_sums_bit_for_bit():
+    # the contact test and the witness sum squared differences over flattened
+    # point pairs; summed over a (|c|, |d|, 3) block the bits must not change,
+    # so a contact at exactly tau does not depend on the layout (einsum's sum
+    # differs from the column sum in about a fifth of these rows)
+    rng = np.random.default_rng(12)
+    p = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-6, 7, (60, 1))
+    q = rng.normal(size=(70, 3)) * 10.0 ** rng.integers(-6, 7, (70, 1))
+    diff = q[None, :, :] - p[:, None, :]
+    flat = diff.reshape(-1, 3)
+    np.testing.assert_array_equal(np.einsum("ij,ij->i", flat, flat),
+                                  np.einsum("ijk,ijk->ij", diff, diff).ravel())
 
 
 def test_fragments_match_heap_growth_oracle(rng):
