@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ from .em import EMConfig, NoViableClustersError, fit_clusters, run_em
 from .io import (fmt_float, read_clustering, read_scene, write_bench_csv,
                  write_clustering, write_result, write_scene, RESULT_FORMAT_VERSION)
 from .metrics import evaluate
-from .scenes import (InfeasibleSceneError, SceneSpec, SplitSizeError, check_split,
-                     generate_scene, make_good_split)
+from .scenes import (InfeasibleSceneError, SceneSpec, SplitSizeError, check_packing,
+                     check_split, generate_scene, make_good_split)
 
 ALGORITHMS = ("em", "sransac", "tlinkage", "naive-horn-per-cluster")
 
@@ -182,22 +182,25 @@ def _get(cfg, key, unset=...):
         return value if isinstance(kind, tuple) else kind(value)
 
 
+def _fields(cfg, cls, prefix: str, **unset) -> dict:
+    """``_get(cfg, prefix + name)`` for each field of the dataclass ``cls``
+    whose key is in CONFIG, in field order; an empty value takes
+    ``unset[name]``, or is required when the field has no entry there."""
+    return {f.name: _get(cfg, prefix + f.name, unset.get(f.name, ...))
+            for f in fields(cls) if prefix + f.name in CONFIG}
+
+
 def scene_spec_from_config(cfg: dict[str, str]) -> SceneSpec:
-    num_objects = _get(cfg, "scene.num_objects")
-    counts = _get(cfg, "scene.points_per_object")
-    if len(counts) == 1:
-        counts = counts * num_objects
+    values = _fields(cfg, SceneSpec, "scene.", separation_margin=None)
+    seed = _get(cfg, "seed")
     with _usage("invalid scene spec: "):
-        return SceneSpec(
-            num_objects=num_objects,
-            points_per_object=tuple(counts),
-            sigma=_get(cfg, "scene.sigma"),
-            tau=_get(cfg, "scene.tau"),
-            bound_b=_get(cfg, "scene.bound_b"),
-            num_outliers=_get(cfg, "scene.num_outliers"),
-            separation_margin=_get(cfg, "scene.separation_margin", unset=None),
-            seed=_get(cfg, "seed"),
-        )
+        counts, num_objects = values["points_per_object"], values["num_objects"]
+        if len(counts) == 1 and num_objects > 1:
+            # a one-object spec checks the other settings in their order, then
+            # the packing bound refuses a count too large to repeat
+            check_packing(SceneSpec(**{**values, "num_objects": 1}, seed=seed), num_objects)
+            values["points_per_object"] = counts * num_objects
+        return SceneSpec(**values, seed=seed)
 
 
 def _read_labels(path, scene) -> Clustering:
@@ -276,27 +279,15 @@ def _algorithm_config(cfg, algorithm, seed, sigma, tau):
     config rejects is a usage error."""
     with _usage(f"invalid {algorithm} config: "):
         if algorithm == "em":
-            return EMConfig(
-                tau=_get(cfg, "em.tau", unset=tau),
-                m_min=_get(cfg, "em.m_min"),
-                max_iters=_get(cfg, "em.max_iters"),
-                sigma_floor=_get(cfg, "em.sigma_floor"),
-            )
+            return EMConfig(**_fields(cfg, EMConfig, "em.", tau=tau))
         if algorithm == "sransac":
-            return RansacConfig(
-                inlier_threshold=_get(cfg, "ransac.inlier_threshold",
-                                      unset=max(math.sqrt(3.0) * sigma, 1e-6)),
-                max_trials=_get(cfg, "ransac.max_trials"),
-                min_model_inliers=_get(cfg, "ransac.min_model_inliers"),
-                seed=seed,
-            )
+            return RansacConfig(**_fields(cfg, RansacConfig, "ransac.",
+                                          inlier_threshold=max(math.sqrt(3.0) * sigma, 1e-6)),
+                                seed=seed)
         if algorithm == "tlinkage":
-            return TLinkageConfig(
-                tau_t=_get(cfg, "tlinkage.tau_t", unset=max(math.sqrt(3.0) * sigma, 0.01 * tau)),
-                tau=tau,
-                num_hypotheses=_get(cfg, "tlinkage.num_hypotheses"),
-                seed=seed,
-            )
+            return TLinkageConfig(**_fields(cfg, TLinkageConfig, "tlinkage.",
+                                            tau_t=max(math.sqrt(3.0) * sigma, 0.01 * tau)),
+                                  tau=tau, seed=seed)
     return None
 
 
@@ -407,22 +398,19 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
             )
             check_noise_ratio_bench(**ratio)
 
+    summaries = []
     if consistency is not None:
-        trials, summaries = run_consistency_bench(**consistency, seed=seed)
+        trials, rows = run_consistency_bench(**consistency, seed=seed)
         _write(write_bench_csv, trials, out, written)
-        for s in summaries:
-            summary_pairs += _pairs(
-                f"bench.consistency.m{s.m}", trials=s.trials,
-                violation_rate_rot=s.violation_rate_rot,
-                violation_rate_trans=s.violation_rate_trans,
-                median_rot_err_sq=s.median_rot_err_sq, median_trans_err_sq=s.median_trans_err_sq)
-
+        summaries += [("consistency", row) for row in rows]
     if ratio is not None:
-        for s in run_noise_ratio_bench(**ratio, seed=seed):
-            summary_pairs += _pairs(
-                f"bench.noise_ratio.m{s.m}", trials=s.trials, violation_rate=s.violation_rate,
-                max_abs_deviation=s.max_abs_deviation, interval_low=s.interval_low,
-                interval_high=s.interval_high)
+        summaries += [("noise_ratio", row) for row in run_noise_ratio_bench(**ratio, seed=seed)]
+    # one record line per summary field; m is in the prefix, and the ratios
+    # of each trial stay out
+    for suite, summary in summaries:
+        values = asdict(summary)
+        values.pop("ratios", None)
+        summary_pairs += _pairs(f"bench.{suite}.m{values.pop('m')}", **values)
 
     _write(write_result, summary_pairs, out + ".summary", written)
     for key, value in summary_pairs:

@@ -93,7 +93,8 @@ def read_scene(path) -> LabeledScene:
     num_objects = int(header["M"])
     if len(rows) != n:
         raise ValueError(f"expected {n} correspondence lines, found {len(rows)}")
-    if sorted(poses) != list(range(1, num_objects + 1)):
+    # by count first: M may be far larger than any range worth building
+    if len(poses) != num_objects or sorted(poses) != list(range(1, num_objects + 1)):
         raise ValueError("POSE lines must cover objects 1..M exactly once")
 
     table = _correspondence_table(rows)

@@ -176,6 +176,25 @@ def _place_centers(rng: np.random.Generator, count: int, avail_radius: float,
     return None
 
 
+def check_packing(spec: SceneSpec, num_objects: int) -> tuple[float, float]:
+    """The radius of the ball that holds the blob centers of ``spec`` and the
+    least gap between two centers, once ``num_objects`` blobs can be packed
+    into its bounding ball; raises InfeasibleSceneError otherwise. Reads no
+    point count, so the CLI bounds the objects before it repeats one count."""
+    blob_radius = _BLOB_RADIUS_FACTOR * spec.tau
+    avail_radius = spec.bound_b - blob_radius
+    if avail_radius < 0:
+        raise InfeasibleSceneError("infeasible scene spec")
+    min_gap = spec.separation_margin + 2.0 * blob_radius
+    # balls of radius min_gap/2 around the centers are disjoint and lie in the
+    # ball of radius avail_radius + min_gap/2, so their volumes bound the count
+    ratio = 1.0 + 2.0 * avail_radius / min_gap
+    if num_objects > ratio * ratio * ratio:
+        raise InfeasibleSceneError(f"infeasible scene spec: {num_objects} objects cannot "
+                                   f"be packed into the ball of radius {spec.bound_b:g}")
+    return avail_radius, min_gap
+
+
 def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
     """Generate a scene realizing every SceneSpec condition, or raise.
 
@@ -185,17 +204,7 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
     """
     rng = make_rng(spec.seed)
     blob_radius = _BLOB_RADIUS_FACTOR * spec.tau
-    avail_radius = spec.bound_b - blob_radius
-    if avail_radius < 0:
-        raise InfeasibleSceneError("infeasible scene spec")
-    min_gap = spec.separation_margin + 2.0 * blob_radius
-    # balls of radius min_gap/2 around the centers are disjoint and lie in the
-    # ball of radius avail_radius + min_gap/2, so their volumes bound the count
-    ratio = 1.0 + 2.0 * avail_radius / min_gap
-    if spec.num_objects > ratio * ratio * ratio:
-        raise InfeasibleSceneError(f"infeasible scene spec: {spec.num_objects} objects cannot "
-                                   f"be packed into the ball of radius {spec.bound_b:g}")
-
+    avail_radius, min_gap = check_packing(spec, spec.num_objects)
     for _ in range(max_attempts):
         centers = _place_centers(rng, spec.num_objects, avail_radius, min_gap,
                                  tries=200 * spec.num_objects)

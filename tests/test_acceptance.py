@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_connected, check_initial_clustering, read_result
-from multireg.baselines import (RansacConfig, sequential_ransac, tanimoto_distance)
+from multireg.baselines import (RansacConfig, _gram_to_tanimoto, sequential_ransac,
+                                tanimoto_distance)
 from multireg.bounds import (dominance_margin, dominance_ratio_threshold,
                              hoeffding_bound, min_cluster_size_threshold,
                              rotation_error_bound, run_consistency_bench,
                              run_noise_ratio_bench, translation_error_bound)
-from multireg.clustering import euclidean_cluster, is_connected
-from multireg.em import EMConfig, e_step, fit_models, run_em
+from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster, is_connected
+from multireg.em import EMConfig, assign, e_step, fit_models, m_step, run_em
 from multireg.geometry import (CorrespondenceSet, geodesic_distance, is_rotation,
                                random_rotation)
 from multireg.horn import horn_register
@@ -186,6 +187,18 @@ def test_criterion_6b_e_step_rows_normalize(rng):
           f"(max deviation {np.max(np.abs(sums - 1.0)):.2e})")
 
 
+def test_criterion_6b_assign_gives_the_m_step_labels(rng):
+    # criterion 6b's input, through the classification step run_em takes
+    a = rng.uniform(0, 0.25, (60, 3))
+    cs = CorrespondenceSet(a, a + np.array([0.5, 0.0, 0.0]))
+    clustering = Clustering(np.repeat([1, 2], 30))
+    cfg = EMConfig(tau=TAU, m_min=10)
+    models = fit_models(cs, clustering, cfg)
+    expected = m_step(e_step(cs, clustering, models, cfg), clustering, cfg)
+    labels = assign(cs, clustering, models, _CliqueGrid(a, TAU)).labels
+    np.testing.assert_array_equal(labels, expected.labels)
+
+
 def test_criterion_6c_connectivity_matches_bruteforce(rng):
     agreements = 0
     for _ in range(100):
@@ -225,6 +238,19 @@ def test_criterion_6e_tanimoto_axioms(rng):
         assert abs(d - tanimoto_distance(v, u)) <= 1e-15
         assert tanimoto_distance(u, u) <= 1e-15
     print("PASS criterion 6e: Tanimoto range/symmetry/identity on 1000 random pairs")
+
+
+def test_criterion_6e_tanimoto_axioms_on_the_gram_form(rng):
+    # criterion 6e's pairs, through the matrix _tanimoto_merge builds: the
+    # Gram matrix, with sq its own diagonal
+    for _ in range(1000):
+        prefs = np.stack([rng.uniform(0.0, 1.0, 12), rng.uniform(0.0, 1.0, 12)])
+        gram = prefs @ prefs.T
+        sq = gram.diagonal().copy()
+        d = _gram_to_tanimoto(gram, sq[:, None], sq)
+        assert np.all((0.0 <= d) & (d <= 1.0))
+        assert abs(d[0, 1] - d[1, 0]) <= 1e-15
+        assert np.all(d.diagonal() <= 1e-15)
 
 
 def test_criterion_7_formula_evaluators():

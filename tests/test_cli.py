@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -7,9 +8,12 @@ import pytest
 
 from conftest import read_result
 from multireg import cli, horn
+from multireg.baselines import RansacConfig, TLinkageConfig
 from multireg.cli import main
 from multireg.clustering import Clustering
+from multireg.em import EMConfig
 from multireg.io import read_clustering, read_scene, write_clustering
+from multireg.scenes import SceneSpec
 
 
 def run_cli(*argv):
@@ -146,6 +150,8 @@ def test_run_missing_scene_exits_2(tmp_path):
     ("sransac", "ransac.inlier_threshold=inf"),
     ("tlinkage", "tlinkage.tau_t=nan"),
     ("tlinkage", "tlinkage.tau_t=inf"),
+    ("em", "em.max_iters=0"),
+    ("sransac", "ransac.min_model_inliers=2"),
 ])
 def test_run_bad_algorithm_config_exits_2(tmp_path, scene_file, capsys, algorithm, setting):
     out = tmp_path / "r.txt"
@@ -236,6 +242,22 @@ def _synth_objects_cannot_be_packed(tmp_path, scene_file):
     # 200 blobs 1.8 apart in the default ball: refused before any packing try
     return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.num_objects=200",
             "--set", "scene.points_per_object=5"]
+
+
+def _synth_objects_too_many_to_repeat(tmp_path, scene_file):
+    # refused by the packing bound before one count is repeated 10^12 times
+    return ["synth", "--out", tmp_path / "r.txt", "--set", f"scene.num_objects={10 ** 12}"]
+
+
+def _synth_tau_nan_objects_too_many_to_repeat(tmp_path, scene_file):
+    # a NaN tau fails no packing bound, so it is refused before the repeat too
+    return ["synth", "--out", tmp_path / "r.txt", "--set", f"scene.num_objects={10 ** 12}",
+            "--set", "scene.tau=nan"]
+
+
+def _huge_m_header_to_run(tmp_path, scene_file):
+    # two POSE lines are not 10^12: refused before a range of 1..M is built
+    return _scene_with_header(tmp_path, scene_file, "M", 10 ** 12)
 
 
 def _unknown_key_set_to_run(tmp_path, scene_file):
@@ -450,6 +472,9 @@ def _unknown_scene_version_to_run(tmp_path, scene_file):
     _synth_sigma_huge,
     _synth_bound_b_huge,
     _synth_objects_cannot_be_packed,
+    _synth_objects_too_many_to_repeat,
+    _synth_tau_nan_objects_too_many_to_repeat,
+    _huge_m_header_to_run,
     _unknown_key_set_to_run,
     _unknown_key_in_config_to_run,
     _non_ascii_config_to_run,
@@ -737,6 +762,45 @@ def test_bench_noise_ratio_suite(tmp_path):
     assert code == 0
     summary = read_result(str(out) + ".summary")
     assert float(summary["bench.noise_ratio.m20000.violation_rate"]) <= 0.1
+
+
+# a value unlike the default for every key that sets a field of a config
+# object; scene.file names the scene, not a field
+_BUILT = {"scene": SceneSpec, "em": EMConfig, "ransac": RansacConfig,
+          "tlinkage": TLinkageConfig}
+_NON_DEFAULT = {
+    "scene.num_objects": 2, "scene.points_per_object": (7, 8), "scene.sigma": 0.02,
+    "scene.tau": 0.25, "scene.bound_b": 5.0, "scene.num_outliers": 3,
+    "scene.separation_margin": 0.7,
+    "em.tau": 0.2, "em.m_min": 5, "em.max_iters": 7, "em.sigma_floor": 1e-6,
+    "ransac.inlier_threshold": 0.05, "ransac.max_trials": 9, "ransac.min_model_inliers": 4,
+    "tlinkage.tau_t": 0.03, "tlinkage.num_hypotheses": 11,
+}
+
+
+def _built(settings):
+    """The objects ``run --set`` each of ``settings`` builds, by section; the
+    scene's sigma and tau given here feed only the computed defaults."""
+    args = cli.build_parser().parse_args(["run"] + [a for s in settings for a in ("--set", s)])
+    cfg = cli.effective_config(args)
+    built = {"scene": cli.scene_spec_from_config(cfg)}
+    for section, algorithm in (("em", "em"), ("ransac", "sransac"), ("tlinkage", "tlinkage")):
+        built[section] = cli._algorithm_config(cfg, algorithm, 0, 0.01, 0.3)
+    return built
+
+
+def test_config_keys_are_the_fields_of_their_objects():
+    keys = [key for key in cli.CONFIG if key.split(".")[0] in _BUILT and key != "scene.file"]
+    for key in keys:
+        section, name = key.split(".")
+        assert name in {f.name for f in dataclasses.fields(_BUILT[section])}, key
+    assert sorted(keys) == sorted(_NON_DEFAULT)
+    default = _built([])
+    built = _built(f"{key}={cli._text(value)}" for key, value in _NON_DEFAULT.items())
+    for key, value in _NON_DEFAULT.items():
+        section, name = key.split(".")
+        assert getattr(built[section], name) == value, key
+        assert getattr(default[section], name) != value, key
 
 
 def test_config_file_and_set_precedence(tmp_path):

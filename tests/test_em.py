@@ -572,6 +572,29 @@ def test_run_em_iterations_keep_clusters_pure():
         clustering = updated
 
 
+def test_run_em_assign_keeps_clusters_pure():
+    # the purity test above, through run_em's own iteration, on the same scene
+    # plus outliers: the fitted motions are exact enough that object points
+    # stay pure even without the tau gate, so only outliers show a gate that leaks
+    scene = _scene(num_objects=3, points=(90, 80, 70), sigma=0.002, outliers=20, seed=13)
+    clustering = make_good_split(scene, alpha=2.0, fragments_per_object=2, seed=2)
+    cfg = EMConfig(tau=scene.spec.tau, m_min=10)
+    grid = _CliqueGrid(scene.correspondences.a, cfg.tau)
+    changed = []
+    for _ in range(10):
+        pruned = prune_small(clustering, cfg)
+        models = fit_models(scene.correspondences, pruned, cfg)
+        updated = assign(scene.correspondences, pruned, models, grid)
+        for j in range(1, updated.num_clusters + 1):
+            truth_in_cluster = set(scene.true_labels[updated.members(j)].tolist())
+            assert len(truth_in_cluster) <= 1
+        changed.append(int(np.count_nonzero(updated.labels != pruned.labels)))
+        if changed[-1] == 0:
+            break
+        clustering = updated
+    assert changed[0] > 0 and changed[-1] == 0
+
+
 def test_run_em_deterministic():
     scene = _scene(num_objects=2, points=(80, 60), sigma=0.01, seed=17)
     initial = make_good_split(scene, alpha=2.0, fragments_per_object=2, seed=3)
