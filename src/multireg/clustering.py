@@ -28,9 +28,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import make_rng
+
+# scipy.spatial, the largest import by far, loads on the first exact gate
+# (``_CliqueGrid.confirm``): only EM makes one, so no other command pays for it
+cKDTree = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +119,9 @@ _BATCH = 128
 # Point pairs one distance-test pass gathers at once (fragment growth's hoods,
 # the cell-pair contact test's rows), unless a single hood or row holds more.
 _HOOD_CHUNK = 1 << 15
+# Occupancy words (64 clusters each) one pass of the hood union gathers at once,
+# unless a single cell's hood holds more.
+_UNION_CHUNK = 1 << 15
 
 
 class GridError(ValueError):
@@ -168,7 +174,8 @@ class _CliqueGrid:
         self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
         # code bounds [dz = -2, dz = 3) of each column; cell indices lie in [2, dim - 3]
         bounds = ((_REACH @ self.strides[:2])[:, None] + np.array([-2, 3])).ravel()
-        self.runs = np.searchsorted(self.codes, self.codes[:, None] + bounds).reshape(-1, 25, 2)
+        self.runs = np.searchsorted(self.codes, self.codes[:, None] + bounds).reshape(
+            -1, 25, 2).astype(self._index_dtype)
 
     def hood(self, point: int) -> np.ndarray:
         """Indices of the points in the 125 cells around the cell of ``point``
@@ -201,7 +208,11 @@ class _CliqueGrid:
         words = words.view(np.uint64)
         c, d = self.pairs
         # every cell is its own first pair, so no run of c is empty
-        in_hood = np.bitwise_or.reduceat(words[d], np.flatnonzero(np.diff(c, prepend=-1)))
+        first = np.append(np.flatnonzero(np.diff(c, prepend=-1)), len(c))
+        in_hood = np.empty_like(words)
+        for a, b in _passes(np.diff(first) * words.shape[1], _UNION_CHUNK):
+            in_hood[a:b] = np.bitwise_or.reduceat(words[d[first[a]:first[b]]],
+                                                  first[a:b] - first[a])
         in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
         return occupied[self.cell_of], in_hood.view(bool)[self.cell_of]
 
@@ -216,6 +227,9 @@ class _CliqueGrid:
         to build, and the nearest distance within the bound does not depend on
         the tree's shape.
         """
+        global cKDTree
+        if cKDTree is None:
+            from scipy.spatial import cKDTree
         passes = np.zeros(len(rows), dtype=bool)
         for j in np.unique(cols).tolist():
             query = np.flatnonzero(cols == j)
@@ -237,7 +251,7 @@ class _CliqueGrid:
         p = _expand(lo, hi)  # the sorted position of each row's point
         lo, hi = self.starts[d][pair], self.starts[d + 1][pair]
         hit = np.zeros(len(c), dtype=bool)
-        for a, b in _passes(hi - lo):
+        for a, b in _passes(hi - lo, _HOOD_CHUNK):
             rows = np.arange(a, b)[~hit[pair[a:b]]]
             q = _expand(lo[rows], hi[rows])
             rows = np.repeat(rows, hi[rows] - lo[rows])  # the row of each point pair
@@ -252,11 +266,11 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
-def _passes(lengths) -> list[tuple[int, int]]:
+def _passes(lengths, chunk: int) -> list[tuple[int, int]]:
     """Bounds [a, b) of the passes over rows of these lengths: each ends after the
-    last row ending within a multiple of ``_HOOD_CHUNK``; a longer row is one pass."""
+    last row ending within a multiple of ``chunk``; a longer row is one pass."""
     ends = np.cumsum(lengths, dtype=np.int64)
-    marks = np.arange(_HOOD_CHUNK, ends.max(initial=0), _HOOD_CHUNK)
+    marks = np.arange(chunk, ends.max(initial=0), chunk)
     bounds = np.unique(np.r_[0, np.searchsorted(ends, marks, "right"), len(ends)]).tolist()
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -379,7 +393,7 @@ def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k:
     hit = np.zeros((len(probe), k), dtype=bool)
     hoods = [grid.hood(i) for i in probe.tolist()]
     lengths = [len(h) for h in hoods]
-    for a, b in _passes(lengths):
+    for a, b in _passes(lengths, _HOOD_CHUNK):
         m = np.concatenate(hoods[a:b])
         t = np.repeat(np.arange(a, b), lengths[a:b])
         mask = keep(t, m)

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multireg
 from conftest import read_result
 from multireg import cli, horn
 from multireg.baselines import RansacConfig, TLinkageConfig
@@ -762,6 +766,49 @@ def test_bench_noise_ratio_suite(tmp_path):
     assert code == 0
     summary = read_result(str(out) + ".summary")
     assert float(summary["bench.noise_ratio.m20000.violation_rate"]) <= 0.1
+
+
+# Runs the command given as arguments (none: a bare import) in a fresh
+# interpreter, then prints whether scipy.spatial was loaded.
+_LOADS_SCRIPT = """import sys
+import multireg
+code = 0
+if sys.argv[1:]:
+    from multireg.cli import main
+    code = main(sys.argv[1:])
+print("scipy.spatial" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ([], False),
+    (["synth", "--seed", "1", "--out", "synth.txt", "--set", "scene.num_objects=2",
+      "--set", "scene.points_per_object=30,20", "--set", "scene.num_outliers=3"], False),
+    (["eval", "{labels}", "{scene}"], False),
+    (["bench", "--seed", "1", "--out", "bench.csv", "--set", "bench.suite=both",
+      "--set", "bench.m_values=10", "--set", "bench.trials=3",
+      "--set", "bench.noise_ratio_m=6000", "--set", "bench.noise_ratio_trials=2"], False),
+    (["run", "--algorithm", "sransac", "--out", "r.txt", "--set", "scene.file={scene}"], False),
+    (["run", "--algorithm", "tlinkage", "--out", "r.txt", "--set", "scene.file={scene}"], False),
+    (["run", "--algorithm", "naive-horn-per-cluster", "--out", "r.txt",
+      "--set", "scene.file={scene}"], False),
+    # from a good split EM reaches the exact gate; a run this small from the
+    # Euclidean components can settle every gate on the grid and build no tree
+    (["run", "--algorithm", "em", "--out", "r.txt", "--set", "scene.file={scene}",
+      "--set", "init.kind=good-split"], True),
+], ids=["import", "synth", "eval", "bench", "sransac", "tlinkage", "naive", "em"])
+def test_only_a_k_d_tree_loads_scipy_spatial(tmp_path, scene_file, argv, loads):
+    labels = tmp_path / "truth.txt"
+    write_clustering(Clustering(read_scene(scene_file).true_labels), labels)
+    argv = [arg.format(scene=scene_file, labels=labels) for arg in argv]
+    src = str(Path(multireg.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _LOADS_SCRIPT, *argv], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads)
 
 
 # a value unlike the default for every key that sets a field of a config

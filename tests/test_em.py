@@ -231,6 +231,24 @@ def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
                                   kd_tree_gate(a, labels, 130, TAU))
 
 
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_occupancy_in_small_union_chunks_matches_one_pass(rng, chunk, monkeypatch):
+    # 130 clusters, three words per cell pair: at chunk 1 each cell's hood is
+    # a pass of its own, at 40 a pass holds a few cells' hoods
+    a = rng.uniform(0.0, 2.0, (3000, 3))
+    labels = rng.integers(0, 131, 3000)
+    grid = _CliqueGrid(a, TAU)
+    monkeypatch.setattr(multireg.clustering, "_UNION_CHUNK", 1 << 40)
+    own, hood = grid.occupancy(labels, 130)
+    monkeypatch.setattr(multireg.clustering, "_UNION_CHUNK", chunk)
+    assert 3 * len(grid.pairs[0]) > 100 * chunk
+    blocked_own, blocked_hood = grid.occupancy(labels, 130)
+    np.testing.assert_array_equal(blocked_own, own)
+    np.testing.assert_array_equal(blocked_hood, hood)
+    expected = [np.isin(np.arange(1, 131), labels[grid.hood(i)]) for i in range(len(a))]
+    np.testing.assert_array_equal(hood, expected)
+
+
 def _full_gate_assignment(cs, clustering, models, tau):
     """The argmax over every gated log-score, every pair gated exactly by one
     k-d tree per cluster (no code shared with the cell grid); a row with no
