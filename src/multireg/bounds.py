@@ -181,21 +181,21 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
     m_values = [int(m) for m in m_values]
     if not m_values or min(m_values) < 3:
         raise ValueError("bench.m_values must list at least one m, each at least 3")
-    for m in m_values:
-        _check_common(m, sigma, bound_b, delta)
-    # the draws span 2 bound_b and 2 sigma; translation_error_bound squares
-    # sigma and takes log(18/delta)
+    try:
+        _check_common(min(m_values), sigma, bound_b, delta)
+    except ValueError as error:  # m passed above, so it names sigma, bound_b or delta
+        raise ValueError(f"bench.{error}") from None
+    # translation_error_bound squares sigma and takes log(18/delta)
     if not math.isfinite(18.0 / delta):
         raise ValueError(f"bench.delta = {delta!r} overflows 18/delta")
-    if not math.isfinite(2.0 * bound_b):
-        raise ValueError("2*bound_b must be finite")
     if not math.isfinite(sigma * sigma):
         raise ValueError(f"bench.sigma = {sigma!r} overflows sigma * sigma")
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValueError("bench.trials must be positive")
     # A trial's points and translation lie in the B-ball and its noise within
     # sigma, so the largest sum horn_register forms, the m products of the
-    # cross-covariance, is at most 4 m B (2B + sigma).
+    # cross-covariance, is at most 4 m B (2B + sigma); it is infinite whenever
+    # the draws' span, 2B, is.
     m = max(m_values)
     if not math.isfinite(4.0 * m * bound_b * (2.0 * bound_b + sigma)):
         raise ValueError(f"bench.bound_b = {bound_b!r} overflows the Horn fit's sums at m = {m}")
@@ -266,6 +266,8 @@ def check_noise_ratio_bench(m_values, delta, trials) -> list[int]:
     """The m values as ints, once every setting ``run_noise_ratio_bench``
     takes is valid; raises ValueError otherwise, before anything is drawn."""
     m_values = [int(m) for m in m_values]
+    if not 0.0 < delta < 1.0:
+        raise ValueError("bench.noise_ratio_delta must lie in (0, 1)")
     floor = noise_ratio_sample_floor(delta)
     if not math.isfinite(2.0 / delta):
         raise ValueError(f"bench.noise_ratio_delta = {delta!r} overflows 2/delta")
@@ -273,7 +275,7 @@ def check_noise_ratio_bench(m_values, delta, trials) -> list[int]:
         raise ValueError("bench.noise_ratio_m must list at least one m, each at least "
                          f"the interval's validity floor {floor:.0f}")
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValueError("bench.noise_ratio_trials must be positive")
     return m_values
 
 

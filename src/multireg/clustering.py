@@ -7,7 +7,8 @@ tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Each occupied cell's block is found once, as 25 runs of occupied cells, and
 hoods, the flat cell-pair list, the EM gate's occupancy union and components
 (hook-and-compress joins of pairs whose first points lie within tau, then of
-those still apart that a batched point-pair test finds in contact) read it.
+those still apart that a batched point-pair test finds in contact) read it,
+in passes of one size: ``_HOOD_CHUNK`` point pairs, or words of the union.
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -116,12 +117,10 @@ _REACH = np.array([(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)], dtyp
 # Fragment-growth steps planned before one vectorised check: long enough to
 # amortise the check, short enough that the steps undone at a miss cost little.
 _BATCH = 128
-# Point pairs one distance-test pass gathers at once (fragment growth's hoods,
-# the cell-pair contact test's rows), unless a single hood or row holds more.
+# The size of one batched pass, unless a single hood or row holds more: point
+# pairs for a distance test (fragment growth's hoods, the cell-pair contact
+# test's rows), occupancy words (64 clusters each) for the hood union.
 _HOOD_CHUNK = 1 << 15
-# Occupancy words (64 clusters each) one pass of the hood union gathers at once,
-# unless a single cell's hood holds more.
-_UNION_CHUNK = 1 << 15
 
 
 class GridError(ValueError):
@@ -177,13 +176,18 @@ class _CliqueGrid:
         self.runs = np.searchsorted(self.codes, self.codes[:, None] + bounds).reshape(
             -1, 25, 2).astype(self._index_dtype)
 
+    def hood_runs(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lo, hi) of the 25 runs of sorted positions that hold the hood
+        of each of ``points`` in turn: ``order[_expand(lo, hi)]`` lists them."""
+        return self.starts[self.runs[self.cell_of[points]]].reshape(-1, 2).T
+
     def hood(self, point: int) -> np.ndarray:
         """Indices of the points in the 125 cells around the cell of ``point``
         (a superset of its tau-neighbours, itself included); cached per cell."""
         cell = self._cell_list[point]
         members = self._hoods[cell]
         if members is None:
-            members = self._hoods[cell] = self.order[_expand(*self.starts[self.runs[cell]].T)]
+            members = self._hoods[cell] = self.order[_expand(*self.hood_runs(point))]
         return members
 
     @cached_property
@@ -210,7 +214,7 @@ class _CliqueGrid:
         # every cell is its own first pair, so no run of c is empty
         first = np.append(np.flatnonzero(np.diff(c, prepend=-1)), len(c))
         in_hood = np.empty_like(words)
-        for a, b in _passes(np.diff(first) * words.shape[1], _UNION_CHUNK):
+        for a, b in _passes(np.diff(first) * words.shape[1], _HOOD_CHUNK):
             in_hood[a:b] = np.bitwise_or.reduceat(words[d[first[a]:first[b]]],
                                                   first[a:b] - first[a])
         in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
@@ -366,8 +370,16 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
 
     for _ in range(max_retries):
         seeds = _farthest_point_seeds(pts, k, rng)
-        assignment = _grow_fragments(pts, grid, seeds, targets)
-        if assignment is not None:
+        if len(set(seeds)) < k:
+            continue  # duplicate seed (tiny sets); retry with new seeds
+        assignment = np.full(n, -1, dtype=np.int64)
+        assignment[seeds] = np.arange(k)
+        sizes = [1] * k
+        # squared distance of every point to seed j: fragment j's growth key
+        to_seed = [np.sum((pts - pts[s]) ** 2, axis=1) for s in seeds]
+        if not _scan(grid, assignment, sizes, targets, to_seed):
+            _heap_tail(grid, assignment, sizes, targets, to_seed)
+        if sizes == targets:
             return assignment
     raise ValueError("cannot split set into connected fragments with the requested sizes")
 
@@ -387,14 +399,14 @@ def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k:
     """(len(probe), k) mask: entry (t, j) is True iff a point m of fragment j
     that passes the mask ``keep(t, m)`` lies within tau of ``probe[t]``.
 
-    Only hood points are compared, whole hoods at a time and about
-    ``_HOOD_CHUNK`` points per pass, and the distance test is the one
-    ``absorb`` makes on the same operands, so the two agree bit for bit."""
+    Only hood points are compared: whole hoods, read as runs of the run table,
+    about ``_HOOD_CHUNK`` points per pass. The distance test is ``absorb``'s on
+    the same operands, so the two agree bit for bit."""
     hit = np.zeros((len(probe), k), dtype=bool)
-    hoods = [grid.hood(i) for i in probe.tolist()]
-    lengths = [len(h) for h in hoods]
+    lo, hi = grid.hood_runs(probe)
+    lengths = (hi - lo).reshape(-1, 25).sum(axis=1)
     for a, b in _passes(lengths, _HOOD_CHUNK):
-        m = np.concatenate(hoods[a:b])
+        m = grid.order[_expand(lo[25 * a:25 * b], hi[25 * a:25 * b])]
         t = np.repeat(np.arange(a, b), lengths[a:b])
         mask = keep(t, m)
         t, m = t[mask], m[mask]
@@ -402,24 +414,6 @@ def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k:
         near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
         hit[t[near], assignment.take(m[near])] = True
     return hit
-
-
-def _grow_fragments(pts, grid, seeds, targets):
-    n = pts.shape[0]
-    k = len(targets)
-    assignment = np.full(n, -1, dtype=np.int64)
-    for j, s in enumerate(seeds):
-        if assignment[s] >= 0:
-            return None  # duplicate seed (tiny sets); retry with new seeds
-        assignment[s] = j
-    sizes = [1] * k
-    # squared distance of every point to seed j: fragment j's growth key
-    to_seed = [np.sum((pts - pts[s]) ** 2, axis=1) for s in seeds]
-    if not _scan(grid, assignment, sizes, targets, to_seed):
-        _heap_tail(grid, assignment, sizes, targets, to_seed)
-    if sizes != targets:
-        return None
-    return assignment
 
 
 def _scan(grid, assignment, sizes, targets, to_seed) -> bool:
@@ -483,12 +477,9 @@ def _heap_tail(grid, assignment, sizes, targets, to_seed) -> None:
     k = len(targets)
     free = assignment < 0
     # frontier[i, j]: unassigned point i lies within tau of fragment j
-    frontier, near = grid.occupancy(assignment + 1, k)
-    frontier &= free[:, None]
-    probe = np.flatnonzero(free & (near & ~frontier).any(axis=1))
-    if probe.size:
-        frontier[probe] |= _within_tau(grid, probe, assignment, k,
-                                       lambda t, m: assignment[m] >= 0)
+    frontier = np.zeros((len(assignment), k), dtype=bool)
+    probe = np.flatnonzero(free)
+    frontier[probe] = _within_tau(grid, probe, assignment, k, lambda t, m: assignment[m] >= 0)
     frontiers: list[list[tuple[float, int]]] = []
     for j in range(k):
         queued = np.flatnonzero(frontier[:, j])
@@ -512,21 +503,16 @@ def _heap_tail(grid, assignment, sizes, targets, to_seed) -> None:
         for d, nb in zip(to_seed[j].take(fresh).tolist(), fresh.tolist()):
             heapq.heappush(frontiers[j], (d, nb))
 
-    remaining = int(np.count_nonzero(free))
-    while remaining > 0:
-        order = sorted(range(k), key=lambda j: (-(targets[j] - sizes[j]), j))
-        grew = False
-        for j in order:
-            if sizes[j] >= targets[j]:
-                continue
-            while frontiers[j]:
-                _, i = heapq.heappop(frontiers[j])
+    def grow() -> bool:
+        """Absorb one point into the fragment with the largest deficit (ties to
+        the lowest j) whose heap still pops an unassigned point; False if none."""
+        for j in sorted(range(k), key=lambda j: (sizes[j] - targets[j], j)):
+            while sizes[j] < targets[j] and frontiers[j]:
+                i = heapq.heappop(frontiers[j])[1]
                 if assignment[i] < 0:
                     absorb(j, i)
-                    remaining -= 1
-                    grew = True
-                    break
-            if grew:
-                break
-        if not grew:
-            return
+                    return True
+        return False
+
+    while grow():
+        pass

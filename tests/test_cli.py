@@ -674,7 +674,7 @@ def test_bench_negative_sigma_exits_2_before_sampling(tmp_path, capsys):
     code = run_cli("bench", "--out", str(out), "--set", "bench.sigma=-1")
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: sigma must be nonnegative\n"
+    assert err == "error: bench.sigma must be nonnegative\n"
     assert not out.exists()
 
 
@@ -716,7 +716,8 @@ def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatc
     code = run_cli("bench", "--out", str(out), "--set", "bench.suite=both", "--set", setting)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # the one error line names the refused setting's key
+    assert err.startswith(f"error: {setting.split('=')[0]} ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,7 +8,7 @@ from conftest import (brute_force_components, brute_force_connected,
                       brute_force_fragments, check_initial_clustering, compact,
                       distance_to_cluster)
 from multireg import clustering
-from multireg.clustering import (_BATCH, Clustering, GridError, _CliqueGrid,
+from multireg.clustering import (_BATCH, Clustering, GridError, _CliqueGrid, _expand,
                                  connected_components, euclidean_cluster,
                                  fragment_connected_set, is_connected)
 from multireg.geometry import CorrespondenceSet
@@ -163,6 +163,11 @@ def test_pairs_and_hoods_are_the_blocks_of_occupied_cells(name):
     for i in range(len(pts)):
         np.testing.assert_array_equal(np.sort(grid.hood(i)),
                                       np.flatnonzero(block[grid.cell_of[i]][grid.cell_of]))
+    # the runs of a batch of points list their hoods one after another, in the
+    # order the cached hoods hold them
+    probe = np.random.default_rng(len(pts)).integers(0, len(pts), 40)
+    np.testing.assert_array_equal(grid.order[_expand(*grid.hood_runs(probe))],
+                                  np.concatenate([grid.hood(i) for i in probe.tolist()]))
 
 
 def test_connected_components_exact_tau_and_coincident_points_connect():
@@ -348,6 +353,20 @@ def test_fragments_with_equal_keys_and_coincident_points_match_oracle():
         np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, targets, seed=seed),
                                       expected)
     assert max(attempts) > 1
+
+
+def test_heap_tail_frontier_is_a_distance_test_not_the_em_union(heap_tails, monkeypatch):
+    # the occupancy union belongs to the EM gate: fragment growth, heap tail
+    # included, tests adjacency only through distance tests over its hoods
+    def refuse(*args):
+        raise AssertionError("fragment growth read the EM occupancy union")
+
+    monkeypatch.setattr(_CliqueGrid, "occupancy", refuse)
+    pts = np.zeros((300, 3))
+    pts[:, 0] = np.arange(300)
+    expected, _ = brute_force_fragments(pts, 1.0, [200, 100], seed=1)
+    np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [200, 100], seed=1), expected)
+    assert heap_tails
 
 
 @pytest.mark.parametrize("n", range(_BATCH - 1, _BATCH + 5))

@@ -238,9 +238,9 @@ def test_occupancy_in_small_union_chunks_matches_one_pass(rng, chunk, monkeypatc
     a = rng.uniform(0.0, 2.0, (3000, 3))
     labels = rng.integers(0, 131, 3000)
     grid = _CliqueGrid(a, TAU)
-    monkeypatch.setattr(multireg.clustering, "_UNION_CHUNK", 1 << 40)
+    monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", 1 << 40)
     own, hood = grid.occupancy(labels, 130)
-    monkeypatch.setattr(multireg.clustering, "_UNION_CHUNK", chunk)
+    monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", chunk)
     assert 3 * len(grid.pairs[0]) > 100 * chunk
     blocked_own, blocked_hood = grid.occupancy(labels, 130)
     np.testing.assert_array_equal(blocked_own, own)
