@@ -199,7 +199,11 @@ def scene_spec_from_config(cfg: dict[str, str]) -> SceneSpec:
             # a one-object spec checks the other settings in their order, then
             # the packing bound refuses a count too large to repeat
             check_packing(SceneSpec(**{**values, "num_objects": 1}, seed=seed), num_objects)
-            values["points_per_object"] = counts * num_objects
+            try:
+                values["points_per_object"] = counts * num_objects
+            except MemoryError:  # a small tau lets the bound admit too many
+                raise ValueError(f"scene.num_objects {num_objects} is too many to hold "
+                                 "one point count each") from None
         return SceneSpec(**values, seed=seed)
 
 

@@ -16,7 +16,8 @@ While that point is also the fragment's nearest unassigned point overall,
 the flood is a walk down each fragment's presorted points, so growth plans
 a batch of such steps, checks them together (a point sharing a cell with an
 earlier point of its fragment passes at once, the rest get an exact distance
-test over the block around them) and keeps the valid prefix. From the first
+test over the 3x3x3 block of cells around them, and those with no neighbour
+there one over their whole hood) and keeps the valid prefix. From the first
 step that fails, a heap per fragment, built from the state at that step,
 finishes the attempt; it pops what the plain heap flood would, so the splits
 are the same. The O(n^2) brute-force oracles live in the test suite.
@@ -112,8 +113,6 @@ class Clustering:
 # A hair over 1: float rounding in ``points / side`` then cannot put two points
 # at distance <= tau three cells apart on an axis.
 _SIDE_SLACK = 1.0 + 2.0 ** -30
-# The (dx, dy) offsets of a hood's 25 columns, in lexicographic order.
-_REACH = np.array([(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)], dtype=np.int64)
 # Fragment-growth steps planned before one vectorised check: long enough to
 # amortise the check, short enough that the steps undone at a miss cost little.
 _BATCH = 128
@@ -137,7 +136,8 @@ class _CliqueGrid:
     codes; ``order[starts[c]:starts[c + 1]]`` lists the points of cell c in
     index order and ``cell_of[i]`` is the cell of point i. A (dx, dy) column of
     a hood is five consecutive codes: ``runs[c, j]`` bounds the occupied cells
-    of column j of c's hood.
+    of column j of c's hood. ``near_runs`` does the same for the 3x3x3 block
+    of cells around c, in 9 columns of three codes.
     """
 
     def __init__(self, points: np.ndarray, tau: float):
@@ -171,15 +171,30 @@ class _CliqueGrid:
         self.cell_of = np.searchsorted(self.codes, codes)
         self._cell_list = self.cell_of.tolist()
         self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
-        # code bounds [dz = -2, dz = 3) of each column; cell indices lie in [2, dim - 3]
-        bounds = ((_REACH @ self.strides[:2])[:, None] + np.array([-2, 3])).ravel()
-        self.runs = np.searchsorted(self.codes, self.codes[:, None] + bounds).reshape(
-            -1, 25, 2).astype(self._index_dtype)
+        self.runs = self._block_runs(2)
 
-    def hood_runs(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds (lo, hi) of the 25 runs of sorted positions that hold the hood
-        of each of ``points`` in turn: ``order[_expand(lo, hi)]`` lists them."""
-        return self.starts[self.runs[self.cell_of[points]]].reshape(-1, 2).T
+    def _block_runs(self, r: int) -> np.ndarray:
+        """For each occupied cell, the bounds of the occupied cells in each
+        (dx, dy) column of the (2r + 1)^3 block around it, columns in
+        lexicographic order; cell indices lie in [2, dim - 3], so r <= 2."""
+        steps = np.arange(-r, r + 1)
+        columns = (steps[:, None] * self.strides[0] + steps * self.strides[1]).ravel()
+        bounds = (columns[:, None] + np.array([-r, r + 1])).ravel()  # dz in [-r, r + 1)
+        return np.searchsorted(self.codes, self.codes[:, None] + bounds).reshape(
+            -1, len(columns), 2).astype(self._index_dtype)
+
+    @cached_property
+    def near_runs(self) -> np.ndarray:
+        """``runs`` of the 3x3x3 blocks: about a third of a hood's points in
+        the blobs of fragment growth."""
+        return self._block_runs(1)
+
+    def hood_runs(self, points, runs=None) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lo, hi) of the runs of sorted positions that hold the hood
+        (or the block of another run table ``runs``) of each of ``points`` in
+        turn: ``order[_expand(lo, hi)]`` lists them."""
+        runs = self.runs if runs is None else runs
+        return self.starts[runs[self.cell_of[points]]].reshape(-1, 2).T
 
     def hood(self, point: int) -> np.ndarray:
         """Indices of the points in the 125 cells around the cell of ``point``
@@ -395,18 +410,20 @@ def _farthest_point_seeds(pts: np.ndarray, k: int, rng: np.random.Generator) -> 
 
 
 def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k: int,
-                keep) -> np.ndarray:
+                keep, runs=None) -> np.ndarray:
     """(len(probe), k) mask: entry (t, j) is True iff a point m of fragment j
     that passes the mask ``keep(t, m)`` lies within tau of ``probe[t]``.
 
-    Only hood points are compared: whole hoods, read as runs of the run table,
-    about ``_HOOD_CHUNK`` points per pass. The distance test is ``absorb``'s on
-    the same operands, so the two agree bit for bit."""
+    Only the points of each probe's hood are compared, or of its 3x3x3 block
+    when ``runs`` is ``grid.near_runs``: whole blocks, read as runs of the run
+    table, about ``_HOOD_CHUNK`` points per pass. The distance test is
+    ``absorb``'s on the same operands, so the two agree bit for bit."""
     hit = np.zeros((len(probe), k), dtype=bool)
-    lo, hi = grid.hood_runs(probe)
-    lengths = (hi - lo).reshape(-1, 25).sum(axis=1)
+    lo, hi = grid.hood_runs(probe, runs)
+    w = len(lo) // len(probe)  # runs per probe
+    lengths = (hi - lo).reshape(-1, w).sum(axis=1)
     for a, b in _passes(lengths, _HOOD_CHUNK):
-        m = grid.order[_expand(lo[25 * a:25 * b], hi[25 * a:25 * b])]
+        m = grid.order[_expand(lo[w * a:w * b], hi[w * a:w * b])]
         t = np.repeat(np.arange(a, b), lengths[a:b])
         mask = keep(t, m)
         t, m = t[mask], m[mask]
@@ -454,10 +471,16 @@ def _scan(grid, assignment, sizes, targets, to_seed) -> bool:
         valid[np.unique(frags * len(grid.codes) + cells, return_index=True)[1]] = False
         valid |= cell_has[frags, cells]
         rest = np.flatnonzero(~valid)
-        if rest.size:
+        # the 3x3x3 block around a step holds most first neighbours: the whole
+        # hood is read only for the steps with none there
+        for runs in (grid.near_runs, grid.runs):
+            if not rest.size:
+                break
             owner = frags[rest]
             valid[rest] = _within_tau(grid, batch[rest], assignment, k, lambda t, m: (
-                (assignment.take(m) == owner.take(t)) & (step.take(m) < rest.take(t)))).any(axis=1)
+                (assignment.take(m) == owner.take(t)) & (step.take(m) < rest.take(t))),
+                runs).any(axis=1)
+            rest = rest[~valid[rest]]
         good = len(batch) if valid.all() else int(np.argmin(valid))
         step[batch] = -1
         cell_has[frags[:good], cells[:good]] = True

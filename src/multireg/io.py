@@ -143,7 +143,7 @@ def _check_field_counts(rows: list[str]) -> None:
 
 
 def clustering_to_text(clustering: Clustering) -> str:
-    return "".join(f"{int(v)}\n" for v in clustering.labels)
+    return "".join(f"{v}\n" for v in clustering.labels.tolist())
 
 
 def write_clustering(clustering: Clustering, path) -> None:
@@ -153,9 +153,18 @@ def write_clustering(clustering: Clustering, path) -> None:
 
 def read_clustering(path) -> Clustering:
     """One label per line, each in 0..(number of labels); any other label
-    raises ValueError before it can size a table or overflow int64."""
+    raises ValueError before it can size a table or overflow int64. The file
+    is read in one piece and split at its newlines alone, as iterating it
+    splits it (``str.splitlines`` also splits at form feeds, vertical tabs and
+    the file, group and record separators)."""
     with open(path, "r", encoding="ascii") as fh:
-        labels = [int(line) for line in fh if line.strip()]
+        text = fh.read()
+    try:
+        labels = [int(line) for line in text.split("\n") if line.strip()]
+    except ValueError:
+        # raises again: int() then names the bad line as iterating gives it,
+        # with its newline
+        labels = [int(line) for line in _io.StringIO(text) if line.strip()]
     low, high = min(labels, default=0), max(labels, default=0)
     if low < 0 or high > len(labels):
         raise ValueError(f"label {low if low < 0 else high} is outside 0..{len(labels)}")

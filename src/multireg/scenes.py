@@ -3,7 +3,9 @@
 Each object's source points are a bounded random walk with step <= tau/2, so
 every object is tau-connected by construction. Object blobs are placed with
 gaps larger than ``separation_margin`` (> tau) and everything stays inside
-the ball of radius ``bound_b``. Targets are the rigidly moved sources plus
+the ball of radius ``bound_b``. Blob centres and outlier sources are
+rejection samples, drawn and tested in batches that leave the generator
+where one try at a time would. Targets are the rigidly moved sources plus
 per-coordinate uniform noise on [-sigma, sigma]. An outlier pair has its
 source farther than tau from every object and an arbitrary target drawn from
 a ball of radius 3 * bound_b. A scene is accepted only when it meets the
@@ -28,6 +30,11 @@ from .geometry import (CorrespondenceSet, RigidTransform, make_rng, move_each,
 _BLOB_RADIUS_FACTOR = 2.0
 # Outlier sources keep at least this many tau of clearance from every object.
 _OUTLIER_CLEARANCE_FACTOR = 1.5
+# One try of random_point_in_ball(rng, r) draws (_BLOCK, 3) uniform blocks
+# until one holds a row inside the ball; placement draws up to _MAX_BATCH
+# blocks at once.
+_BLOCK = 10
+_MAX_BATCH = 4096
 
 
 class InfeasibleSceneError(RuntimeError):
@@ -143,7 +150,7 @@ def _random_walk_blob(rng: np.random.Generator, center: np.ndarray, count: int,
             a, b, c = d.tolist()
         directions[k] = d
         scales.append(half * rng.random())
-    norms = np.sqrt(np.matmul(directions[:, None, :], directions[:, :, None])).ravel()
+    norms = _lengths(directions)
     # the screen's 1e-9 margin covers its rounding only for a normal radius^2;
     # otherwise every step takes dot's path
     limit = radius * radius * (1.0 - 1e-9)
@@ -164,15 +171,75 @@ def _random_walk_blob(rng: np.random.Generator, center: np.ndarray, count: int,
     return np.array(pts).reshape(count, 3)
 
 
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """sqrt(v.dot(v)) for each row v of an (n, 3) array, the bits of
+    np.linalg.norm(v): one stacked (1, 3) @ (3, 1) matmul."""
+    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])).ravel()
+
+
+def _ball_tries(rng: np.random.Generator, radius: float, blocks: int):
+    """A batch of tries of ``random_point_in_ball(rng, radius)``, drawn as
+    ``blocks`` of its (10, 3) uniform blocks at once: the point of each try
+    the batch completes (the first row inside the ball of a block that has
+    one), and ``stop(t)``, which leaves the generator just after try t.
+    Blocks after the last complete try begin the next batch's first try."""
+    state = rng.bit_generator.state
+    cand = rng.uniform(-radius, radius, size=(blocks * _BLOCK, 3))
+    x, y, z = cand.T
+    inside = (x * x + y * y + z * z <= radius * radius).reshape(blocks, _BLOCK)
+    ends = np.flatnonzero(inside.any(axis=1))
+
+    def stop(t: int) -> None:
+        rng.bit_generator.state = state
+        rng.uniform(-radius, radius, size=((int(ends[t]) + 1) * _BLOCK, 3))
+
+    return cand[ends * _BLOCK + inside[ends].argmax(axis=1)], stop
+
+
+def _clear_of(columns: np.ndarray, centers: np.ndarray, gap: float) -> np.ndarray:
+    """Entry i is True iff np.linalg.norm(p - c) >= gap for the point p =
+    ``columns[:, i]`` and every row c of ``centers``. A float sum of squares
+    decides each point whose nearest centre is not within a hair of gap^2
+    (every point, when gap^2 is near the ends of the normal range, where
+    that hair does not cover rounding); the rest get the norm's bits."""
+    low, high = gap * gap * (1.0 - 1e-9), gap * gap * (1.0 + 1e-9)
+    if not 1e-290 < low < high < 1e290:
+        low, high = -np.inf, np.inf
+    nearest = np.full(columns.shape[1], np.inf)
+    for cx, cy, cz in centers.tolist():
+        x, y, z = columns[0] - cx, columns[1] - cy, columns[2] - cz
+        np.minimum(nearest, x * x + y * y + z * z, out=nearest)
+    clear = nearest > high
+    doubt = np.flatnonzero((nearest >= low) & ~clear)
+    diff = (columns[:, doubt].T[:, None, :] - centers).reshape(-1, 3)
+    clear[doubt] = (_lengths(diff) >= gap).reshape(len(doubt), len(centers)).all(axis=1)
+    return clear
+
+
 def _place_centers(rng: np.random.Generator, count: int, avail_radius: float,
                    min_gap: float, tries: int) -> np.ndarray | None:
-    centers: list[np.ndarray] = []
-    for _ in range(tries):
-        cand = random_point_in_ball(rng, avail_radius)
-        if all(np.linalg.norm(cand - c) >= min_gap for c in centers):
-            centers.append(cand)
-            if len(centers) == count:
-                return np.array(centers)
+    """``count`` centres, each the next of up to ``tries`` tries of
+    ``random_point_in_ball(rng, avail_radius)`` at least ``min_gap`` from every
+    centre taken before it, or None. The tries run in batches; the generator
+    ends where one try at a time would leave it."""
+    centers = np.empty((count, 3))
+    placed, batch = 0, 16 * count
+    while tries > 0:
+        cands, stop = _ball_tries(rng, avail_radius, min(tries, batch, _MAX_BATCH))
+        columns = cands.T.copy()
+        clear = _clear_of(columns, centers[:placed], min_gap)
+        t = 0
+        while (hits := np.flatnonzero(clear[t:])).size:
+            t += int(hits[0])
+            centers[placed] = cands[t]
+            placed += 1
+            if placed == count:
+                stop(t)
+                return centers
+            t += 1
+            clear[t:] &= _clear_of(columns[:, t:], cands[t - 1:t], min_gap)
+        tries -= len(cands)
+        batch *= 4
     return None
 
 
@@ -245,26 +312,61 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
                                f"avail_radius {avail_radius:g})")
 
 
+def _reach(blob: np.ndarray, clearance: float) -> float:
+    """How far from ``blob[0]`` (a walk's start: its blob's centre) a point
+    must lie to be ``clearance`` from every point of the blob: the blob's
+    extent from there plus the clearance, and a 1e-9 relative margin for the
+    rounding of both distances. Infinite when the square of the reach is
+    near the ends of the normal range, where rounding is not relative."""
+    reach = (float(row_norms(blob - blob[0]).max()) + clearance) * (1.0 + 1e-9)
+    return reach if 1e-140 < reach < 1e140 else math.inf
+
+
 def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
                     object_points: np.ndarray) -> np.ndarray | None:
-    clearance = _OUTLIER_CLEARANCE_FACTOR * spec.tau
-    # row_norms(object_points - cand).min() down kept columns, summed in its
-    # order; sqrt is monotone, so one sqrt of the minimum gives the same bits
-    columns = object_points.T.copy()
-    diff = np.empty_like(columns)
+    """``spec.num_outliers`` sources, each the first of up to 500 tries of
+    ``random_point_in_ball(rng, spec.bound_b)`` at least the clearance from
+    every object point, or None when some outlier's tries all fail. The tries
+    run in batches, as ``_place_centers``' do.
+
+    A try is compared point by point only with the blobs within ``_reach`` of
+    it; blob j is the next ``spec.points_per_object[j]`` rows of
+    ``object_points``."""
     out = np.empty((spec.num_outliers, 3))
-    for i in range(spec.num_outliers):
-        for _ in range(500):
-            cand = random_point_in_ball(rng, spec.bound_b)
-            np.subtract(columns, cand[:, None], out=diff)
-            diff *= diff
-            x, y, z = diff
-            if math.sqrt((x + y + z).min()) >= clearance:
-                out[i] = cand
-                break
-        else:
-            return None
-    return out
+    if not spec.num_outliers:
+        return out
+    clearance = _OUTLIER_CLEARANCE_FACTOR * spec.tau
+    blobs = np.split(object_points, np.cumsum(spec.points_per_object)[:-1])
+    # row_norms(blob - cand).min() down kept columns, summed in its order;
+    # sqrt is monotone, so one sqrt of the minimum gives the same bits
+    columns = [blob.T.copy() for blob in blobs]
+    diffs = [np.empty_like(c) for c in columns]
+    centers = [blob[0] for blob in blobs]
+    reach = [_reach(blob, clearance) for blob in blobs]
+
+    def clear(j: int, cand: np.ndarray) -> bool:
+        np.subtract(columns[j], cand[:, None], out=diffs[j])
+        diffs[j] *= diffs[j]
+        x, y, z = diffs[j]
+        return math.sqrt((x + y + z).min()) >= clearance
+
+    placed = failed = 0  # failed: the tries of the current outlier so far
+    while True:
+        cands, stop = _ball_tries(rng, spec.bound_b,
+                                  min(2 * (spec.num_outliers - placed) + 16, _MAX_BATCH))
+        near = np.array([row_norms(cands - c) <= r for c, r in zip(centers, reach)]).T
+        for t, row in enumerate(near.tolist()):
+            if all(clear(j, cands[t]) for j, hit in enumerate(row) if hit):
+                out[placed] = cands[t]
+                placed, failed = placed + 1, 0
+                if placed == spec.num_outliers:
+                    stop(t)
+                    return out
+            else:
+                failed += 1
+                if failed == 500:
+                    stop(t)
+                    return None
 
 
 def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:

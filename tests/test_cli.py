@@ -259,6 +259,13 @@ def _synth_tau_nan_objects_too_many_to_repeat(tmp_path, scene_file):
             "--set", "scene.tau=nan"]
 
 
+def _synth_objects_too_many_to_hold(tmp_path, scene_file):
+    # at tau 1e-6 the packing bound admits 5e17 objects: 10^15 point counts
+    # are more than any address space holds, and the repeat is refused
+    return ["synth", "--out", tmp_path / "r.txt", "--set", f"scene.num_objects={10 ** 15}",
+            "--set", "scene.tau=1e-6"]
+
+
 def _huge_m_header_to_run(tmp_path, scene_file):
     # two POSE lines are not 10^12: refused before a range of 1..M is built
     return _scene_with_header(tmp_path, scene_file, "M", 10 ** 12)
@@ -478,6 +485,7 @@ def _unknown_scene_version_to_run(tmp_path, scene_file):
     _synth_objects_cannot_be_packed,
     _synth_objects_too_many_to_repeat,
     _synth_tau_nan_objects_too_many_to_repeat,
+    _synth_objects_too_many_to_hold,
     _huge_m_header_to_run,
     _unknown_key_set_to_run,
     _unknown_key_in_config_to_run,
@@ -516,6 +524,11 @@ def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
     assert not out.exists()
     assert set(tmp_path.iterdir()) == files
     assert {path: path.read_bytes() for path in contents} == contents
+
+
+def test_objects_too_many_to_hold_name_their_key(tmp_path, scene_file, capsys):
+    assert run_cli(*map(str, _synth_objects_too_many_to_hold(tmp_path, scene_file))) == 2
+    assert capsys.readouterr().err.startswith("error: invalid scene spec: scene.num_objects ")
 
 
 @pytest.mark.parametrize("command", ["synth", "run", "bench"])

@@ -369,6 +369,46 @@ def test_heap_tail_frontier_is_a_distance_test_not_the_em_union(heap_tails, monk
     assert heap_tails
 
 
+def test_near_block_first_scan_matches_whole_hood_scan(heap_tails, monkeypatch):
+    # points 0.99 tau apart on a line: cells are a hair over tau / 2 wide, so
+    # most steps' one earlier tau-neighbour lies two cells away, outside the
+    # 3x3x3 block around the step; only the whole hood finds it
+    pts = np.zeros((400, 3))
+    pts[:, 0] = np.arange(400) * 0.99
+    targets = [300, 100]
+    found, within_tau = [], clustering._within_tau
+
+    def recording(grid, probe, assignment, k, keep, runs=None):
+        hit = within_tau(grid, probe, assignment, k, keep, runs)
+        if sys._getframe(1).f_code.co_name == "_scan":
+            found.append((runs is grid.near_runs, hit.any(axis=1).tolist()))
+        return hit
+
+    monkeypatch.setattr(clustering, "_within_tau", recording)
+    expected, attempt = brute_force_fragments(pts, 1.0, targets, seed=3)
+    labels = fragment_connected_set(pts, 1.0, targets, seed=3)
+    np.testing.assert_array_equal(labels, expected)
+    assert attempt == 1 and not heap_tails  # the scan alone grew both fragments
+    # the block misses every step that the hood then finds, and only those
+    near_misses = [sum(not h for h in hits) for near, hits in found if near]
+    hood_hits = [sum(hits) for near, hits in found if not near]
+    assert sum(near_misses) == sum(hood_hits) > 200
+    # the scan that reads whole hoods for every step grows the same fragments
+    monkeypatch.setattr(_CliqueGrid, "near_runs", property(lambda grid: grid.runs))
+    np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, targets, seed=3), labels)
+
+
+def test_near_block_runs_are_the_3x3x3_blocks():
+    rng = np.random.default_rng(2)
+    pts = np.concatenate([rng.uniform(0, 3, (400, 3)), rng.uniform(10, 11, (50, 3))])
+    grid = _CliqueGrid(pts, 1.0)
+    cells = np.floor(pts / (0.5 * clustering._SIDE_SLACK)).astype(np.int64)
+    for i in range(0, len(pts), 7):
+        block = grid.order[_expand(*grid.hood_runs(i, grid.near_runs))]
+        within = np.flatnonzero((np.abs(cells - cells[i]) <= 1).all(axis=1))
+        np.testing.assert_array_equal(np.sort(block), within)
+
+
 @pytest.mark.parametrize("n", range(_BATCH - 1, _BATCH + 5))
 def test_fragments_around_one_batch_match_oracle(n, heap_tails):
     # three fragments take n - 3 steps: from one step short of a batch to one past it

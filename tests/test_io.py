@@ -6,9 +6,9 @@ import pytest
 from conftest import read_bench_csv, read_result
 from multireg.bounds import run_consistency_bench
 from multireg.clustering import Clustering
-from multireg.io import (BENCH_CSV_COLUMNS, bench_csv_text, fmt_float, read_clustering,
-                         read_scene, result_to_text, scene_to_text, write_bench_csv,
-                         write_clustering, write_result, write_scene)
+from multireg.io import (BENCH_CSV_COLUMNS, bench_csv_text, clustering_to_text, fmt_float,
+                         read_clustering, read_scene, result_to_text, scene_to_text,
+                         write_bench_csv, write_clustering, write_result, write_scene)
 from multireg.scenes import SceneSpec, generate_scene
 
 
@@ -78,6 +78,40 @@ def test_clustering_roundtrip(tmp_path):
     write_clustering(Clustering(labels), path)
     assert path.read_text() == "0\n1\n1\n2\n0\n3\n"
     np.testing.assert_array_equal(read_clustering(path).labels, labels)
+
+
+def _labels_by_line(path):
+    """``read_clustering``'s labels parsed one line of the file at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        return [int(line) for line in fh if line.strip()]
+
+
+@pytest.mark.parametrize("text", [
+    "1\r\n2\r\n\r\n0\r\n",  # CRLF, and a blank line
+    "1\r2\r0",  # old Mac newlines, none after the last label
+    "  2 \n\t1\n\n\n0\x0c\n\x0b3\n",  # whitespace int() strips
+    "1\n2\x0c2\n",  # a form feed inside a line: one bad label, not two
+    "1\n2\x1e0\n",  # a record separator likewise
+    "1\nx\n",
+    "",
+])
+def test_clustering_reader_reads_the_lines_iteration_gives(tmp_path, text):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        expected = _labels_by_line(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            read_clustering(path)
+        assert str(err.value) == str(exc)
+    else:
+        np.testing.assert_array_equal(read_clustering(path).labels, expected)
+
+
+def test_clustering_text_is_one_decimal_per_line():
+    labels = np.random.default_rng(0).integers(0, 10 ** 6, 5000)
+    assert clustering_to_text(Clustering(labels)) == "".join(f"{int(v)}\n" for v in labels)
+    assert clustering_to_text(Clustering(np.zeros(0, dtype=np.int64))) == ""
 
 
 def test_result_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,6 +290,17 @@ def _place_outliers_by_row_norms(rng, spec, object_points):
     return out
 
 
+class _Fixed:
+    """A generator whose every uniform row is the point ``p``."""
+
+    def __init__(self, p):
+        self.p = p
+        self.bit_generator = SimpleNamespace(state=None)
+
+    def uniform(self, low, high, size):
+        return np.tile(self.p, (size[0], 1))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_outlier_clearance_matches_row_norms_form(seed):
     # a small ball around the blob rejects many candidates
@@ -306,13 +318,6 @@ def test_outlier_clearance_takes_the_exact_bound():
     # a clearance 1.5 tau of exactly row_norms' distance passes, and the next
     # tau fails every try. For the last p, row_norms' sum (x^2 + y^2) + z^2
     # is one ulp above x^2 + (y^2 + z^2).
-    class Fixed:
-        def __init__(self, p):
-            self.p = p
-
-        def uniform(self, low, high, size):
-            return np.tile(self.p, (size[0], 1))
-
     for p in ((1.5, 0, 0), (0, 0, 3.0), (0.938, 1.392, 1.114)):
         dist = row_norms(np.array([p]))[0]
         tau = dist / scenes._OUTLIER_CLEARANCE_FACTOR
@@ -320,8 +325,152 @@ def test_outlier_clearance_takes_the_exact_bound():
         assert np.nextafter(tau, 3) * scenes._OUTLIER_CLEARANCE_FACTOR > dist
         for tau, placed in ((tau, True), (np.nextafter(tau, 3), False)):
             spec = _spec(num_objects=1, points_per_object=(1,), num_outliers=1, tau=tau)
-            got = scenes._place_outliers(Fixed(p), spec, np.zeros((1, 3)))
+            got = scenes._place_outliers(_Fixed(p), spec, np.zeros((1, 3)))
             assert got.tolist() == [list(p)] if placed else got is None
+
+
+def _place_centers_by_norm(rng, count, avail_radius, min_gap, tries):
+    """``scenes._place_centers`` one try at a time, each gap taken by
+    ``np.linalg.norm``."""
+    centers = []
+    for _ in range(tries):
+        cand = random_point_in_ball(rng, avail_radius)
+        if all(np.linalg.norm(cand - c) >= min_gap for c in centers):
+            centers.append(cand)
+            if len(centers) == count:
+                return np.array(centers)
+    return None
+
+
+class _Squeezed:
+    """A generator whose uniform rows with x above the lowest quarter of the
+    range are moved to the corner (high, high, high), outside the ball: 43%
+    of the 10-row blocks of ``random_point_in_ball`` then hold no row inside,
+    so tries of several blocks, some running past a batch, are common."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+
+    def uniform(self, low, high, size):
+        rows = self._rng.uniform(low, high, size)
+        rows[rows[:, 0] > low + 0.25 * (high - low)] = high
+        return rows
+
+
+def _blobs(seed, centers):
+    """Random-walk blobs of 150 points and radius 0.6 around ``centers``."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([scenes._random_walk_blob(rng, np.array(c, dtype=float), 150, 0.3, 0.6)
+                      for c in centers])
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _Squeezed], ids=["pcg64", "squeezed"])
+@pytest.mark.parametrize("max_batch", [5, scenes._MAX_BATCH])
+def test_batched_placement_matches_one_try_at_a_time(make_rng, max_batch, monkeypatch):
+    # the same centres and outliers, or the same failure, and the generator
+    # left in the same state; small batches put many tries across two
+    monkeypatch.setattr(scenes, "_MAX_BATCH", max_batch)
+    outcomes = set()
+    for seed in range(24):
+        # a few centres; a jam far below the packing bound; a tight ball
+        for count, avail_radius, min_gap, tries in ((3, 3.4, 1.8, 600), (40, 3.4, 1.8, 400),
+                                                    (6, 1.2, 1.0, 300)):
+            rng, oracle_rng = make_rng(seed), make_rng(seed)
+            got = scenes._place_centers(rng, count, avail_radius, min_gap, tries)
+            want = _place_centers_by_norm(oracle_rng, count, avail_radius, min_gap, tries)
+            assert (got is None) == (want is None)
+            assert want is None or got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            outcomes.add(("centers", want is None))
+        # three blobs, outliers in a wide ball, a tight one and one that is
+        # all blob (every outlier's tries fail)
+        points = _blobs(seed, [(0, 0, 0), (1.6, 0, 0), (0, -1.6, 0.3)])
+        for bound_b, num_outliers in ((4.0, 60), (2.3, 30), (0.5, 3)):
+            spec = _spec(points_per_object=(150, 150, 150), num_outliers=num_outliers,
+                         bound_b=bound_b)
+            rng, oracle_rng = make_rng(seed), make_rng(seed)
+            got = scenes._place_outliers(rng, spec, points)
+            want = _place_outliers_by_row_norms(oracle_rng, spec, points)
+            assert (got is None) == (want is None)
+            assert want is None or got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            outcomes.add(("outliers", want is None))
+    assert outcomes == {(kind, failed) for kind in ("centers", "outliers")
+                        for failed in (False, True)}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e146])
+def test_centre_gaps_take_the_norm_bits_at_the_bound(scale):
+    # a gap of exactly the norm passes and the next float fails. At scale 1
+    # the square root of (x^2 + y^2) + z^2 rounds below the norm for the
+    # second offset and above it for the third; at the two other scales the
+    # squares leave the normal range, and every pair takes the norm
+    centers = np.array([[0.25, -1.5, 2.0], [-3.0, 1.0, 0.5]]) * scale
+    for offset in ((1.5, 0, 0), (0.427, 0.918, 0.174), (1.74, 1.263, -1.989)):
+        point = centers[0] + np.array(offset) * scale
+        columns = np.array([point, point + 10 * scale]).T.copy()
+        gap = np.linalg.norm(point - centers[0])
+        assert scenes._clear_of(columns, centers, gap).tolist() == [True, True]
+        assert scenes._clear_of(columns, centers, np.nextafter(gap, np.inf)).tolist() == [
+            False, True]
+
+
+class _Script:
+    """A generator whose 10-row uniform blocks each repeat one of ``points``,
+    in order, and then ``rest`` for ever; its state counts the rows drawn."""
+
+    def __init__(self, points, rest):
+        self.rows = np.repeat(points, 10, axis=0)
+        self.rest = rest
+        self.bit_generator = SimpleNamespace(state=0)
+
+    def uniform(self, low, high, size):
+        start = self.bit_generator.state
+        self.bit_generator.state = start + size[0]
+        rows = np.tile(self.rest, (size[0], 1))
+        head = self.rows[start:start + size[0]]
+        rows[:len(head)] = head
+        return rows
+
+
+def test_outlier_reach_decides_as_every_point_does():
+    # a blob walked from the origin, its farthest point moved onto a line
+    # through the origin, and tries on that line beyond it: at the blob's
+    # reach, one ulp inside and one outside it, and about where the reach
+    # would be without its rounding margin. A try within reach is compared
+    # point by point, one beyond it clears the blob unseen; each decision
+    # must be the all-points test's. On the axes the tries lie exactly at
+    # the reach.
+    tau = 0.3
+    clearance = scenes._OUTLIER_CLEARANCE_FACTOR * tau
+    rng = np.random.default_rng(7)
+    accepted = []
+    for seed in range(8):
+        walk = scenes._random_walk_blob(np.random.default_rng(seed), np.zeros(3), 60, tau, 0.6)
+        norms = row_norms(walk)
+        far, extent = int(np.argmax(norms)), norms.max()
+        directions = np.concatenate([np.eye(3), rng.standard_normal((100, 3))])
+        for u in directions / row_norms(directions)[:, None]:
+            blob = walk.copy()
+            blob[far] = extent * u
+            reach = scenes._reach(blob, clearance)
+            bare = row_norms(blob).max() + clearance
+            if (u == 1).any():
+                assert row_norms(reach * u[None])[0] == reach
+            up = lambda r: np.nextafter(r, np.inf)
+            cands = np.array([r * u for r in (reach, np.nextafter(reach, 0), up(reach),
+                                              np.nextafter(bare, 0), bare, up(bare),
+                                              up(up(bare)))])
+            spec = _spec(num_objects=1, points_per_object=(60,), num_outliers=len(cands),
+                         tau=tau)
+            rng_got, rng_want = _Script(cands, [0, 0, -3.9]), _Script(cands, [0, 0, -3.9])
+            got = scenes._place_outliers(rng_got, spec, blob)
+            want = _place_outliers_by_row_norms(rng_want, spec, blob)
+            assert got.tobytes() == want.tobytes()
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+            accepted.append((want[:, 2] != -3.9).sum())
+    assert 0 < sum(accepted) < 7 * len(accepted)  # some tries pass, some fail
 
 
 def test_good_split_single_fragment_equals_truth():
