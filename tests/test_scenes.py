@@ -290,15 +290,22 @@ def _place_outliers_by_row_norms(rng, spec, object_points):
     return out
 
 
-class _Fixed:
-    """A generator whose every uniform row is the point ``p``."""
+class _Script:
+    """A generator whose 10-row uniform blocks each repeat one of ``points``,
+    in order, and then ``rest`` for ever; its state counts the rows drawn."""
 
-    def __init__(self, p):
-        self.p = p
-        self.bit_generator = SimpleNamespace(state=None)
+    def __init__(self, rest, points=()):
+        self.rows = np.repeat(np.reshape(points, (-1, 3)), 10, axis=0)
+        self.rest = rest
+        self.bit_generator = SimpleNamespace(state=0)
 
     def uniform(self, low, high, size):
-        return np.tile(self.p, (size[0], 1))
+        start = self.bit_generator.state
+        self.bit_generator.state = start + size[0]
+        rows = np.tile(self.rest, (size[0], 1))
+        head = self.rows[start:start + size[0]]
+        rows[:len(head)] = head
+        return rows
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -325,7 +332,7 @@ def test_outlier_clearance_takes_the_exact_bound():
         assert np.nextafter(tau, 3) * scenes._OUTLIER_CLEARANCE_FACTOR > dist
         for tau, placed in ((tau, True), (np.nextafter(tau, 3), False)):
             spec = _spec(num_objects=1, points_per_object=(1,), num_outliers=1, tau=tau)
-            got = scenes._place_outliers(_Fixed(p), spec, np.zeros((1, 3)))
+            got = scenes._place_outliers(_Script(p), spec, np.zeros((1, 3)))
             assert got.tolist() == [list(p)] if placed else got is None
 
 
@@ -416,24 +423,6 @@ def test_centre_gaps_take_the_norm_bits_at_the_bound(scale):
             False, True]
 
 
-class _Script:
-    """A generator whose 10-row uniform blocks each repeat one of ``points``,
-    in order, and then ``rest`` for ever; its state counts the rows drawn."""
-
-    def __init__(self, points, rest):
-        self.rows = np.repeat(points, 10, axis=0)
-        self.rest = rest
-        self.bit_generator = SimpleNamespace(state=0)
-
-    def uniform(self, low, high, size):
-        start = self.bit_generator.state
-        self.bit_generator.state = start + size[0]
-        rows = np.tile(self.rest, (size[0], 1))
-        head = self.rows[start:start + size[0]]
-        rows[:len(head)] = head
-        return rows
-
-
 def test_outlier_reach_decides_as_every_point_does():
     # a blob walked from the origin, its farthest point moved onto a line
     # through the origin, and tries on that line beyond it: at the blob's
@@ -464,7 +453,7 @@ def test_outlier_reach_decides_as_every_point_does():
                                               up(up(bare)))])
             spec = _spec(num_objects=1, points_per_object=(60,), num_outliers=len(cands),
                          tau=tau)
-            rng_got, rng_want = _Script(cands, [0, 0, -3.9]), _Script(cands, [0, 0, -3.9])
+            rng_got, rng_want = _Script([0, 0, -3.9], cands), _Script([0, 0, -3.9], cands)
             got = scenes._place_outliers(rng_got, spec, blob)
             want = _place_outliers_by_row_norms(rng_want, spec, blob)
             assert got.tobytes() == want.tobytes()
