@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CorrespondenceSet, move, random_point_in_ball, random_rotation
+from .geometry import MAX_ROWS, CorrespondenceSet, move, random_point_in_ball, random_rotation
 from .horn import estimate_noise_std, horn_register
 
 MIN_CLUSTER_SIZE_VARIANTS = ("a", "b")
+# a bench spawns one SeedSequence child per m and trial; spawn counts in ssize_t
+_MAX_SEEDS = int(np.iinfo(np.intp).max)
 
 
 def _check_common(m, sigma, bound_b, delta):
@@ -179,8 +181,8 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
     """The m values as ints, once every setting ``run_consistency_bench``
     takes is valid; raises ValueError otherwise, before anything is drawn."""
     m_values = [int(m) for m in m_values]
-    if not m_values or min(m_values) < 3:
-        raise ValueError("bench.m_values must list at least one m, each at least 3")
+    if not m_values or min(m_values) < 3 or max(m_values) > MAX_ROWS:
+        raise ValueError(f"bench.m_values must list at least one m, each in 3..{MAX_ROWS}")
     try:
         _check_common(min(m_values), sigma, bound_b, delta)
     except ValueError as error:  # m passed above, so it names sigma, bound_b or delta
@@ -190,8 +192,8 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
         raise ValueError(f"bench.delta = {delta!r} overflows 18/delta")
     if not math.isfinite(sigma * sigma):
         raise ValueError(f"bench.sigma = {sigma!r} overflows sigma * sigma")
-    if trials < 1:
-        raise ValueError("bench.trials must be positive")
+    if not 1 <= trials <= _MAX_SEEDS // len(m_values):
+        raise ValueError(f"bench.trials must lie in 1..{_MAX_SEEDS // len(m_values)}")
     # A trial's points and translation lie in the B-ball and its noise within
     # sigma, so the largest sum horn_register forms, the m products of the
     # cross-covariance, is at most 4 m B (2B + sigma); it is infinite whenever
@@ -271,11 +273,11 @@ def check_noise_ratio_bench(m_values, delta, trials) -> list[int]:
     floor = noise_ratio_sample_floor(delta)
     if not math.isfinite(2.0 / delta):
         raise ValueError(f"bench.noise_ratio_delta = {delta!r} overflows 2/delta")
-    if not m_values or min(m_values) < floor:
-        raise ValueError("bench.noise_ratio_m must list at least one m, each at least "
-                         f"the interval's validity floor {floor:.0f}")
-    if trials < 1:
-        raise ValueError("bench.noise_ratio_trials must be positive")
+    if not m_values or min(m_values) < floor or max(m_values) > MAX_ROWS:
+        raise ValueError("bench.noise_ratio_m must list at least one m, each from "
+                         f"the interval's validity floor {floor:.0f} to {MAX_ROWS}")
+    if not 1 <= trials <= _MAX_SEEDS // len(m_values):
+        raise ValueError(f"bench.noise_ratio_trials must lie in 1..{_MAX_SEEDS // len(m_values)}")
     return m_values
 
 

@@ -384,14 +384,13 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
     grid = _CliqueGrid(pts, tau)
 
     for _ in range(max_retries):
-        seeds = _farthest_point_seeds(pts, k, rng)
+        # to_seed[j]: every point's squared distance to seed j, its growth key
+        seeds, to_seed = _farthest_point_seeds(pts, k, rng)
         if len(set(seeds)) < k:
             continue  # duplicate seed (tiny sets); retry with new seeds
         assignment = np.full(n, -1, dtype=np.int64)
         assignment[seeds] = np.arange(k)
         sizes = [1] * k
-        # squared distance of every point to seed j: fragment j's growth key
-        to_seed = [np.sum((pts - pts[s]) ** 2, axis=1) for s in seeds]
         if not _scan(grid, assignment, sizes, targets, to_seed):
             _heap_tail(grid, assignment, sizes, targets, to_seed)
         if sizes == targets:
@@ -399,14 +398,15 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
     raise ValueError("cannot split set into connected fragments with the requested sizes")
 
 
-def _farthest_point_seeds(pts: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+def _farthest_point_seeds(pts: np.ndarray, k: int, rng: np.random.Generator):
     seeds = [int(rng.integers(pts.shape[0]))]
-    dist = np.sum((pts - pts[seeds[0]]) ** 2, axis=1)
+    to_seed = [np.sum((pts - pts[seeds[0]]) ** 2, axis=1)]
+    dist = to_seed[0]
     while len(seeds) < k:
-        nxt = int(np.argmax(dist))
-        seeds.append(nxt)
-        dist = np.minimum(dist, np.sum((pts - pts[nxt]) ** 2, axis=1))
-    return seeds
+        seeds.append(int(np.argmax(dist)))
+        to_seed.append(np.sum((pts - pts[seeds[-1]]) ** 2, axis=1))
+        dist = np.minimum(dist, to_seed[-1])
+    return seeds, to_seed
 
 
 def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k: int,

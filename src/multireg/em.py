@@ -46,8 +46,8 @@ class EMConfig:
             raise ValueError("m_min must be at least 3")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0):
-            raise ValueError("sigma_floor must be finite and positive")
+        if not (math.isfinite(self.sigma_floor * self.sigma_floor) and self.sigma_floor > 0):
+            raise ValueError("sigma_floor must be positive, with a finite square")
 
 
 @dataclass(frozen=True)

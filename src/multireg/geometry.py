@@ -20,6 +20,8 @@ import numpy as np
 # Validity tolerance for SO(3) membership: well above double-precision SVD
 # noise, well below any physically meaningful error.
 SO3_TOL = 1e-9
+# The most rows an (n, 3) float array can have: numpy counts its bytes in intp.
+MAX_ROWS = int(np.iinfo(np.intp).max) // 24
 
 
 def _as_array(x, shape, name: str) -> np.ndarray:
@@ -154,10 +156,6 @@ class RigidTransform:
     def apply(self, points) -> np.ndarray:
         """R p + t for a single point (3,) or row-stacked points (n, 3)."""
         return move(np.asarray(points, dtype=np.float64), self.rotation, self.translation)
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -(rt @ self.translation))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import BoundTrial
 from .clustering import Clustering
-from .geometry import CorrespondenceSet, RigidTransform
+from .geometry import CorrespondenceSet, RigidTransform, row_norms
 from .scenes import LabeledScene, SceneSpec
 
 SCENE_FORMAT_VERSION = 1
@@ -116,6 +116,18 @@ def read_scene(path) -> LabeledScene:
         separation_margin=float(header.get("separation_margin", 2.0 * tau)),
         seed=int(header["seed"]),
     )
+    # synth keeps each a-point in the ball of radius B and moves it by a
+    # rotation, a translation in that ball and noise of at most sigma per
+    # coordinate; outlier b-points lie in the ball of radius 3B. A NaN or
+    # overflowing norm fails too; 1e-9 of slack covers rounding.
+    b_radius = max(3.0 * spec.bound_b, 2.0 * spec.bound_b + np.sqrt(3.0) * spec.sigma)
+    for kind, points, radius in (("an a", table[:, 0:3], spec.bound_b),
+                                 ("a b", table[:, 3:6], b_radius)):
+        with np.errstate(over="ignore"):
+            outside = np.flatnonzero(~(row_norms(points) <= radius * (1.0 + 1e-9)))
+        if outside.size:
+            raise ValueError(f"correspondence line {outside[0] + 1} has {kind}-point outside "
+                             f"the ball of radius {radius:g}")
     transforms = tuple(poses[j] for j in range(1, num_objects + 1))
     return LabeledScene(CorrespondenceSet(table[:, 0:3], table[:, 3:6]), labels, transforms, spec)
 

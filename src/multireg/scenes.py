@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import Clustering, connected_components, fragment_connected_set
-from .geometry import (CorrespondenceSet, RigidTransform, make_rng, move_each,
+from .geometry import (MAX_ROWS, CorrespondenceSet, RigidTransform, make_rng, move_each,
                        random_point_in_ball, random_rotation, row_norms)
 
 # Objects are confined to balls of this radius (in units of tau) around their
@@ -64,8 +64,8 @@ class SceneSpec:
             raise ValueError("need at least one object")
         if len(self.points_per_object) != self.num_objects:
             raise ValueError("points_per_object length must equal num_objects")
-        if any(p < 1 for p in self.points_per_object):
-            raise ValueError("every object needs at least one point")
+        if not all(1 <= p <= MAX_ROWS for p in self.points_per_object):
+            raise ValueError(f"points_per_object must each lie in 1..{MAX_ROWS}")
         # written so that NaN fails every check, and a sigma of -0.0 too (the
         # noise draw needs -sigma <= sigma bit for bit); the draws span 2 sigma
         # and 6 bound_b (outliers lie in the ball of radius 3 bound_b), and
@@ -76,8 +76,8 @@ class SceneSpec:
             raise ValueError("tau must be positive, with 2*tau finite")
         if not (math.isfinite(6.0 * self.bound_b) and self.bound_b > 0):
             raise ValueError("bound_b must be positive, with 6*bound_b finite")
-        if self.num_outliers < 0:
-            raise ValueError("num_outliers must be nonnegative")
+        if not 0 <= self.num_outliers <= MAX_ROWS:
+            raise ValueError(f"num_outliers must lie in 0..{MAX_ROWS}")
         if self.separation_margin is None:
             object.__setattr__(self, "separation_margin", 2.0 * self.tau)
         if not (math.isfinite(self.separation_margin) and self.separation_margin > self.tau):
@@ -196,23 +196,13 @@ def _ball_tries(rng: np.random.Generator, radius: float, blocks: int):
     return cand[ends * _BLOCK + inside[ends].argmax(axis=1)], stop
 
 
-def _clear_of(columns: np.ndarray, centers: np.ndarray, gap: float) -> np.ndarray:
-    """Entry i is True iff np.linalg.norm(p - c) >= gap for the point p =
-    ``columns[:, i]`` and every row c of ``centers``. A float sum of squares
-    decides each point whose nearest centre is not within a hair of gap^2
-    (every point, when gap^2 is near the ends of the normal range, where
-    that hair does not cover rounding); the rest get the norm's bits."""
-    low, high = gap * gap * (1.0 - 1e-9), gap * gap * (1.0 + 1e-9)
-    if not 1e-290 < low < high < 1e290:
-        low, high = -np.inf, np.inf
-    nearest = np.full(columns.shape[1], np.inf)
-    for cx, cy, cz in centers.tolist():
-        x, y, z = columns[0] - cx, columns[1] - cy, columns[2] - cz
-        np.minimum(nearest, x * x + y * y + z * z, out=nearest)
-    clear = nearest > high
-    doubt = np.flatnonzero((nearest >= low) & ~clear)
-    diff = (columns[:, doubt].T[:, None, :] - centers).reshape(-1, 3)
-    clear[doubt] = (_lengths(diff) >= gap).reshape(len(doubt), len(centers)).all(axis=1)
+def _clear_of(points: np.ndarray, centers: np.ndarray, gap: float) -> np.ndarray:
+    """Entry i is True iff np.linalg.norm(p - c) >= gap, in ``_lengths``'
+    bits, for the row p = ``points[i]`` and every row c of ``centers``; one
+    centre at a time, so memory stays O(len(points)) for any centre count."""
+    clear = np.ones(len(points), dtype=bool)
+    for c in centers:
+        clear &= _lengths(points - c) >= gap
     return clear
 
 
@@ -226,8 +216,7 @@ def _place_centers(rng: np.random.Generator, count: int, avail_radius: float,
     placed, batch = 0, 16 * count
     while tries > 0:
         cands, stop = _ball_tries(rng, avail_radius, min(tries, batch, _MAX_BATCH))
-        columns = cands.T.copy()
-        clear = _clear_of(columns, centers[:placed], min_gap)
+        clear = _clear_of(cands, centers[:placed], min_gap)
         t = 0
         while (hits := np.flatnonzero(clear[t:])).size:
             t += int(hits[0])
@@ -237,7 +226,7 @@ def _place_centers(rng: np.random.Generator, count: int, avail_radius: float,
                 stop(t)
                 return centers
             t += 1
-            clear[t:] &= _clear_of(columns[:, t:], cands[t - 1:t], min_gap)
+            clear[t:] &= _clear_of(cands[t:], cands[t - 1:t], min_gap)
         tries -= len(cands)
         batch *= 4
     return None
@@ -337,18 +326,8 @@ def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
         return out
     clearance = _OUTLIER_CLEARANCE_FACTOR * spec.tau
     blobs = np.split(object_points, np.cumsum(spec.points_per_object)[:-1])
-    # row_norms(blob - cand).min() down kept columns, summed in its order;
-    # sqrt is monotone, so one sqrt of the minimum gives the same bits
-    columns = [blob.T.copy() for blob in blobs]
-    diffs = [np.empty_like(c) for c in columns]
     centers = [blob[0] for blob in blobs]
     reach = [_reach(blob, clearance) for blob in blobs]
-
-    def clear(j: int, cand: np.ndarray) -> bool:
-        np.subtract(columns[j], cand[:, None], out=diffs[j])
-        diffs[j] *= diffs[j]
-        x, y, z = diffs[j]
-        return math.sqrt((x + y + z).min()) >= clearance
 
     placed = failed = 0  # failed: the tries of the current outlier so far
     while True:
@@ -356,7 +335,8 @@ def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
                                   min(2 * (spec.num_outliers - placed) + 16, _MAX_BATCH))
         near = np.array([row_norms(cands - c) <= r for c, r in zip(centers, reach)]).T
         for t, row in enumerate(near.tolist()):
-            if all(clear(j, cands[t]) for j, hit in enumerate(row) if hit):
+            if all(row_norms(blobs[j] - cands[t]).min() >= clearance
+                   for j, hit in enumerate(row) if hit):
                 out[placed] = cands[t]
                 placed, failed = placed + 1, 0
                 if placed == spec.num_outliers:

@@ -270,6 +270,12 @@ def compose(first: RigidTransform, second: RigidTransform) -> RigidTransform:
                           first.rotation @ second.translation + first.translation)
 
 
+def inverse(t: RigidTransform) -> RigidTransform:
+    """The transform that undoes ``t``."""
+    rt = t.rotation.T
+    return RigidTransform(rt, -(rt @ t.translation))
+
+
 def almost_equal(s: RigidTransform, t: RigidTransform, tol: float = 1e-12) -> bool:
     return (float(np.linalg.norm(s.rotation - t.rotation)) <= tol
             and float(np.linalg.norm(s.translation - t.translation)) <= tol)

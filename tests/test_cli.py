@@ -266,6 +266,52 @@ def _synth_objects_too_many_to_hold(tmp_path, scene_file):
             "--set", "scene.tau=1e-6"]
 
 
+def _synth_points_per_object_beyond_numpy(tmp_path, scene_file):
+    # more rows than an (n, 3) float array can have
+    return ["synth", "--out", tmp_path / "r.txt", "--set",
+            "scene.points_per_object=99999999999999999999"]
+
+
+def _synth_num_outliers_beyond_numpy(tmp_path, scene_file):
+    return ["synth", "--out", tmp_path / "r.txt", "--set",
+            "scene.num_outliers=99999999999999999999"]
+
+
+def _bench_trials_beyond_seeds(tmp_path, scene_file):
+    # more trials than SeedSequence.spawn can count
+    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.trials=99999999999999999999"]
+
+
+def _bench_noise_ratio_trials_beyond_seeds(tmp_path, scene_file):
+    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.suite=noise-ratio",
+            "--set", "bench.noise_ratio_trials=99999999999999999999"]
+
+
+def _bench_m_beyond_numpy(tmp_path, scene_file):
+    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.m_values=99999999999999999999",
+            "--set", "bench.trials=3"]
+
+
+def _bench_noise_ratio_m_beyond_numpy(tmp_path, scene_file):
+    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.suite=noise-ratio",
+            "--set", "bench.noise_ratio_m=99999999999999999999"]
+
+
+def _em_sigma_floor_square_overflows_to_run(tmp_path, scene_file):
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "em.sigma_floor=1e308"]
+
+
+def _a_beyond_bound_b_to_eval(tmp_path, scene_file):
+    # the header says B = 4
+    scene = _edited_scene(tmp_path, scene_file, lambda f: ["1e308"] + f[1:])
+    return ["eval", _truth_labels(tmp_path, scene_file), scene]
+
+
+def _b_beyond_synth_targets_to_sransac(tmp_path, scene_file):
+    scene = _edited_scene(tmp_path, scene_file, lambda f: f[:3] + ["1e308"] + f[4:])
+    return ["run", "--algorithm", "sransac", "--set", f"scene.file={scene}"]
+
+
 def _huge_m_header_to_run(tmp_path, scene_file):
     # two POSE lines are not 10^12: refused before a range of 1..M is built
     return _scene_with_header(tmp_path, scene_file, "M", 10 ** 12)
@@ -486,6 +532,15 @@ def _unknown_scene_version_to_run(tmp_path, scene_file):
     _synth_objects_too_many_to_repeat,
     _synth_tau_nan_objects_too_many_to_repeat,
     _synth_objects_too_many_to_hold,
+    _synth_points_per_object_beyond_numpy,
+    _synth_num_outliers_beyond_numpy,
+    _bench_trials_beyond_seeds,
+    _bench_noise_ratio_trials_beyond_seeds,
+    _bench_m_beyond_numpy,
+    _bench_noise_ratio_m_beyond_numpy,
+    _em_sigma_floor_square_overflows_to_run,
+    _a_beyond_bound_b_to_eval,
+    _b_beyond_synth_targets_to_sransac,
     _huge_m_header_to_run,
     _unknown_key_set_to_run,
     _unknown_key_in_config_to_run,

@@ -72,6 +72,27 @@ def test_scene_reader_rejects_missing_header(tmp_path):
         read_scene(path)
 
 
+@pytest.mark.parametrize("first, kind, radius", [(0, "an a", 4.0), (3, "a b", 12.0)])
+def test_scene_reader_refuses_points_beyond_the_synth_balls(scene, tmp_path, first, kind, radius):
+    # a-points lie in the ball of radius B = 4, b-points in that of 3B = 12
+    # (above 2B + sqrt(3) sigma here): a point on the sphere reads, and one
+    # beyond it is refused by the number of its correspondence line
+    path = tmp_path / "scene.txt"
+    write_scene(scene, path)
+    lines = path.read_text().splitlines()
+    fields = lines[8 + 6].split()  # 8 header lines, then the 7th correspondence
+
+    def read_with(x):
+        fields[first:first + 3] = [fmt_float(x), "0", "0"]
+        path.write_text("\n".join(lines[:14] + [" ".join(fields)] + lines[15:]) + "\n")
+        return read_scene(path)
+
+    assert len(read_with(radius).correspondences) == 43
+    with pytest.raises(ValueError, match=f"^correspondence line 7 has {kind}-point outside "
+                                         f"the ball of radius {radius:g}$"):
+        read_with(radius * 1.0001)
+
+
 def test_clustering_roundtrip(tmp_path):
     labels = np.array([0, 1, 1, 2, 0, 3])
     path = tmp_path / "labels.txt"

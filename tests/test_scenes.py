@@ -412,14 +412,14 @@ def test_centre_gaps_take_the_norm_bits_at_the_bound(scale):
     # a gap of exactly the norm passes and the next float fails. At scale 1
     # the square root of (x^2 + y^2) + z^2 rounds below the norm for the
     # second offset and above it for the third; at the two other scales the
-    # squares leave the normal range, and every pair takes the norm
+    # squares leave the normal range
     centers = np.array([[0.25, -1.5, 2.0], [-3.0, 1.0, 0.5]]) * scale
     for offset in ((1.5, 0, 0), (0.427, 0.918, 0.174), (1.74, 1.263, -1.989)):
         point = centers[0] + np.array(offset) * scale
-        columns = np.array([point, point + 10 * scale]).T.copy()
+        points = np.array([point, point + 10 * scale])
         gap = np.linalg.norm(point - centers[0])
-        assert scenes._clear_of(columns, centers, gap).tolist() == [True, True]
-        assert scenes._clear_of(columns, centers, np.nextafter(gap, np.inf)).tolist() == [
+        assert scenes._clear_of(points, centers, gap).tolist() == [True, True]
+        assert scenes._clear_of(points, centers, np.nextafter(gap, np.inf)).tolist() == [
             False, True]
 
 
