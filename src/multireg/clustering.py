@@ -33,11 +33,6 @@ import numpy as np
 
 from .geometry import make_rng
 
-# scipy.spatial, the largest import by far, loads on the first exact gate
-# (``_CliqueGrid.confirm``): only EM makes one, so no other command pays for it
-cKDTree = None
-
-
 @dataclass(frozen=True, eq=False)
 class Clustering:
     """A hard partition of correspondence indices.
@@ -169,7 +164,6 @@ class _CliqueGrid:
         self.codes = sorted_codes[first]
         self.starts = np.append(first, len(codes))
         self.cell_of = np.searchsorted(self.codes, codes)
-        self._cell_list = self.cell_of.tolist()
         self._hoods: list[np.ndarray | None] = [None] * len(self.codes)
         self.runs = self._block_runs(2)
 
@@ -199,7 +193,7 @@ class _CliqueGrid:
     def hood(self, point: int) -> np.ndarray:
         """Indices of the points in the 125 cells around the cell of ``point``
         (a superset of its tau-neighbours, itself included); cached per cell."""
-        cell = self._cell_list[point]
+        cell = int(self.cell_of[point])
         members = self._hoods[cell]
         if members is None:
             members = self._hoods[cell] = self.order[_expand(*self.hood_runs(point))]
@@ -234,31 +228,6 @@ class _CliqueGrid:
                                                   first[a:b] - first[a])
         in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
         return occupied[self.cell_of], in_hood.view(bool)[self.cell_of]
-
-    def confirm(self, labels: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                trees: dict) -> np.ndarray:
-        """The exact gate for a batch of queries: entry q is True iff point
-        ``rows[q]`` lies strictly within tau of a point labelled ``cols[q] + 1``.
-
-        One k-d query per cluster in the batch. ``trees`` maps a cluster to its
-        tree and is held by the caller, so batches over one labelling build each
-        tree once. Trees are sliding-midpoint (unbalanced, uncompacted): cheaper
-        to build, and the nearest distance within the bound does not depend on
-        the tree's shape.
-        """
-        global cKDTree
-        if cKDTree is None:
-            from scipy.spatial import cKDTree
-        passes = np.zeros(len(rows), dtype=bool)
-        for j in np.unique(cols).tolist():
-            query = np.flatnonzero(cols == j)
-            tree = trees.get(j)
-            if tree is None:
-                tree = trees[j] = cKDTree(self.points[labels == j + 1], balanced_tree=False,
-                                          compact_nodes=False)
-            dist, _ = tree.query(self.points[rows[query]], k=1, distance_upper_bound=self.tau)
-            passes[query] = dist < self.tau
-        return passes
 
     def touching(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Entry i is True iff some point of cell ``c[i]`` lies within tau of

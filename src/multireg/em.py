@@ -15,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clustering, _CliqueGrid
-from .geometry import CorrespondenceSet, RigidTransform
+from .geometry import MAX_ROWS, CorrespondenceSet, RigidTransform
 from .horn import SIGMA_FLOOR, HornEstimate, horn_register
+
+# scipy.spatial, the largest import by far, loads on the first exact gate
+# (``_confirm``): only EM makes one, so no other command pays for it
+cKDTree = None
 
 
 class NoViableClustersError(RuntimeError):
@@ -42,8 +46,8 @@ class EMConfig:
         # written so that NaN fails every check
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
-        if self.m_min < 3:
-            raise ValueError("m_min must be at least 3")
+        if not 3 <= self.m_min <= MAX_ROWS:
+            raise ValueError(f"m_min must lie in 3..{MAX_ROWS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (math.isfinite(self.sigma_floor * self.sigma_floor) and self.sigma_floor > 0):
@@ -127,8 +131,8 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     covariance sigma_j^2 I, evaluated in log space so far-away points cannot
     underflow the ratios. Rows whose indicators are all zero are all zero.
 
-    This is the reference form of the E-step; ``run_em`` assigns through
-    ``assign``, which never forms these ratios.
+    This is the reference form of the E-step: every pair gets the exact test.
+    ``run_em`` assigns through ``assign``, which never forms these ratios.
     """
     k = clustering.num_clusters
     if len(models) != k:
@@ -137,11 +141,11 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     row_max = log_scores.max(axis=1, keepdims=True)
     unnorm = np.exp(log_scores - row_max)
     weights = unnorm / unnorm.sum(axis=1, keepdims=True)
-    # occupancy settles most pairs, the exact test the rest
-    grid = _CliqueGrid(cs.a, cfg.tau)
-    gated, hood = grid.occupancy(clustering.labels, k)
-    rows, cols = np.nonzero(hood & ~gated)
-    gated[rows, cols] = grid.confirm(clustering.labels, rows, cols, {})
+    # an id with no members gates nothing: no tree is built over zero points
+    present = np.flatnonzero(clustering.sizes()[1:])
+    rows, cols = np.repeat(np.arange(len(cs)), len(present)), np.tile(present, len(cs))
+    gated = np.zeros(weights.shape, dtype=bool)
+    gated[rows, cols] = _confirm(cs.a, cfg.tau, clustering.labels, rows, cols, {})
     return weights * gated
 
 
@@ -155,6 +159,32 @@ def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clusteri
     has_mass = weights.max(axis=1) > 0.0
     labels[has_mass] = np.argmax(weights[has_mass], axis=1) + 1
     return Clustering(labels, num_clusters=previous.num_clusters)
+
+
+def _confirm(points: np.ndarray, tau: float, labels: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray, trees: dict) -> np.ndarray:
+    """The exact gate for a batch of queries: entry q is True iff point
+    ``rows[q]`` lies strictly within tau of a point labelled ``cols[q] + 1``.
+
+    One k-d query per cluster in the batch. ``trees`` maps a cluster to its
+    tree and is held by the caller, so batches over one labelling build each
+    tree once. Trees are sliding-midpoint (unbalanced, uncompacted): cheaper
+    to build, and the nearest distance within the bound does not depend on
+    the tree's shape.
+    """
+    global cKDTree
+    if cKDTree is None:
+        from scipy.spatial import cKDTree
+    passes = np.zeros(len(rows), dtype=bool)
+    for j in np.unique(cols).tolist():
+        query = np.flatnonzero(cols == j)
+        tree = trees.get(j)
+        if tree is None:
+            tree = trees[j] = cKDTree(points[labels == j + 1], balanced_tree=False,
+                                      compact_nodes=False)
+        dist, _ = tree.query(points[rows[query]], k=1, distance_upper_bound=tau)
+        passes[query] = dist < tau
+    return passes
 
 
 def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueGrid) -> Clustering:
@@ -190,7 +220,7 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
     for r in range(int(count.max(initial=0))):
         open_rows = open_rows[count[open_rows] > r]
         i, j = rows[open_rows], order[open_rows, r]
-        passes = grid.confirm(clustering.labels, i, j, trees)
+        passes = _confirm(cs.a, grid.tau, clustering.labels, i, j, trees)
         gated[i[passes], j[passes]] = True
         open_rows = open_rows[~passes]
     best = np.argmax(np.where(gated, scores, -np.inf), axis=1)
@@ -219,7 +249,6 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
     if len(initial) != len(cs):
         raise ValueError("initial clustering length must match the correspondences")
     clustering = initial
-    changes: list[int] = []
     trace: list[IterationStats] = []
     grid = _CliqueGrid(cs.a, cfg.tau)
 
@@ -230,7 +259,6 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
         models = fit_models(cs, pruned, cfg)
         updated = assign(cs, pruned, models, grid)
         changed = int(np.count_nonzero(updated.labels != pruned.labels))
-        changes.append(changed)
         trace.append(IterationStats(
             iteration=iteration,
             cluster_sizes=tuple(int(s) for s in pruned.sizes()[1:]),
@@ -243,12 +271,13 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
             break
 
     clustering, models = _drop_empty(clustering, models)
+    changes = tuple(stats.assignment_changes for stats in trace)
     return EMResult(
         clustering=clustering,
         models=tuple(models),
         iterations_run=len(changes),
         converged=changes[-1] == 0,
-        assignment_changes=tuple(changes),
+        assignment_changes=changes,
         trace=tuple(trace),
     )
 

@@ -7,7 +7,6 @@ deterministic: identical in-memory values produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import io as _io
 import numpy as np
 
@@ -194,17 +193,13 @@ def write_result(pairs, path) -> None:
 
 
 def bench_csv_text(trials: list[BoundTrial]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BENCH_CSV_COLUMNS)
-    for t in trials:
-        writer.writerow([
-            t.m, fmt_float(t.sigma), fmt_float(t.bound_b), fmt_float(t.delta),
-            fmt_float(t.lambda_min), fmt_float(t.rot_err_sq), fmt_float(t.rot_bound),
-            fmt_float(t.trans_err_sq), fmt_float(t.trans_bound),
-            f"{int(t.violated_rot)}{int(t.violated_trans)}",
-        ])
-    return buf.getvalue()
+    """One comma-separated row per trial under a header; no field needs quoting."""
+    rows = [BENCH_CSV_COLUMNS] + [
+        (str(t.m), fmt_float(t.sigma), fmt_float(t.bound_b), fmt_float(t.delta),
+         fmt_float(t.lambda_min), fmt_float(t.rot_err_sq), fmt_float(t.rot_bound),
+         fmt_float(t.trans_err_sq), fmt_float(t.trans_bound),
+         f"{int(t.violated_rot)}{int(t.violated_trans)}") for t in trials]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def write_bench_csv(trials: list[BoundTrial], path) -> None:

@@ -35,6 +35,8 @@ _OUTLIER_CLEARANCE_FACTOR = 1.5
 # blocks at once.
 _BLOCK = 10
 _MAX_BATCH = 4096
+# validate_scene's slack on the noise and point-norm bounds, for rounding.
+_VALIDATE_ATOL = 1e-12
 
 
 class InfeasibleSceneError(RuntimeError):
@@ -349,7 +351,7 @@ def _place_outliers(rng: np.random.Generator, spec: SceneSpec,
                     return None
 
 
-def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
+def validate_scene(scene: LabeledScene) -> SceneReport:
     """Check every generative condition of the scene.
 
     Separation, outlier clearance and connectivity are the paper's premise,
@@ -368,9 +370,9 @@ def validate_scene(scene: LabeledScene, atol: float = 1e-12) -> SceneReport:
     held = Clustering(comp + 1, num_clusters=count).contingency(scene.true_labels)[1:] > 0
     objects = held[:, 1:]
     return SceneReport(
-        noise_bound_ok=max_noise <= spec.sigma + atol,
+        noise_bound_ok=max_noise <= spec.sigma + _VALIDATE_ATOL,
         separation_ok=bool((objects.sum(axis=1) <= 1).all()),
-        point_bound_ok=max_norm <= spec.bound_b + atol,
+        point_bound_ok=max_norm <= spec.bound_b + _VALIDATE_ATOL,
         outliers_ok=not (held[:, 0] & objects.any(axis=1)).any(),
         connectivity_ok=bool((objects.sum(axis=0) <= 1).all()),
         max_noise_residual=max_noise,

@@ -301,6 +301,11 @@ def _em_sigma_floor_square_overflows_to_run(tmp_path, scene_file):
     return ["run", "--set", f"scene.file={scene_file}", "--set", "em.sigma_floor=1e308"]
 
 
+def _em_m_min_beyond_numpy_to_run(tmp_path, scene_file):
+    # more points than any scene can hold: pruning would dissolve every cluster
+    return ["run", "--set", f"scene.file={scene_file}", "--set", "em.m_min=99999999999999999999"]
+
+
 def _a_beyond_bound_b_to_eval(tmp_path, scene_file):
     # the header says B = 4
     scene = _edited_scene(tmp_path, scene_file, lambda f: ["1e308"] + f[1:])
@@ -539,6 +544,7 @@ def _unknown_scene_version_to_run(tmp_path, scene_file):
     _bench_m_beyond_numpy,
     _bench_noise_ratio_m_beyond_numpy,
     _em_sigma_floor_square_overflows_to_run,
+    _em_m_min_beyond_numpy_to_run,
     _a_beyond_bound_b_to_eval,
     _b_beyond_synth_targets_to_sransac,
     _huge_m_header_to_run,

@@ -6,11 +6,12 @@ import pytest
 from scipy.spatial import cKDTree
 
 import multireg.clustering
+import multireg.em
 import multireg.horn
 from conftest import distance_to_cluster, kd_tree_gate
 from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster
-from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _log_scores, assign,
-                         e_step, fit_clusters, fit_models, m_step, prune_small, run_em)
+from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _confirm, _log_scores,
+                         assign, e_step, fit_clusters, fit_models, m_step, prune_small, run_em)
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
 from multireg.horn import horn_register
 from multireg.metrics import mask_iou
@@ -127,6 +128,7 @@ def test_e_step_gate_matches_distance_oracle(rng):
     oracle = np.array([[distance_to_cluster(a[clustering.members(j)], p) < tau
                         for j in range(1, 4)] for p in a])
     np.testing.assert_array_equal(weights > 0, oracle)
+    np.testing.assert_array_equal(_grid_gate(a, clustering.labels, 3, tau), oracle)
     assert oracle.any() and not oracle.all()
 
 
@@ -148,7 +150,7 @@ def _grid_gate(points, labels, k, tau):
     labels = Clustering(labels, num_clusters=k).labels
     gated, hood = grid.occupancy(labels, k)
     rows, cols = np.nonzero(hood & ~gated)
-    gated[rows, cols] = grid.confirm(labels, rows, cols, {})
+    gated[rows, cols] = _confirm(grid.points, tau, labels, rows, cols, {})
     return gated
 
 
@@ -181,6 +183,9 @@ GATE_CASES = {
     "far_outlier": ([(0, 0, 0), (0.1, 0, 0), (1e9, 0, 0), (1e9 + 0.1, 0, 0),
                      (1e9 + 0.35, 0, 0), (0.2, 0, 0)],
                     [1, 1, 2, 0, 0, 0], [[1, 0], [1, 0], [0, 1], [0, 1], [0, 0], [1, 0]]),
+    # ids 2 and 3 have no members: no point is gated into them
+    "empty_cluster_ids": ([(0, 0, 0), (0.1, 0, 0), (0.2, 0, 0), (5, 5, 5)], [1, 1, 0, 0],
+                          [[1, 0, 0]] * 3 + [[0, 0, 0]]),
 }
 
 
@@ -191,6 +196,7 @@ def test_e_step_gate_edge_cases_match_distance_oracle(case):
     oracle = _gate_oracle(points, labels, k, TAU)
     np.testing.assert_array_equal(oracle, np.array(expected, dtype=bool))
     np.testing.assert_array_equal(_gate(points, labels, k, TAU), oracle)
+    np.testing.assert_array_equal(_grid_gate(points, labels, k, TAU), oracle)
 
 
 @pytest.mark.parametrize("tau", [0.17, 0.45])
@@ -201,6 +207,7 @@ def test_e_step_gate_at_em_tau_other_than_scene_tau(rng, tau):
     a = scene.correspondences.a
     oracle = _gate_oracle(a, labels, 4, tau)
     np.testing.assert_array_equal(_gate(a, labels, 4, tau), oracle)
+    np.testing.assert_array_equal(_grid_gate(a, labels, 4, tau), oracle)
     assert oracle.any() and not oracle.all()
 
 
@@ -297,7 +304,7 @@ def test_assign_breaks_an_exact_tie_toward_the_lower_id():
 
 
 def _count_queries(monkeypatch):
-    """Record (tree size, rows queried) for every k-d query ``confirm`` makes."""
+    """Record (tree size, rows queried) for every k-d query ``_confirm`` makes."""
     queries = []
 
     class CountingTree(cKDTree):
@@ -305,7 +312,7 @@ def _count_queries(monkeypatch):
             queries.append((self.n, len(x)))
             return super().query(x, *args, **kwargs)
 
-    monkeypatch.setattr(multireg.clustering, "cKDTree", CountingTree)
+    monkeypatch.setattr(multireg.em, "cKDTree", CountingTree)
     return queries
 
 
@@ -442,9 +449,9 @@ def test_assign_is_immune_to_the_underflow_of_normalised_weights():
 
 def test_e_step_memory_is_linear_in_points_times_clusters():
     # 20 000 points, 24 clusters mixed at random: nearly every pair is in the
-    # boundary band. This peaks at about 26 MB, with the flagged pairs as
-    # index arrays (the per-cluster k-d gate it replaced, at 16 MB); one n x k
-    # float64 array is 3.7 MB.
+    # boundary band. The plain gate queries every (point, cluster) pair, its
+    # row and column indices two n x k int64 arrays; this peaks at about
+    # 23 MB, where one n x k float64 array is 3.7 MB.
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
     a = rng.uniform(0.0, 3.0, (n, 3))
@@ -458,12 +465,12 @@ def test_e_step_memory_is_linear_in_points_times_clusters():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
-    assert all(side.dtype == np.int32 for side in _CliqueGrid(cs.a, TAU).pairs)
 
 
 def test_assign_memory_is_linear_in_points_times_clusters():
-    # the input of the e_step memory test; this peaks at about 16 MB with the
-    # best-first order (e_step at 26 MB), where one n x k float64 array is 3.7 MB
+    # the input of the e_step memory test; this peaks at about 22 MB with the
+    # best-first order (e_step at 23 MB), where one n x k float64 array is
+    # 3.7 MB. The grid's cell pairs are int32.
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
     a = rng.uniform(0.0, 3.0, (n, 3))
@@ -478,6 +485,7 @@ def test_assign_memory_is_linear_in_points_times_clusters():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+    assert all(side.dtype == np.int32 for side in grid.pairs)
 
 
 def test_e_step_density_ratio_three_sigma():
