@@ -93,12 +93,14 @@ class UsageError(Exception):
 
 
 @contextmanager
-def _usage(prefix: str = ""):
-    """Re-raise a ValueError or OSError from the block as a UsageError."""
+def _usage(prefix: str = "", section: str = ""):
+    """Re-raise a ValueError or OSError from the block as a UsageError; a
+    message that begins with a field of the config ``section`` names its key."""
     try:
         yield
     except (ValueError, OSError) as exc:
-        raise UsageError(f"{prefix}{exc}") from exc
+        key = section if section + str(exc).split(" ", 1)[0] in CONFIG else ""
+        raise UsageError(f"{prefix}{key}{exc}") from exc
 
 
 def _check_outputs(outputs, inputs) -> None:
@@ -193,7 +195,7 @@ def _fields(cfg, cls, prefix: str, **unset) -> dict:
 def scene_spec_from_config(cfg: dict[str, str]) -> SceneSpec:
     values = _fields(cfg, SceneSpec, "scene.", separation_margin=None)
     seed = _get(cfg, "seed")
-    with _usage("invalid scene spec: "):
+    with _usage("invalid scene spec: ", "scene."):
         counts, num_objects = values["points_per_object"], values["num_objects"]
         if len(counts) == 1 and num_objects > 1:
             # a one-object spec checks the other settings in their order, then
@@ -271,7 +273,7 @@ def _initializer(cfg, seed):
         return lambda scene: euclidean_cluster(scene.correspondences, scene.spec.tau)
     if kind == "good-split":
         alpha, fragments = _get(cfg, "init.alpha"), _get(cfg, "init.fragments")
-        with _usage("invalid init config: "):
+        with _usage("invalid init config: ", "init."):
             check_split(alpha, fragments)
         return lambda scene: make_good_split(scene, alpha, fragments, seed)
     path = _get(cfg, "init.file")  # from-file
@@ -281,15 +283,16 @@ def _initializer(cfg, seed):
 def _algorithm_config(cfg, algorithm, seed, sigma, tau):
     """The algorithm's config (None for the naive baseline); a value that a
     config rejects is a usage error."""
-    with _usage(f"invalid {algorithm} config: "):
+    section = {"em": "em.", "sransac": "ransac.", "tlinkage": "tlinkage."}.get(algorithm, "")
+    with _usage(f"invalid {algorithm} config: ", section):
         if algorithm == "em":
-            return EMConfig(**_fields(cfg, EMConfig, "em.", tau=tau))
+            return EMConfig(**_fields(cfg, EMConfig, section, tau=tau))
         if algorithm == "sransac":
-            return RansacConfig(**_fields(cfg, RansacConfig, "ransac.",
+            return RansacConfig(**_fields(cfg, RansacConfig, section,
                                           inlier_threshold=max(math.sqrt(3.0) * sigma, 1e-6)),
                                 seed=seed)
         if algorithm == "tlinkage":
-            return TLinkageConfig(**_fields(cfg, TLinkageConfig, "tlinkage.",
+            return TLinkageConfig(**_fields(cfg, TLinkageConfig, section,
                                             tau_t=max(math.sqrt(3.0) * sigma, 0.01 * tau)),
                                   tau=tau, seed=seed)
     return None

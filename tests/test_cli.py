@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -47,12 +48,6 @@ def test_synth_roundtrip_and_determinism(tmp_path):
     scene = read_scene(out1)
     assert len(scene.correspondences) == 74
     assert scene.spec.seed == 9
-
-
-def test_synth_infeasible_exits_2(tmp_path):
-    code = run_cli("synth", "--out", str(tmp_path / "x.txt"),
-                   "--set", "scene.tau=1.0", "--set", "scene.bound_b=1.0")
-    assert code == 2
 
 
 def test_run_em_noiseless_good_split(tmp_path, scene_file):
@@ -134,462 +129,318 @@ def test_run_algorithm_failure_exits_1(tmp_path, scene_file):
     assert "no viable clusters" in record["result.error"]
 
 
-def test_run_missing_scene_exits_2(tmp_path):
-    code = run_cli("run", "--out", str(tmp_path / "r.txt"),
-                   "--set", "scene.file=/nonexistent/scene.txt")
-    assert code == 2
-
-
-@pytest.mark.parametrize("algorithm,setting", [
-    ("sransac", "ransac.max_trials=0"),
-    ("em", "em.m_min=2"),
-    ("em", "em.tau=abc"),
-    ("tlinkage", "tlinkage.tau_t=abc"),
-    ("tlinkage", "tlinkage.num_hypotheses=-1"),
-    ("em", "em.tau=nan"),
-    ("em", "em.tau=inf"),
-    ("em", "em.sigma_floor=nan"),
-    ("em", "em.sigma_floor=inf"),
-    ("sransac", "ransac.inlier_threshold=nan"),
-    ("sransac", "ransac.inlier_threshold=inf"),
-    ("tlinkage", "tlinkage.tau_t=nan"),
-    ("tlinkage", "tlinkage.tau_t=inf"),
-    ("em", "em.max_iters=0"),
-    ("sransac", "ransac.min_model_inliers=2"),
-])
-def test_run_bad_algorithm_config_exits_2(tmp_path, scene_file, capsys, algorithm, setting):
-    out = tmp_path / "r.txt"
-    code = run_cli("run", "--algorithm", algorithm, "--out", str(out),
-                   "--set", f"scene.file={scene_file}", "--set", setting)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def _truth_labels(tmp_path, scene_file):
-    path = tmp_path / "truth.txt"
-    write_clustering(Clustering(read_scene(scene_file).true_labels), path)
-    return path
-
-
-def _edited_scene(tmp_path, scene_file, edit):
-    """A copy of the scene whose first correspondence line is ``edit(fields)``."""
-    lines = scene_file.read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    lines[first] = " ".join(edit(lines[first].split()))
-    path = tmp_path / "edited_scene.txt"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def _scene_with_header(tmp_path, scene_file, key, value):
-    """``["run", ...]`` on a copy of the scene whose header line ``# key``
-    reads ``value``."""
-    lines = [f"# {key} {value}" if line.split()[:2] == ["#", key] else line
-             for line in scene_file.read_text().splitlines()]
-    path = tmp_path / "edited_scene.txt"
-    path.write_text("\n".join(lines) + "\n")
-    return ["run", "--set", f"scene.file={path}"]
-
-
-def _tau_nan_header_to_run(tmp_path, scene_file):
-    return _scene_with_header(tmp_path, scene_file, "tau", "nan")
-
-
-def _sigma_nan_header_to_run(tmp_path, scene_file):
-    return _scene_with_header(tmp_path, scene_file, "sigma", "nan")
-
-
-def _sigma_inf_header_to_run(tmp_path, scene_file):
-    return _scene_with_header(tmp_path, scene_file, "sigma", "inf")
-
-
-def _synth_sigma_nan(tmp_path, scene_file):
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=nan"]
-
-
-def _synth_sigma_inf(tmp_path, scene_file):
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=inf"]
-
-
-def _synth_sigma_negative_zero(tmp_path, scene_file):
-    # the noise draw on [-sigma, sigma] would have high < low bit for bit
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=-0.0"]
-
-
-def _synth_tau_nan(tmp_path, scene_file):
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.tau=nan"]
-
-
-def _synth_tau_tiny(tmp_path, scene_file):
-    # positive, but coordinates up to B = 4 are beyond int64 cells of tau/2
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.tau=1e-19"]
-
-
-def _em_tau_tiny_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "em.tau=1e-19"]
-
-
-def _synth_sigma_huge(tmp_path, scene_file):
-    # finite, but the noise range 2 sigma is not
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.sigma=1e308"]
-
-
-def _synth_bound_b_huge(tmp_path, scene_file):
-    # finite, but the outlier range 6 B is not
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.bound_b=1e308"]
-
-
-def _synth_objects_cannot_be_packed(tmp_path, scene_file):
-    # 200 blobs 1.8 apart in the default ball: refused before any packing try
-    return ["synth", "--out", tmp_path / "r.txt", "--set", "scene.num_objects=200",
-            "--set", "scene.points_per_object=5"]
-
-
-def _synth_objects_too_many_to_repeat(tmp_path, scene_file):
-    # refused by the packing bound before one count is repeated 10^12 times
-    return ["synth", "--out", tmp_path / "r.txt", "--set", f"scene.num_objects={10 ** 12}"]
-
-
-def _synth_tau_nan_objects_too_many_to_repeat(tmp_path, scene_file):
-    # a NaN tau fails no packing bound, so it is refused before the repeat too
-    return ["synth", "--out", tmp_path / "r.txt", "--set", f"scene.num_objects={10 ** 12}",
-            "--set", "scene.tau=nan"]
-
-
-def _synth_objects_too_many_to_hold(tmp_path, scene_file):
-    # at tau 1e-6 the packing bound admits 5e17 objects: 10^15 point counts
-    # are more than any address space holds, and the repeat is refused
-    return ["synth", "--out", tmp_path / "r.txt", "--set", f"scene.num_objects={10 ** 15}",
-            "--set", "scene.tau=1e-6"]
-
-
-def _synth_points_per_object_beyond_numpy(tmp_path, scene_file):
-    # more rows than an (n, 3) float array can have
-    return ["synth", "--out", tmp_path / "r.txt", "--set",
-            "scene.points_per_object=99999999999999999999"]
-
-
-def _synth_num_outliers_beyond_numpy(tmp_path, scene_file):
-    return ["synth", "--out", tmp_path / "r.txt", "--set",
-            "scene.num_outliers=99999999999999999999"]
-
-
-def _bench_trials_beyond_seeds(tmp_path, scene_file):
-    # more trials than SeedSequence.spawn can count
-    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.trials=99999999999999999999"]
-
-
-def _bench_noise_ratio_trials_beyond_seeds(tmp_path, scene_file):
-    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.suite=noise-ratio",
-            "--set", "bench.noise_ratio_trials=99999999999999999999"]
-
-
-def _bench_m_beyond_numpy(tmp_path, scene_file):
-    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.m_values=99999999999999999999",
-            "--set", "bench.trials=3"]
-
-
-def _bench_noise_ratio_m_beyond_numpy(tmp_path, scene_file):
-    return ["bench", "--out", tmp_path / "b.csv", "--set", "bench.suite=noise-ratio",
-            "--set", "bench.noise_ratio_m=99999999999999999999"]
-
-
-def _em_sigma_floor_square_overflows_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "em.sigma_floor=1e308"]
-
-
-def _em_m_min_beyond_numpy_to_run(tmp_path, scene_file):
-    # more points than any scene can hold: pruning would dissolve every cluster
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "em.m_min=99999999999999999999"]
-
-
-def _a_beyond_bound_b_to_eval(tmp_path, scene_file):
-    # the header says B = 4
-    scene = _edited_scene(tmp_path, scene_file, lambda f: ["1e308"] + f[1:])
-    return ["eval", _truth_labels(tmp_path, scene_file), scene]
-
-
-def _b_beyond_synth_targets_to_sransac(tmp_path, scene_file):
-    scene = _edited_scene(tmp_path, scene_file, lambda f: f[:3] + ["1e308"] + f[4:])
-    return ["run", "--algorithm", "sransac", "--set", f"scene.file={scene}"]
-
-
-def _huge_m_header_to_run(tmp_path, scene_file):
-    # two POSE lines are not 10^12: refused before a range of 1..M is built
-    return _scene_with_header(tmp_path, scene_file, "M", 10 ** 12)
-
-
-def _unknown_key_set_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "scene.num_outlier=5"]
-
-
-def _unknown_key_in_config_to_run(tmp_path, scene_file):
-    config = tmp_path / "exp.cfg"
-    config.write_text(f"scene.file = {scene_file}\nem.taus = 0.5\n")
-    return ["run", "--config", config]
-
-
-def _non_ascii_config_to_run(tmp_path, scene_file):
-    config = tmp_path / "exp.cfg"
-    config.write_bytes(b"scene.file = caf\xc3\xa9.txt\n")
-    return ["run", "--config", config]
-
-
-def _non_ascii_labels_out_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--set",
-            f"out_labels={tmp_path / 'café.txt'}"]
-
-
-def _non_ascii_out_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "café.txt"]
-
-
-def _non_ascii_out_to_synth(tmp_path, scene_file):
-    return ["synth", "--out", tmp_path / "café.txt"]
-
-
-def _negative_seed_to_sransac(tmp_path, scene_file):
-    return ["run", "--algorithm", "sransac", "--seed", "-1", "--set", f"scene.file={scene_file}"]
-
-
-def _non_scene_to_eval(tmp_path, scene_file):
-    labels = _truth_labels(tmp_path, scene_file)
-    return ["eval", labels, labels]
-
-
-def _truncated_scene_to_run(tmp_path, scene_file):
-    path = tmp_path / "truncated.txt"
-    text = scene_file.read_text()
-    path.write_text(text[:len(text) // 2])
-    return ["run", "--set", f"scene.file={path}"]
-
-
-def _short_row_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={_edited_scene(tmp_path, scene_file, lambda f: f[:-1])}"]
-
-
-def _label_above_m_to_eval(tmp_path, scene_file):
-    scene = _edited_scene(tmp_path, scene_file, lambda f: f[:-1] + ["3"])
-    return ["eval", _truth_labels(tmp_path, scene_file), scene]
-
-
-def _negative_label_to_eval(tmp_path, scene_file):
-    labels = _truth_labels(tmp_path, scene_file)
-    labels.write_text("-1\n" + labels.read_text().split("\n", 1)[1])
-    return ["eval", labels, scene_file]
-
-
-def _negative_label_to_run(tmp_path, scene_file):
-    labels = _truth_labels(tmp_path, scene_file)
-    labels.write_text("-1\n" + labels.read_text().split("\n", 1)[1])
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=from-file",
-            "--set", f"init.file={labels}"]
-
-
-def _labels_with_first(tmp_path, scene_file, first):
-    labels = _truth_labels(tmp_path, scene_file)
-    labels.write_text(f"{first}\n" + labels.read_text().split("\n", 1)[1])
-    return labels
-
-
-def _label_beyond_int64_to_eval(tmp_path, scene_file):
-    return ["eval", _labels_with_first(tmp_path, scene_file, 99999999999999999999), scene_file]
-
-
-def _label_below_int64_to_eval(tmp_path, scene_file):
-    return ["eval", _labels_with_first(tmp_path, scene_file, -99999999999999999999), scene_file]
-
-
-def _label_beyond_int64_to_run(tmp_path, scene_file):
-    labels = _labels_with_first(tmp_path, scene_file, 99999999999999999999)
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=from-file",
-            "--set", f"init.file={labels}"]
-
-
-def _label_above_count_to_eval(tmp_path, scene_file):
-    # fits int64, but would size every per-cluster table by 10^12
-    return ["eval", _labels_with_first(tmp_path, scene_file, 10 ** 12), scene_file]
-
-
-def _alpha_below_one_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=good-split",
-            "--set", "init.alpha=0.5"]
-
-
-def _zero_fragments_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=good-split",
-            "--set", "init.fragments=0"]
-
-
-def _too_many_fragments_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=good-split",
-            "--set", "init.fragments=70"]
-
-
-def _unknown_init_kind_to_sransac(tmp_path, scene_file):
-    return ["run", "--algorithm", "sransac", "--set", f"scene.file={scene_file}",
-            "--set", "init.kind=bogus"]
-
-
-def _synth_out_in_missing_dir(tmp_path, scene_file):
-    return ["synth", "--out", tmp_path / "missing" / "x.txt"]
-
-
-def _run_out_in_missing_dir(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "missing" / "r.txt"]
-
-
-def _bench_out_in_missing_dir(tmp_path, scene_file):
-    return ["bench", "--out", tmp_path / "missing" / "b.csv", "--set", "bench.m_values=10",
-            "--set", "bench.trials=3"]
-
-
-def _eval_out_in_missing_dir(tmp_path, scene_file):
-    return ["eval", _truth_labels(tmp_path, scene_file), scene_file,
-            "--out", tmp_path / "missing" / "e.txt"]
-
-
-def _labels_out_in_missing_dir_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}",
-            "--set", f"out_labels={tmp_path / 'missing' / 'l.txt'}"]
-
-
-def _out_is_a_directory_to_run(tmp_path, scene_file):
-    (tmp_path / "results").mkdir()
-    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "results"]
-
-
-def _out_is_the_scene_to_run(tmp_path, scene_file):
-    return ["run", "--set", f"scene.file={scene_file}", "--out", scene_file]
-
-
-def _out_is_the_init_file_to_run(tmp_path, scene_file):
-    labels = _truth_labels(tmp_path, scene_file)
-    return ["run", "--set", f"scene.file={scene_file}", "--set", "init.kind=from-file",
-            "--set", f"init.file={labels}", "--out", labels]
-
-
-def _out_is_the_config_to_synth(tmp_path, scene_file):
-    config = tmp_path / "exp.cfg"
-    config.write_text("scene.num_objects = 2\n")
-    return ["synth", "--config", config, "--out", config]
-
-
-def _out_is_the_scene_to_eval(tmp_path, scene_file):
-    return ["eval", _truth_labels(tmp_path, scene_file), scene_file, "--out", scene_file]
-
-
-def _out_is_the_labels_to_eval(tmp_path, scene_file):
-    labels = _truth_labels(tmp_path, scene_file)
-    return ["eval", labels, scene_file, "--out", labels]
-
-
-def _out_is_labels_out_to_run(tmp_path, scene_file):
-    # the same file twice, once through a detour
-    (tmp_path / "sub").mkdir()
-    return ["run", "--set", f"scene.file={scene_file}", "--out", tmp_path / "R.txt",
-            "--set", f"out_labels={tmp_path / 'sub' / '..' / 'R.txt'}"]
-
-
-def _repeated_pose_to_run(tmp_path, scene_file):
-    # a third POSE line gives object 1 the motion of object 2
-    pose_2 = next(line for line in scene_file.read_text().splitlines()
-                  if line.startswith("POSE 2 "))
-    path = tmp_path / "edited_scene.txt"
-    path.write_text(scene_file.read_text() + "POSE 1 " + pose_2[len("POSE 2 "):] + "\n")
-    return ["run", "--set", f"scene.file={path}"]
-
-
-def _unknown_scene_version_to_run(tmp_path, scene_file):
-    return _scene_with_header(tmp_path, scene_file, "version", "7")
-
-
-@pytest.mark.parametrize("bad_input", [
-    _non_scene_to_eval,
-    _truncated_scene_to_run,
-    _short_row_to_run,
-    _label_above_m_to_eval,
-    _negative_label_to_eval,
-    _negative_label_to_run,
-    _label_beyond_int64_to_eval,
-    _label_below_int64_to_eval,
-    _label_beyond_int64_to_run,
-    _label_above_count_to_eval,
-    _alpha_below_one_to_run,
-    _zero_fragments_to_run,
-    _too_many_fragments_to_run,
-    _unknown_init_kind_to_sransac,
-    _synth_sigma_nan,
-    _synth_sigma_inf,
-    _synth_sigma_negative_zero,
-    _synth_tau_nan,
-    _synth_tau_tiny,
-    _em_tau_tiny_to_run,
-    _tau_nan_header_to_run,
-    _sigma_nan_header_to_run,
-    _sigma_inf_header_to_run,
-    _synth_sigma_huge,
-    _synth_bound_b_huge,
-    _synth_objects_cannot_be_packed,
-    _synth_objects_too_many_to_repeat,
-    _synth_tau_nan_objects_too_many_to_repeat,
-    _synth_objects_too_many_to_hold,
-    _synth_points_per_object_beyond_numpy,
-    _synth_num_outliers_beyond_numpy,
-    _bench_trials_beyond_seeds,
-    _bench_noise_ratio_trials_beyond_seeds,
-    _bench_m_beyond_numpy,
-    _bench_noise_ratio_m_beyond_numpy,
-    _em_sigma_floor_square_overflows_to_run,
-    _em_m_min_beyond_numpy_to_run,
-    _a_beyond_bound_b_to_eval,
-    _b_beyond_synth_targets_to_sransac,
-    _huge_m_header_to_run,
-    _unknown_key_set_to_run,
-    _unknown_key_in_config_to_run,
-    _non_ascii_config_to_run,
-    _non_ascii_labels_out_to_run,
-    _non_ascii_out_to_run,
-    _non_ascii_out_to_synth,
-    _negative_seed_to_sransac,
-    _synth_out_in_missing_dir,
-    _run_out_in_missing_dir,
-    _bench_out_in_missing_dir,
-    _eval_out_in_missing_dir,
-    _labels_out_in_missing_dir_to_run,
-    _out_is_a_directory_to_run,
-    _out_is_the_scene_to_run,
-    _out_is_the_init_file_to_run,
-    _out_is_the_config_to_synth,
-    _out_is_the_scene_to_eval,
-    _out_is_the_labels_to_eval,
-    _out_is_labels_out_to_run,
-    _repeated_pose_to_run,
-    _unknown_scene_version_to_run,
-])
-def test_bad_input_file_exits_2(tmp_path, scene_file, capsys, bad_input):
-    argv = bad_input(tmp_path, scene_file)
-    files = set(tmp_path.iterdir())
-    contents = {path: path.read_bytes() for path in files if path.is_file()}
-    out = tmp_path / "r.txt"
+class Refusal(NamedTuple):
+    """A command that must be refused. ``argv``, ``message`` and a ``_file``
+    setup's text may name ``{tmp}`` (the test's directory), ``{scene}`` (a
+    two-object scene there) and ``{labels}`` (its truth labels)."""
+    argv: list
+    setup: object = None  # one of the file edits below, run before the command
+    message: str = "error: "  # what stderr starts with; one ending in a newline is the whole line
+
+
+def _scene_edit(edit):
+    """Setup: the scene file's lines become ``edit(lines)``."""
+    def setup(paths):
+        lines = paths["scene"].read_text().splitlines()
+        paths["scene"].write_text("\n".join(edit(lines)) + "\n")
+    return setup
+
+
+def _first_row(edit):
+    """Setup: the scene's first correspondence line becomes ``edit(fields)``."""
+    def edit_lines(lines):
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        return lines[:first] + [" ".join(edit(lines[first].split()))] + lines[first + 1:]
+    return _scene_edit(edit_lines)
+
+
+def _header(key, value):
+    """Setup: the scene's header line ``# key`` reads ``value``."""
+    return _scene_edit(lambda lines: [f"# {key} {value}" if line.split()[:2] == ["#", key]
+                                      else line for line in lines])
+
+
+def _repeated_pose(lines):
+    """A third POSE line gives object 1 the motion of object 2."""
+    pose_2 = next(line for line in lines if line.startswith("POSE 2 "))
+    return lines + ["POSE 1 " + pose_2[len("POSE 2 "):]]
+
+
+def _truncated(paths):
+    """Setup: the scene file loses its second half."""
+    text = paths["scene"].read_text()
+    paths["scene"].write_text(text[:len(text) // 2])
+
+
+def _first_label(value):
+    """Setup: the truth labels' first line reads ``value``."""
+    def setup(paths):
+        paths["labels"].write_text(f"{value}\n" + paths["labels"].read_text().split("\n", 1)[1])
+    return setup
+
+
+def _file(name, text):
+    """Setup: ``{tmp}/name`` holds ``text``."""
+    return lambda paths: (paths["tmp"] / name).write_text(text.format(**paths), encoding="utf-8")
+
+
+def _mkdir(name):
+    """Setup: ``{tmp}/name`` is a directory."""
+    return lambda paths: (paths["tmp"] / name).mkdir()
+
+
+_SYNTH = ["synth", "--out", "{tmp}/r.txt"]
+_RUN = ["run", "--set", "scene.file={scene}"]
+_SRANSAC = ["run", "--algorithm", "sransac", "--set", "scene.file={scene}"]
+_GOOD_SPLIT = [*_RUN, "--set", "init.kind=good-split"]
+_FROM_FILE = [*_RUN, "--set", "init.kind=from-file", "--set", "init.file={labels}"]
+_EVAL = ["eval", "{labels}", "{scene}"]
+_BENCH = ["bench", "--out", "{tmp}/b.csv"]
+_BENCH_BOTH = [*_BENCH, "--set", "bench.suite=both"]
+_HUGE = 99999999999999999999  # beyond int64, numpy's row counts and SeedSequence.spawn
+
+# Every input the CLI must refuse (exit 2, one ``error:`` line, nothing
+# written). Each key is one test: a dict of rows is parametrized by its keys,
+# and a single row is a plain test. The last --set (or --seed) of a row is the
+# setting it refuses.
+REFUSALS = {
+    "test_bad_input_file_exits_2": {
+        "_non_scene_to_eval": Refusal(["eval", "{labels}", "{labels}"]),
+        "_truncated_scene_to_run": Refusal(_RUN, _truncated),
+        "_short_row_to_run": Refusal(_RUN, _first_row(lambda f: f[:-1])),
+        "_label_above_m_to_eval": Refusal(_EVAL, _first_row(lambda f: f[:-1] + ["3"])),
+        "_negative_label_to_eval": Refusal(_EVAL, _first_label(-1)),
+        "_negative_label_to_run": Refusal(_FROM_FILE, _first_label(-1)),
+        "_label_beyond_int64_to_eval": Refusal(_EVAL, _first_label(_HUGE)),
+        "_label_below_int64_to_eval": Refusal(_EVAL, _first_label(-_HUGE)),
+        "_label_beyond_int64_to_run": Refusal(_FROM_FILE, _first_label(_HUGE)),
+        # fits int64, but would size every per-cluster table by 10^12
+        "_label_above_count_to_eval": Refusal(_EVAL, _first_label(10 ** 12)),
+        "_alpha_below_one_to_run": Refusal(
+            [*_GOOD_SPLIT, "--set", "init.alpha=0.5"],
+            message="error: invalid init config: init.alpha must exceed 1\n"),
+        "_zero_fragments_to_run": Refusal([*_GOOD_SPLIT, "--set", "init.fragments=0"]),
+        "_too_many_fragments_to_run": Refusal([*_GOOD_SPLIT, "--set", "init.fragments=70"]),
+        "_unknown_init_kind_to_sransac": Refusal([*_SRANSAC, "--set", "init.kind=bogus"]),
+        "_synth_sigma_nan": Refusal([*_SYNTH, "--set", "scene.sigma=nan"]),
+        "_synth_sigma_inf": Refusal([*_SYNTH, "--set", "scene.sigma=inf"]),
+        # the noise draw on [-sigma, sigma] would have high < low bit for bit
+        "_synth_sigma_negative_zero": Refusal([*_SYNTH, "--set", "scene.sigma=-0.0"]),
+        "_synth_tau_nan": Refusal([*_SYNTH, "--set", "scene.tau=nan"]),
+        # positive, but coordinates up to B = 4 are beyond int64 cells of tau/2
+        "_synth_tau_tiny": Refusal([*_SYNTH, "--set", "scene.tau=1e-19"]),
+        "_em_tau_tiny_to_run": Refusal([*_RUN, "--set", "em.tau=1e-19"]),
+        "_tau_nan_header_to_run": Refusal(_RUN, _header("tau", "nan")),
+        "_sigma_nan_header_to_run": Refusal(_RUN, _header("sigma", "nan")),
+        "_sigma_inf_header_to_run": Refusal(_RUN, _header("sigma", "inf")),
+        # finite, but the noise range 2 sigma is not
+        "_synth_sigma_huge": Refusal([*_SYNTH, "--set", "scene.sigma=1e308"]),
+        # finite, but the outlier range 6 B is not
+        "_synth_bound_b_huge": Refusal([*_SYNTH, "--set", "scene.bound_b=1e308"]),
+        # 200 blobs 1.8 apart in the default ball: refused before any packing try
+        "_synth_objects_cannot_be_packed": Refusal(
+            [*_SYNTH, "--set", "scene.points_per_object=5", "--set", "scene.num_objects=200"]),
+        # refused by the packing bound before one count is repeated 10^12 times
+        "_synth_objects_too_many_to_repeat": Refusal(
+            [*_SYNTH, "--set", f"scene.num_objects={10 ** 12}"]),
+        # a NaN tau fails no packing bound, so it is refused before the repeat too
+        "_synth_tau_nan_objects_too_many_to_repeat": Refusal(
+            [*_SYNTH, "--set", f"scene.num_objects={10 ** 12}", "--set", "scene.tau=nan"]),
+        # at tau 1e-6 the packing bound admits 5e17 objects: 10^15 point counts
+        # are more than any address space holds, and the repeat is refused
+        "_synth_objects_too_many_to_hold": Refusal(
+            [*_SYNTH, "--set", "scene.tau=1e-6", "--set", f"scene.num_objects={10 ** 15}"],
+            message="error: invalid scene spec: scene.num_objects "),
+        # more rows than an (n, 3) float array can have
+        "_synth_points_per_object_beyond_numpy": Refusal(
+            [*_SYNTH, "--set", f"scene.points_per_object={_HUGE}"]),
+        "_synth_num_outliers_beyond_numpy": Refusal(
+            [*_SYNTH, "--set", f"scene.num_outliers={_HUGE}"]),
+        "_synth_separation_margin_below_tau": Refusal(
+            [*_SYNTH, "--set", "scene.separation_margin=0.1"],
+            message="error: invalid scene spec: scene.separation_margin must be finite and "
+                    "exceed tau\n"),
+        "_bench_trials_beyond_seeds": Refusal([*_BENCH, "--set", f"bench.trials={_HUGE}"]),
+        "_bench_noise_ratio_trials_beyond_seeds": Refusal(
+            [*_BENCH, "--set", "bench.suite=noise-ratio",
+             "--set", f"bench.noise_ratio_trials={_HUGE}"]),
+        "_bench_m_beyond_numpy": Refusal(
+            [*_BENCH, "--set", "bench.trials=3", "--set", f"bench.m_values={_HUGE}"]),
+        "_bench_noise_ratio_m_beyond_numpy": Refusal(
+            [*_BENCH, "--set", "bench.suite=noise-ratio",
+             "--set", f"bench.noise_ratio_m={_HUGE}"]),
+        "_bench_unknown_suite": Refusal(
+            [*_BENCH, "--set", "bench.suite=bogus"],
+            message="error: config key 'bench.suite': expected one of consistency, noise-ratio, "
+                    "both, got 'bogus'\n"),
+        "_em_sigma_floor_square_overflows_to_run": Refusal(
+            [*_RUN, "--set", "em.sigma_floor=1e308"]),
+        # more points than any scene can hold: pruning would dissolve every cluster
+        "_em_m_min_beyond_numpy_to_run": Refusal(
+            [*_RUN, "--set", f"em.m_min={_HUGE}"],
+            message="error: invalid em config: em.m_min must lie in 3.."),
+        # the header says B = 4
+        "_a_beyond_bound_b_to_eval": Refusal(
+            _EVAL, _first_row(lambda f: ["1e308"] + f[1:]),
+            message="error: cannot read {scene}: correspondence line 1 has an a-point outside "
+                    "the ball of radius 4\n"),
+        "_b_beyond_synth_targets_to_sransac": Refusal(
+            _SRANSAC, _first_row(lambda f: f[:3] + ["1e308"] + f[4:])),
+        # two POSE lines are not 10^12: refused before a range of 1..M is built
+        "_huge_m_header_to_run": Refusal(_RUN, _header("M", 10 ** 12)),
+        "_unknown_key_set_to_run": Refusal(
+            [*_RUN, "--set", "scene.num_outlier=5"],
+            message="error: unknown config key 'scene.num_outlier'\n"),
+        "_unknown_key_in_config_to_run": Refusal(
+            ["run", "--config", "{tmp}/exp.cfg"],
+            _file("exp.cfg", "scene.file = {scene}\nem.taus = 0.5\n")),
+        "_non_ascii_config_to_run": Refusal(["run", "--config", "{tmp}/exp.cfg"],
+                                            _file("exp.cfg", "scene.file = café.txt\n")),
+        "_non_ascii_labels_out_to_run": Refusal([*_RUN, "--set", "out_labels={tmp}/café.txt"]),
+        "_non_ascii_out_to_run": Refusal([*_RUN, "--out", "{tmp}/café.txt"]),
+        "_non_ascii_out_to_synth": Refusal(["synth", "--out", "{tmp}/café.txt"]),
+        "_negative_seed_to_sransac": Refusal([*_SRANSAC, "--seed", "-1"]),
+        "_synth_out_in_missing_dir": Refusal(["synth", "--out", "{tmp}/missing/x.txt"]),
+        "_run_out_in_missing_dir": Refusal([*_RUN, "--out", "{tmp}/missing/r.txt"]),
+        "_bench_out_in_missing_dir": Refusal(["bench", "--out", "{tmp}/missing/b.csv", "--set",
+                                              "bench.m_values=10", "--set", "bench.trials=3"]),
+        "_eval_out_in_missing_dir": Refusal([*_EVAL, "--out", "{tmp}/missing/e.txt"]),
+        "_labels_out_in_missing_dir_to_run": Refusal(
+            [*_RUN, "--set", "out_labels={tmp}/missing/l.txt"]),
+        "_out_is_a_directory_to_run": Refusal(
+            [*_RUN, "--out", "{tmp}/results"], _mkdir("results")),
+        "_out_is_the_scene_to_run": Refusal([*_RUN, "--out", "{scene}"]),
+        "_out_is_the_init_file_to_run": Refusal([*_FROM_FILE, "--out", "{labels}"]),
+        "_out_is_the_config_to_synth": Refusal(
+            ["synth", "--config", "{tmp}/exp.cfg", "--out", "{tmp}/exp.cfg"],
+            _file("exp.cfg", "scene.num_objects = 2\n")),
+        "_out_is_the_scene_to_eval": Refusal([*_EVAL, "--out", "{scene}"]),
+        "_out_is_the_labels_to_eval": Refusal([*_EVAL, "--out", "{labels}"]),
+        # the same file twice, once through a detour
+        "_out_is_labels_out_to_run": Refusal(
+            [*_RUN, "--out", "{tmp}/R.txt", "--set", "out_labels={tmp}/sub/../R.txt"],
+            _mkdir("sub")),
+        "_repeated_pose_to_run": Refusal(_RUN, _scene_edit(_repeated_pose)),
+        "_unknown_scene_version_to_run": Refusal(_RUN, _header("version", "7")),
+    },
+    # a value that its kind cannot parse is refused by key, before any config
+    # object sees it; every other value is refused by the object, by key too
+    "test_run_bad_algorithm_config_exits_2": {
+        f"{algorithm}-{setting}": Refusal(
+            ["run", "--algorithm", algorithm, "--set", "scene.file={scene}", "--set", setting],
+            message=(f"error: config key '{setting.split('=')[0]}': " if setting.endswith("=abc")
+                     else f"error: invalid {algorithm} config: {setting.split('=')[0]} "))
+        for algorithm, setting in [
+            ("sransac", "ransac.max_trials=0"), ("em", "em.m_min=2"), ("em", "em.tau=abc"),
+            ("tlinkage", "tlinkage.tau_t=abc"), ("tlinkage", "tlinkage.num_hypotheses=-1"),
+            ("em", "em.tau=nan"), ("em", "em.tau=inf"), ("em", "em.sigma_floor=nan"),
+            ("em", "em.sigma_floor=inf"), ("sransac", "ransac.inlier_threshold=nan"),
+            ("sransac", "ransac.inlier_threshold=inf"), ("tlinkage", "tlinkage.tau_t=nan"),
+            ("tlinkage", "tlinkage.tau_t=inf"), ("em", "em.max_iters=0"),
+            ("sransac", "ransac.min_model_inliers=2")]},
+    # the one error line names the refused setting's key
+    "test_bench_checks_every_setting_before_sampling": {
+        setting: Refusal([*_BENCH_BOTH, "--set", setting],
+                         message=f"error: {setting.split('=')[0]} ")
+        for setting in [
+            "bench.noise_ratio_m=10", "bench.noise_ratio_trials=0", "bench.noise_ratio_delta=1.5",
+            "bench.m_values=100,2", "bench.trials=0", "bench.delta=0", "bench.bound_b=0",
+            "bench.sigma=nan", "bench.sigma=inf", "bench.bound_b=inf", "bench.bound_b=1e200",
+            "bench.sigma=1e160", "bench.m_values=,", "bench.noise_ratio_m=,", "bench.sigma=-0.0",
+            "bench.delta=1e-320", "bench.noise_ratio_delta=1e-320"]},
+    # 1e-320 lies in (0, 1), but the bounds take log(18/delta) and the
+    # interval log(2/delta): an infinite bound would check nothing
+    "test_bench_delta_overflow_names_its_key": {
+        f"{key}-{overflow}": Refusal([*_BENCH_BOTH, "--set", f"{key}=1e-320"],
+                                     message=f"error: {key} = 1e-320 overflows {overflow}\n")
+        for key, overflow in [("bench.delta", "18/delta"),
+                              ("bench.noise_ratio_delta", "2/delta")]},
+    "test_bench_negative_sigma_exits_2_before_sampling": Refusal(
+        [*_BENCH, "--set", "bench.sigma=-1"], message="error: bench.sigma must be nonnegative\n"),
+    # 2 tau, the default separation_margin, overflows: the error is about tau
+    "test_synth_huge_tau_names_tau": Refusal(
+        [*_SYNTH, "--set", "scene.tau=1e308"],
+        message="error: invalid scene spec: scene.tau must be positive, with 2*tau finite\n"),
+    "test_objects_too_many_to_hold_name_their_key": Refusal(
+        [*_SYNTH, "--set", "scene.tau=1e-6", "--set", f"scene.num_objects={10 ** 15}"],
+        message="error: invalid scene spec: scene.num_objects "),
+    "test_synth_infeasible_exits_2": Refusal(
+        [*_SYNTH, "--set", "scene.tau=1.0", "--set", "scene.bound_b=1.0"],
+        message="error: infeasible scene spec\n"),
+    "test_run_missing_scene_exits_2": Refusal(
+        ["run", "--set", "scene.file=/nonexistent/scene.txt"],
+        message="error: cannot read /nonexistent/scene.txt: "),
+    "test_eval_length_mismatch_exits_2": Refusal(
+        ["eval", "{tmp}/short.txt", "{scene}"], _file("short.txt", "1\n1\n0\n"),
+        message="error: {tmp}/short.txt has 3 labels, not 140\n"),
+    "test_unknown_algorithm_exits_2": Refusal(
+        [*_RUN, "--set", "algorithm=magic"],
+        message="error: config key 'algorithm': expected one of em, sransac, tlinkage, "
+                "naive-horn-per-cluster, got 'magic'\n"),
+}
+
+
+def _files(root):
+    """Every path under ``root``, a file with its bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+def _assert_refused(row, tmp_path, capsys, monkeypatch):
+    """The contract of every row: exit 2 with exactly one ``error:`` line that
+    starts with the row's message, no file made or changed under ``tmp_path``
+    after the row's setup, and no bench sampled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bench ran before every setting was checked")
+
+    monkeypatch.setattr(cli, "run_consistency_bench", refuse)
+    monkeypatch.setattr(cli, "run_noise_ratio_bench", refuse)
+    paths = {"tmp": tmp_path, "scene": tmp_path / "scene.txt", "labels": tmp_path / "truth.txt"}
+    write_clustering(Clustering(read_scene(paths["scene"]).true_labels), paths["labels"])
+    if row.setup:
+        row.setup(paths)
+    argv = [arg.format(**paths) for arg in row.argv]
     if argv[0] == "run":
-        argv[1:1] = ["--out", str(out)]  # a later --out of the row wins
-    code = run_cli(*(str(arg) for arg in argv))
+        argv[1:1] = ["--out", str(tmp_path / "r.txt")]  # a later --out of the row wins
+    files = _files(tmp_path)
+    capsys.readouterr()
+    code = run_cli(*argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(row.message.format(**paths))
     assert "Traceback" not in err
-    assert not out.exists()
-    assert set(tmp_path.iterdir()) == files
-    assert {path: path.read_bytes() for path in contents} == contents
+    assert _files(tmp_path) == files
 
 
-def test_objects_too_many_to_hold_name_their_key(tmp_path, scene_file, capsys):
-    assert run_cli(*map(str, _synth_objects_too_many_to_hold(tmp_path, scene_file))) == 2
-    assert capsys.readouterr().err.startswith("error: invalid scene spec: scene.num_objects ")
+def _refusal_test(entry):
+    """The test of one REFUSALS entry: a plain test of a single row, or one
+    parametrized by the keys of a dict of rows."""
+    if isinstance(entry, Refusal):
+        def test(tmp_path, scene_file, capsys, monkeypatch):
+            _assert_refused(entry, tmp_path, capsys, monkeypatch)
+        return test
+
+    @pytest.mark.parametrize("row", entry.values(), ids=list(entry))
+    def test(row, tmp_path, scene_file, capsys, monkeypatch):
+        _assert_refused(row, tmp_path, capsys, monkeypatch)
+    return test
+
+
+for _name, _entry in REFUSALS.items():
+    globals()[_name] = _refusal_test(_entry)
+
+
+def test_every_setting_is_refused_by_a_row():
+    # every CONFIG key but the paths: the int, float, list and choice kinds and
+    # the seed; a row refuses the key of its last --set or --seed
+    settings = {key for key, (_, kind) in cli.CONFIG.items() if kind is not str}
+    refused = set()
+    for entry in REFUSALS.values():
+        for row in [entry] if isinstance(entry, Refusal) else entry.values():
+            keys = ["seed" if flag == "--seed" else value.split("=")[0]
+                    for flag, value in zip(row.argv, row.argv[1:]) if flag in ("--set", "--seed")]
+            refused.update(keys[-1:])
+    assert settings - refused == set()
 
 
 @pytest.mark.parametrize("command", ["synth", "run", "bench"])
@@ -717,12 +568,6 @@ def test_eval_perfect_permuted_and_degraded(tmp_path, scene_file, capsys):
     assert float(read_result(degraded_report)["metrics.mask_iou"]) < 1.0
 
 
-def test_eval_length_mismatch_exits_2(tmp_path, scene_file):
-    short = tmp_path / "short.txt"
-    short.write_text("1\n1\n0\n")
-    assert run_cli("eval", str(short), str(scene_file)) == 2
-
-
 def test_bench_csv_and_summary(tmp_path):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--seed", "3", "--out", str(out),
@@ -741,15 +586,6 @@ def test_bench_csv_and_summary(tmp_path):
     assert run_cli("bench", "--seed", "3", "--out", str(out2),
                    "--set", "bench.m_values=50,100", "--set", "bench.trials=10") == 0
     assert out.read_bytes() == out2.read_bytes()
-
-
-def test_bench_negative_sigma_exits_2_before_sampling(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code = run_cli("bench", "--out", str(out), "--set", "bench.sigma=-1")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == "error: bench.sigma must be nonnegative\n"
-    assert not out.exists()
 
 
 # sha256 of `bench --suite both` with every noise-ratio m at least 10 000 and
@@ -772,29 +608,6 @@ def test_bench_matches_recorded_bytes(tmp_path, monkeypatch):
     assert digests == BENCH_FILES_SHA256
 
 
-@pytest.mark.parametrize("setting", ["bench.noise_ratio_m=10", "bench.noise_ratio_trials=0",
-                                     "bench.noise_ratio_delta=1.5", "bench.m_values=100,2",
-                                     "bench.trials=0", "bench.delta=0", "bench.bound_b=0",
-                                     "bench.sigma=nan", "bench.sigma=inf", "bench.bound_b=inf",
-                                     "bench.bound_b=1e200", "bench.sigma=1e160",
-                                     "bench.m_values=,", "bench.noise_ratio_m=,",
-                                     "bench.sigma=-0.0", "bench.delta=1e-320",
-                                     "bench.noise_ratio_delta=1e-320"])
-def test_bench_checks_every_setting_before_sampling(tmp_path, capsys, monkeypatch, setting):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bench ran before every setting was checked")
-
-    monkeypatch.setattr(cli, "run_consistency_bench", refuse)
-    monkeypatch.setattr(cli, "run_noise_ratio_bench", refuse)
-    out = tmp_path / "bench.csv"
-    code = run_cli("bench", "--out", str(out), "--set", "bench.suite=both", "--set", setting)
-    err = capsys.readouterr().err
-    assert code == 2
-    # the one error line names the refused setting's key
-    assert err.startswith(f"error: {setting.split('=')[0]} ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_bench_bound_b_may_reach_the_limit_of_the_horn_sums(tmp_path, capsys):
     # the largest m, 100, sets the limit: 4 m B (2B + sigma) is about 8 m B^2
     # there. Just inside it the bench runs with no overflow warning (which
@@ -809,27 +622,6 @@ def test_bench_bound_b_may_reach_the_limit_of_the_horn_sums(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert run_cli(*argv, "--set", f"bench.bound_b={limit * (1 - 1e-6)!r}") == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 3
-
-
-@pytest.mark.parametrize("key, overflow", [("bench.delta", "18/delta"),
-                                           ("bench.noise_ratio_delta", "2/delta")])
-def test_bench_delta_overflow_names_its_key(tmp_path, capsys, key, overflow):
-    # 1e-320 lies in (0, 1), but the bounds take log(18/delta) and the
-    # interval log(2/delta): an infinite bound would check nothing
-    out = tmp_path / "bench.csv"
-    assert run_cli("bench", "--out", str(out), "--set", "bench.suite=both",
-                   "--set", f"{key}=1e-320") == 2
-    assert capsys.readouterr().err == f"error: {key} = 1e-320 overflows {overflow}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_synth_huge_tau_names_tau(tmp_path, capsys):
-    # 2 tau, the default separation_margin, overflows: the error is about tau
-    out = tmp_path / "scene.txt"
-    assert run_cli("synth", "--out", str(out), "--set", "scene.tau=1e308") == 2
-    err = capsys.readouterr().err
-    assert "tau" in err and "separation_margin" not in err
-    assert not out.exists()
 
 
 def test_bench_noise_ratio_suite(tmp_path):
@@ -936,13 +728,6 @@ def test_config_file_and_set_precedence(tmp_path):
     scene = read_scene(out)
     assert len(scene.correspondences) == 60  # --set wins over the file
     assert scene.spec.seed == 2
-
-
-def test_unknown_algorithm_exits_2(tmp_path, scene_file):
-    code = run_cli("run", "--out", str(tmp_path / "r.txt"),
-                   "--set", f"scene.file={scene_file}",
-                   "--set", "algorithm=magic")
-    assert code == 2
 
 
 def test_result_embeds_config_hash(tmp_path, scene_file):
