@@ -93,12 +93,12 @@ class UsageError(Exception):
 
 
 @contextmanager
-def _usage(prefix: str = "", section: str = ""):
-    """Re-raise a ValueError or OSError from the block as a UsageError; a
-    message that begins with a field of the config ``section`` names its key."""
+def _usage(prefix: str = "", section: str = "", errors=(ValueError, OSError)):
+    """Re-raise an error of the types ``errors`` from the block as a UsageError;
+    a message that begins with a field of the config ``section`` names its key."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except errors as exc:
         key = section if section + str(exc).split(" ", 1)[0] in CONFIG else ""
         raise UsageError(f"{prefix}{key}{exc}") from exc
 
@@ -258,7 +258,8 @@ def cmd_synth(cfg: dict[str, str], config_file: str | None = None) -> int:
     out = _get(cfg, "out")
     _check_outputs([out], [config_file])
     spec = scene_spec_from_config(cfg)
-    scene = generate_scene(spec)
+    with _usage("invalid scene spec: ", "scene.", GridError):
+        scene = generate_scene(spec)
     _write(write_scene, scene, out, [])
     print(f"scene written to {out}: n={spec.total_points} M={spec.num_objects} "
           f"sigma={fmt_float(spec.sigma)} tau={fmt_float(spec.tau)}")
@@ -317,7 +318,8 @@ def cmd_run(cfg: dict[str, str], config_file: str | None = None) -> int:
     t_algo = time.perf_counter()
     try:
         if algorithm == "em":
-            result = run_em(cs, initial, algo_cfg)
+            with _usage("invalid em config: ", "em.", GridError):
+                result = run_em(cs, initial, algo_cfg)
             clustering = result.clustering
             transforms = [m.transform for m in result.models]
             em_pairs = _pairs("em", iterations_run=result.iterations_run,

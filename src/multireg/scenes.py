@@ -380,12 +380,12 @@ def validate_scene(scene: LabeledScene) -> SceneReport:
     )
 
 
-def check_split(alpha: float, fragments_per_object: int) -> None:
+def check_split(alpha: float, fragments: int) -> None:
     """Raise ValueError unless the pair can parametrise ``make_good_split``."""
     if not alpha > 1:
         raise ValueError("alpha must exceed 1")
-    if int(fragments_per_object) < 1:
-        raise ValueError("fragments_per_object must be at least 1")
+    if int(fragments) < 1:
+        raise ValueError("fragments must be at least 1")
 
 
 def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int,

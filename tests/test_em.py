@@ -3,15 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 import multireg.clustering
 import multireg.em
 import multireg.horn
 from conftest import distance_to_cluster, kd_tree_gate
 from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster
-from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _confirm, _log_scores,
-                         assign, e_step, fit_clusters, fit_models, m_step, prune_small, run_em)
+from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _confirm, _LabelRuns,
+                         _log_scores, assign, e_step, fit_clusters, fit_models, m_step,
+                         prune_small, run_em)
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
 from multireg.horn import horn_register
 from multireg.metrics import mask_iou
@@ -150,7 +150,7 @@ def _grid_gate(points, labels, k, tau):
     labels = Clustering(labels, num_clusters=k).labels
     gated, hood = grid.occupancy(labels, k)
     rows, cols = np.nonzero(hood & ~gated)
-    gated[rows, cols] = _confirm(grid.points, tau, labels, rows, cols, {})
+    gated[rows, cols] = _confirm(grid, _LabelRuns(grid, labels), rows, cols)
     return gated
 
 
@@ -213,7 +213,7 @@ def test_e_step_gate_at_em_tau_other_than_scene_tau(rng, tau):
 
 def _fragmented_scene(seed):
     """The em_large shape, smaller: fragments interleave at their borders, so
-    many (point, cluster) pairs are left to the k-d queries."""
+    many (point, cluster) pairs are left to the exact gate."""
     scene = generate_scene(SceneSpec(num_objects=3, points_per_object=(600, 600, 600),
                                      sigma=0.015, tau=TAU, bound_b=4.0, num_outliers=60,
                                      seed=seed))
@@ -236,6 +236,102 @@ def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
     labels = rng.integers(0, 131, 3000)
     np.testing.assert_array_equal(_grid_gate(a, labels, 130, TAU),
                                   kd_tree_gate(a, labels, 130, TAU))
+
+
+def _confirm_batch(points, labels, rows, cols, tau):
+    """``_confirm`` on one batch, its grid and runs built from scratch."""
+    grid = _CliqueGrid(np.asarray(points, dtype=np.float64), tau)
+    labels = np.asarray(labels, dtype=np.int64)
+    return _confirm(grid, _LabelRuns(grid, labels), np.asarray(rows), np.asarray(cols))
+
+
+def _confirm_oracle(points, labels, rows, cols, tau):
+    points, labels = np.asarray(points, dtype=np.float64), np.asarray(labels)
+    return np.array([distance_to_cluster(points[labels == j + 1], points[i]) < tau
+                     for i, j in zip(rows, cols)], dtype=bool)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, None])
+def test_confirm_matches_kd_tree_gate_on_random_batches(rng, chunk, monkeypatch):
+    # ids 1..6 at random over a 2-unit cube, id 7 with no member; every batch
+    # asks about every id, some points more than once
+    if chunk is not None:  # group and point-pair passes of a few rows each
+        monkeypatch.setattr(multireg.em, "_HOOD_CHUNK", chunk)
+    a = rng.uniform(0.0, 2.0, (1500, 3))
+    labels = rng.integers(0, 7, 1500)
+    exact = kd_tree_gate(a, labels, 7, TAU)
+    for _ in range(3):
+        rows, cols = rng.integers(0, 1500, 2000), rng.integers(0, 7, 2000)
+        passes = _confirm_batch(a, labels, rows, cols, TAU)
+        np.testing.assert_array_equal(passes, exact[rows, cols])
+        assert passes.any() and not passes[cols < 6].all() and not passes[cols == 6].any()
+
+
+def test_confirm_at_tau_and_one_ulp_either_side():
+    # a member at the origin, probed along each axis at tau and one float
+    # below and above it; then a member off the origin, probed along
+    # diagonals that land within a few ulps of tau after rounding
+    tau = TAU
+    below, above = np.nextafter(tau, 0.0), np.nextafter(tau, 1.0)
+    probes = [v * np.array(e) for v in (below, tau, above)
+              for e in ((1, 0, 0), (0, -1, 0), (0, 0, 1))]
+    member = np.array([0.1, 0.2, 0.3])
+    for direction in ((1, 1, 1), (1, -2, 0.5), (-3, 1, 2)):
+        unit = np.array(direction) / np.linalg.norm(direction)
+        for steps in (-2, -1, 0, 1, 2):
+            offset = tau * unit
+            offset[0] = offset[0] + steps * np.spacing(offset[0])
+            probes.append(member + offset)
+    a = np.array([(0.0, 0.0, 0.0), tuple(member)] + [tuple(p) for p in probes])
+    labels = np.array([1, 2] + [0] * len(probes))
+    rows = np.arange(2, len(a)).repeat(2)
+    cols = np.tile([0, 1], len(probes))
+    expected = _confirm_oracle(a, labels, rows, cols, tau)
+    np.testing.assert_array_equal(expected[:18:2], [True] * 3 + [False] * 6)
+    assert expected[19::2].any() and not expected[19::2].all()
+    np.testing.assert_array_equal(_confirm_batch(a, labels, rows, cols, tau), expected)
+
+
+def test_confirm_without_a_member_in_reach():
+    # id 2 has no member; id 3's members all lie beyond the probes' hoods
+    a = [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.0, 0.0), (5.0, 5.0, 5.0), (5.1, 5.0, 5.0)]
+    labels = [1, 0, 0, 3, 3]
+    rows, cols = [1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2]
+    passes = _confirm_batch(a, labels, rows, cols, TAU)
+    np.testing.assert_array_equal(passes, [True, False, False, True, False, False])
+
+
+def test_confirm_in_a_dense_cell_takes_several_point_pair_passes(rng):
+    # more than one pass of members in one cell, one run: the corner member
+    # (0.1, 0, 0), the last in index order, is the only one within tau of the
+    # first probe; the second probe sees the box within tau but no member
+    n = multireg.em._HOOD_CHUNK + 1000
+    dense = rng.uniform(0.0, 0.05, (n, 3))
+    a = np.vstack([dense, [(0.0, 0.1, 0.0), (0.1, 0.0, 0.0), (0.39, 0.0, 0.0),
+                           (0.39, 0.1, 0.0)]])
+    labels = np.r_[np.ones(n + 2, dtype=np.int64), 0, 0]
+    grid = _CliqueGrid(a, TAU)
+    assert len(np.unique(grid.cell_of[:n + 2])) == 1
+    rows, cols = [n + 2, n + 3], [0, 0]
+    expected = _confirm_oracle(a, labels, rows, cols, TAU)
+    np.testing.assert_array_equal(expected, [True, False])
+    np.testing.assert_array_equal(_confirm_batch(a, labels, rows, cols, TAU), expected)
+
+
+@pytest.mark.parametrize("scale, tau", [(1e5, TAU), (1e12, TAU), (1e-152, 1e-151),
+                                        (1e150, 1e151)])
+def test_confirm_at_extreme_coordinates_and_tau(rng, scale, tau):
+    # far from the origin the differences round in the last bits of tau; a
+    # tau whose square leaves the normal range turns the box screen off, and
+    # every member gets the exact test
+    centre = np.full(3, 3.0 * scale)
+    cloud = centre + rng.uniform(-1.5 * tau, 1.5 * tau, (300, 3))
+    a = np.vstack([cloud, centre + [tau, 0, 0], centre + [0, np.nextafter(tau, 0), 0]])
+    labels = np.r_[rng.integers(0, 3, 300), 1, 2]
+    rows, cols = np.arange(len(a)).repeat(2), np.tile([0, 1], len(a))
+    expected = _confirm_oracle(a, labels, rows, cols, tau)
+    assert expected.any() and not expected.all()
+    np.testing.assert_array_equal(_confirm_batch(a, labels, rows, cols, tau), expected)
 
 
 @pytest.mark.parametrize("chunk", [1, 40])
@@ -304,15 +400,19 @@ def test_assign_breaks_an_exact_tie_toward_the_lower_id():
 
 
 def _count_queries(monkeypatch):
-    """Record (tree size, rows queried) for every k-d query ``_confirm`` makes."""
+    """Record (cluster size, rows queried) for each cluster of every batch
+    that ``assign`` gives the exact gate, clusters in id order."""
     queries = []
+    confirm = multireg.em._confirm
 
-    class CountingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            queries.append((self.n, len(x)))
-            return super().query(x, *args, **kwargs)
+    def counting(grid, runs, rows, cols):
+        run_sizes = np.diff(runs.starts)
+        for j in np.unique(cols).tolist():
+            size = int(run_sizes[runs.keys % runs.width == j + 1].sum())
+            queries.append((size, int(np.count_nonzero(cols == j))))
+        return confirm(grid, runs, rows, cols)
 
-    monkeypatch.setattr(multireg.em, "cKDTree", CountingTree)
+    monkeypatch.setattr(multireg.em, "_confirm", counting)
     return queries
 
 
@@ -449,9 +549,9 @@ def test_assign_is_immune_to_the_underflow_of_normalised_weights():
 
 def test_e_step_memory_is_linear_in_points_times_clusters():
     # 20 000 points, 24 clusters mixed at random: nearly every pair is in the
-    # boundary band. The plain gate queries every (point, cluster) pair, its
-    # row and column indices two n x k int64 arrays; this peaks at about
-    # 23 MB, where one n x k float64 array is 3.7 MB.
+    # boundary band. The plain gate queries every (point, cluster) pair, one
+    # cluster at a time; this peaks at about 21 MB, where one n x k float64
+    # array is 3.7 MB.
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
     a = rng.uniform(0.0, 3.0, (n, 3))
@@ -469,7 +569,7 @@ def test_e_step_memory_is_linear_in_points_times_clusters():
 
 def test_assign_memory_is_linear_in_points_times_clusters():
     # the input of the e_step memory test; this peaks at about 22 MB with the
-    # best-first order (e_step at 23 MB), where one n x k float64 array is
+    # best-first order (e_step at 21 MB), where one n x k float64 array is
     # 3.7 MB. The grid's cell pairs are int32.
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
