@@ -469,6 +469,9 @@ def main(argv=None) -> int:
     except (UsageError, GridError, InfeasibleSceneError, SplitSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a count that numpy can index but no memory can hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -9,6 +9,9 @@ hoods, the flat cell-pair list, the EM gate's occupancy union and components
 (hook-and-compress joins of pairs whose first points lie within tau, then of
 those still apart that a batched point-pair test finds in contact) read it,
 in passes of one size: ``_HOOD_CHUNK`` point pairs, or words of the union.
+A labelling's points sorted by (cell, label) form label runs with bounding
+boxes; through them ``_confirm`` asks whether points lie within tau of a
+label, for EM's gate (< tau) and the heap tail's starting queues (<= tau).
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -248,6 +251,102 @@ class _CliqueGrid:
         return hit
 
 
+class _LabelRuns:
+    """One labelling's points sorted by (cell, label): the members of cluster j
+    in cell c form the run ``points[starts[r]:starts[r + 1]]`` of the r with
+    ``keys[r] == c * width + j``, and ``low[r]`` and ``high[r]`` are the
+    corners of their bounding box."""
+
+    def __init__(self, grid: _CliqueGrid, labels: np.ndarray):
+        self.width = int(labels.max(initial=0)) + 1
+        # the grid's order is by cell already: only each cell's labels sort
+        key = (grid.cell_of * self.width + labels)[grid.order]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        self.points = grid.sorted_points[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+        self.keys = key[first]
+        self.starts = np.append(first, len(key))
+        self.low = np.minimum.reduceat(self.points, first)
+        self.high = np.maximum.reduceat(self.points, first)
+
+
+def _confirm(grid: _CliqueGrid, runs: _LabelRuns, rows: np.ndarray,
+             cols: np.ndarray, closed: bool = False) -> np.ndarray:
+    """The exact tau-test for a batch of queries: entry q is True iff point
+    ``rows[q]`` lies within tau of a point labelled ``cols[q] + 1``: for their
+    difference d = (x, y, z), EM's ``sqrt(x*x + y*y + z*z) < tau``, or if
+    ``closed`` fragment growth's ``d . d <= tau^2`` (``_within_tau``'s bits).
+
+    ``runs`` holds the labelling's (cell, cluster) runs. The 3x3x3 block of
+    cells around the query's cell is searched first, then its hood.
+    """
+    passes = np.zeros(len(rows), dtype=bool)
+    todo = np.flatnonzero(cols + 1 < runs.width)  # a larger id has no member
+    for block in (grid.near_runs, grid.runs):
+        if todo.size:
+            passes[todo] = _within(grid, runs, rows[todo], cols[todo] + 1, block, closed)
+            todo = todo[~passes[todo]]
+    return passes
+
+
+def _within(grid: _CliqueGrid, runs: _LabelRuns, rows: np.ndarray, ids: np.ndarray,
+            block: np.ndarray, closed: bool) -> np.ndarray:
+    """Entry q is True iff point ``rows[q]`` lies within tau (by ``_confirm``'s
+    test, strict or ``closed``) of a point labelled ``ids[q]`` in the cells
+    that the run table ``block`` (the grid's ``near_runs`` or ``runs``) lists
+    around the point's cell.
+
+    Queries that share a cell and a cluster form a group, which lists those
+    cells once. The box of each run the group finds bounds the distance from
+    each of its queries: below tau at its farthest corner, every member
+    passes; beyond tau at its nearest point, none does; otherwise each
+    member gets the exact test, about ``_HOOD_CHUNK`` point pairs per pass.
+    The bounds keep a 1e-9 margin on tau^2, which covers their rounding and
+    the exact test's for a normal tau^2; for another tau every member gets
+    the exact test.
+    """
+    hit = np.zeros(len(rows), dtype=bool)
+    limit = grid.tau_sq
+    inside, outside = ((limit * (1.0 - 1e-9), limit * (1.0 + 1e-9))
+                       if 1e-290 < limit < 1e290 else (0.0, np.inf))
+    key = grid.cell_of[rows] * runs.width + ids
+    by_group = np.argsort(key, kind="stable")
+    key = key[by_group]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    size = np.diff(np.append(first, len(key)))
+    cell, label = np.divmod(key[first], runs.width)
+    lo, hi = block[cell].reshape(-1, 2).T
+    w = block.shape[1]
+    listed = (hi - lo).reshape(-1, w).sum(axis=1)
+    for a, b in _passes(size * listed, _HOOD_CHUNK):
+        g = np.repeat(np.arange(a, b), listed[a:b])
+        wanted = _expand(lo[w * a:w * b], hi[w * a:w * b]) * runs.width + label[g]
+        r = np.minimum(np.searchsorted(runs.keys, wanted), len(runs.keys) - 1)
+        found = runs.keys.take(r) == wanted  # a point of the group's label is in that cell
+        g, r = g[found], r[found]
+        # every query of a group, with each run the group found
+        q = by_group[_expand(first[g], first[g] + size[g])]
+        r = np.repeat(r, size[g])
+        p = grid.points.take(rows[q], axis=0)
+        low, high = runs.low.take(r, axis=0), runs.high.take(r, axis=0)
+        far = np.maximum(p - low, high - p)
+        hit[q[np.einsum("ij,ij->i", far, far) < inside]] = True
+        near = np.maximum(np.maximum(low - p, p - high), 0.0)
+        unsure = ~hit[q] & ~(np.einsum("ij,ij->i", near, near) > outside)
+        q, r = q[unsure], r[unsure]
+        start, stop = runs.starts[r], runs.starts[r + 1]
+        for c, d in _passes(stop - start, _HOOD_CHUNK):
+            t = np.arange(c, d)[~hit[q[c:d]]]
+            m = _expand(start[t], stop[t])
+            t = q[np.repeat(t, stop[t] - start[t])]
+            diff = grid.points.take(rows[t], axis=0) - runs.points.take(m, axis=0)
+            x, y, z = diff.T
+            hit[t[np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq if closed
+                  else np.sqrt(x * x + y * y + z * z) < grid.tau]] = True
+    return hit
+
+
 def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The runs ``np.arange(lo[i], hi[i])``, concatenated in order of i."""
     counts = hi - lo
@@ -378,16 +477,15 @@ def _farthest_point_seeds(pts: np.ndarray, k: int, rng: np.random.Generator):
     return seeds, to_seed
 
 
-def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k: int,
-                keep, runs=None) -> np.ndarray:
-    """(len(probe), k) mask: entry (t, j) is True iff a point m of fragment j
-    that passes the mask ``keep(t, m)`` lies within tau of ``probe[t]``.
+def _within_tau(grid: _CliqueGrid, probe: np.ndarray, keep, runs=None) -> np.ndarray:
+    """Entry t is True iff a point m that passes the mask ``keep(t, m)`` lies
+    within tau of ``probe[t]``.
 
     Only the points of each probe's hood are compared, or of its 3x3x3 block
     when ``runs`` is ``grid.near_runs``: whole blocks, read as runs of the run
     table, about ``_HOOD_CHUNK`` points per pass. The distance test is
     ``absorb``'s on the same operands, so the two agree bit for bit."""
-    hit = np.zeros((len(probe), k), dtype=bool)
+    hit = np.zeros(len(probe), dtype=bool)
     lo, hi = grid.hood_runs(probe, runs)
     w = len(lo) // len(probe)  # runs per probe
     lengths = (hi - lo).reshape(-1, w).sum(axis=1)
@@ -398,7 +496,7 @@ def _within_tau(grid: _CliqueGrid, probe: np.ndarray, assignment: np.ndarray, k:
         t, m = t[mask], m[mask]
         diff = grid.points.take(probe[t], axis=0) - grid.points.take(m, axis=0)
         near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
-        hit[t[near], assignment.take(m[near])] = True
+        hit[t[near]] = True
     return hit
 
 
@@ -446,9 +544,8 @@ def _scan(grid, assignment, sizes, targets, to_seed) -> bool:
             if not rest.size:
                 break
             owner = frags[rest]
-            valid[rest] = _within_tau(grid, batch[rest], assignment, k, lambda t, m: (
-                (assignment.take(m) == owner.take(t)) & (step.take(m) < rest.take(t))),
-                runs).any(axis=1)
+            valid[rest] = _within_tau(grid, batch[rest], lambda t, m: (
+                (assignment.take(m) == owner.take(t)) & (step.take(m) < rest.take(t))), runs)
             rest = rest[~valid[rest]]
         good = len(batch) if valid.all() else int(np.argmin(valid))
         step[batch] = -1
@@ -465,21 +562,18 @@ def _scan(grid, assignment, sizes, targets, to_seed) -> bool:
 def _heap_tail(grid, assignment, sizes, targets, to_seed) -> None:
     """Finish the growth from the current state with one heap per fragment:
     each pops its nearest unassigned tau-neighbour, by key and then index."""
-    pts = grid.points
     k = len(targets)
-    free = assignment < 0
-    # frontier[i, j]: unassigned point i lies within tau of fragment j
-    frontier = np.zeros((len(assignment), k), dtype=bool)
-    probe = np.flatnonzero(free)
-    frontier[probe] = _within_tau(grid, probe, assignment, k, lambda t, m: assignment[m] >= 0)
-    frontiers: list[list[tuple[float, int]]] = []
-    for j in range(k):
-        queued = np.flatnonzero(frontier[:, j])
-        frontiers.append(list(zip(to_seed[j].take(queued).tolist(), queued.tolist())))
-        heapq.heapify(frontiers[j])
+    free = np.flatnonzero(assignment < 0)
+    runs = _LabelRuns(grid, assignment + 1)
     # open_[j, i]: i is unassigned and not yet queued by fragment j; the queued
     # part caps heap growth on dense graphs
-    open_ = free[None, :] & ~frontier.T
+    open_ = np.repeat(assignment[None, :] < 0, k, axis=0)
+    frontiers: list[list[tuple[float, int]]] = []
+    for j in range(k):  # fragment j queues the unassigned points within tau of it
+        queued = free[_confirm(grid, runs, free, np.full(len(free), j), closed=True)]
+        open_[j, queued] = False
+        frontiers.append(list(zip(to_seed[j].take(queued).tolist(), queued.tolist())))
+        heapq.heapify(frontiers[j])
 
     def absorb(j: int, i: int):
         assignment[i] = j
@@ -487,7 +581,7 @@ def _heap_tail(grid, assignment, sizes, targets, to_seed) -> None:
         sizes[j] += 1
         cand = grid.hood(i)
         cand = cand[open_[j].take(cand)]
-        diff = pts.take(cand, axis=0) - pts[i]
+        diff = grid.points.take(cand, axis=0) - grid.points[i]
         fresh = cand[np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq]
         if fresh.size == 0:
             return

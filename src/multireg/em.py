@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _HOOD_CHUNK, Clustering, _CliqueGrid, _expand, _passes
+from .clustering import Clustering, _CliqueGrid, _confirm, _LabelRuns
 from .geometry import MAX_ROWS, CorrespondenceSet, RigidTransform
 from .horn import SIGMA_FLOOR, HornEstimate, horn_register
 
@@ -128,8 +128,8 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     underflow the ratios. Rows whose indicators are all zero are all zero.
 
     This is the reference form of the E-step: every pair goes through the
-    exact gate ``_confirm``, one cluster at a time. ``run_em`` assigns through
-    ``assign``, which never forms these ratios.
+    strict form of clustering's label-run query ``_confirm``, one cluster at a
+    time. ``run_em`` assigns through ``assign``, which never forms the ratios.
     """
     k = clustering.num_clusters
     if len(models) != k:
@@ -160,103 +160,6 @@ def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clusteri
     return Clustering(labels, num_clusters=previous.num_clusters)
 
 
-class _LabelRuns:
-    """One labelling's points sorted by (cell, label): the members of cluster j
-    in cell c form the run ``points[starts[r]:starts[r + 1]]`` of the r with
-    ``keys[r] == c * width + j``, and ``low[r]`` and ``high[r]`` are the
-    corners of their bounding box."""
-
-    def __init__(self, grid: _CliqueGrid, labels: np.ndarray):
-        self.width = int(labels.max(initial=0)) + 1
-        # the grid's order is by cell already: only each cell's labels sort
-        key = (grid.cell_of * self.width + labels)[grid.order]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        self.points = grid.sorted_points[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-        self.keys = key[first]
-        self.starts = np.append(first, len(key))
-        self.low = np.minimum.reduceat(self.points, first)
-        self.high = np.maximum.reduceat(self.points, first)
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The run of each key, or -1 where no point has that key."""
-        r = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys.take(r) == keys, r, -1)
-
-
-def _confirm(grid: _CliqueGrid, runs: _LabelRuns, rows: np.ndarray,
-             cols: np.ndarray) -> np.ndarray:
-    """The exact gate for a batch of queries: entry q is True iff point
-    ``rows[q]`` lies strictly within tau of a point labelled ``cols[q] + 1``,
-    that is iff ``sqrt(x*x + y*y + z*z) < tau`` for the difference (x, y, z)
-    of the two points.
-
-    Every such point lies in the hood of the query's cell. The 3x3x3 block
-    of cells around it is searched first, then the whole hood for the
-    queries still open. ``runs`` holds the labelling's (cell, cluster) runs.
-    """
-    passes = np.zeros(len(rows), dtype=bool)
-    todo = np.flatnonzero(cols + 1 < runs.width)  # a larger id has no member
-    for block in (grid.near_runs, grid.runs):
-        if todo.size:
-            passes[todo] = _within(grid, runs, rows[todo], cols[todo] + 1, block)
-            todo = todo[~passes[todo]]
-    return passes
-
-
-def _within(grid: _CliqueGrid, runs: _LabelRuns, rows: np.ndarray, ids: np.ndarray,
-            block: np.ndarray) -> np.ndarray:
-    """Entry q is True iff point ``rows[q]`` lies strictly within tau of a
-    point labelled ``ids[q]`` in the cells that the run table ``block`` (the
-    grid's ``near_runs`` or ``runs``) lists around the point's cell.
-
-    Queries that share a cell and a cluster form a group, which lists those
-    cells once. The box of each run the group finds bounds the distance from
-    each of its queries: below tau at its farthest corner, every member
-    passes; at least tau at its nearest point, none does; otherwise each
-    member gets the exact test, about ``_HOOD_CHUNK`` point pairs per pass.
-    The bounds keep a 1e-9 margin on tau^2, which covers their rounding and
-    the exact test's for a normal tau^2; for another tau every member gets
-    the exact test.
-    """
-    hit = np.zeros(len(rows), dtype=bool)
-    limit = grid.tau_sq
-    inside, outside = ((limit * (1.0 - 1e-9), limit * (1.0 + 1e-9))
-                       if 1e-290 < limit < 1e290 else (0.0, np.inf))
-    key = grid.cell_of[rows] * runs.width + ids
-    by_group = np.argsort(key, kind="stable")
-    key = key[by_group]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    size = np.diff(np.append(first, len(key)))
-    cell, label = np.divmod(key[first], runs.width)
-    lo, hi = block[cell].reshape(-1, 2).T
-    w = block.shape[1]
-    listed = (hi - lo).reshape(-1, w).sum(axis=1)
-    for a, b in _passes(size * listed, _HOOD_CHUNK):
-        g = np.repeat(np.arange(a, b), listed[a:b])
-        r = runs.find(_expand(lo[w * a:w * b], hi[w * a:w * b]) * runs.width + label[g])
-        g, r = g[r >= 0], r[r >= 0]
-        # every query of a group, with each run the group found
-        q = by_group[_expand(first[g], first[g] + size[g])]
-        r = np.repeat(r, size[g])
-        p = grid.points.take(rows[q], axis=0)
-        low, high = runs.low.take(r, axis=0), runs.high.take(r, axis=0)
-        far = np.maximum(p - low, high - p)
-        hit[q[np.einsum("ij,ij->i", far, far) < inside]] = True
-        near = np.maximum(np.maximum(low - p, p - high), 0.0)
-        unsure = ~hit[q] & ~(np.einsum("ij,ij->i", near, near) > outside)
-        q, r = q[unsure], r[unsure]
-        start, stop = runs.starts[r], runs.starts[r + 1]
-        for c, d in _passes(stop - start, _HOOD_CHUNK):
-            t = np.arange(c, d)[~hit[q[c:d]]]
-            m = _expand(start[t], stop[t])
-            t = q[np.repeat(t, stop[t] - start[t])]
-            x, y, z = (grid.points.take(rows[t], axis=0) - runs.points.take(m, axis=0)).T
-            hit[t[np.sqrt(x * x + y * y + z * z) < grid.tau]] = True
-    return hit
-
-
 def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueGrid) -> Clustering:
     """The classification step: each point goes to its best gated cluster.
 
@@ -271,8 +174,8 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
     descending score with ties to the lower id, and a row stops at its first
     pass: the argmax over gated entries is the first gated entry in that
     order, so a candidate never tested could not have won. Round r tests the
-    r-th candidate of every open row in one batch, on ``run_em``'s cell grid
-    ``grid`` and runs of the labelling sorted once for this call.
+    r-th candidate of every open row in one batch through clustering's strict
+    ``_confirm``, on ``run_em``'s ``grid`` and label runs sorted once per call.
     """
     k = clustering.num_clusters
     gated, hood = grid.occupancy(clustering.labels, k)

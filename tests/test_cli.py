@@ -262,6 +262,10 @@ REFUSALS = {
         # more rows than an (n, 3) float array can have
         "_synth_points_per_object_beyond_numpy": Refusal(
             [*_SYNTH, "--set", f"scene.points_per_object={_HUGE}"]),
+        # numpy can index 10^17 rows, but no address space holds their 2.4e18 bytes
+        "_synth_points_per_object_beyond_memory": Refusal(
+            [*_SYNTH, "--set", f"scene.points_per_object={10 ** 17}"],
+            message="error: out of memory: "),
         "_synth_num_outliers_beyond_numpy": Refusal(
             [*_SYNTH, "--set", f"scene.num_outliers={_HUGE}"]),
         "_synth_separation_margin_below_tau": Refusal(
@@ -449,6 +453,36 @@ def test_every_setting_is_refused_by_a_row():
                     for flag, value in zip(row.argv, row.argv[1:]) if flag in ("--set", "--seed")]
             refused.update(keys[-1:])
     assert settings - refused == set()
+
+
+_SWEEP = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e308", "1e-308", "5e-324", str(_HUGE),
+          "1.5", "abc", "", "1,2", ",", "2"]
+# The exit code of a good-split run with each _SWEEP value in turn. An exit 2
+# must keep the refusal contract. Every value is fast on the small scene, so
+# none is left out. Legal odd values: an empty em.tau takes the scene's tau,
+# a huge one puts every point in one cell, EM converges long before a huge
+# em.max_iters, and an em.sigma_floor of 1e-308 or 5e-324 floors nothing here.
+_SWEEP_CODES = {
+    "em.tau": [2, 2, 2, 2, 2, 2, 0, 2, 2, 0, 0, 2, 0, 2, 2, 0],
+    "em.m_min": [2] * 16,
+    "em.max_iters": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 0],
+    "em.sigma_floor": [2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0],
+    "init.alpha": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 0],
+    "init.fragments": [2] * 15 + [0],
+}
+
+
+@pytest.mark.parametrize("key, value, code", [
+    (key, value, code) for key, codes in _SWEEP_CODES.items()
+    for value, code in zip(_SWEEP, codes)], ids=lambda arg: repr(arg) if arg == "" else None)
+def test_setting_sweep_exits_as_stated(key, value, code, tmp_path, scene_file, capsys,
+                                       monkeypatch):
+    argv = [*_GOOD_SPLIT, "--set", f"{key}={value}"]
+    if code == 2:
+        _assert_refused(Refusal(argv), tmp_path, capsys, monkeypatch)
+    else:
+        argv = [arg.format(scene=scene_file) for arg in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "r.txt")) == code
 
 
 @pytest.mark.parametrize("command", ["synth", "run", "bench"])

@@ -369,6 +369,43 @@ def test_heap_tail_frontier_is_a_distance_test_not_the_em_union(heap_tails, monk
     assert heap_tails
 
 
+def test_heap_tail_starts_each_queue_with_the_points_within_tau_of_its_fragment(
+        heap_tails, monkeypatch):
+    # per fragment j, the label-run query (d . d <= tau^2) finds exactly the
+    # unassigned points that the brute-force test puts within tau of j: on a
+    # line with neighbours exactly tau apart, and on a criterion-4 object
+    starts, queries = [], []
+    heap_tail, confirm = clustering._heap_tail, clustering._confirm
+
+    def entering(grid, assignment, *args):
+        starts.append((grid.points, grid.tau, assignment.copy()))
+        heap_tail(grid, assignment, *args)
+
+    def recording(grid, runs, rows, cols, closed=False):
+        passes = confirm(grid, runs, rows, cols, closed)
+        queries.append((starts[-1], rows, cols, passes, closed))
+        return passes
+
+    monkeypatch.setattr(clustering, "_heap_tail", entering)
+    monkeypatch.setattr(clustering, "_confirm", recording)
+    line = np.zeros((300, 3))
+    line[:, 0] = np.arange(300)
+    fragment_connected_set(line, 1.0, [200, 100], seed=1)
+    blob = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
+                                    tau=0.3, bound_b=4.0, seed=0)).correspondences.a
+    fragment_connected_set(blob, 0.3, [1334, 333, 333], seed=0)
+    assert len(starts) == len(heap_tails) > 2
+    assert len(queries) == 2 * 2 + 3 * (len(starts) - 2)  # one per fragment and tail
+    for (pts, tau, assignment), rows, cols, passes, closed in queries:
+        np.testing.assert_array_equal(rows, np.flatnonzero(assignment < 0))
+        expected = [(np.einsum("ij,ij->i", d := pts[assignment == j] - pts[i], d)
+                     <= tau * tau).any() for i, j in zip(rows.tolist(), cols.tolist())]
+        assert closed
+        np.testing.assert_array_equal(passes, expected)
+    passes = np.concatenate([query[3] for query in queries])
+    assert passes.any() and not passes.all()
+
+
 def test_near_block_first_scan_matches_whole_hood_scan(heap_tails, monkeypatch):
     # points 0.99 tau apart on a line: cells are a hair over tau / 2 wide, so
     # most steps' one earlier tau-neighbour lies two cells away, outside the
@@ -378,10 +415,9 @@ def test_near_block_first_scan_matches_whole_hood_scan(heap_tails, monkeypatch):
     targets = [300, 100]
     found, within_tau = [], clustering._within_tau
 
-    def recording(grid, probe, assignment, k, keep, runs=None):
-        hit = within_tau(grid, probe, assignment, k, keep, runs)
-        if sys._getframe(1).f_code.co_name == "_scan":
-            found.append((runs is grid.near_runs, hit.any(axis=1).tolist()))
+    def recording(grid, probe, keep, runs=None):
+        hit = within_tau(grid, probe, keep, runs)
+        found.append((runs is grid.near_runs, hit.tolist()))
         return hit
 
     monkeypatch.setattr(clustering, "_within_tau", recording)
@@ -455,20 +491,32 @@ def test_fragments_of_horseshoe_keep_hood_calls_linear(monkeypatch):
 
 @pytest.mark.parametrize("chunk, hood_over_chunk", [(1, True), (300, True), (5000, False)])
 def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, monkeypatch):
-    # the distance tests gather whole hoods, about chunk points per pass: a
-    # hood longer than a chunk makes a pass of its own, and a multiple of the
-    # chunk that falls inside a hood ends the pass at that hood's end
+    # the scan's distance tests gather whole hoods, and the heap tail's
+    # _confirm the runs of whole blocks, about chunk points per pass: a row
+    # longer than a chunk makes a pass of its own, and a multiple of the chunk
+    # that falls inside a row ends the pass at that row's end
     monkeypatch.setattr(clustering, "_HOOD_CHUNK", chunk)
-    callers, over, inside, within_tau = set(), [], [], clustering._within_tau
+    callers, scan, tail = set(), [], []
+    within_tau, passes = clustering._within_tau, clustering._passes
+
+    def chunking(lengths):
+        """(a row is longer than a chunk, a multiple of the chunk falls inside a row)"""
+        ends = np.cumsum(lengths)
+        return (np.diff(ends, prepend=0).max() > chunk,
+                np.setdiff1d(np.arange(chunk, ends[-1], chunk), ends).size > 0)
 
     def recording(grid, probe, *args):
         callers.add(sys._getframe(1).f_code.co_name)
-        ends = np.cumsum([len(grid.hood(i)) for i in probe.tolist()])
-        over.append(np.diff(ends, prepend=0).max() > chunk)
-        inside.append(np.setdiff1d(np.arange(chunk, ends[-1], chunk), ends).size > 0)
+        scan.append(chunking([len(grid.hood(i)) for i in probe.tolist()]))
         return within_tau(grid, probe, *args)
 
+    def recording_passes(lengths, size):
+        if sys._getframe(1).f_code.co_name == "_within" and len(lengths):
+            tail.append(chunking(lengths))
+        return passes(lengths, size)
+
     monkeypatch.setattr(clustering, "_within_tau", recording)
+    monkeypatch.setattr(clustering, "_passes", recording_passes)
     for seed in (0, 4):
         scene = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
                                          tau=0.3, bound_b=4.0, seed=seed))
@@ -476,8 +524,10 @@ def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, mon
         expected, _ = brute_force_fragments(pts, 0.3, [1334, 333, 333], seed=seed)
         np.testing.assert_array_equal(
             fragment_connected_set(pts, 0.3, [1334, 333, 333], seed=seed), expected)
-    assert callers == {"_scan", "_heap_tail"}
-    assert any(over) == hood_over_chunk and any(inside)
+    assert callers == {"_scan"}
+    for found in (scan, tail):
+        over, inside = zip(*found)
+        assert any(over) == hood_over_chunk and any(inside)
 
 
 def test_fragments_with_hoods_over_one_chunk(monkeypatch):

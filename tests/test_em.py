@@ -8,10 +8,9 @@ import multireg.clustering
 import multireg.em
 import multireg.horn
 from conftest import distance_to_cluster, kd_tree_gate
-from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster
-from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _confirm, _LabelRuns,
-                         _log_scores, assign, e_step, fit_clusters, fit_models, m_step,
-                         prune_small, run_em)
+from multireg.clustering import Clustering, _CliqueGrid, _confirm, _LabelRuns, euclidean_cluster
+from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _log_scores, assign,
+                         e_step, fit_clusters, fit_models, m_step, prune_small, run_em)
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
 from multireg.horn import horn_register
 from multireg.metrics import mask_iou
@@ -238,11 +237,11 @@ def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
                                   kd_tree_gate(a, labels, 130, TAU))
 
 
-def _confirm_batch(points, labels, rows, cols, tau):
+def _confirm_batch(points, labels, rows, cols, tau, closed=False):
     """``_confirm`` on one batch, its grid and runs built from scratch."""
     grid = _CliqueGrid(np.asarray(points, dtype=np.float64), tau)
     labels = np.asarray(labels, dtype=np.int64)
-    return _confirm(grid, _LabelRuns(grid, labels), np.asarray(rows), np.asarray(cols))
+    return _confirm(grid, _LabelRuns(grid, labels), np.asarray(rows), np.asarray(cols), closed)
 
 
 def _confirm_oracle(points, labels, rows, cols, tau):
@@ -256,7 +255,7 @@ def test_confirm_matches_kd_tree_gate_on_random_batches(rng, chunk, monkeypatch)
     # ids 1..6 at random over a 2-unit cube, id 7 with no member; every batch
     # asks about every id, some points more than once
     if chunk is not None:  # group and point-pair passes of a few rows each
-        monkeypatch.setattr(multireg.em, "_HOOD_CHUNK", chunk)
+        monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", chunk)
     a = rng.uniform(0.0, 2.0, (1500, 3))
     labels = rng.integers(0, 7, 1500)
     exact = kd_tree_gate(a, labels, 7, TAU)
@@ -267,11 +266,11 @@ def test_confirm_matches_kd_tree_gate_on_random_batches(rng, chunk, monkeypatch)
         assert passes.any() and not passes[cols < 6].all() and not passes[cols == 6].any()
 
 
-def test_confirm_at_tau_and_one_ulp_either_side():
-    # a member at the origin, probed along each axis at tau and one float
-    # below and above it; then a member off the origin, probed along
-    # diagonals that land within a few ulps of tau after rounding
-    tau = TAU
+def _probes_at_tau(tau):
+    """A member at the origin (label 1), probed along each axis at tau and one
+    float below and above it; then a member off the origin (label 2), probed
+    along diagonals that land within a few ulps of tau after rounding. Returns
+    the points, labels and the (row, col) queries of every probe against both."""
     below, above = np.nextafter(tau, 0.0), np.nextafter(tau, 1.0)
     probes = [v * np.array(e) for v in (below, tau, above)
               for e in ((1, 0, 0), (0, -1, 0), (0, 0, 1))]
@@ -284,12 +283,27 @@ def test_confirm_at_tau_and_one_ulp_either_side():
             probes.append(member + offset)
     a = np.array([(0.0, 0.0, 0.0), tuple(member)] + [tuple(p) for p in probes])
     labels = np.array([1, 2] + [0] * len(probes))
-    rows = np.arange(2, len(a)).repeat(2)
-    cols = np.tile([0, 1], len(probes))
-    expected = _confirm_oracle(a, labels, rows, cols, tau)
+    return a, labels, np.arange(2, len(a)).repeat(2), np.tile([0, 1], len(probes))
+
+
+def test_confirm_at_tau_and_one_ulp_either_side():
+    a, labels, rows, cols = _probes_at_tau(TAU)
+    expected = _confirm_oracle(a, labels, rows, cols, TAU)
     np.testing.assert_array_equal(expected[:18:2], [True] * 3 + [False] * 6)
     assert expected[19::2].any() and not expected[19::2].all()
-    np.testing.assert_array_equal(_confirm_batch(a, labels, rows, cols, tau), expected)
+    np.testing.assert_array_equal(_confirm_batch(a, labels, rows, cols, TAU), expected)
+
+
+def test_closed_confirm_at_tau_and_one_ulp_either_side():
+    # fragment growth's form, d . d <= tau^2 on probe - member, against the
+    # growth oracle's brute-force neighbour test: the axis probes at tau pass
+    a, labels, rows, cols = _probes_at_tau(TAU)
+    expected = np.array([(np.einsum("ij,ij->i", d := a[labels == j + 1] - a[i], d)
+                          <= TAU * TAU).any() for i, j in zip(rows, cols)])
+    np.testing.assert_array_equal(expected[:18:2], [True] * 6 + [False] * 3)
+    assert expected[19::2].any() and not expected[19::2].all()
+    np.testing.assert_array_equal(_confirm_batch(a, labels, rows, cols, TAU, closed=True),
+                                  expected)
 
 
 def test_confirm_without_a_member_in_reach():
@@ -305,7 +319,7 @@ def test_confirm_in_a_dense_cell_takes_several_point_pair_passes(rng):
     # more than one pass of members in one cell, one run: the corner member
     # (0.1, 0, 0), the last in index order, is the only one within tau of the
     # first probe; the second probe sees the box within tau but no member
-    n = multireg.em._HOOD_CHUNK + 1000
+    n = multireg.clustering._HOOD_CHUNK + 1000
     dense = rng.uniform(0.0, 0.05, (n, 3))
     a = np.vstack([dense, [(0.0, 0.1, 0.0), (0.1, 0.0, 0.0), (0.39, 0.0, 0.0),
                            (0.39, 0.1, 0.0)]])
