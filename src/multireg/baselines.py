@@ -198,8 +198,7 @@ def tlinkage_cluster(cs: CorrespondenceSet, initial: Clustering,
     zero hypotheses return the initial clustering unchanged.
     """
     rng = make_rng(cfg.seed)
-    groups = [initial.members(j) for j in range(1, initial.num_clusters + 1)]
-    groups = [g for g in groups if g.size > 0]
+    groups = [g for g in initial.groups() if g.size > 0]
     eligible = [g for g in groups if g.size >= 3]
 
     def draw():

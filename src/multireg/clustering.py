@@ -5,10 +5,12 @@ pair of points at distance <= tau is connected. One grid serves every tau
 query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Each occupied cell's block is found once, as 25 runs of occupied cells, and
-hoods, the flat cell-pair list, the EM gate's occupancy union and components
-(hook-and-compress joins of pairs whose first points lie within tau, then of
-those still apart that a batched point-pair test finds in contact) read it,
-in passes of one size: ``_HOOD_CHUNK`` point pairs, or words of the union.
+hoods, the flat cell-pair list, the EM gate's per-cell bit tables (which
+clusters have a member in each cell, and in each cell's hood: one bit per
+cluster and cell, never one per point) and components (hook-and-compress
+joins of pairs whose first points lie within tau, then of those still apart
+that a batched point-pair test finds in contact) read it, in passes of one
+size: ``_HOOD_CHUNK`` point pairs, or words of the hood union.
 A labelling's points sorted by (cell, label) form label runs with bounding
 boxes; through them ``_confirm`` asks whether points lie within tau of a
 label, for EM's gate (< tau) and the heap tail's starting queues (<= tau).
@@ -71,6 +73,12 @@ class Clustering:
     def members(self, cluster_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster_id)
 
+    def groups(self) -> list[np.ndarray]:
+        """``members(j)`` for each id j in 1..num_clusters, as slices of one
+        stable argsort of the labels."""
+        order = np.argsort(self.labels, kind="stable")
+        return np.split(order, np.cumsum(self.sizes())[:-1])[1:]
+
     def keep(self, mask) -> "Clustering":
         """Keep the clusters flagged in ``mask`` (one bool per id 1..K).
 
@@ -116,7 +124,7 @@ _SIDE_SLACK = 1.0 + 2.0 ** -30
 _BATCH = 128
 # The size of one batched pass, unless a single hood or row holds more: point
 # pairs for a distance test (fragment growth's hoods, the cell-pair contact
-# test's rows), occupancy words (64 clusters each) for the hood union.
+# test's rows), bit-table words (64 clusters each) for the hood union.
 _HOOD_CHUNK = 1 << 15
 
 
@@ -212,25 +220,27 @@ class _CliqueGrid:
         return c.astype(self._index_dtype), _expand(lo, hi).astype(self._index_dtype)
 
     def occupancy(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(n, k) masks ``own`` and ``hood``: entry (i, j) is True iff a point
-        labelled j + 1 lies in point i's cell (so within tau: the cell is a
-        clique), or in its hood (which holds every point within tau)."""
-        occupied = np.zeros((len(self.codes), k + 1), dtype=bool)
-        occupied[self.cell_of, labels] = True
-        occupied = occupied[:, 1:]
-        # the hood union runs on bit sets, 64 clusters to a word
-        words = np.zeros((len(self.codes), -(-k // 64) * 8), dtype=np.uint8)
-        words[:, :-(-k // 8)] = np.packbits(occupied, axis=1, bitorder="little")
-        words = words.view(np.uint64)
-        c, d = self.pairs
-        # every cell is its own first pair, so no run of c is empty
-        first = np.append(np.flatnonzero(np.diff(c, prepend=-1)), len(c))
-        in_hood = np.empty_like(words)
-        for a, b in _passes(np.diff(first) * words.shape[1], _HOOD_CHUNK):
-            in_hood[a:b] = np.bitwise_or.reduceat(words[d[first[a]:first[b]]],
-                                                  first[a:b] - first[a])
-        in_hood = np.unpackbits(in_hood.view(np.uint8), axis=1, count=k, bitorder="little")
-        return occupied[self.cell_of], in_hood.view(bool)[self.cell_of]
+        """Bit tables ``own`` and ``hood``, each ceil(k / 8) rows of one byte
+        per cell: bit j % 8 of entry (j // 8, c) is set iff a point labelled
+        j + 1 lies in cell c (so within tau of all of c: the cell is a
+        clique), or in c's hood (which holds every point within tau of c)."""
+        width = -(-k // 64) * 8  # bytes per cell: whole words of 64 clusters
+        own = np.zeros((len(self.codes), width), dtype=np.uint8)
+        labelled = labels > 0
+        bit = labels[labelled] - 1
+        np.bitwise_or.at(own.reshape(-1), self.cell_of[labelled] * width + (bit >> 3),
+                         (1 << (bit & 7)).astype(np.uint8))
+        # cell c's hood cells are d[first[c]:first[c + 1]]
+        lo, hi = self.runs.reshape(-1, 2).T
+        size = (hi - lo).reshape(len(self.codes), -1).sum(axis=1)
+        first = np.append(0, np.cumsum(size))
+        d = self.pairs[1]
+        words = own.view(np.uint64)
+        hood = np.empty_like(words)
+        for a, b in _passes(size * words.shape[1], _HOOD_CHUNK):
+            hood[a:b] = np.bitwise_or.reduceat(words[d[first[a]:first[b]]], first[a:b] - first[a])
+        rows = -(-k // 8)
+        return own[:, :rows].T.copy(), hood.view(np.uint8)[:, :rows].T.copy()
 
     def touching(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Entry i is True iff some point of cell ``c[i]`` lies within tau of

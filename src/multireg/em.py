@@ -10,6 +10,7 @@ cap is hit. Clusters only ever shrink or merge; no new clusters are created.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,12 @@ class EMConfig:
             raise ValueError(f"m_min must lie in 3..{MAX_ROWS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (math.isfinite(self.sigma_floor * self.sigma_floor) and self.sigma_floor > 0):
-            raise ValueError("sigma_floor must be positive, with a finite square")
+        # the scores divide by sigma_hat^2: a square that rounds to 0 (or to a
+        # subnormal) could give 0/0 = NaN on a fit with zero residuals
+        square = self.sigma_floor * self.sigma_floor
+        if not (self.sigma_floor > 0 and sys.float_info.min <= square < math.inf):
+            raise ValueError("sigma_floor must be positive, with a finite square of at least "
+                             "the smallest normal float")
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ class EMResult:
 def fit_clusters(cs: CorrespondenceSet, clustering: Clustering,
                  sigma_floor: float = SIGMA_FLOOR) -> list[HornEstimate]:
     """One Horn fit per cluster id 1..K; its diagnostics are computed when read."""
-    return [horn_register(cs.subset(clustering.members(j)), sigma_floor=sigma_floor)
-            for j in range(1, clustering.num_clusters + 1)]
+    return [horn_register(cs.subset(members), sigma_floor=sigma_floor)
+            for members in clustering.groups()]
 
 
 def fit_models(cs: CorrespondenceSet, clustering: Clustering, cfg: EMConfig) -> list[ClusterModel]:
@@ -103,17 +108,19 @@ def fit_models(cs: CorrespondenceSet, clustering: Clustering, cfg: EMConfig) -> 
             for est, size in zip(fit_clusters(cs, clustering, cfg.sigma_floor), sizes)]
 
 
-def _log_scores(cs: CorrespondenceSet, models, pairs: np.ndarray | None = None) -> np.ndarray:
-    """(n, k) log-scores log pi_j - 3 log sigma_j - |b_i - R_j a_i - t_j|^2 / (2 sigma_j^2),
-    i.e. log(pi_j phi_j(b_i | a_i)) up to a shared constant. Given an (n, k)
-    mask ``pairs``, only its entries are computed; the rest are -inf."""
-    scores = np.full((len(cs), len(models)), -np.inf)
+def _score(cs: CorrespondenceSet, model: ClusterModel, rows: np.ndarray) -> np.ndarray:
+    """Log-scores log pi - 3 log sigma - |b_i - R a_i - t|^2 / (2 sigma^2) of
+    ``model`` at ``rows``, i.e. log(pi phi(b_i | a_i)) up to a shared constant."""
+    residual = cs.b.take(rows, axis=0) - model.transform.apply(cs.a.take(rows, axis=0))
+    sq = np.einsum("ij,ij->i", residual, residual)
+    return np.log(model.weight) - 3.0 * np.log(model.sigma_hat) - sq / (2.0 * model.sigma_hat ** 2)
+
+
+def _log_scores(cs: CorrespondenceSet, models) -> np.ndarray:
+    """(n, k) log-scores: column j is model j's ``_score`` at every row."""
+    scores = np.empty((len(cs), len(models)))
     for j, model in enumerate(models):
-        rows = np.arange(len(cs)) if pairs is None else np.flatnonzero(pairs[:, j])
-        residual = cs.b.take(rows, axis=0) - model.transform.apply(cs.a.take(rows, axis=0))
-        sq = np.einsum("ij,ij->i", residual, residual)
-        scores[rows, j] = (np.log(model.weight) - 3.0 * np.log(model.sigma_hat)
-                           - sq / (2.0 * model.sigma_hat ** 2))
+        scores[:, j] = _score(cs, model, np.arange(len(cs)))
     return scores
 
 
@@ -160,46 +167,80 @@ def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clusteri
     return Clustering(labels, num_clusters=previous.num_clusters)
 
 
+def _hood_scores(cs: CorrespondenceSet, models, grid: _CliqueGrid, labels: np.ndarray):
+    """For each cluster j in id order: the rows whose hood holds a member of
+    j, ascending (``rows``), whether their own cell holds one (``own``), and
+    model j's ``_score`` at them."""
+    own, hood = grid.occupancy(labels, len(models))
+    for j, model in enumerate(models):
+        rows = np.flatnonzero(_bit_row(hood, j).take(grid.cell_of))
+        yield rows, _bit_row(own, j).take(grid.cell_of.take(rows)), _score(cs, model, rows)
+
+
+def _bit_row(table: np.ndarray, j: int) -> np.ndarray:
+    """Bit j of each column of an ``occupancy`` table, as one bool per cell."""
+    return ((table[j >> 3] >> (j & 7)) & 1).view(bool)
+
+
 def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueGrid) -> Clustering:
     """The classification step: each point goes to its best gated cluster.
 
     Point i takes the id maximising its log-score over the clusters whose gate
     it passes (strictly within tau of a member); ties go to the lower id, and
-    a point that passes no gate keeps its label. This is ``m_step(e_step())``
-    without the normalisation, so underflow cannot change a label.
+    a point that passes no gate, or whose gated scores are all -inf, keeps its
+    label. This is ``m_step(e_step())`` without the normalisation, so
+    underflow cannot change a label.
 
-    Only hood pairs are scored. The candidates are the pairs outside the
-    point's own cell that score at least its best own-cell cluster (which
-    passes): no other pair can win. They get the exact tau test best first, in
-    descending score with ties to the lower id, and a row stops at its first
-    pass: the argmax over gated entries is the first gated entry in that
-    order, so a candidate never tested could not have won. Round r tests the
-    r-th candidate of every open row in one batch through clustering's strict
+    Only hood pairs are scored, one cluster at a time. A cluster with a member
+    in the point's own cell passes; the best of these, by a strict > over the
+    ids in order, is the point's own winner. The candidates are the other
+    hood pairs that score at least the own winner's score: no other pair can
+    win. They get the exact tau test best first, in descending score with
+    ties to the lower id, and a row stops at its first pass: the argmax over
+    gated entries is the first gated entry in that order or the own winner,
+    so a candidate never tested could not have won. Round r tests the r-th
+    candidate of every open row in one batch through clustering's strict
     ``_confirm``, on ``run_em``'s ``grid`` and label runs sorted once per call.
+    No (n, k) array is formed.
     """
-    k = clustering.num_clusters
-    gated, hood = grid.occupancy(clustering.labels, k)
-    scores = _log_scores(cs, models, hood)
-    best_own = np.where(gated, scores, -np.inf).max(axis=1, keepdims=True)
-    candidate = hood & ~gated & (scores >= best_own)
-    rows = np.flatnonzero(candidate.any(axis=1))
-    candidate = candidate[rows]
-    count = np.count_nonzero(candidate, axis=1)
-    # NaN sorts last, after a candidate that scores -inf
-    order = np.argsort(np.where(candidate, -scores[rows], np.nan), axis=1, kind="stable")
-    open_rows = np.arange(rows.size)
+    n = len(cs)
+    best = np.full(n, -np.inf)  # the own winner's score
+    won = np.full(n, -1)  # the own winner, -1 for none
+    rest = []  # per cluster, the hood pairs outside the own cell
+    for j, (rows, own, scores) in enumerate(_hood_scores(cs, models, grid, clustering.labels)):
+        r, s = rows[own], scores[own]
+        better = s > best.take(r)
+        best[r[better]], won[r[better]] = s[better], j
+        rest.append((rows[~own].astype(grid._index_dtype), scores[~own]))
+    keep = [s >= best.take(r) for r, s in rest]
+    row = np.concatenate([r[m] for (r, _), m in zip(rest, keep)])
+    score = np.concatenate([s[m] for (_, s), m in zip(rest, keep)])
+    col = np.repeat(np.arange(len(rest), dtype=np.int32), [np.count_nonzero(m) for m in keep])
+    del rest, keep  # freed before the sort and the rounds
+    # numpy orders complex numbers by real part, then imaginary part: one
+    # stable sort puts the candidates by row, then by descending score, ties
+    # in id order (faster than a lexsort, as the rows come in sorted runs)
+    key = row.astype(np.complex128)
+    key.imag = -score
+    order = np.argsort(key, kind="stable")
+    del key
+    row, col, score = row[order], col[order], score[order]
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    count = np.diff(np.append(first, len(row)))
     runs = _LabelRuns(grid, clustering.labels)
+    passed = np.zeros(len(row), dtype=bool)
+    open_rows = np.arange(len(first))
     for r in range(int(count.max(initial=0))):
         open_rows = open_rows[count[open_rows] > r]
-        i, j = rows[open_rows], order[open_rows, r]
-        passes = _confirm(grid, runs, i, j)
-        gated[i[passes], j[passes]] = True
-        open_rows = open_rows[~passes]
-    best = np.argmax(np.where(gated, scores, -np.inf), axis=1)
-    # ungated entries are -inf: the winner is gated unless the row passes no
-    # gate (or every gated score is -inf), and such a row keeps its label
-    wins = gated[np.arange(len(best)), best]
-    return Clustering(np.where(wins, best + 1, clustering.labels), num_clusters=k)
+        q = first[open_rows] + r
+        passed[q] = _confirm(grid, runs, row[q].astype(np.intp), col[q].astype(np.intp))
+        open_rows = open_rows[~passed[q]]
+    # a row's first pass wins over its own winner if it scores higher, or
+    # the same with a lower id; -inf never wins
+    i, j, s = row[passed], col[passed], score[passed]
+    wins = (s > best[i]) | ((s == best[i]) & (j < won[i]))
+    won[i[wins]] = j[wins]
+    return Clustering(np.where(won >= 0, won + 1, clustering.labels), num_clusters=len(models))
 
 
 def prune_small(clustering: Clustering, cfg: EMConfig) -> Clustering:

@@ -26,36 +26,45 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-# One correspondence row: a, b and the true label. "%.17g" % x is the same
+# One correspondence line: a, b and the true label. "%.17g" % x is the same
 # text as fmt_float(x).
-_ROW_FORMAT = " ".join(["%.17g"] * 6) + " %d"
+_ROW_FORMAT = " ".join(["%.17g"] * 6) + " %d\n"
+# Correspondence lines per block of scene text: the scene is written block by
+# block, never held as one string.
+_BLOCK_ROWS = 4096
 
 
-def scene_to_text(scene: LabeledScene) -> str:
+def _scene_blocks(scene: LabeledScene):
+    """The text of a scene file, in blocks of whole lines: the header, the
+    correspondence lines ``_BLOCK_ROWS`` at a time, then the POSE lines."""
     spec = scene.spec
-    lines = [
-        f"# version {SCENE_FORMAT_VERSION}",
-        f"# n {len(scene.correspondences)}",
-        f"# M {scene.num_objects}",
-        f"# sigma {fmt_float(spec.sigma)}",
-        f"# tau {fmt_float(spec.tau)}",
-        f"# B {fmt_float(spec.bound_b)}",
-        f"# seed {spec.seed}",
-        f"# separation_margin {fmt_float(spec.separation_margin)}",
-    ]
-    coords = np.hstack((scene.correspondences.a, scene.correspondences.b)).tolist()
-    lines.extend(_ROW_FORMAT % (*row, label)
-                 for row, label in zip(coords, scene.true_labels.tolist()))
+    yield (f"# version {SCENE_FORMAT_VERSION}\n"
+           f"# n {len(scene.correspondences)}\n"
+           f"# M {scene.num_objects}\n"
+           f"# sigma {fmt_float(spec.sigma)}\n"
+           f"# tau {fmt_float(spec.tau)}\n"
+           f"# B {fmt_float(spec.bound_b)}\n"
+           f"# seed {spec.seed}\n"
+           f"# separation_margin {fmt_float(spec.separation_margin)}\n")
+    a, b = scene.correspondences.a, scene.correspondences.b
+    for start in range(0, len(a), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        coords = np.hstack((a[rows], b[rows])).tolist()
+        yield "".join(_ROW_FORMAT % (*row, label)
+                      for row, label in zip(coords, scene.true_labels[rows].tolist()))
     for j, transform in enumerate(scene.true_transforms, start=1):
         values = " ".join(fmt_float(v) for v in
                           (*transform.rotation.reshape(-1), *transform.translation))
-        lines.append(f"POSE {j} {values}")
-    return "\n".join(lines) + "\n"
+        yield f"POSE {j} {values}\n"
+
+
+def scene_to_text(scene: LabeledScene) -> str:
+    return "".join(_scene_blocks(scene))
 
 
 def write_scene(scene: LabeledScene, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(scene_to_text(scene))
+        fh.writelines(_scene_blocks(scene))
 
 
 def read_scene(path) -> LabeledScene:

@@ -1,5 +1,6 @@
 """Shared test helpers: the brute-force connectivity, fragment-growth and
-distance oracles, the per-cluster k-d proximity gate, the row-wise forms of
+distance oracles, the per-cluster k-d proximity gate, the dense (n, k)
+hood masks and log-scores of EM's classification step, the row-wise forms of
 the ball sampler and the Horn diagnostics, the norm form of the random walk,
 the small geometry and clustering helpers only tests use, the check of an
 initial clustering against the EM preconditions, the per-cluster IoU loop,
@@ -155,6 +156,36 @@ def kd_tree_gate(points, labels, k, tau):
         dist, _ = cKDTree(pts[labels == j]).query(pts, k=1, distance_upper_bound=tau)
         passes[:, j - 1] = dist < tau
     return passes
+
+
+def dense_occupancy(grid, labels, k):
+    """(n, k) masks ``own`` and ``hood``: entry (i, j) is True iff a point
+    labelled j + 1 lies in point i's cell, or in its hood. The dense form of
+    the EM gate's per-cell bit tables, read from each point's hood listing;
+    the oracle for ``_CliqueGrid.occupancy``."""
+    labels = np.asarray(labels)
+    in_cell = np.zeros((len(grid.codes), k + 1), dtype=bool)
+    in_cell[grid.cell_of, labels] = True
+    hood = np.zeros((len(labels), k + 1), dtype=bool)
+    for i in range(len(labels)):
+        hood[i, labels[grid.hood(i)]] = True
+    return in_cell[grid.cell_of, 1:], hood[:, 1:]
+
+
+def dense_log_scores(cs, models, pairs):
+    """(n, k) log-scores log pi_j - 3 log sigma_j - |b_i - R_j a_i - t_j|^2 /
+    (2 sigma_j^2) at the entries of the (n, k) mask ``pairs``, -inf elsewhere:
+    column j is computed over the rows ``flatnonzero(pairs[:, j])``, as the
+    dense classification step scored its hood pairs. The oracle for the
+    per-cluster scores of ``em._hood_scores``."""
+    scores = np.full((len(cs), len(models)), -np.inf)
+    for j, model in enumerate(models):
+        rows = np.flatnonzero(pairs[:, j])
+        residual = cs.b.take(rows, axis=0) - model.transform.apply(cs.a.take(rows, axis=0))
+        sq = np.einsum("ij,ij->i", residual, residual)
+        scores[rows, j] = (np.log(model.weight) - 3.0 * np.log(model.sigma_hat)
+                           - sq / (2.0 * model.sigma_hat ** 2))
+    return scores
 
 
 def horn_fit_per_set(a, b):

@@ -287,6 +287,11 @@ REFUSALS = {
                     "both, got 'bogus'\n"),
         "_em_sigma_floor_square_overflows_to_run": Refusal(
             [*_RUN, "--set", "em.sigma_floor=1e308"]),
+        # a square below the smallest normal float: sigma_hat^2 could round to 0
+        "_em_sigma_floor_square_underflows_to_run": Refusal(
+            [*_RUN, "--set", "em.sigma_floor=1e-160"],
+            message="error: invalid em config: em.sigma_floor must be positive, with a finite "
+                    "square of at least the smallest normal float\n"),
         # more points than any scene can hold: pruning would dissolve every cluster
         "_em_m_min_beyond_numpy_to_run": Refusal(
             [*_RUN, "--set", f"em.m_min={_HUGE}"],
@@ -461,12 +466,13 @@ _SWEEP = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e308", "1e-308", "5e-324", 
 # must keep the refusal contract. Every value is fast on the small scene, so
 # none is left out. Legal odd values: an empty em.tau takes the scene's tau,
 # a huge one puts every point in one cell, EM converges long before a huge
-# em.max_iters, and an em.sigma_floor of 1e-308 or 5e-324 floors nothing here.
+# em.max_iters. An em.sigma_floor of 1e-308 or 5e-324 is refused: its square
+# underflows, and a zero-residual fit would then score 0/0 = NaN.
 _SWEEP_CODES = {
     "em.tau": [2, 2, 2, 2, 2, 2, 0, 2, 2, 0, 0, 2, 0, 2, 2, 0],
     "em.m_min": [2] * 16,
     "em.max_iters": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 0],
-    "em.sigma_floor": [2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0],
+    "em.sigma_floor": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 2, 2, 2, 2, 0],
     "init.alpha": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 0],
     "init.fragments": [2] * 15 + [0],
 }

@@ -666,6 +666,21 @@ def test_keep_renumbers_survivors_in_id_order():
     assert clustering.keep([True, True, True]) is clustering
 
 
+def test_groups_are_each_ids_members_in_index_order(rng):
+    # id 3 is empty and id 0 is no group
+    clustering = Clustering([4, 1, 2, 0, 2, 1, 2, 4], num_clusters=4)
+    groups = clustering.groups()
+    assert [g.tolist() for g in groups] == [[1, 5], [2, 4, 6], [], [0, 7]]
+    assert Clustering(np.zeros(3, dtype=np.int64)).groups() == []
+    labels = rng.integers(0, 40, 5000)
+    clustering = Clustering(labels, num_clusters=45)
+    groups = clustering.groups()
+    assert len(groups) == 45
+    for j, group in enumerate(groups, start=1):
+        assert group.dtype == np.intp
+        np.testing.assert_array_equal(group, clustering.members(j))
+
+
 def test_by_size_orders_by_size_then_first_member():
     # sizes: id 1 -> 2, id 2 -> 3, id 3 -> 0 (empty), id 4 -> 2 (first member 0)
     clustering = Clustering([4, 1, 2, 0, 2, 1, 2, 4], num_clusters=4)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 import multireg.clustering
 import multireg.em
 import multireg.horn
-from conftest import distance_to_cluster, kd_tree_gate
+from conftest import dense_log_scores, dense_occupancy, distance_to_cluster, kd_tree_gate
 from multireg.clustering import Clustering, _CliqueGrid, _confirm, _LabelRuns, euclidean_cluster
-from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _log_scores, assign,
-                         e_step, fit_clusters, fit_models, m_step, prune_small, run_em)
-from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance
+from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _hood_scores,
+                         _log_scores, assign, e_step, fit_clusters, fit_models, m_step,
+                         prune_small, run_em)
+from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance, random_rotation
 from multireg.horn import horn_register
 from multireg.metrics import mask_iou
 from multireg.scenes import SceneSpec, generate_scene, make_good_split
@@ -141,13 +143,19 @@ def _gate(points, labels, k, tau):
     return weights > 0
 
 
+def _per_point(grid, table, k):
+    """An ``occupancy`` bit table as an (n, k) mask: entry (i, j) is bit j of
+    the column of point i's cell."""
+    return np.unpackbits(table, axis=0, count=k, bitorder="little")[:, grid.cell_of].T == 1
+
+
 def _grid_gate(points, labels, k, tau):
     """The gate as ``assign``'s cell grid decides it for every pair: the
-    occupancy settles the own-cell and out-of-hood pairs, the exact test the
-    other hood pairs."""
+    per-cell tables settle the own-cell and out-of-hood pairs, the exact test
+    the other hood pairs."""
     grid = _CliqueGrid(np.asarray(points, dtype=np.float64), tau)
     labels = Clustering(labels, num_clusters=k).labels
-    gated, hood = grid.occupancy(labels, k)
+    gated, hood = (_per_point(grid, table, k) for table in grid.occupancy(labels, k))
     rows, cols = np.nonzero(hood & ~gated)
     gated[rows, cols] = _confirm(grid, _LabelRuns(grid, labels), rows, cols)
     return gated
@@ -362,17 +370,51 @@ def test_occupancy_in_small_union_chunks_matches_one_pass(rng, chunk, monkeypatc
     blocked_own, blocked_hood = grid.occupancy(labels, 130)
     np.testing.assert_array_equal(blocked_own, own)
     np.testing.assert_array_equal(blocked_hood, hood)
-    expected = [np.isin(np.arange(1, 131), labels[grid.hood(i)]) for i in range(len(a))]
-    np.testing.assert_array_equal(hood, expected)
+    # one byte per cell for each 8 clusters; the 6 bits past cluster 130 are clear
+    assert own.shape == hood.shape == (17, len(grid.codes))
+    assert not (own[-1] >> 2).any() and not (hood[-1] >> 2).any()
+    dense_own, dense_hood = dense_occupancy(grid, labels, 130)
+    np.testing.assert_array_equal(_per_point(grid, own, 130), dense_own)
+    np.testing.assert_array_equal(_per_point(grid, hood, 130), dense_hood)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, None])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hood_scores_match_the_dense_scores_bit_for_bit(seed, chunk, monkeypatch):
+    # random points, labels and motions over 70 clusters (two bytes of the
+    # bit tables): each cluster's rows are the dense hood column's, in order,
+    # and its scores the dense entries, bit for bit
+    if chunk is not None:
+        monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", chunk)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 2.0, (2500, 3))
+    cs = CorrespondenceSet(a, a + rng.normal(0.0, 0.5, a.shape))
+    labels = rng.integers(0, 71, 2500)
+    models = [ClusterModel(RigidTransform(random_rotation(rng), rng.uniform(-0.5, 0.5, 3)),
+                           float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.001, 0.1)))
+              for _ in range(70)]
+    grid = _CliqueGrid(a, TAU)
+    dense_own, dense_hood = dense_occupancy(grid, labels, 70)
+    dense = dense_log_scores(cs, models, dense_hood)
+    assert dense_hood.any(axis=0).all() and not dense_hood.all(axis=0).any()
+    pairs = 0
+    for j, (rows, own, scores) in enumerate(_hood_scores(cs, models, grid, labels)):
+        np.testing.assert_array_equal(rows, np.flatnonzero(dense_hood[:, j]))
+        np.testing.assert_array_equal(own, dense_own[rows, j])
+        assert scores.tobytes() == dense[rows, j].tobytes()
+        pairs += len(rows)
+    assert j == 69 and pairs == np.count_nonzero(dense_hood)
 
 
 def _full_gate_assignment(cs, clustering, models, tau):
     """The argmax over every gated log-score, every pair gated exactly by one
     k-d tree per cluster (no code shared with the cell grid); a row with no
-    gated cluster keeps its label. The oracle for ``assign``."""
+    gated cluster, or only -inf gated scores, keeps its label. The oracle for
+    ``assign``."""
     gated = kd_tree_gate(cs.a, clustering.labels, clustering.num_clusters, tau)
-    best = np.argmax(np.where(gated, _log_scores(cs, models), -np.inf), axis=1)
-    return np.where(gated.any(axis=1), best + 1, clustering.labels)
+    scores = np.where(gated, _log_scores(cs, models), -np.inf)
+    return np.where(scores.max(axis=1) > -np.inf, np.argmax(scores, axis=1) + 1,
+                    clustering.labels)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -403,7 +445,7 @@ def test_assign_breaks_an_exact_tie_toward_the_lower_id():
     cs = CorrespondenceSet(a, a + 0.05)
     clustering = Clustering([1, 1, 1, 2, 2, 2, 0], num_clusters=2)
     grid = _CliqueGrid(cs.a, tau)
-    own, hood = grid.occupancy(clustering.labels, 2)
+    own, hood = dense_occupancy(grid, clustering.labels, 2)
     np.testing.assert_array_equal(own[-1], [False, True])
     assert hood.all()
     model = ClusterModel(RigidTransform.identity(), 0.1, 0.5)
@@ -436,8 +478,8 @@ def _best_first_queries(cs, clustering, models, grid, tau):
     descending score, ties to the lower id, up to the first that passes the
     brute-force gate."""
     k = clustering.num_clusters
-    own, hood = grid.occupancy(clustering.labels, k)
-    scores = _log_scores(cs, models, hood)
+    own, hood = dense_occupancy(grid, clustering.labels, k)
+    scores = dense_log_scores(cs, models, hood)
     exact = kd_tree_gate(cs.a, clustering.labels, k, tau)
     walked = candidates = 0
     for i in range(len(cs)):
@@ -483,7 +525,7 @@ def test_assign_tests_equal_candidates_in_id_order(monkeypatch, lower_x, expecte
     cs = CorrespondenceSet(a, a + 0.05)
     clustering = Clustering([0, 1, 1, 1, 2, 2, 2, 2], num_clusters=2)
     grid = _CliqueGrid(cs.a, tau)
-    own, hood = grid.occupancy(clustering.labels, 2)
+    own, hood = dense_occupancy(grid, clustering.labels, 2)
     np.testing.assert_array_equal(own[0], [False, False])
     np.testing.assert_array_equal(hood[0], [True, True])
     np.testing.assert_array_equal(hood[1:], own[1:])
@@ -510,7 +552,7 @@ def test_assign_tests_a_candidate_that_scores_minus_inf(monkeypatch):
     cs = CorrespondenceSet(a, b)
     clustering = Clustering([0, 1, 1, 1, 2, 2, 2, 2], num_clusters=2)
     grid = _CliqueGrid(cs.a, tau)
-    own, hood = grid.occupancy(clustering.labels, 2)
+    own, hood = dense_occupancy(grid, clustering.labels, 2)
     np.testing.assert_array_equal(hood[0] & ~own[0], [False, True])
     model = ClusterModel(RigidTransform.identity(), 0.1, 0.5)
     with np.errstate(over="ignore"):
@@ -522,6 +564,31 @@ def test_assign_tests_a_candidate_that_scores_minus_inf(monkeypatch):
     np.testing.assert_array_equal(updated.labels, clustering.labels)
 
 
+def test_assign_row_whose_gated_scores_are_all_minus_inf_keeps_its_label():
+    # a label-0 probe shares its cell with clusters 1 and 2, so both gate it,
+    # but its b-point is so far off that both score -inf there: it keeps its
+    # label, where an argmax over the gated entries would give it id 1. Each
+    # cluster's own motion keeps its members.
+    tau = 0.3
+    pad = np.array([(0.01, 0.01, 0.01), (0.02, 0.01, 0.01), (0.01, 0.02, 0.01)])
+    a = np.vstack([[(0.0, 0.0, 0.0)], pad, pad + 0.05])
+    shift = np.array([0.0, 0.0, 0.5])
+    b = np.vstack([[(1e200, 0.0, 0.0)], pad, pad + 0.05 + shift])
+    cs = CorrespondenceSet(a, b)
+    clustering = Clustering([0, 1, 1, 1, 2, 2, 2], num_clusters=2)
+    grid = _CliqueGrid(cs.a, tau)
+    own, _ = dense_occupancy(grid, clustering.labels, 2)
+    assert own.all()
+    models = [ClusterModel(RigidTransform.identity(), 0.1, 0.5),
+              ClusterModel(RigidTransform(np.eye(3), shift), 0.1, 0.5)]
+    with np.errstate(over="ignore"):
+        assert np.all(_log_scores(cs, models)[0] == -np.inf)
+        updated = assign(cs, clustering, models, grid)
+        expected = _full_gate_assignment(cs, clustering, models, tau)
+    np.testing.assert_array_equal(updated.labels, clustering.labels)
+    np.testing.assert_array_equal(updated.labels, expected)
+
+
 def test_assign_candidate_exactly_tau_away_fails():
     # two label-0 probes, each alone in its cell, with cluster 1 (one point at
     # the origin) as their only candidate: one exactly tau away, one a hair
@@ -531,7 +598,7 @@ def test_assign_candidate_exactly_tau_away_fails():
     cs = CorrespondenceSet(a, a)
     clustering = Clustering([1, 0, 0], num_clusters=1)
     grid = _CliqueGrid(cs.a, tau)
-    own, hood = grid.occupancy(clustering.labels, 1)
+    own, hood = dense_occupancy(grid, clustering.labels, 1)
     np.testing.assert_array_equal(own[1:], [[False], [False]])
     np.testing.assert_array_equal(hood[1:], [[True], [True]])
     model = ClusterModel(RigidTransform.identity(), 0.1, 1.0)
@@ -600,6 +667,36 @@ def test_assign_memory_is_linear_in_points_times_clusters():
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
     assert all(side.dtype == np.int32 for side in grid.pairs)
+
+
+def _blob_lattice(k, rng, size=40):
+    """k clusters of ``size`` points, each in a tau-wide cube on a lattice of
+    spacing 1.5 tau (so a hood holds a few clusters), each moved by its own
+    translation; the labels are the clusters."""
+    side = round(k ** (1 / 3) + 0.5)
+    sites = np.array(list(itertools.product(range(side), repeat=3))[:k]) * 1.5 * TAU
+    a = sites[:, None, :] + rng.uniform(0.0, TAU, (k, size, 3))
+    b = a + rng.uniform(-1.0, 1.0, (k, 1, 3))
+    return (CorrespondenceSet(a.reshape(-1, 3), b.reshape(-1, 3)),
+            Clustering(np.repeat(np.arange(1, k + 1), size)))
+
+
+def test_run_em_memory_is_linear_when_clusters_grow_with_points(rng):
+    # k grows with n at 40 points per cluster: with an (n, k) array in the
+    # classification step the peak quadruples per doubling (13.2, 46.8 and
+    # 183.7 MB at k = 128, 256 and 512); the per-cluster hood pairs and the
+    # (k / 8, cells) bit tables keep it near linear (2.2, 3.5 and 7.2 MB)
+    peaks = []
+    for k in (128, 256, 512):
+        cs, initial = _blob_lattice(k, rng)
+        tracemalloc.start()
+        try:
+            result = run_em(cs, initial, EMConfig(tau=TAU))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.converged and result.clustering.num_clusters == k
+    assert all(later <= 2.3 * earlier for earlier, later in zip(peaks, peaks[1:]))
 
 
 def test_e_step_density_ratio_three_sigma():
@@ -818,3 +915,26 @@ def test_em_config_validation():
         EMConfig(tau=0.0)
     with pytest.raises(ValueError):
         EMConfig(tau=1.0, m_min=2)
+
+
+@pytest.mark.parametrize("floor", [1e-160, 1e-154, 1e-308, 5e-324, 1e155])
+def test_em_config_refuses_a_sigma_floor_whose_square_leaves_the_normal_range(floor):
+    with pytest.raises(ValueError, match="sigma_floor"):
+        EMConfig(tau=1.0, sigma_floor=floor)
+
+
+def test_zero_residual_at_the_smallest_sigma_floor_scores_no_nan():
+    # the smallest floor whose square is a normal float: a model floored
+    # there scores a zero residual finite. At 1e-160 the square is subnormal;
+    # at 1e-170 it rounds to 0, and a zero residual scores 0/0
+    floor = float(np.sqrt(np.finfo(float).tiny))
+    while floor * floor < np.finfo(float).tiny:
+        floor = float(np.nextafter(floor, 1.0))
+    EMConfig(tau=1.0, sigma_floor=floor)
+    with pytest.raises(ValueError, match="sigma_floor"):
+        EMConfig(tau=1.0, sigma_floor=float(np.nextafter(floor, 0.0)))
+    cs, _, _ = _two_cluster_setup()
+    model = ClusterModel(RigidTransform.identity(), floor, 1.0)
+    assert np.isfinite(_log_scores(cs, [model])).all()
+    with np.errstate(invalid="ignore", under="ignore"):
+        assert np.isnan(_log_scores(cs, [ClusterModel(RigidTransform.identity(), 1e-170, 1.0)])).all()

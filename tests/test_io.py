@@ -1,15 +1,18 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import read_bench_csv, read_result
+import multireg.io
 from multireg.bounds import run_consistency_bench
 from multireg.clustering import Clustering
-from multireg.io import (BENCH_CSV_COLUMNS, bench_csv_text, clustering_to_text, fmt_float,
+from multireg.io import (BENCH_CSV_COLUMNS, _scene_blocks, bench_csv_text, clustering_to_text, fmt_float,
                          read_clustering, read_scene, result_to_text, scene_to_text,
                          write_bench_csv, write_clustering, write_result, write_scene)
-from multireg.scenes import SceneSpec, generate_scene
+from multireg.geometry import CorrespondenceSet
+from multireg.scenes import LabeledScene, SceneSpec, generate_scene
 
 
 @pytest.fixture
@@ -63,6 +66,41 @@ def test_written_scene_matches_recorded_bytes(tmp_path, shape, seed):
     write_scene(generate_scene(spec), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENE_SHA256[(shape, seed)]
     assert scene_to_text(read_scene(path)) == path.read_text()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_scene_text_is_the_same_in_any_block_size(scene, tmp_path, monkeypatch, block_rows):
+    whole = scene_to_text(scene)
+    monkeypatch.setattr(multireg.io, "_BLOCK_ROWS", block_rows)
+    blocks = list(_scene_blocks(scene))
+    # the header, the 43 correspondence lines in blocks, one block per POSE line
+    assert len(blocks) == 1 + -(-43 // block_rows) + 2
+    assert all(block.endswith("\n") for block in blocks)
+    path = tmp_path / "scene.txt"
+    write_scene(scene, path)
+    assert path.read_text() == "".join(blocks) == whole
+
+
+def test_write_scene_memory_stays_flat_past_one_block(scene, tmp_path):
+    # the writer holds one block of 4096 lines at a time: about 2.3 MB at
+    # 10 000 rows and at 40 000 (5 MB of text), where writing the whole text
+    # as one string peaked at 6.9 and 27.5 MB
+    rng = np.random.default_rng(0)
+
+    def peak(rows):
+        a, b = rng.uniform(-1.0, 1.0, (2, rows, 3))
+        big = LabeledScene(CorrespondenceSet(a, b), rng.integers(0, 3, rows),
+                           scene.true_transforms, scene.spec)
+        path = tmp_path / f"{rows}.txt"
+        tracemalloc.start()
+        try:
+            write_scene(big, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert path.read_text() == scene_to_text(big)
+
+    assert peak(40_000) < 1.5 * peak(10_000)
 
 
 def test_scene_reader_rejects_missing_header(tmp_path):
