@@ -8,12 +8,13 @@ Each occupied cell's block is found once, as 25 runs of occupied cells, and
 hoods, the flat cell-pair list, the EM gate's per-cell bit tables (which
 clusters have a member in each cell, and in each cell's hood: one bit per
 cluster and cell, never one per point) and components (hook-and-compress
-joins of pairs whose first points lie within tau, then of those still apart
-that a batched point-pair test finds in contact) read it, in passes of one
-size: ``_HOOD_CHUNK`` point pairs, or words of the hood union.
+joins of pairs whose first points lie within tau, then of those still apart,
+but for two one-point cells, that ``_settle`` finds in contact) read it, in
+passes of one size: ``_HOOD_CHUNK`` point pairs, or words of the hood union.
 A labelling's points sorted by (cell, label) form label runs with bounding
-boxes; through them ``_confirm`` asks whether points lie within tau of a
-label, for EM's gate (< tau) and the heap tail's starting queues (<= tau).
+boxes (one label: a run per cell). ``_settle`` tests points against runs, the
+boxes deciding what they can: for components (<= tau), and through
+``_confirm`` for EM's gate (< tau) and the heap tail's queues (<= tau).
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -122,9 +123,11 @@ _SIDE_SLACK = 1.0 + 2.0 ** -30
 # Fragment-growth steps planned before one vectorised check: long enough to
 # amortise the check, short enough that the steps undone at a miss cost little.
 _BATCH = 128
+# Growth attempts, each from fresh seeds, before a split is declared impossible.
+_MAX_RETRIES = 32
 # The size of one batched pass, unless a single hood or row holds more: point
-# pairs for a distance test (fragment growth's hoods, the cell-pair contact
-# test's rows), bit-table words (64 clusters each) for the hood union.
+# pairs for a distance test (fragment growth's hoods, ``_settle``'s runs),
+# bit-table words (64 clusters each) for the hood union.
 _HOOD_CHUNK = 1 << 15
 
 
@@ -242,24 +245,6 @@ class _CliqueGrid:
         rows = -(-k // 8)
         return own[:, :rows].T.copy(), hood.view(np.uint8)[:, :rows].T.copy()
 
-    def touching(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Entry i is True iff some point of cell ``c[i]`` lies within tau of
-        some point of cell ``d[i]``. Each point of c[i] is a row tested against
-        all of d[i], about ``_HOOD_CHUNK`` point pairs per pass (rows of pairs
-        already in contact skipped), so dense cells need no |c| x |d| buffer."""
-        lo, hi = self.starts[c], self.starts[c + 1]
-        pair = np.repeat(np.arange(len(c)), hi - lo)
-        p = _expand(lo, hi)  # the sorted position of each row's point
-        lo, hi = self.starts[d][pair], self.starts[d + 1][pair]
-        hit = np.zeros(len(c), dtype=bool)
-        for a, b in _passes(hi - lo, _HOOD_CHUNK):
-            rows = np.arange(a, b)[~hit[pair[a:b]]]
-            q = _expand(lo[rows], hi[rows])
-            rows = np.repeat(rows, hi[rows] - lo[rows])  # the row of each point pair
-            diff = self.sorted_points[q] - self.sorted_points[p[rows]]
-            hit[pair[rows[np.einsum("ij,ij->i", diff, diff) <= self.tau_sq]]] = True
-        return hit
-
 
 class _LabelRuns:
     """One labelling's points sorted by (cell, label): the members of cluster j
@@ -305,21 +290,10 @@ def _within(grid: _CliqueGrid, runs: _LabelRuns, rows: np.ndarray, ids: np.ndarr
     """Entry q is True iff point ``rows[q]`` lies within tau (by ``_confirm``'s
     test, strict or ``closed``) of a point labelled ``ids[q]`` in the cells
     that the run table ``block`` (the grid's ``near_runs`` or ``runs``) lists
-    around the point's cell.
-
-    Queries that share a cell and a cluster form a group, which lists those
-    cells once. The box of each run the group finds bounds the distance from
-    each of its queries: below tau at its farthest corner, every member
-    passes; beyond tau at its nearest point, none does; otherwise each
-    member gets the exact test, about ``_HOOD_CHUNK`` point pairs per pass.
-    The bounds keep a 1e-9 margin on tau^2, which covers their rounding and
-    the exact test's for a normal tau^2; for another tau every member gets
-    the exact test.
-    """
+    around the point's cell. Queries that share a cell and a cluster form a
+    group, which lists those cells once; ``_settle`` tests each query of the
+    group against each run of its label found there."""
     hit = np.zeros(len(rows), dtype=bool)
-    limit = grid.tau_sq
-    inside, outside = ((limit * (1.0 - 1e-9), limit * (1.0 + 1e-9))
-                       if 1e-290 < limit < 1e290 else (0.0, np.inf))
     key = grid.cell_of[rows] * runs.width + ids
     by_group = np.argsort(key, kind="stable")
     key = key[by_group]
@@ -337,24 +311,37 @@ def _within(grid: _CliqueGrid, runs: _LabelRuns, rows: np.ndarray, ids: np.ndarr
         g, r = g[found], r[found]
         # every query of a group, with each run the group found
         q = by_group[_expand(first[g], first[g] + size[g])]
-        r = np.repeat(r, size[g])
-        p = grid.points.take(rows[q], axis=0)
-        low, high = runs.low.take(r, axis=0), runs.high.take(r, axis=0)
-        far = np.maximum(p - low, high - p)
-        hit[q[np.einsum("ij,ij->i", far, far) < inside]] = True
-        near = np.maximum(np.maximum(low - p, p - high), 0.0)
-        unsure = ~hit[q] & ~(np.einsum("ij,ij->i", near, near) > outside)
-        q, r = q[unsure], r[unsure]
-        start, stop = runs.starts[r], runs.starts[r + 1]
-        for c, d in _passes(stop - start, _HOOD_CHUNK):
-            t = np.arange(c, d)[~hit[q[c:d]]]
-            m = _expand(start[t], stop[t])
-            t = q[np.repeat(t, stop[t] - start[t])]
-            diff = grid.points.take(rows[t], axis=0) - runs.points.take(m, axis=0)
-            x, y, z = diff.T
-            hit[t[np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq if closed
-                  else np.sqrt(x * x + y * y + z * z) < grid.tau]] = True
+        _settle(grid, runs, rows[q], q, np.repeat(r, size[g]), hit, closed)
     return hit
+
+
+def _settle(grid: _CliqueGrid, runs: _LabelRuns, p: np.ndarray, owner: np.ndarray,
+            r: np.ndarray, hit: np.ndarray, closed: bool) -> None:
+    """The grid's exact tau-test: set ``hit[owner[e]]`` if point ``p[e]`` lies
+    within tau (``_confirm``'s test, strict or ``closed``) of a member of run
+    ``r[e]``. Below tau at its box's farthest corner, entry e passes; beyond
+    tau at its nearest point, it fails; else, unless its owner is hit, each
+    member gets the exact test, about ``_HOOD_CHUNK`` point pairs per pass.
+    The bounds keep a 1e-9 margin on tau^2, which covers their rounding and
+    the exact test's for a normal tau^2; for another tau no box decides."""
+    limit = grid.tau_sq
+    inside, outside = ((limit * (1.0 - 1e-9), limit * (1.0 + 1e-9))
+                       if 1e-290 < limit < 1e290 else (0.0, np.inf))
+    at = grid.points.take(p, axis=0)
+    low, high = runs.low.take(r, axis=0), runs.high.take(r, axis=0)
+    far = np.maximum(at - low, high - at)
+    hit[owner[np.einsum("ij,ij->i", far, far) < inside]] = True
+    near = np.maximum(np.maximum(low - at, at - high), 0.0)
+    e = np.flatnonzero(~hit[owner] & ~(np.einsum("ij,ij->i", near, near) > outside))
+    start, stop = runs.starts[r[e]], runs.starts[r[e] + 1]
+    for a, b in _passes(stop - start, _HOOD_CHUNK):
+        t = np.arange(a, b)[~hit[owner[e[a:b]]]]
+        m = _expand(start[t], stop[t])
+        t = e[np.repeat(t, stop[t] - start[t])]
+        diff = grid.points.take(p[t], axis=0) - runs.points.take(m, axis=0)
+        x, y, z = diff.T
+        hit[owner[t[np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq if closed
+                    else np.sqrt(x * x + y * y + z * z) < grid.tau]]] = True
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -393,8 +380,8 @@ def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     grid = _CliqueGrid(pts, tau)
-    # Neighbouring cells whose first points lie within tau (touching's own test,
-    # all pairs in one pass) join first; touching tests the pairs still apart.
+    # Neighbouring cells whose first points lie within tau join first: the
+    # contact step's test of those two points (it negates d; d . d keeps its bits).
     c, d = grid.pairs
     c, d = c[d > c], d[d > c]
     witness = grid.sorted_points[grid.starts[:-1]]
@@ -402,10 +389,19 @@ def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
     near = np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq
     parent = np.arange(len(grid.codes))
     _join(parent, c[near], d[near])
+    # Each point of c gets the contact step against d, a run of its own, for
+    # the pairs still apart; the witness tested two one-point cells already.
     rest = ~near & (parent[c] != parent[d])
+    size = np.diff(grid.starts)
+    rest[rest] = size[c[rest]] + size[d[rest]] > 2
     c, d = c[rest], d[rest]
-    touching = grid.touching(c, d)
-    _join(parent, c[touching], d[touching])
+    if len(c):
+        owner = np.repeat(np.arange(len(c)), size[c])
+        touching = np.zeros(len(c), dtype=bool)
+        _settle(grid, _LabelRuns(grid, np.zeros(len(pts), dtype=np.int64)),
+                grid.order[_expand(grid.starts[c], grid.starts[c + 1])], owner, d[owner],
+                touching, closed=True)
+        _join(parent, c[touching], d[touching])
     _, first, inverse = np.unique(parent[grid.cell_of], return_index=True,
                                   return_inverse=True)
     # each point's smallest fellow member, ranked
@@ -431,7 +427,7 @@ def euclidean_cluster(cs, tau: float) -> Clustering:
     return Clustering(comp + 1, num_clusters=count).by_size()
 
 
-def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: int = 32) -> np.ndarray:
+def fragment_connected_set(points, tau: float, target_sizes, seed) -> np.ndarray:
     """Split a tau-connected point set into tau-connected fragments of given sizes.
 
     Grows fragments simultaneously from farthest-point seeds through the
@@ -445,7 +441,7 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
     has none, per-fragment heaps finish the attempt with the same pops.
     Returns a fragment id (0..k-1) per point. Retries with fresh seeds when a
     growth attempt strands points; raises ValueError when the targets cannot
-    be met after ``max_retries`` attempts.
+    be met after ``_MAX_RETRIES`` attempts.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
@@ -461,7 +457,7 @@ def fragment_connected_set(points, tau: float, target_sizes, seed, max_retries: 
     rng = make_rng(seed)
     grid = _CliqueGrid(pts, tau)
 
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         # to_seed[j]: every point's squared distance to seed j, its growth key
         seeds, to_seed = _farthest_point_seeds(pts, k, rng)
         if len(set(seeds)) < k:

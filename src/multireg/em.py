@@ -142,9 +142,10 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     if len(models) != k:
         raise ValueError("one model per cluster required")
     log_scores = _log_scores(cs, models)
-    row_max = log_scores.max(axis=1, keepdims=True)
-    unnorm = np.exp(log_scores - row_max)
-    weights = unnorm / unnorm.sum(axis=1, keepdims=True)
+    # a finite shift: a row of -inf log-scores gets zeros, not (-inf) - (-inf)
+    unnorm = np.exp(log_scores - log_scores.max(axis=1, keepdims=True).clip(-sys.float_info.max))
+    total = unnorm.sum(axis=1, keepdims=True)
+    weights = np.divide(unnorm, total, out=np.zeros_like(unnorm), where=total > 0)
     grid = _CliqueGrid(cs.a, cfg.tau)
     runs = _LabelRuns(grid, clustering.labels)
     everyone = np.arange(len(cs))

@@ -37,6 +37,8 @@ _BLOCK = 10
 _MAX_BATCH = 4096
 # validate_scene's slack on the noise and point-norm bounds, for rounding.
 _VALIDATE_ATOL = 1e-12
+# Scene draws, each validated, before generate_scene calls a spec infeasible.
+_MAX_ATTEMPTS = 64
 
 
 class InfeasibleSceneError(RuntimeError):
@@ -110,9 +112,6 @@ class LabeledScene:
     @property
     def num_objects(self) -> int:
         return len(self.true_transforms)
-
-    def object_indices(self, object_id: int) -> np.ndarray:
-        return np.flatnonzero(self.true_labels == object_id)
 
     def outlier_indices(self) -> np.ndarray:
         return np.flatnonzero(self.true_labels == 0)
@@ -253,7 +252,7 @@ def check_packing(spec: SceneSpec, num_objects: int) -> tuple[float, float]:
     return avail_radius, min_gap
 
 
-def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
+def generate_scene(spec: SceneSpec) -> LabeledScene:
     """Generate a scene realizing every SceneSpec condition, or raise.
 
     Generation is rejected and retried until ``validate_scene`` passes;
@@ -263,7 +262,7 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
     rng = make_rng(spec.seed)
     blob_radius = _BLOB_RADIUS_FACTOR * spec.tau
     avail_radius, min_gap = check_packing(spec, spec.num_objects)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         centers = _place_centers(rng, spec.num_objects, avail_radius, min_gap,
                                  tries=200 * spec.num_objects)
         if centers is None:
@@ -298,7 +297,7 @@ def generate_scene(spec: SceneSpec, max_attempts: int = 64) -> LabeledScene:
         scene = LabeledScene(CorrespondenceSet(a, b), labels, tuple(transforms), spec)
         if validate_scene(scene).passed:
             return scene
-    raise InfeasibleSceneError(f"infeasible scene spec: no valid scene in {max_attempts} attempts "
+    raise InfeasibleSceneError(f"infeasible scene spec: no valid scene in {_MAX_ATTEMPTS} attempts "
                                f"({spec.num_objects} objects, min_gap {min_gap:g}, "
                                f"avail_radius {avail_radius:g})")
 
@@ -403,8 +402,8 @@ def make_good_split(scene: LabeledScene, alpha: float, fragments_per_object: int
     k = int(fragments_per_object)
     # every object's sizes are checked before any fragment grows
     objects = []
-    for g in range(1, scene.num_objects + 1):
-        idx = scene.object_indices(g)
+    members = Clustering(scene.true_labels, num_clusters=scene.num_objects).groups()
+    for g, idx in enumerate(members, start=1):
         n_g = idx.size
         if k == 1:
             sizes = [n_g]

@@ -462,13 +462,43 @@ def test_every_setting_is_refused_by_a_row():
 
 _SWEEP = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e308", "1e-308", "5e-324", str(_HUGE),
           "1.5", "abc", "", "1,2", ",", "2"]
-# The exit code of a good-split run with each _SWEEP value in turn. An exit 2
-# must keep the refusal contract. Every value is fast on the small scene, so
-# none is left out. Legal odd values: an empty em.tau takes the scene's tau,
-# a huge one puts every point in one cell, EM converges long before a huge
-# em.max_iters. An em.sigma_floor of 1e-308 or 5e-324 is refused: its square
-# underflows, and a zero-residual fit would then score 0/0 = NaN.
+# Each key is swept from a small base: the seed (as a --set: the --seed flag
+# would override it) and the scene.* keys through a synth of 2 x 20 points,
+# the bench.* keys through both benches at m = 10 (3 trials) and m = 6000 (2),
+# the em.* and init.* keys through a good-split run.
+_SWEEP_SYNTH = [*_SYNTH, "--set", "scene.num_objects=2", "--set", "scene.points_per_object=20,20"]
+_SWEEP_BENCH = [*_BENCH_BOTH, "--set", "bench.m_values=10", "--set", "bench.trials=3",
+                "--set", "bench.noise_ratio_m=6000", "--set", "bench.noise_ratio_trials=2"]
+_SWEEP_RUN = [*_GOOD_SPLIT, "--out", "{tmp}/r.txt"]
+# The exit code of each _SWEEP value in turn. An exit 2 must keep the refusal
+# contract. Every value is fast from these bases, so none is left out. Legal
+# odd values: a seed beyond int64; one count for every object
+# (scene.points_per_object=2), or objects of 1 and 2 points; a huge or
+# subnormal scene.sigma or bench.sigma; a huge bench.bound_b at m = 10, and a
+# subnormal one; an empty scene.separation_margin takes its default, an empty
+# em.tau the scene's tau, a huge one puts every point in one cell, and EM
+# converges long before a huge em.max_iters. An em.sigma_floor of 1e-308 or
+# 5e-324 is refused: its square underflows, and a zero-residual fit would then
+# score 0/0 = NaN. The ransac.* and tlinkage.* counts are not swept: at
+# 99999999999999999999, ransac.max_trials would draw samples without end and
+# T-Linkage's hypothesis list would grow until memory runs out.
 _SWEEP_CODES = {
+    "seed": [2] * 4 + [0] + [2] * 4 + [0] + [2] * 5 + [0],
+    "scene.num_objects": [2] * 15 + [0],
+    "scene.points_per_object": [2] * 13 + [0, 2, 0],
+    "scene.sigma": [2, 2, 2, 2, 0, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0],
+    "scene.tau": [2] * 16,
+    "scene.bound_b": [2] * 15 + [0],
+    "scene.num_outliers": [2] * 4 + [0] + [2] * 10 + [0],
+    "scene.separation_margin": [2] * 10 + [0, 2, 0, 2, 2, 0],
+    "bench.m_values": [2] * 16,
+    "bench.sigma": [2, 2, 2, 2, 0, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0],
+    "bench.bound_b": [2] * 7 + [0, 0, 0, 0, 2, 2, 2, 2, 0],
+    "bench.delta": [2] * 16,
+    "bench.trials": [2] * 15 + [0],
+    "bench.noise_ratio_m": [2] * 16,
+    "bench.noise_ratio_trials": [2] * 15 + [0],
+    "bench.noise_ratio_delta": [2] * 16,
     "em.tau": [2, 2, 2, 2, 2, 2, 0, 2, 2, 0, 0, 2, 0, 2, 2, 0],
     "em.m_min": [2] * 16,
     "em.max_iters": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 0],
@@ -483,12 +513,12 @@ _SWEEP_CODES = {
     for value, code in zip(_SWEEP, codes)], ids=lambda arg: repr(arg) if arg == "" else None)
 def test_setting_sweep_exits_as_stated(key, value, code, tmp_path, scene_file, capsys,
                                        monkeypatch):
-    argv = [*_GOOD_SPLIT, "--set", f"{key}={value}"]
+    base = {"seed": _SWEEP_SYNTH, "scene": _SWEEP_SYNTH, "bench": _SWEEP_BENCH}
+    argv = [*base.get(key.split(".")[0], _SWEEP_RUN), "--set", f"{key}={value}"]
     if code == 2:
         _assert_refused(Refusal(argv), tmp_path, capsys, monkeypatch)
     else:
-        argv = [arg.format(scene=scene_file) for arg in argv]
-        assert run_cli(*argv, "--out", str(tmp_path / "r.txt")) == code
+        assert run_cli(*[arg.format(scene=scene_file, tmp=tmp_path) for arg in argv]) == code
 
 
 @pytest.mark.parametrize("command", ["synth", "run", "bench"])

@@ -177,21 +177,26 @@ def test_connected_components_exact_tau_and_coincident_points_connect():
     assert connected_components(np.empty((0, 3)), 0.1)[1] == 0
 
 
-def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
-    calls = []
-    touching = _CliqueGrid.touching
-    monkeypatch.setattr(_CliqueGrid, "touching", lambda grid, c, d: calls.append(len(c))
-                        or touching(grid, c, d))
+@pytest.fixture
+def contact_calls(monkeypatch):
+    """The number of cell pairs in each call of the exact step ``_settle``,
+    which connectivity makes only for its contact test."""
+    calls, settle = [], clustering._settle
+    monkeypatch.setattr(clustering, "_settle", lambda grid, runs, p, owner, r, hit, closed:
+                        calls.append(len(hit)) or settle(grid, runs, p, owner, r, hit, closed))
+    return calls
 
+
+def test_connectivity_witness_joins_only_what_touch_would(contact_calls):
     def components_and_touches(pts, tau):
         # connected_components against the brute-force oracle, and the number
         # of cell pairs given to the full contact test
-        calls.clear()
+        contact_calls.clear()
         comp, count = connected_components(pts, tau)
         expected, expected_count = brute_force_components(pts, tau)
         assert count == expected_count
         np.testing.assert_array_equal(comp, expected)
-        return count, sum(calls)
+        return count, sum(contact_calls)
 
     # tau = 1: cells of side 0.5, and (0, 0, 0) and (1, 0, 0) two cells apart
     # on x. A cell's first point is its lowest index.
@@ -202,10 +207,11 @@ def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
     # first points exactly tau apart (0.25 is exact): the witness joins them
     pts = np.array([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.1, 0.1, 0.1)])
     assert components_and_touches(pts, 0.5) == (1, 0)
-    # a hair beyond tau: the pair falls through to the full test, which finds
-    # no contact, and with one more point in the first cell finds one
+    # a hair beyond tau: two one-point cells, whose only pair the witness
+    # tested, skip the full test; with one more point in the first cell the
+    # pair falls through to it, and it finds a contact
     pts = np.array([(0.0, 0.0, 0.0), (0.5 * (1 + 1e-12), 0.0, 0.0)])
-    assert components_and_touches(pts, 0.5) == (2, 1)
+    assert components_and_touches(pts, 0.5) == (2, 0)
     pts = np.vstack([pts, [(0.5 * (1 + 1e-12) - 0.5, 0.0, 0.0)]])
     assert components_and_touches(pts, 0.5) == (1, 1)
     # cells (0, 0, 0) and (1, 0, 0) at tau 1 have first points 1.21 apart, but
@@ -213,6 +219,21 @@ def test_connectivity_witness_joins_only_what_touch_would(monkeypatch):
     # contact test, so that pair is no longer apart and is never tested
     pts = np.array([(0.0, 0.0, 0.0), (0.99, 0.49, 0.49), (0.2, 0.52, 0.52)])
     assert components_and_touches(pts, 1.0) == (1, 0)
+
+
+@pytest.mark.parametrize("beyond", [False, True])
+def test_contact_at_tau_between_later_points_of_two_cells(beyond, contact_calls):
+    # tau = 1: three points in each of the cells (0, 0, 0) and (2, 0, 0),
+    # whose first points lie 1.48 apart; only their second points come within
+    # tau, exactly (1.25 - 0.25 is exact), or one ulp beyond it. Neither box
+    # settles the pair, so the contact step's exact test decides.
+    x = np.nextafter(1.25, 2.0) if beyond else 1.25
+    pts = np.array([(0.01, 0.25, 0.25), (1.49, 0.25, 0.25), (0.25, 0.25, 0.25),
+                    (x, 0.25, 0.25), (0.05, 0.45, 0.05), (1.45, 0.05, 0.45)])
+    comp, count = connected_components(pts, 1.0)
+    expected, expected_count = brute_force_components(pts, 1.0)
+    assert (count, expected_count, contact_calls) == ((2, 2, [1]) if beyond else (1, 1, [1]))
+    np.testing.assert_array_equal(comp, expected)
 
 
 @pytest.mark.parametrize("tau", [float("nan"), 1e-19])
@@ -264,10 +285,14 @@ def test_connected_components_two_dense_cells_stay_small():
     assert peak < 50 * 2 ** 20
 
 
-def test_contact_test_of_two_dense_cells_stays_small():
-    # tau = 1: two 3000-point clumps in cells two apart on x, 1.18 apart, so
-    # the contact test compares all 9 M point pairs; in one pass that would
-    # need about 216 MB of differences
+def test_contact_test_of_two_dense_cells_stays_small(monkeypatch):
+    # tau = 1: two 3000-point clumps in cells two apart on x, 1.18 apart: the
+    # 9 M point pairs would need about 216 MB of differences in one pass, but
+    # each point lies beyond tau of the other clump's box, so no point pair
+    # gets the exact test
+    tested, passes = [], clustering._passes
+    monkeypatch.setattr(clustering, "_passes", lambda lengths, chunk:
+                        tested.append(int(np.sum(lengths))) or passes(lengths, chunk))
     rng = np.random.default_rng(4)
     a = rng.uniform(0.0, 0.02, (3000, 3))
     pts = np.vstack([a, a + (1.2, 0, 0)])
@@ -279,6 +304,7 @@ def test_contact_test_of_two_dense_cells_stays_small():
         tracemalloc.stop()
     assert count == 2
     assert peak < 16 * 2 ** 20
+    assert sum(tested) == 0
 
 
 def test_flat_pair_sums_are_the_blocked_sums_bit_for_bit():
@@ -290,9 +316,10 @@ def test_flat_pair_sums_are_the_blocked_sums_bit_for_bit():
     p = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-6, 7, (60, 1))
     q = rng.normal(size=(70, 3)) * 10.0 ** rng.integers(-6, 7, (70, 1))
     diff = q[None, :, :] - p[:, None, :]
-    flat = diff.reshape(-1, 3)
-    np.testing.assert_array_equal(np.einsum("ij,ij->i", flat, flat),
-                                  np.einsum("ijk,ijk->ij", diff, diff).ravel())
+    blocked = np.einsum("ijk,ijk->ij", diff, diff).ravel()
+    for flat in (diff.reshape(-1, 3), (p[:, None, :] - q[None, :, :]).reshape(-1, 3)):
+        # the witness forms member - probe and the contact step probe - member
+        np.testing.assert_array_equal(np.einsum("ij,ij->i", flat, flat), blocked)
 
 
 def test_fragments_match_heap_growth_oracle(rng):
@@ -511,7 +538,9 @@ def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, mon
         return within_tau(grid, probe, *args)
 
     def recording_passes(lengths, size):
-        if sys._getframe(1).f_code.co_name == "_within" and len(lengths):
+        # _within's group passes, and the point-pair passes of its _settle calls
+        callers = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
+        if "_within" in callers and len(lengths):
             tail.append(chunking(lengths))
         return passes(lengths, size)
 
@@ -588,13 +617,14 @@ def test_fragment_bad_targets():
         fragment_connected_set(pts, 0.15, [5, 0], seed=0)  # empty fragment
 
 
-def test_fragment_infeasible_star_errors():
+def test_fragment_infeasible_star_errors(monkeypatch):
     # center plus three rays: any connected pair must contain the center, so
     # a {2, 2} split leaves a disconnected remainder no matter the seeds
+    monkeypatch.setattr(clustering, "_MAX_RETRIES", 8)
     tau = 1.0
     pts = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], dtype=float)
     with pytest.raises(ValueError, match="connected fragments"):
-        fragment_connected_set(pts, tau, [2, 2], seed=3, max_retries=8)
+        fragment_connected_set(pts, tau, [2, 2], seed=3)
 
 
 def _toy_scene_arrays(rng):

@@ -564,29 +564,48 @@ def test_assign_tests_a_candidate_that_scores_minus_inf(monkeypatch):
     np.testing.assert_array_equal(updated.labels, clustering.labels)
 
 
-def test_assign_row_whose_gated_scores_are_all_minus_inf_keeps_its_label():
-    # a label-0 probe shares its cell with clusters 1 and 2, so both gate it,
-    # but its b-point is so far off that both score -inf there: it keeps its
-    # label, where an argmax over the gated entries would give it id 1. Each
-    # cluster's own motion keeps its members.
-    tau = 0.3
+def _minus_inf_row_scene():
+    """A label-0 probe (row 0) that shares its cell with clusters 1 and 2, so
+    both gate it, but whose b-point is so far off that both score -inf there;
+    each cluster's own motion keeps its members. Returns (cs, clustering,
+    models, tau)."""
     pad = np.array([(0.01, 0.01, 0.01), (0.02, 0.01, 0.01), (0.01, 0.02, 0.01)])
     a = np.vstack([[(0.0, 0.0, 0.0)], pad, pad + 0.05])
     shift = np.array([0.0, 0.0, 0.5])
     b = np.vstack([[(1e200, 0.0, 0.0)], pad, pad + 0.05 + shift])
-    cs = CorrespondenceSet(a, b)
-    clustering = Clustering([0, 1, 1, 1, 2, 2, 2], num_clusters=2)
+    models = [ClusterModel(RigidTransform.identity(), 0.1, 0.5),
+              ClusterModel(RigidTransform(np.eye(3), shift), 0.1, 0.5)]
+    return (CorrespondenceSet(a, b), Clustering([0, 1, 1, 1, 2, 2, 2], num_clusters=2),
+            models, 0.3)
+
+
+def test_assign_row_whose_gated_scores_are_all_minus_inf_keeps_its_label():
+    # the probe keeps its label, where an argmax over the gated entries would
+    # give it id 1
+    cs, clustering, models, tau = _minus_inf_row_scene()
     grid = _CliqueGrid(cs.a, tau)
     own, _ = dense_occupancy(grid, clustering.labels, 2)
     assert own.all()
-    models = [ClusterModel(RigidTransform.identity(), 0.1, 0.5),
-              ClusterModel(RigidTransform(np.eye(3), shift), 0.1, 0.5)]
     with np.errstate(over="ignore"):
         assert np.all(_log_scores(cs, models)[0] == -np.inf)
         updated = assign(cs, clustering, models, grid)
         expected = _full_gate_assignment(cs, clustering, models, tau)
     np.testing.assert_array_equal(updated.labels, clustering.labels)
     np.testing.assert_array_equal(updated.labels, expected)
+
+
+def test_e_step_gives_a_row_of_minus_inf_scores_zero_weights():
+    # the same probe: its weights are zeros (the docstring's all-zero row),
+    # not the NaN of (-inf) - (-inf), which the RuntimeWarning filter turns
+    # into a failure; the other rows are normalised as before
+    cs, clustering, models, tau = _minus_inf_row_scene()
+    cfg = EMConfig(tau=tau, m_min=3)
+    with np.errstate(over="ignore"):  # only the probe's squared residual overflows
+        weights = e_step(cs, clustering, models, cfg)
+    np.testing.assert_array_equal(weights[0], [0.0, 0.0])
+    np.testing.assert_array_equal(np.argmax(weights[1:], axis=1) + 1, clustering.labels[1:])
+    np.testing.assert_allclose(weights[1:].sum(axis=1), 1.0)
+    np.testing.assert_array_equal(m_step(weights, clustering, cfg).labels, clustering.labels)
 
 
 def test_assign_candidate_exactly_tau_away_fails():

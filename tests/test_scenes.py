@@ -160,16 +160,17 @@ def test_noise_empirics_match_uniform_variance():
     np.testing.assert_allclose(per_axis_var, sigma ** 2 / 3.0, rtol=0.03)
 
 
-def test_infeasible_packing_raises():
+def test_infeasible_packing_raises(monkeypatch):
+    monkeypatch.setattr(scenes, "_MAX_ATTEMPTS", 4)
     # blobs of radius 2*tau cannot fit in a ball smaller than the blob
     with pytest.raises(InfeasibleSceneError, match="infeasible scene spec"):
-        generate_scene(_spec(tau=0.3, bound_b=0.5), max_attempts=4)
+        generate_scene(_spec(tau=0.3, bound_b=0.5))
     # or: too many objects for the separation to fit (centres 6 apart in a
     # ball of radius 1.5), though the volume bound admits them (1.5^3 >= 3):
     # every attempt fails, and the last error says what was tried
     with pytest.raises(InfeasibleSceneError) as err:
         generate_scene(_spec(num_objects=3, points_per_object=(10, 10, 10),
-                             tau=1.0, bound_b=3.5), max_attempts=4)
+                             tau=1.0, bound_b=3.5))
     assert str(err.value) == ("infeasible scene spec: no valid scene in 4 attempts "
                               "(3 objects, min_gap 6, avail_radius 1.5)")
 
