@@ -113,9 +113,11 @@ def sequential_ransac(cs: CorrespondenceSet, cfg: RansacConfig) -> Clustering:
 
 def _preference_matrix(cs: CorrespondenceSet, hypotheses, cfg: TLinkageConfig) -> np.ndarray:
     prefs = np.empty((len(cs), len(hypotheses)))
-    for h, (rotation, translation) in enumerate(hypotheses):
-        residual = row_norms(cs.b - move(cs.a, rotation, translation))
-        prefs[:, h] = np.where(residual <= 5.0 * cfg.tau, np.exp(-residual / cfg.tau_t), 0.0)
+    # a residual over a tiny tau_t may overflow: exp(-inf) = 0 is its preference
+    with np.errstate(over="ignore"):
+        for h, (rotation, translation) in enumerate(hypotheses):
+            residual = row_norms(cs.b - move(cs.a, rotation, translation))
+            prefs[:, h] = np.where(residual <= 5.0 * cfg.tau, np.exp(-residual / cfg.tau_t), 0.0)
     return prefs
 
 

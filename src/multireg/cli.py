@@ -259,7 +259,11 @@ def cmd_synth(cfg: dict[str, str], config_file: str | None = None) -> int:
     _check_outputs([out], [config_file])
     spec = scene_spec_from_config(cfg)
     with _usage("invalid scene spec: ", "scene.", GridError):
-        scene = generate_scene(spec)
+        try:
+            scene = generate_scene(spec)
+        except GridError as exc:  # the spec's tau is positive: the ball is too wide for its cells
+            raise GridError(f"bound_b {spec.bound_b:g} puts coordinates beyond int64 cells "
+                            f"at scene.tau {spec.tau:g}") from exc
     _write(write_scene, scene, out, [])
     print(f"scene written to {out}: n={spec.total_points} M={spec.num_objects} "
           f"sigma={fmt_float(spec.sigma)} tau={fmt_float(spec.tau)}")

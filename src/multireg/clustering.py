@@ -12,9 +12,10 @@ joins of pairs whose first points lie within tau, then of those still apart,
 but for two one-point cells, that ``_settle`` finds in contact) read it, in
 passes of one size: ``_HOOD_CHUNK`` point pairs, or words of the hood union.
 A labelling's points sorted by (cell, label) form label runs with bounding
-boxes (one label: a run per cell). ``_settle`` tests points against runs, the
-boxes deciding what they can: for components (<= tau), and through
-``_confirm`` for EM's gate (< tau) and the heap tail's queues (<= tau).
+boxes (label 0 forms none; one label: a run per cell). ``_settle`` tests
+points against runs, the boxes deciding what they can: for components
+(<= tau), and through ``_confirm`` for EM's gate (< tau) and fragment
+growth's frontier queries (<= tau).
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -23,10 +24,11 @@ the flood is a walk down each fragment's presorted points, so growth plans
 a batch of such steps, checks them together (a point sharing a cell with an
 earlier point of its fragment passes at once, the rest get an exact distance
 test over the 3x3x3 block of cells around them, and those with no neighbour
-there one over their whole hood) and keeps the valid prefix. From the first
-step that fails, a heap per fragment, built from the state at that step,
-finishes the attempt; it pops what the plain heap flood would, so the splits
-are the same. The O(n^2) brute-force oracles live in the test suite.
+there one over their whole hood) and keeps the valid prefix. Only a fragment
+whose step failed pops from a heap of its frontier, and only until the
+heap's top is again its next point in presorted order; it pops what the
+plain heap flood would, so the splits are the same. The O(n^2) brute-force
+oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class Clustering:
 _SIDE_SLACK = 1.0 + 2.0 ** -30
 # Fragment-growth steps planned before one vectorised check: long enough to
 # amortise the check, short enough that the steps undone at a miss cost little.
-_BATCH = 128
+_BATCH = 512
 # Growth attempts, each from fresh seeds, before a split is declared impossible.
 _MAX_RETRIES = 32
 # The size of one batched pass, unless a single hood or row holds more: point
@@ -153,10 +155,14 @@ class _CliqueGrid:
         self.points = points
         self.tau = tau
         self.tau_sq = tau * tau
+        if not tau > 0:
+            raise GridError(f"tau {tau:g} is not positive")
         side = 0.5 * tau * _SIDE_SLACK
         # cell indices, and the differences of two of them, must fit int64
-        if not (tau > 0 and np.abs(points).max(initial=0.0) < 2.0 ** 61 * side):
-            raise GridError(f"tau {tau:g} is not positive, or too small for int64 cell indices")
+        extent = np.abs(points).max(initial=0.0)
+        if not extent < 2.0 ** 61 * side:
+            raise GridError(f"tau {tau:g} is too small for int64 cells of coordinates "
+                            f"up to {extent:g}")
         cells = np.floor(points / side).astype(np.int64)
         for axis in range(3):
             # gaps above 3 cells shrink to 3: cells within two of each other
@@ -247,18 +253,20 @@ class _CliqueGrid:
 
 
 class _LabelRuns:
-    """One labelling's points sorted by (cell, label): the members of cluster j
-    in cell c form the run ``points[starts[r]:starts[r + 1]]`` of the r with
-    ``keys[r] == c * width + j``, and ``low[r]`` and ``high[r]`` are the
-    corners of their bounding box."""
+    """One labelling's labelled points sorted by (cell, label): the members of
+    cluster j >= 1 in cell c form the run ``points[starts[r]:starts[r + 1]]``
+    of the r with ``keys[r] == c * width + j``, and ``low[r]`` and
+    ``high[r]`` are the corners of their bounding box."""
 
     def __init__(self, grid: _CliqueGrid, labels: np.ndarray):
         self.width = int(labels.max(initial=0)) + 1
-        # the grid's order is by cell already: only each cell's labels sort
-        key = (grid.cell_of * self.width + labels)[grid.order]
+        # the grid's order is by cell already: only each cell's labels sort;
+        # a point labelled 0 is in no run
+        at = grid.order[labels[grid.order] > 0]
+        key = grid.cell_of[at] * self.width + labels[at]
         order = np.argsort(key, kind="stable")
         key = key[order]
-        self.points = grid.sorted_points[order]
+        self.points = grid.points[at[order]]
         first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
         self.keys = key[first]
         self.starts = np.append(first, len(key))
@@ -398,7 +406,7 @@ def connected_components(points, tau: float) -> tuple[np.ndarray, int]:
     if len(c):
         owner = np.repeat(np.arange(len(c)), size[c])
         touching = np.zeros(len(c), dtype=bool)
-        _settle(grid, _LabelRuns(grid, np.zeros(len(pts), dtype=np.int64)),
+        _settle(grid, _LabelRuns(grid, np.ones(len(pts), dtype=np.int64)),
                 grid.order[_expand(grid.starts[c], grid.starts[c + 1])], owner, d[owner],
                 touching, closed=True)
         _join(parent, c[touching], d[touching])
@@ -435,13 +443,12 @@ def fragment_connected_set(points, tau: float, target_sizes, seed) -> np.ndarray
     remaining deficit (ties to the lowest fragment) by its nearest unassigned
     tau-neighbour: smallest squared distance to its seed, then smallest
     index. Each fragment is tau-connected by construction: a point joins only
-    through a tau-neighbour already in the fragment. An attempt first scans
-    each fragment's points in that order, ``_BATCH`` steps at a time, and
-    keeps the steps whose point has such a neighbour; from the first that
-    has none, per-fragment heaps finish the attempt with the same pops.
-    Returns a fragment id (0..k-1) per point. Retries with fresh seeds when a
-    growth attempt strands points; raises ValueError when the targets cannot
-    be met after ``_MAX_RETRIES`` attempts.
+    through a tau-neighbour already in the fragment. ``_scan`` walks each
+    fragment's points in that order and pops from a heap only for a
+    fragment whose next point has no such neighbour, with the same pops.
+    Returns a fragment id (0..k-1) per point. Retries with fresh seeds when
+    a fragment stalls below its target; raises ValueError when the targets
+    cannot be met after ``_MAX_RETRIES`` attempts.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
@@ -464,10 +471,7 @@ def fragment_connected_set(points, tau: float, target_sizes, seed) -> np.ndarray
             continue  # duplicate seed (tiny sets); retry with new seeds
         assignment = np.full(n, -1, dtype=np.int64)
         assignment[seeds] = np.arange(k)
-        sizes = [1] * k
-        if not _scan(grid, assignment, sizes, targets, to_seed):
-            _heap_tail(grid, assignment, sizes, targets, to_seed)
-        if sizes == targets:
+        if _scan(grid, assignment, targets, to_seed):
             return assignment
     raise ValueError("cannot split set into connected fragments with the requested sizes")
 
@@ -506,105 +510,163 @@ def _within_tau(grid: _CliqueGrid, probe: np.ndarray, keep, runs=None) -> np.nda
     return hit
 
 
-def _scan(grid, assignment, sizes, targets, to_seed) -> bool:
-    """Grow the fragments in heap order for as long as each step's pop is the
-    fragment's nearest unassigned point (by key, then index) overall; True
-    when that lasts to the end. Steps are planned ``_BATCH`` at a time and
-    checked together; the first step whose point has no tau-neighbour among
-    its fragment's earlier points is undone with every step after it."""
+def _frontier(grid: _CliqueGrid, assignment: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The unassigned points within tau (``d . d <= tau^2``) of the points
+    ``new``: one closed ``_confirm`` query, against the runs of ``new``
+    alone, over the unassigned points of the hoods of their cells."""
+    cells = np.unique(grid.cell_of[new])
+    near = np.zeros(len(grid.codes), dtype=bool)
+    near[_expand(*grid.runs[cells].reshape(-1, 2).T)] = True
+    rows = np.flatnonzero((assignment < 0) & near[grid.cell_of])
+    labels = np.zeros(len(assignment), dtype=np.int64)
+    labels[new] = 1
+    return rows[_confirm(grid, _LabelRuns(grid, labels), rows,
+                         np.zeros(len(rows), dtype=np.int64), closed=True)]
+
+
+def _scan(grid, assignment, targets, to_seed) -> bool:
+    """Grow the fragments from their seeds in heap-flood order; True when
+    every fragment reaches its target, False when one stalls below it.
+
+    A fragment pops by a cursor down its presorted points for as long as the
+    cursor's point has a tau-neighbour among the fragment's earlier points.
+    Steps are planned up to ``_BATCH`` at a time and checked together; the
+    first that fails is undone with every step after it, and the next batch
+    plans at most 2 + twice the steps kept. The fragment that missed pops
+    from its heap instead: ``_frontier`` queues the points within tau of the
+    points it gained since it last queued, and ``absorb`` those of each point
+    it pops. When the heap's top is again its next point in presorted order,
+    it goes back to its cursor and keeps the heap for its next miss. A
+    fragment whose heap empties below its target can never grow again, so
+    the attempt ends there."""
     n, k = len(assignment), len(targets)
     ranked = [np.argsort(key, kind="stable").tolist() for key in to_seed]
     cursor = [0] * k
     taken = (assignment >= 0).tolist()
-    deficit = [t - s for t, s in zip(targets, sizes)]
+    deficit = [t - 1 for t in targets]
     # cell_has[j, c]: fragment j has a point in cell c, so within tau of all of c
     cell_has = np.zeros((k, len(grid.codes)), dtype=bool)
     cell_has[assignment[assignment >= 0], grid.cell_of[assignment >= 0]] = True
     # step[i]: batch position of point i, -1 for points placed before the batch
     step = np.full(n, -1, dtype=np.int64)
-    remaining = n - k
+    # placed[i]: the batch that kept point i (-1 for the seeds); fragment j
+    # has queued from its points placed before batch mark[j]
+    placed = np.full(n, -1, dtype=np.int64)
+    mark = [-1] * k
+    # heaps[j]: fragment j's queue as (key, index) pairs, popped while
+    # popping[j]; open_[j, i]: j has not queued i
+    heaps: list[list[tuple[float, int]]] = [[] for _ in range(k)]
+    popping = [False] * k
+    open_ = np.ones((k, n), dtype=bool)
+
+    def queue(j: int, fresh: np.ndarray) -> list[int]:
+        open_[j, fresh] = False
+        fresh = fresh.tolist()
+        for key, nb in zip(to_seed[j].take(fresh).tolist(), fresh):
+            heapq.heappush(heaps[j], (key, nb))
+        return fresh
+
+    def absorb(j: int, i: int) -> list[int]:
+        """Queue in j's heap the unassigned points within tau of i that j has
+        not queued."""
+        cand = grid.hood(i)
+        cand = cand[open_[j].take(cand) & (assignment.take(cand) < 0)]
+        diff = grid.points.take(cand, axis=0) - grid.points[i]
+        return queue(j, cand[np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq])
+
+    def undo(p: int) -> None:
+        """Undo the batch's steps from p on, latest first: a heap gets back
+        what they popped and loses what they queued."""
+        back: dict[int, list] = {}
+        for s in range(len(batch) - 1, p - 1, -1):
+            j = frags[s]
+            taken[batch[s]] = False
+            deficit[j] += 1
+            cursor[j] = before[s]
+            if s in popped:
+                out, fresh = popped[s]
+                popping[j] = True
+                open_[j, fresh] = True
+                back.setdefault(j, []).append((out, fresh))
+        for j, steps in back.items():
+            gone = {i for _, fresh in steps for i in fresh}
+            heap = heaps[j] + [e for out, _ in steps for e in out]
+            heaps[j][:] = [e for e in heap if e[1] not in gone]
+            heapq.heapify(heaps[j])
+
+    remaining, limit, rounds = n - k, _BATCH, 0
     while remaining > 0:
-        batch, frags = [], []
-        for _ in range(min(_BATCH, remaining)):
+        # per step: its point, its fragment and that fragment's cursor before
+        # it; popped[s] = (entries popped, points queued) for a heap's steps
+        batch, frags, before, popped = [], [], [], {}
+        stalled = False
+        for s in range(min(limit, remaining)):
             j = deficit.index(max(deficit))  # the largest deficit, ties to the lowest j
-            deficit[j] -= 1
             order, c = ranked[j], cursor[j]
             while taken[order[c]]:
                 c += 1
+            i = order[c]
+            if popping[j]:
+                heap, out = heaps[j], []
+                while heap and taken[heap[0][1]]:
+                    out.append(heapq.heappop(heap))  # taken since it was queued
+                if not heap:  # a stall, unless an earlier step is undone
+                    heap[:] = out
+                    stalled = True
+                    break
+                if heap[0][1] == i:  # the order holds again: back to the cursor
+                    popping[j] = False
+                    popped[s] = (out, [])
+                else:
+                    out.append(heapq.heappop(heap))
+                    i = out[-1][1]
+                    popped[s] = (out, absorb(j, i))
+                    c -= 1  # the cursor's point stays next
+            before.append(cursor[j])
             cursor[j] = c + 1
-            taken[order[c]] = True
-            batch.append(order[c])
+            taken[i] = True
+            deficit[j] -= 1
+            batch.append(i)
             frags.append(j)
-        batch, frags = np.array(batch), np.array(frags)
-        assignment[batch] = frags
-        step[batch] = np.arange(len(batch))
-        cells = grid.cell_of[batch]
-        # own cell: the fragment had a point there before, or gains one earlier in the batch
-        valid = np.ones(len(batch), dtype=bool)
-        valid[np.unique(frags * len(grid.codes) + cells, return_index=True)[1]] = False
-        valid |= cell_has[frags, cells]
+        if not batch:
+            return False
+        points, owners = np.array(batch), np.array(frags)
+        assignment[points] = owners
+        step[points] = np.arange(len(points))
+        cells = grid.cell_of[points]
+        # own cell: the fragment had a point there before, or gains one earlier
+        # in the batch; a heap pops only points within tau of its fragment
+        valid = np.ones(len(points), dtype=bool)
+        valid[np.unique(owners * len(grid.codes) + cells, return_index=True)[1]] = False
+        valid |= cell_has[owners, cells]
+        valid[list(popped)] = True
         rest = np.flatnonzero(~valid)
         # the 3x3x3 block around a step holds most first neighbours: the whole
         # hood is read only for the steps with none there
         for runs in (grid.near_runs, grid.runs):
             if not rest.size:
                 break
-            owner = frags[rest]
-            valid[rest] = _within_tau(grid, batch[rest], lambda t, m: (
+            owner = owners[rest]
+            valid[rest] = _within_tau(grid, points[rest], lambda t, m: (
                 (assignment.take(m) == owner.take(t)) & (step.take(m) < rest.take(t))), runs)
             rest = rest[~valid[rest]]
-        good = len(batch) if valid.all() else int(np.argmin(valid))
-        step[batch] = -1
-        cell_has[frags[:good], cells[:good]] = True
-        for j in frags[:good].tolist():
-            sizes[j] += 1
+        good = len(points) if valid.all() else int(np.argmin(valid))
+        step[points] = -1
+        cell_has[owners[:good], cells[:good]] = True
+        placed[points[:good]] = rounds
         remaining -= good
-        if good < len(batch):
-            assignment[batch[good:]] = -1
-            return False
+        limit = min(_BATCH, 2 * good + 2)
+        if good == len(points):
+            if stalled:
+                return False
+        else:
+            assignment[points[good:]] = -1
+            undo(good)
+            j = frags[good]  # its cursor's point has no tau-neighbour in it
+            fresh = _frontier(grid, assignment,
+                              np.flatnonzero((assignment == j) & (placed >= mark[j])))
+            mark[j] = rounds + 1
+            queue(j, fresh[open_[j, fresh]])
+            popping[j] = True
+        rounds += 1
     return True
-
-
-def _heap_tail(grid, assignment, sizes, targets, to_seed) -> None:
-    """Finish the growth from the current state with one heap per fragment:
-    each pops its nearest unassigned tau-neighbour, by key and then index."""
-    k = len(targets)
-    free = np.flatnonzero(assignment < 0)
-    runs = _LabelRuns(grid, assignment + 1)
-    # open_[j, i]: i is unassigned and not yet queued by fragment j; the queued
-    # part caps heap growth on dense graphs
-    open_ = np.repeat(assignment[None, :] < 0, k, axis=0)
-    frontiers: list[list[tuple[float, int]]] = []
-    for j in range(k):  # fragment j queues the unassigned points within tau of it
-        queued = free[_confirm(grid, runs, free, np.full(len(free), j), closed=True)]
-        open_[j, queued] = False
-        frontiers.append(list(zip(to_seed[j].take(queued).tolist(), queued.tolist())))
-        heapq.heapify(frontiers[j])
-
-    def absorb(j: int, i: int):
-        assignment[i] = j
-        open_[:, i] = False
-        sizes[j] += 1
-        cand = grid.hood(i)
-        cand = cand[open_[j].take(cand)]
-        diff = grid.points.take(cand, axis=0) - grid.points[i]
-        fresh = cand[np.einsum("ij,ij->i", diff, diff) <= grid.tau_sq]
-        if fresh.size == 0:
-            return
-        open_[j, fresh] = False
-        for d, nb in zip(to_seed[j].take(fresh).tolist(), fresh.tolist()):
-            heapq.heappush(frontiers[j], (d, nb))
-
-    def grow() -> bool:
-        """Absorb one point into the fragment with the largest deficit (ties to
-        the lowest j) whose heap still pops an unassigned point; False if none."""
-        for j in sorted(range(k), key=lambda j: (sizes[j] - targets[j], j)):
-            while sizes[j] < targets[j] and frontiers[j]:
-                i = heapq.heappop(frontiers[j])[1]
-                if assignment[i] < 0:
-                    absorb(j, i)
-                    return True
-        return False
-
-    while grow():
-        pass

@@ -241,7 +241,8 @@ def check_packing(spec: SceneSpec, num_objects: int) -> tuple[float, float]:
     blob_radius = _BLOB_RADIUS_FACTOR * spec.tau
     avail_radius = spec.bound_b - blob_radius
     if avail_radius < 0:
-        raise InfeasibleSceneError("infeasible scene spec")
+        raise InfeasibleSceneError(f"infeasible scene spec: the blob radius {_BLOB_RADIUS_FACTOR:g} "
+                                   f"* scene.tau {spec.tau:g} exceeds scene.bound_b {spec.bound_b:g}")
     min_gap = spec.separation_margin + 2.0 * blob_radius
     # balls of radius min_gap/2 around the centers are disjoint and lie in the
     # ball of radius avail_radius + min_gap/2, so their volumes bound the count

@@ -69,11 +69,7 @@ def brute_force_fragments(points, tau, target_sizes, seed, max_retries=32):
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = pts.shape[0]
     targets = [int(t) for t in target_sizes]
-    neighbours = []
-    for i in range(n):
-        diff = pts - pts[i]
-        hits = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= tau * tau)
-        neighbours.append(hits[hits != i])
+    neighbours = _neighbours(pts, tau)
     rng = make_rng(seed)
     for attempt in range(1, max_retries + 1):
         seeds = [int(rng.integers(n))]
@@ -87,7 +83,26 @@ def brute_force_fragments(points, tau, target_sizes, seed, max_retries=32):
     raise ValueError("cannot split set into connected fragments with the requested sizes")
 
 
-def _heap_growth(pts, neighbours, seeds, targets):
+def heap_growth_to_stall(points, tau, seeds, targets):
+    """One attempt of brute_force_fragments' heap growth from these seeds,
+    stopped where the fragment with the largest deficit (ties to the lowest)
+    has no unassigned tau-neighbour left: the fragment id per point then, -1
+    for the points still unassigned; the whole split if no fragment stalls."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return _heap_growth(pts, _neighbours(pts, tau), seeds, [int(t) for t in targets],
+                        stop_at_stall=True)
+
+
+def _neighbours(pts, tau):
+    neighbours = []
+    for i in range(pts.shape[0]):
+        diff = pts - pts[i]
+        hits = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= tau * tau)
+        neighbours.append(hits[hits != i])
+    return neighbours
+
+
+def _heap_growth(pts, neighbours, seeds, targets, stop_at_stall=False):
     n, k = pts.shape[0], len(targets)
     assignment = np.full(n, -1, dtype=np.int64)
     sizes = [0] * k
@@ -122,10 +137,10 @@ def _heap_growth(pts, neighbours, seeds, targets):
                     remaining -= 1
                     grew = True
                     break
-            if grew:
+            if grew or stop_at_stall:
                 break
         if not grew:
-            return None
+            return assignment if stop_at_stall else None
     return assignment if sizes == targets else None
 
 

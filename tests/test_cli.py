@@ -232,12 +232,26 @@ REFUSALS = {
         # positive, but coordinates up to B = 4 are beyond int64 cells of tau/2
         "_synth_tau_tiny": Refusal(
             [*_SYNTH, "--set", "scene.tau=1e-19"],
-            message="error: invalid scene spec: scene.tau 1e-19 is not positive, or too small "
-                    "for int64 cell indices\n"),
+            message="error: invalid scene spec: scene.bound_b 4 puts coordinates beyond int64 "
+                    "cells at scene.tau 1e-19\n"),
         "_em_tau_tiny_to_run": Refusal(
             [*_RUN, "--set", "em.tau=1e-19"],
-            message="error: invalid em config: em.tau 1e-19 is not positive, or too small "
-                    "for int64 cell indices\n"),
+            message="error: invalid em config: em.tau 1e-19 is too small for int64 cells of "
+                    "coordinates up to "),
+        # a ball of radius 1e20: its points are beyond int64 cells of tau/2
+        "_synth_bound_b_beyond_int64_cells": Refusal(
+            [*_SYNTH, "--set", f"scene.bound_b={_HUGE}"],
+            message="error: invalid scene spec: scene.bound_b 1e+20 puts coordinates beyond "
+                    "int64 cells at scene.tau 0.3\n"),
+        # a blob of radius 2 tau does not fit in the ball
+        "_synth_tau_huge_blob_beyond_bound_b": Refusal(
+            [*_SYNTH, "--set", f"scene.tau={_HUGE}"],
+            message="error: infeasible scene spec: the blob radius 2 * scene.tau 1e+20 exceeds "
+                    "scene.bound_b 4\n"),
+        "_synth_bound_b_below_blob_radius": Refusal(
+            [*_SYNTH, "--set", "scene.bound_b=1e-308"],
+            message="error: infeasible scene spec: the blob radius 2 * scene.tau 0.3 exceeds "
+                    "scene.bound_b 1e-308\n"),
         "_tau_nan_header_to_run": Refusal(_RUN, _header("tau", "nan")),
         "_sigma_nan_header_to_run": Refusal(_RUN, _header("sigma", "nan")),
         "_sigma_inf_header_to_run": Refusal(_RUN, _header("sigma", "inf")),
@@ -383,7 +397,8 @@ REFUSALS = {
         message="error: invalid scene spec: scene.num_objects "),
     "test_synth_infeasible_exits_2": Refusal(
         [*_SYNTH, "--set", "scene.tau=1.0", "--set", "scene.bound_b=1.0"],
-        message="error: infeasible scene spec\n"),
+        message="error: infeasible scene spec: the blob radius 2 * scene.tau 1 exceeds "
+                "scene.bound_b 1\n"),
     "test_run_missing_scene_exits_2": Refusal(
         ["run", "--set", "scene.file=/nonexistent/scene.txt"],
         message="error: cannot read /nonexistent/scene.txt: "),
@@ -465,23 +480,31 @@ _SWEEP = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e308", "1e-308", "5e-324", 
 # Each key is swept from a small base: the seed (as a --set: the --seed flag
 # would override it) and the scene.* keys through a synth of 2 x 20 points,
 # the bench.* keys through both benches at m = 10 (3 trials) and m = 6000 (2),
-# the em.* and init.* keys through a good-split run.
+# the em.* and init.* keys through a good-split run, and the ransac.* and
+# tlinkage.* keys through a run of their algorithm.
 _SWEEP_SYNTH = [*_SYNTH, "--set", "scene.num_objects=2", "--set", "scene.points_per_object=20,20"]
 _SWEEP_BENCH = [*_BENCH_BOTH, "--set", "bench.m_values=10", "--set", "bench.trials=3",
                 "--set", "bench.noise_ratio_m=6000", "--set", "bench.noise_ratio_trials=2"]
 _SWEEP_RUN = [*_GOOD_SPLIT, "--out", "{tmp}/r.txt"]
-# The exit code of each _SWEEP value in turn. An exit 2 must keep the refusal
-# contract. Every value is fast from these bases, so none is left out. Legal
-# odd values: a seed beyond int64; one count for every object
+_SWEEP_BASES = {"seed": _SWEEP_SYNTH, "scene": _SWEEP_SYNTH, "bench": _SWEEP_BENCH,
+                "ransac": [*_SRANSAC, "--out", "{tmp}/r.txt"],
+                "tlinkage": ["run", "--algorithm", "tlinkage", "--set", "scene.file={scene}",
+                             "--out", "{tmp}/r.txt"]}
+# The exit code of each _SWEEP value in turn; None leaves the value out. An
+# exit 2 must keep the refusal contract. Legal odd values: a seed beyond
+# int64; one count for every object
 # (scene.points_per_object=2), or objects of 1 and 2 points; a huge or
 # subnormal scene.sigma or bench.sigma; a huge bench.bound_b at m = 10, and a
 # subnormal one; an empty scene.separation_margin takes its default, an empty
 # em.tau the scene's tau, a huge one puts every point in one cell, and EM
 # converges long before a huge em.max_iters. An em.sigma_floor of 1e-308 or
 # 5e-324 is refused: its square underflows, and a zero-residual fit would then
-# score 0/0 = NaN. The ransac.* and tlinkage.* counts are not swept: at
-# 99999999999999999999, ransac.max_trials would draw samples without end and
-# T-Linkage's hypothesis list would grow until memory runs out.
+# score 0/0 = NaN. A huge or subnormal ransac.inlier_threshold or
+# tlinkage.tau_t, and an empty one (a default from sigma), are legal; so are
+# a huge ransac.min_model_inliers (no model is kept) and no T-Linkage
+# hypotheses. Two counts are not swept at 99999999999999999999:
+# ransac.max_trials would draw samples without end and T-Linkage's
+# hypothesis list would grow until memory runs out.
 _SWEEP_CODES = {
     "seed": [2] * 4 + [0] + [2] * 4 + [0] + [2] * 5 + [0],
     "scene.num_objects": [2] * 15 + [0],
@@ -505,16 +528,21 @@ _SWEEP_CODES = {
     "em.sigma_floor": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 2, 2, 2, 2, 0],
     "init.alpha": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 0],
     "init.fragments": [2] * 15 + [0],
+    "ransac.inlier_threshold": [2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0],
+    "ransac.max_trials": [2] * 9 + [None] + [2] * 5 + [0],
+    "ransac.min_model_inliers": [2] * 9 + [0] + [2] * 6,
+    "tlinkage.tau_t": [2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0],
+    "tlinkage.num_hypotheses": [2, 2, 2, 2, 0, 2, 2, 2, 2, None, 2, 2, 2, 2, 2, 0],
 }
 
 
 @pytest.mark.parametrize("key, value, code", [
     (key, value, code) for key, codes in _SWEEP_CODES.items()
-    for value, code in zip(_SWEEP, codes)], ids=lambda arg: repr(arg) if arg == "" else None)
+    for value, code in zip(_SWEEP, codes) if code is not None],
+    ids=lambda arg: repr(arg) if arg == "" else None)
 def test_setting_sweep_exits_as_stated(key, value, code, tmp_path, scene_file, capsys,
                                        monkeypatch):
-    base = {"seed": _SWEEP_SYNTH, "scene": _SWEEP_SYNTH, "bench": _SWEEP_BENCH}
-    argv = [*base.get(key.split(".")[0], _SWEEP_RUN), "--set", f"{key}={value}"]
+    argv = [*_SWEEP_BASES.get(key.split(".")[0], _SWEEP_RUN), "--set", f"{key}={value}"]
     if code == 2:
         _assert_refused(Refusal(argv), tmp_path, capsys, monkeypatch)
     else:

@@ -1,3 +1,4 @@
+import heapq
 import sys
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import (brute_force_components, brute_force_connected,
                       brute_force_fragments, check_initial_clustering, compact,
-                      distance_to_cluster)
+                      distance_to_cluster, heap_growth_to_stall)
 from multireg import clustering
 from multireg.clustering import (_BATCH, Clustering, GridError, _CliqueGrid, _expand,
                                  connected_components, euclidean_cluster,
@@ -256,8 +257,12 @@ def test_grid_refusals_are_grid_errors():
     pts = np.repeat(np.arange(700_000) * 10.0, 3).reshape(-1, 3)
     with pytest.raises(GridError, match="tau 1 puts the points in too many"):
         _CliqueGrid(pts, 1.0)
-    with pytest.raises(GridError, match="tau 0 is not positive"):
+    with pytest.raises(GridError, match="tau 0 is not positive$"):
         _CliqueGrid(pts[:2], 0.0)
+    # positive, but coordinates up to 4 are about 8e19 cells of tau/2 out
+    with pytest.raises(GridError, match="tau 1e-19 is too small for int64 cells of coordinates "
+                                        "up to 4$"):
+        _CliqueGrid(np.array([[4.0, 0.0, 0.0]]), 1e-19)
 
 
 def test_tiny_tau_within_int64_matches_bruteforce():
@@ -337,21 +342,32 @@ def test_fragments_match_heap_growth_oracle(rng):
 
 
 @pytest.fixture
-def heap_tails(monkeypatch):
-    """Per growth attempt that leaves the scan: (scan steps taken, fragment
-    sizes then, fragment sizes after the heap tail)."""
-    tails, heap_tail = [], clustering._heap_tail
+def growth(monkeypatch):
+    """One record per growth attempt: its seeds and keys ``to_seed``, its heap
+    episodes as (assignment then, the fragment that missed, the points of it
+    that ``_frontier`` queued from, the points it found) per miss, whether
+    it grew every fragment, and its assignment at its end."""
+    attempts, scan, frontier = [], clustering._scan, clustering._frontier
 
-    def recording(grid, assignment, sizes, targets, to_seed):
-        before = list(sizes)
-        heap_tail(grid, assignment, sizes, targets, to_seed)
-        tails.append((sum(before) - len(before), before, list(sizes)))
+    def scanning(grid, assignment, targets, to_seed):
+        seeds = [int(np.flatnonzero(assignment == j)[0]) for j in range(len(targets))]
+        record = {"seeds": seeds, "to_seed": to_seed, "episodes": []}
+        attempts.append(record)
+        record["grown"] = scan(grid, assignment, targets, to_seed)
+        record["end"] = assignment.copy()
+        return record["grown"]
 
-    monkeypatch.setattr(clustering, "_heap_tail", recording)
-    return tails
+    def querying(grid, assignment, new):
+        found = frontier(grid, assignment, new)
+        attempts[-1]["episodes"].append((assignment.copy(), int(assignment[new[0]]), new, found))
+        return found
+
+    monkeypatch.setattr(clustering, "_scan", scanning)
+    monkeypatch.setattr(clustering, "_frontier", querying)
+    return attempts
 
 
-def test_fragments_of_criterion4_objects_match_oracle(heap_tails):
+def test_fragments_of_criterion4_objects_match_oracle(growth):
     attempts = []
     for seed in range(6):
         scene = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
@@ -362,7 +378,9 @@ def test_fragments_of_criterion4_objects_match_oracle(heap_tails):
         np.testing.assert_array_equal(
             fragment_connected_set(pts, 0.3, [1334, 333, 333], seed=seed), expected)
     assert max(attempts) > 1  # retries
-    assert 0 < len(heap_tails) < sum(attempts)  # some attempts finish in the scan, some do not
+    assert len(growth) == sum(attempts)
+    # some attempts finish on the cursors alone, some miss
+    assert 0 < sum(1 for attempt in growth if attempt["episodes"]) < sum(attempts)
 
 
 def test_fragments_with_equal_keys_and_coincident_points_match_oracle():
@@ -382,9 +400,9 @@ def test_fragments_with_equal_keys_and_coincident_points_match_oracle():
     assert max(attempts) > 1
 
 
-def test_heap_tail_frontier_is_a_distance_test_not_the_em_union(heap_tails, monkeypatch):
-    # the occupancy union belongs to the EM gate: fragment growth, heap tail
-    # included, tests adjacency only through distance tests over its hoods
+def test_heap_tail_frontier_is_a_distance_test_not_the_em_union(growth, monkeypatch):
+    # the occupancy union belongs to the EM gate: fragment growth, heap
+    # episodes included, tests adjacency only through distance tests
     def refuse(*args):
         raise AssertionError("fragment growth read the EM occupancy union")
 
@@ -393,27 +411,24 @@ def test_heap_tail_frontier_is_a_distance_test_not_the_em_union(heap_tails, monk
     pts[:, 0] = np.arange(300)
     expected, _ = brute_force_fragments(pts, 1.0, [200, 100], seed=1)
     np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [200, 100], seed=1), expected)
-    assert heap_tails
+    assert any(attempt["episodes"] for attempt in growth)
 
 
 def test_heap_tail_starts_each_queue_with_the_points_within_tau_of_its_fragment(
-        heap_tails, monkeypatch):
-    # per fragment j, the label-run query (d . d <= tau^2) finds exactly the
-    # unassigned points that the brute-force test puts within tau of j: on a
-    # line with neighbours exactly tau apart, and on a criterion-4 object
-    starts, queries = [], []
-    heap_tail, confirm = clustering._heap_tail, clustering._confirm
-
-    def entering(grid, assignment, *args):
-        starts.append((grid.points, grid.tau, assignment.copy()))
-        heap_tail(grid, assignment, *args)
+        growth, monkeypatch):
+    # one label-run query per miss, for the fragment that missed alone, from
+    # the points it gained since it last queued (all of it at its first miss):
+    # it finds exactly the unassigned points that the brute-force test puts
+    # within tau of those (d . d <= tau^2), and the point its cursor missed
+    # lies within tau of no point of the fragment; on a line with neighbours
+    # exactly tau apart, and on a criterion-4 object
+    queries, confirm = [], clustering._confirm
 
     def recording(grid, runs, rows, cols, closed=False):
         passes = confirm(grid, runs, rows, cols, closed)
-        queries.append((starts[-1], rows, cols, passes, closed))
+        queries.append((grid.points, grid.tau, rows, cols, passes, closed))
         return passes
 
-    monkeypatch.setattr(clustering, "_heap_tail", entering)
     monkeypatch.setattr(clustering, "_confirm", recording)
     line = np.zeros((300, 3))
     line[:, 0] = np.arange(300)
@@ -421,19 +436,28 @@ def test_heap_tail_starts_each_queue_with_the_points_within_tau_of_its_fragment(
     blob = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
                                     tau=0.3, bound_b=4.0, seed=0)).correspondences.a
     fragment_connected_set(blob, 0.3, [1334, 333, 333], seed=0)
-    assert len(starts) == len(heap_tails) > 2
-    assert len(queries) == 2 * 2 + 3 * (len(starts) - 2)  # one per fragment and tail
-    for (pts, tau, assignment), rows, cols, passes, closed in queries:
-        np.testing.assert_array_equal(rows, np.flatnonzero(assignment < 0))
-        expected = [(np.einsum("ij,ij->i", d := pts[assignment == j] - pts[i], d)
-                     <= tau * tau).any() for i, j in zip(rows.tolist(), cols.tolist())]
-        assert closed
-        np.testing.assert_array_equal(passes, expected)
-    passes = np.concatenate([query[3] for query in queries])
+    episodes = [(attempt["to_seed"], attempt["episodes"][:e], *episode) for attempt in growth
+                for e, episode in enumerate(attempt["episodes"])]
+    assert len(queries) == len(episodes) > 2  # one per miss
+    for (pts, tau, rows, cols, passes, closed), (to_seed, earlier, assignment, j, new, found) in zip(
+            queries, episodes):
+        assert closed and not cols.any()  # the runs of ``new`` alone
+        np.testing.assert_array_equal(found, rows[passes])
+        if not any(episode[1] == j for episode in earlier):
+            np.testing.assert_array_equal(new, np.flatnonzero(assignment == j))
+        assert (assignment[new] == j).all()
+        free = np.flatnonzero(assignment < 0)
+        within = [(np.einsum("ij,ij->i", d := pts[new] - pts[i], d) <= tau * tau).any()
+                  for i in free.tolist()]
+        np.testing.assert_array_equal(found, free[within])
+        # j's first free point by (key, index): the one its cursor missed
+        missed = free[np.lexsort((free, to_seed[j][free]))[0]]
+        assert (np.einsum("ij,ij->i", d := pts[assignment == j] - pts[missed], d) > tau * tau).all()
+    passes = np.concatenate([query[4] for query in queries])
     assert passes.any() and not passes.all()
 
 
-def test_near_block_first_scan_matches_whole_hood_scan(heap_tails, monkeypatch):
+def test_near_block_first_scan_matches_whole_hood_scan(growth, monkeypatch):
     # points 0.99 tau apart on a line: cells are a hair over tau / 2 wide, so
     # most steps' one earlier tau-neighbour lies two cells away, outside the
     # 3x3x3 block around the step; only the whole hood finds it
@@ -451,7 +475,7 @@ def test_near_block_first_scan_matches_whole_hood_scan(heap_tails, monkeypatch):
     expected, attempt = brute_force_fragments(pts, 1.0, targets, seed=3)
     labels = fragment_connected_set(pts, 1.0, targets, seed=3)
     np.testing.assert_array_equal(labels, expected)
-    assert attempt == 1 and not heap_tails  # the scan alone grew both fragments
+    assert attempt == 1 and not growth[0]["episodes"]  # the cursors alone grew both
     # the block misses every step that the hood then finds, and only those
     near_misses = [sum(not h for h in hits) for near, hits in found if near]
     hood_hits = [sum(hits) for near, hits in found if not near]
@@ -472,27 +496,117 @@ def test_near_block_runs_are_the_3x3x3_blocks():
         np.testing.assert_array_equal(np.sort(block), within)
 
 
-@pytest.mark.parametrize("n", range(_BATCH - 1, _BATCH + 5))
-def test_fragments_around_one_batch_match_oracle(n, heap_tails):
-    # three fragments take n - 3 steps: from one step short of a batch to one past it
+@pytest.mark.parametrize("n", [*range(127, 133), *range(_BATCH - 1, _BATCH + 5)])
+def test_fragments_around_one_batch_match_oracle(n, growth):
+    # three fragments take n - 3 steps: well within one batch, and from one
+    # step short of a batch to one past it
     pts = np.random.default_rng(n).uniform(0, 1, (n, 3))
     targets = [n - 2 * (n // 6), n // 6, n // 6]
     expected, attempt = brute_force_fragments(pts, 0.8, targets, seed=0)
     np.testing.assert_array_equal(fragment_connected_set(pts, 0.8, targets, seed=0), expected)
-    assert attempt == 1 and not heap_tails  # the scan alone grew every fragment
+    assert attempt == 1 and not growth[0]["episodes"]  # the cursors alone grew every one
 
 
-def test_fragment_stalling_mid_batch_matches_oracle(heap_tails):
+def test_fragment_stalling_mid_batch_matches_oracle(growth):
     # on a line, the small fragment is walled in by the large one before it
-    # reaches its target: the first two attempts stall and retry
+    # reaches its target: its cursor misses, its frontier is empty, and the
+    # attempt ends at that step, mid-batch; the first two attempts stall and retry
     pts = np.zeros((300, 3))
     pts[:, 0] = np.arange(300)
     expected, attempt = brute_force_fragments(pts, 1.0, [200, 100], seed=1)
     np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [200, 100], seed=1), expected)
-    assert attempt == 3 and len(heap_tails) == 2
-    for steps, before, after in heap_tails:
-        assert steps % _BATCH != 0
-        assert after[1] == before[1] < 100 and after[0] == 200
+    assert attempt == 3 and len(growth) == 3
+    for record in growth[:2]:
+        [(assignment, j, new, found)] = record["episodes"]
+        sizes = np.bincount(assignment[assignment >= 0])
+        assert (sizes.sum() - 2) % _BATCH != 0
+        assert j == 1 and found.size == 0 and not record["grown"]
+        # nothing grows after the stall, though the large fragment could
+        np.testing.assert_array_equal(record["end"], assignment)
+        assert sizes[1] < 100 and sizes[0] < 200
+        np.testing.assert_array_equal(
+            record["end"], heap_growth_to_stall(pts, 1.0, record["seeds"], [200, 100]))
+    assert growth[2]["grown"] and not growth[2]["episodes"]
+
+
+def _comb(teeth: int, length: int) -> np.ndarray:
+    """A spine along x with a tooth along y every 2 units, points 0.5 apart:
+    with tau 1 a tooth touches only the spine, while a fragment's presorted
+    points jump between teeth that the graph joins only through the spine."""
+    spine = np.arange(0, 2.0 * teeth, 0.5)
+    tooth = np.arange(1, length + 1) * 0.5
+    return np.concatenate([np.c_[spine, 0 * spine, 0 * spine]]
+                          + [np.c_[np.full(length, 2.0 * t), tooth, 0 * tooth]
+                             for t in range(teeth)])
+
+
+def test_fragment_stalling_in_a_heap_episode_matches_oracle(growth):
+    # on a comb, the small fragment misses, pops its frontier's points and
+    # stalls once its heap empties: each failed attempt ends where the heap
+    # growth's first stall leaves it, and one stalls mid-episode
+    pts = _comb(6, 8)
+    expected, attempt = brute_force_fragments(pts, 1.0, [48, 24], seed=2)
+    np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [48, 24], seed=2), expected)
+    assert attempt == len(growth) == 3 and growth[2]["grown"]
+    mid_episode = 0
+    for record in growth[:2]:
+        assert not record["grown"]
+        np.testing.assert_array_equal(
+            record["end"], heap_growth_to_stall(pts, 1.0, record["seeds"], [48, 24]))
+        assignment, j, _, found = record["episodes"][-1]
+        grew = np.count_nonzero(record["end"] == j) - np.count_nonzero(assignment == j)
+        mid_episode += found.size > 0 and grew > 0
+    assert mid_episode
+
+
+def test_fragments_undone_over_heap_steps_match_oracle(growth, monkeypatch):
+    # in three fragments on a comb, a miss often undoes later steps of a
+    # fragment that pops its heap: the heap gets back what they popped and
+    # loses what they queued (the only heapify), so the splits match, and
+    # so does the state in which each failed attempt stalls
+    restored, heapify = [], heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", lambda heap: restored.append(len(heap)) or heapify(heap))
+    pts = _comb(6, 8)
+    for seed in (0, 1, 3):
+        growth.clear()
+        expected, attempt = brute_force_fragments(pts, 1.0, [44, 14, 14], seed=seed)
+        np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [44, 14, 14], seed=seed),
+                                      expected)
+        assert len(growth) == attempt
+        for record in growth[:-1]:
+            np.testing.assert_array_equal(
+                record["end"], heap_growth_to_stall(pts, 1.0, record["seeds"], [44, 14, 14]))
+    assert len(restored) > 10
+
+
+def test_fragments_of_comb_keep_queries_and_hood_calls_linear(growth, monkeypatch):
+    # a fragment's cursor misses at nearly every tooth: each miss makes one
+    # frontier query, and a miss is followed by a pop or ends the attempt,
+    # so queries and hood calls stay linear in n; in three fragments every
+    # attempt strands points, so all 32 attempts count
+    calls, hood = [], _CliqueGrid.hood
+    monkeypatch.setattr(_CliqueGrid, "hood", lambda grid, i: calls.append(i) or hood(grid, i))
+    pts = _comb(60, 10)
+    n = len(pts)
+
+    def assert_linear():
+        queries = sum(len(attempt["episodes"]) for attempt in growth)
+        assert queries > 2 * len(growth)  # misses are many
+        assert queries <= len(growth) * n and len(calls) <= len(growth) * 2 * n
+        calls.clear()
+        growth.clear()
+
+    expected, _ = brute_force_fragments(pts, 1.0, [n - n // 4, n // 4], seed=1)
+    np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [n - n // 4, n // 4], seed=1),
+                                  expected)
+    assert_linear()
+    targets = [n - 2 * (n // 6), n // 6, n // 6]
+    with pytest.raises(ValueError):
+        brute_force_fragments(pts, 1.0, targets, seed=1)
+    with pytest.raises(ValueError):
+        fragment_connected_set(pts, 1.0, targets, seed=1)
+    assert len(growth) == clustering._MAX_RETRIES
+    assert_linear()
 
 
 def test_fragments_of_horseshoe_keep_hood_calls_linear(monkeypatch):
@@ -518,7 +632,7 @@ def test_fragments_of_horseshoe_keep_hood_calls_linear(monkeypatch):
 
 @pytest.mark.parametrize("chunk, hood_over_chunk", [(1, True), (300, True), (5000, False)])
 def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, monkeypatch):
-    # the scan's distance tests gather whole hoods, and the heap tail's
+    # the scan's distance tests gather whole hoods, and the frontier queries'
     # _confirm the runs of whole blocks, about chunk points per pass: a row
     # longer than a chunk makes a pass of its own, and a multiple of the chunk
     # that falls inside a row ends the pass at that row's end
@@ -546,13 +660,14 @@ def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, mon
 
     monkeypatch.setattr(clustering, "_within_tau", recording)
     monkeypatch.setattr(clustering, "_passes", recording_passes)
-    for seed in (0, 4):
+    # the last split meets a miss whose frontier query spans several chunks
+    for seed, targets in ((0, [1334, 333, 333]), (4, [1334, 333, 333]), (0, [1000, 500, 500])):
         scene = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
                                          tau=0.3, bound_b=4.0, seed=seed))
         pts = scene.correspondences.a
-        expected, _ = brute_force_fragments(pts, 0.3, [1334, 333, 333], seed=seed)
-        np.testing.assert_array_equal(
-            fragment_connected_set(pts, 0.3, [1334, 333, 333], seed=seed), expected)
+        expected, _ = brute_force_fragments(pts, 0.3, targets, seed=seed)
+        np.testing.assert_array_equal(fragment_connected_set(pts, 0.3, targets, seed=seed),
+                                      expected)
     assert callers == {"_scan"}
     for found in (scan, tail):
         over, inside = zip(*found)
