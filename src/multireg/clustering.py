@@ -5,17 +5,16 @@ pair of points at distance <= tau is connected. One grid serves every tau
 query: cubic cells of side tau/2, each a clique of that graph, with every
 tau-neighbour of a point inside the 5x5x5 block of cells around its own.
 Each occupied cell's block is found once, as 25 runs of occupied cells, and
-hoods, the flat cell-pair list, the EM gate's per-cell bit tables (which
-clusters have a member in each cell, and in each cell's hood: one bit per
-cluster and cell, never one per point) and components (hook-and-compress
-joins of pairs whose first points lie within tau, then of those still apart,
-but for two one-point cells, that ``_settle`` finds in contact) read it, in
-passes of one size: ``_HOOD_CHUNK`` point pairs, or words of the hood union.
-A labelling's points sorted by (cell, label) form label runs with bounding
-boxes (label 0 forms none; one label: a run per cell). ``_settle`` tests
-points against runs, the boxes deciding what they can: for components
-(<= tau), and through ``_confirm`` for EM's gate (< tau) and fragment
-growth's frontier queries (<= tau).
+hoods, the flat cell-pair list, ``around`` (the cells in the hood of any of a
+set of cells: EM's hood pairs per cluster, fragment growth's frontier) and
+components (hook-and-compress joins of pairs whose first points lie within
+tau, then of those still apart, but for two one-point cells, that
+``_settle`` finds in contact) read it, in passes of ``_HOOD_CHUNK`` point
+pairs. A labelling's points sorted by (cell, label) form label runs with
+bounding boxes (label 0 forms none; one label: a run per cell); their keys
+list each cluster's cells. ``_settle`` tests points against runs, the boxes
+deciding what they can: for components (<= tau), and through ``_confirm``
+for EM's gate (< tau) and fragment growth's frontier queries (<= tau).
 
 Fragment growth is a priority flood with static keys: each fragment pops its
 nearest unassigned tau-neighbour by (squared distance to its seed, index).
@@ -128,13 +127,27 @@ _BATCH = 512
 # Growth attempts, each from fresh seeds, before a split is declared impossible.
 _MAX_RETRIES = 32
 # The size of one batched pass, unless a single hood or row holds more: point
-# pairs for a distance test (fragment growth's hoods, ``_settle``'s runs),
-# bit-table words (64 clusters each) for the hood union.
+# pairs for a distance test (fragment growth's hoods, ``_settle``'s runs), or
+# (query, cell) pairs for ``_within``'s lookups of label runs.
 _HOOD_CHUNK = 1 << 15
 
 
 class GridError(ValueError):
     """A tau that is not positive, or that puts a cell index or code beyond int64."""
+
+
+def grid_side(points: np.ndarray, tau: float, name: str = "tau") -> float:
+    """The side of the grid's cells over ``points``, a hair over tau/2. A
+    tau that is not positive, or that puts a cell index or the difference of
+    two beyond int64, raises a GridError that calls it ``name``."""
+    if not tau > 0:
+        raise GridError(f"{name} {tau:g} is not positive")
+    side = 0.5 * tau * _SIDE_SLACK
+    extent = np.abs(points).max(initial=0.0)
+    if not extent < 2.0 ** 61 * side:
+        raise GridError(f"{name} {tau:g} is too small for int64 cells of coordinates "
+                        f"up to {extent:g}")
+    return side
 
 
 class _CliqueGrid:
@@ -155,15 +168,7 @@ class _CliqueGrid:
         self.points = points
         self.tau = tau
         self.tau_sq = tau * tau
-        if not tau > 0:
-            raise GridError(f"tau {tau:g} is not positive")
-        side = 0.5 * tau * _SIDE_SLACK
-        # cell indices, and the differences of two of them, must fit int64
-        extent = np.abs(points).max(initial=0.0)
-        if not extent < 2.0 ** 61 * side:
-            raise GridError(f"tau {tau:g} is too small for int64 cells of coordinates "
-                            f"up to {extent:g}")
-        cells = np.floor(points / side).astype(np.int64)
+        cells = np.floor(points / grid_side(points, tau)).astype(np.int64)
         for axis in range(3):
             # gaps above 3 cells shrink to 3: cells within two of each other
             # keep their distance, and every axis spans fewer than 3n cells
@@ -219,6 +224,13 @@ class _CliqueGrid:
             members = self._hoods[cell] = self.order[_expand(*self.hood_runs(point))]
         return members
 
+    def around(self, cells: np.ndarray) -> np.ndarray:
+        """One bool per occupied cell: True for each cell in the hood of one
+        of the occupied cells ``cells`` (so for each cell whose hood holds one)."""
+        near = np.zeros(len(self.codes), dtype=bool)
+        near[_expand(*self.runs[cells].reshape(-1, 2).T)] = True
+        return near
+
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every occupied cell c with each occupied cell d of its hood (c itself
@@ -227,29 +239,6 @@ class _CliqueGrid:
         lo, hi = self.runs.reshape(-1, 2).T
         c = np.repeat(np.arange(len(self.codes)).repeat(25), hi - lo)
         return c.astype(self._index_dtype), _expand(lo, hi).astype(self._index_dtype)
-
-    def occupancy(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bit tables ``own`` and ``hood``, each ceil(k / 8) rows of one byte
-        per cell: bit j % 8 of entry (j // 8, c) is set iff a point labelled
-        j + 1 lies in cell c (so within tau of all of c: the cell is a
-        clique), or in c's hood (which holds every point within tau of c)."""
-        width = -(-k // 64) * 8  # bytes per cell: whole words of 64 clusters
-        own = np.zeros((len(self.codes), width), dtype=np.uint8)
-        labelled = labels > 0
-        bit = labels[labelled] - 1
-        np.bitwise_or.at(own.reshape(-1), self.cell_of[labelled] * width + (bit >> 3),
-                         (1 << (bit & 7)).astype(np.uint8))
-        # cell c's hood cells are d[first[c]:first[c + 1]]
-        lo, hi = self.runs.reshape(-1, 2).T
-        size = (hi - lo).reshape(len(self.codes), -1).sum(axis=1)
-        first = np.append(0, np.cumsum(size))
-        d = self.pairs[1]
-        words = own.view(np.uint64)
-        hood = np.empty_like(words)
-        for a, b in _passes(size * words.shape[1], _HOOD_CHUNK):
-            hood[a:b] = np.bitwise_or.reduceat(words[d[first[a]:first[b]]], first[a:b] - first[a])
-        rows = -(-k // 8)
-        return own[:, :rows].T.copy(), hood.view(np.uint8)[:, :rows].T.copy()
 
 
 class _LabelRuns:
@@ -514,9 +503,7 @@ def _frontier(grid: _CliqueGrid, assignment: np.ndarray, new: np.ndarray) -> np.
     """The unassigned points within tau (``d . d <= tau^2``) of the points
     ``new``: one closed ``_confirm`` query, against the runs of ``new``
     alone, over the unassigned points of the hoods of their cells."""
-    cells = np.unique(grid.cell_of[new])
-    near = np.zeros(len(grid.codes), dtype=bool)
-    near[_expand(*grid.runs[cells].reshape(-1, 2).T)] = True
+    near = grid.around(np.unique(grid.cell_of[new]))
     rows = np.flatnonzero((assignment < 0) & near[grid.cell_of])
     labels = np.zeros(len(assignment), dtype=np.int64)
     labels[new] = 1

@@ -168,19 +168,18 @@ def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clusteri
     return Clustering(labels, num_clusters=previous.num_clusters)
 
 
-def _hood_scores(cs: CorrespondenceSet, models, grid: _CliqueGrid, labels: np.ndarray):
+def _hood_scores(cs: CorrespondenceSet, models, grid: _CliqueGrid, runs: _LabelRuns):
     """For each cluster j in id order: the rows whose hood holds a member of
     j, ascending (``rows``), whether their own cell holds one (``own``), and
-    model j's ``_score`` at them."""
-    own, hood = grid.occupancy(labels, len(models))
-    for j, model in enumerate(models):
-        rows = np.flatnonzero(_bit_row(hood, j).take(grid.cell_of))
-        yield rows, _bit_row(own, j).take(grid.cell_of.take(rows)), _score(cs, model, rows)
-
-
-def _bit_row(table: np.ndarray, j: int) -> np.ndarray:
-    """Bit j of each column of an ``occupancy`` table, as one bool per cell."""
-    return ((table[j >> 3] >> (j & 7)) & 1).view(bool)
+    model j's ``_score`` at them. The cells of j are those of its label runs
+    ``runs``, split by label with one stable sort over the runs."""
+    cell, label = np.divmod(runs.keys, runs.width)
+    for runs_of_j, model in zip(Clustering(label, len(models)).groups(), models):
+        cells = cell.take(runs_of_j)
+        rows = np.flatnonzero(grid.around(cells).take(grid.cell_of))
+        own = np.zeros(len(grid.codes), dtype=bool)
+        own[cells] = True
+        yield rows, own.take(grid.cell_of.take(rows)), _score(cs, model, rows)
 
 
 def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueGrid) -> Clustering:
@@ -192,23 +191,25 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
     label. This is ``m_step(e_step())`` without the normalisation, so
     underflow cannot change a label.
 
-    Only hood pairs are scored, one cluster at a time. A cluster with a member
-    in the point's own cell passes; the best of these, by a strict > over the
-    ids in order, is the point's own winner. The candidates are the other
+    Only hood pairs are scored, one cluster at a time, each cluster's cells
+    read off the label runs of ``clustering`` on ``run_em``'s ``grid``, sorted
+    once per call. A cluster with a member in the point's own cell passes;
+    the best of these, by a strict > over the ids in order, is the point's
+    own winner. The candidates are the other
     hood pairs that score at least the own winner's score: no other pair can
     win. They get the exact tau test best first, in descending score with
     ties to the lower id, and a row stops at its first pass: the argmax over
     gated entries is the first gated entry in that order or the own winner,
     so a candidate never tested could not have won. Round r tests the r-th
     candidate of every open row in one batch through clustering's strict
-    ``_confirm``, on ``run_em``'s ``grid`` and label runs sorted once per call.
-    No (n, k) array is formed.
+    ``_confirm`` on the same runs. No (n, k) array is formed.
     """
     n = len(cs)
+    runs = _LabelRuns(grid, clustering.labels)
     best = np.full(n, -np.inf)  # the own winner's score
     won = np.full(n, -1)  # the own winner, -1 for none
     rest = []  # per cluster, the hood pairs outside the own cell
-    for j, (rows, own, scores) in enumerate(_hood_scores(cs, models, grid, clustering.labels)):
+    for j, (rows, own, scores) in enumerate(_hood_scores(cs, models, grid, runs)):
         r, s = rows[own], scores[own]
         better = s > best.take(r)
         best[r[better]], won[r[better]] = s[better], j
@@ -228,7 +229,6 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
     row, col, score = row[order], col[order], score[order]
     first = np.flatnonzero(np.diff(row, prepend=-1))
     count = np.diff(np.append(first, len(row)))
-    runs = _LabelRuns(grid, clustering.labels)
     passed = np.zeros(len(row), dtype=bool)
     open_rows = np.arange(len(first))
     for r in range(int(count.max(initial=0))):

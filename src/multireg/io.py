@@ -11,11 +11,13 @@ import io as _io
 import numpy as np
 
 from .bounds import BoundTrial
-from .clustering import Clustering
+from .clustering import Clustering, grid_side
 from .geometry import CorrespondenceSet, RigidTransform, row_norms
 from .scenes import LabeledScene, SceneSpec
 
 SCENE_FORMAT_VERSION = 1
+# The header keys a scene file gives, each at most once.
+_HEADER_KEYS = ("version", "n", "M", "sigma", "tau", "B", "seed", "separation_margin")
 RESULT_FORMAT_VERSION = 1
 BENCH_CSV_COLUMNS = ("m", "sigma", "B", "delta", "lambda_min", "err_rot",
                      "bound_rot", "err_trans", "bound_trans", "violated_flags")
@@ -79,6 +81,8 @@ def read_scene(path) -> LabeledScene:
             if line.startswith("#"):
                 parts = line[1:].split(None, 1)
                 if len(parts) == 2:
+                    if parts[0] in header and parts[0] in _HEADER_KEYS:
+                        raise ValueError(f"header key '{parts[0]}' appears more than once")
                     header[parts[0]] = parts[1]
             elif line.startswith("POSE"):
                 fields = line.split()
@@ -92,7 +96,7 @@ def read_scene(path) -> LabeledScene:
             else:
                 rows.append(line)
 
-    for key in ("version", "n", "M", "sigma", "tau", "B", "seed"):
+    for key in _HEADER_KEYS[:-1]:  # separation_margin may be left out
         if key not in header:
             raise ValueError(f"scene file is missing header key '{key}'")
     if header["version"] != str(SCENE_FORMAT_VERSION):
@@ -136,6 +140,7 @@ def read_scene(path) -> LabeledScene:
         if outside.size:
             raise ValueError(f"correspondence line {outside[0] + 1} has {kind}-point outside "
                              f"the ball of radius {radius:g}")
+    grid_side(table[:, 0:3], tau, "header tau")  # synth writes no tau too small to grid
     transforms = tuple(poses[j] for j in range(1, num_objects + 1))
     return LabeledScene(CorrespondenceSet(table[:, 0:3], table[:, 3:6]), labels, transforms, spec)
 
@@ -172,8 +177,9 @@ def write_clustering(clustering: Clustering, path) -> None:
 
 
 def read_clustering(path) -> Clustering:
-    """One label per line, each in 0..(number of labels); any other label
-    raises ValueError before it can size a table or overflow int64. The file
+    """One label per line, each decimal digits (an optional leading '-',
+    whitespace around) in 0..(number of labels); any other label raises
+    ValueError before it can size a table or overflow int64. The file
     is read in one piece and split at its newlines alone, as iterating it
     splits it (``str.splitlines`` also splits at form feeds, vertical tabs and
     the file, group and record separators)."""
@@ -185,6 +191,11 @@ def read_clustering(path) -> Clustering:
         # raises again: int() then names the bad line as iterating gives it,
         # with its newline
         labels = [int(line) for line in _io.StringIO(text) if line.strip()]
+    if "_" in text or "+" in text:  # int() reads "1_0" as 10 and "+1" as 1
+        i, line = next((i, line) for i, line in enumerate(_io.StringIO(text), start=1)
+                       if "_" in line or "+" in line)
+        raise ValueError(f"label {line.strip()!r} on line {i} is not decimal digits with an "
+                         "optional leading '-'")
     low, high = min(labels, default=0), max(labels, default=0)
     if low < 0 or high > len(labels):
         raise ValueError(f"label {low if low < 0 else high} is outside 0..{len(labels)}")

@@ -175,9 +175,9 @@ def kd_tree_gate(points, labels, k, tau):
 
 def dense_occupancy(grid, labels, k):
     """(n, k) masks ``own`` and ``hood``: entry (i, j) is True iff a point
-    labelled j + 1 lies in point i's cell, or in its hood. The dense form of
-    the EM gate's per-cell bit tables, read from each point's hood listing;
-    the oracle for ``_CliqueGrid.occupancy``."""
+    labelled j + 1 lies in point i's cell, or in its hood, read from each
+    point's hood listing; the oracle for the per-cluster own-cell masks and
+    hood rows of ``em._hood_scores``."""
     labels = np.asarray(labels)
     in_cell = np.zeros((len(grid.codes), k + 1), dtype=bool)
     in_cell[grid.cell_of, labels] = True

@@ -166,6 +166,23 @@ def _repeated_pose(lines):
     return lines + ["POSE 1 " + pose_2[len("POSE 2 "):]]
 
 
+def _repeated_tau(lines):
+    """A second ``# tau`` line follows the first."""
+    at = next(i for i, line in enumerate(lines) if line.startswith("# tau "))
+    return lines[:at + 1] + ["# tau 0.5"] + lines[at + 1:]
+
+
+def _pose_1(edit):
+    """Setup: the fields of the scene's POSE 1 line become ``edit(fields)``."""
+    return _scene_edit(lambda lines: [" ".join(edit(line.split())) if line.startswith("POSE 1 ")
+                                      else line for line in lines])
+
+
+def _with_bom(paths):
+    """Setup: the scene file starts with a UTF-8 byte-order mark."""
+    paths["scene"].write_bytes(b"\xef\xbb\xbf" + paths["scene"].read_bytes())
+
+
 def _truncated(paths):
     """Setup: the scene file loses its second half."""
     text = paths["scene"].read_text()
@@ -316,7 +333,96 @@ REFUSALS = {
             message="error: cannot read {scene}: correspondence line 1 has an a-point outside "
                     "the ball of radius 4\n"),
         "_b_beyond_synth_targets_to_sransac": Refusal(
-            _SRANSAC, _first_row(lambda f: f[:3] + ["1e308"] + f[4:])),
+            _SRANSAC, _first_row(lambda f: f[:3] + ["1e308"] + f[4:]),
+            message="error: cannot read {scene}: correspondence line 1 has a b-point outside "
+                    "the ball of radius 12\n"),
+        # a NaN coordinate is outside every ball
+        "_a_nan_to_run": Refusal(
+            _RUN, _first_row(lambda f: ["nan"] + f[1:]),
+            message="error: cannot read {scene}: correspondence line 1 has an a-point outside "
+                    "the ball of radius 4\n"),
+        "_b_nan_to_eval": Refusal(
+            _EVAL, _first_row(lambda f: f[:3] + ["nan"] + f[4:]),
+            message="error: cannot read {scene}: correspondence line 1 has a b-point outside "
+                    "the ball of radius 12\n"),
+        "_six_fields_to_eval": Refusal(
+            _EVAL, _first_row(lambda f: f[:-1]),
+            message="error: cannot read {scene}: correspondence line 1 has 6 fields, "
+                    "expected 7\n"),
+        "_eight_fields_to_run": Refusal(
+            _RUN, _first_row(lambda f: f + ["0"]),
+            message="error: cannot read {scene}: correspondence line 1 has 8 fields, "
+                    "expected 7\n"),
+        "_fractional_label_to_run": Refusal(
+            _RUN, _first_row(lambda f: f[:-1] + ["1.5"]),
+            message="error: cannot read {scene}: correspondence labels must be integers in "
+                    "0..2\n"),
+        "_nan_label_to_eval": Refusal(
+            _EVAL, _first_row(lambda f: f[:-1] + ["nan"]),
+            message="error: cannot read {scene}: correspondence labels must be integers in "
+                    "0..2\n"),
+        "_n_not_a_number_to_run": Refusal(
+            _RUN, _header("n", "abc"),
+            message="error: cannot read {scene}: invalid literal for int() with base 10: "
+                    "'abc'\n"),
+        "_negative_sigma_header_to_eval": Refusal(
+            _EVAL, _header("sigma", "-1"),
+            message="error: cannot read {scene}: sigma must be nonnegative, with 2*sigma "
+                    "finite\n"),
+        "_zero_b_header_to_run": Refusal(
+            _RUN, _header("B", "0"),
+            message="error: cannot read {scene}: bound_b must be positive, with 6*bound_b "
+                    "finite\n"),
+        "_separation_margin_below_tau_header_to_run": Refusal(
+            _RUN, _header("separation_margin", "0.1"),
+            message="error: cannot read {scene}: separation_margin must be finite and exceed "
+                    "tau\n"),
+        # positive, but no grid of tau/2 cells indexes the a-points in int64
+        "_tau_tiny_header_to_run": Refusal(
+            _RUN, _header("tau", "5e-324"),
+            message="error: cannot read {scene}: header tau 4.94066e-324 is too small for int64 "
+                    "cells of coordinates up to 2.3005\n"),
+        "_tau_tiny_header_to_eval": Refusal(
+            _EVAL, _header("tau", "5e-324"),
+            message="error: cannot read {scene}: header tau 4.94066e-324 is too small for int64 "
+                    "cells of coordinates up to 2.3005\n"),
+        "_repeated_tau_header_to_run": Refusal(
+            _RUN, _scene_edit(_repeated_tau),
+            message="error: cannot read {scene}: header key 'tau' appears more than once\n"),
+        "_pose_not_a_rotation_to_run": Refusal(
+            _RUN, _pose_1(lambda f: f[:2] + ["2"] + f[3:]),
+            message="error: cannot read {scene}: matrix is not a rotation "
+                    "(orthogonality/determinant check failed)\n"),
+        "_pose_nan_to_eval": Refusal(
+            _EVAL, _pose_1(lambda f: f[:2] + ["nan"] + f[3:]),
+            message="error: cannot read {scene}: rotation must be finite\n"),
+        "_short_pose_to_run": Refusal(
+            _RUN, _pose_1(lambda f: f[:-1]),
+            message="error: cannot read {scene}: a POSE line must carry an object id and 12 "
+                    "numbers\n"),
+        "_byte_order_mark_to_run": Refusal(
+            _RUN, _with_bom,
+            message="error: cannot read {scene}: 'ascii' codec can't decode byte 0xef in "
+                    "position 0: ordinal not in range(128)\n"),
+        "_empty_scene_to_eval": Refusal(
+            _EVAL, _file("scene.txt", ""),
+            message="error: cannot read {scene}: scene file is missing header key 'version'\n"),
+        "_header_only_scene_to_run": Refusal(
+            _RUN, _scene_edit(lambda lines: [line for line in lines if line.startswith("#")]),
+            message="error: cannot read {scene}: expected 140 correspondence lines, found 0\n"),
+        # int() reads "1_0" as 10 and "+1" as 1
+        "_underscore_label_to_eval": Refusal(
+            _EVAL, _first_label("1_0"),
+            message="error: cannot read {labels}: label '1_0' on line 1 is not decimal digits "
+                    "with an optional leading '-'\n"),
+        "_plus_label_to_run": Refusal(
+            _FROM_FILE, _first_label("+1"),
+            message="error: cannot read {labels}: label '+1' on line 1 is not decimal digits "
+                    "with an optional leading '-'\n"),
+        "_two_labels_on_a_line_to_eval": Refusal(
+            _EVAL, _first_label("1 1"),
+            message="error: cannot read {labels}: invalid literal for int() with base 10: "
+                    "'1 1\\n'\n"),
         # two POSE lines are not 10^12: refused before a range of 1..M is built
         "_huge_m_header_to_run": Refusal(_RUN, _header("M", 10 ** 12)),
         "_unknown_key_set_to_run": Refusal(
@@ -460,6 +566,29 @@ def _refusal_test(entry):
 
 for _name, _entry in REFUSALS.items():
     globals()[_name] = _refusal_test(_entry)
+
+
+def test_crlf_scene_and_label_files_are_read(tmp_path, scene_file, capsys):
+    # CRLF copies of a scene and its truth labels run and evaluate as the
+    # LF files do: the same records but for the paths in the config lines
+    labels = tmp_path / "truth.txt"
+    write_clustering(Clustering(read_scene(scene_file).true_labels), labels)
+    crlf_scene, crlf_labels = tmp_path / "crlf_scene.txt", tmp_path / "crlf_truth.txt"
+    for lf, crlf in ((scene_file, crlf_scene), (labels, crlf_labels)):
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf_scene.read_bytes() and b"\r\n" in crlf_labels.read_bytes()
+    records, reports = [], []
+    for scene, init in ((scene_file, labels), (crlf_scene, crlf_labels)):
+        out = tmp_path / "r.txt"
+        assert run_cli("run", "--seed", "5", "--out", str(out), "--set", f"scene.file={scene}",
+                       "--set", "init.kind=from-file", "--set", f"init.file={init}") == 0
+        records.append({key: value for key, value in read_result(out).items()
+                        if not key.startswith("config")})
+        capsys.readouterr()
+        assert run_cli("eval", str(init), str(scene)) == 0
+        reports.append(capsys.readouterr().out)
+    assert records[0] == records[1] and reports[0] == reports[1]
+    assert records[0]["result.status"] == "ok"
 
 
 def test_every_setting_is_refused_by_a_row():

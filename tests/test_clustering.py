@@ -8,6 +8,7 @@ import pytest
 from conftest import (brute_force_components, brute_force_connected,
                       brute_force_fragments, check_initial_clustering, compact,
                       distance_to_cluster, heap_growth_to_stall)
+import multireg.em
 from multireg import clustering
 from multireg.clustering import (_BATCH, Clustering, GridError, _CliqueGrid, _expand,
                                  connected_components, euclidean_cluster,
@@ -161,6 +162,7 @@ def test_pairs_and_hoods_are_the_blocks_of_occupied_cells(name):
     c, d = grid.pairs
     np.testing.assert_array_equal(c, np.nonzero(block)[0])
     np.testing.assert_array_equal(d, np.nonzero(block)[1])
+    assert c.dtype == d.dtype == np.int32  # cell pairs repeat indices: half the bytes
     for i in range(len(pts)):
         np.testing.assert_array_equal(np.sort(grid.hood(i)),
                                       np.flatnonzero(block[grid.cell_of[i]][grid.cell_of]))
@@ -169,6 +171,23 @@ def test_pairs_and_hoods_are_the_blocks_of_occupied_cells(name):
     probe = np.random.default_rng(len(pts)).integers(0, len(pts), 40)
     np.testing.assert_array_equal(grid.order[_expand(*grid.hood_runs(probe))],
                                   np.concatenate([grid.hood(i) for i in probe.tolist()]))
+
+
+@pytest.mark.parametrize("name", ["far outlier", "negative coordinates", "tau/2 boundaries"])
+def test_around_is_the_union_of_the_hoods_of_its_cells(name, rng):
+    # the cells of every subset's points' hoods, for no cell, one cell, a
+    # random third of them and all of them
+    pts, tau = _component_sets()[name]
+    grid = _CliqueGrid(pts, tau)
+    every = np.arange(len(grid.codes))
+    for cells in (every[:0], every[:1], every[rng.random(len(every)) < 1 / 3], every):
+        expected = np.zeros(len(grid.codes), dtype=bool)
+        for i in np.flatnonzero(np.isin(grid.cell_of, cells)).tolist():
+            expected[grid.cell_of[grid.hood(i)]] = True
+        around = grid.around(cells)
+        assert around.dtype == bool and around.shape == (len(grid.codes),)
+        np.testing.assert_array_equal(around, expected)
+        assert around[cells].all() and (around.any() == (len(cells) > 0))
 
 
 def test_connected_components_exact_tau_and_coincident_points_connect():
@@ -401,12 +420,12 @@ def test_fragments_with_equal_keys_and_coincident_points_match_oracle():
 
 
 def test_heap_tail_frontier_is_a_distance_test_not_the_em_union(growth, monkeypatch):
-    # the occupancy union belongs to the EM gate: fragment growth, heap
+    # the per-cluster hood pairs belong to the EM gate: fragment growth, heap
     # episodes included, tests adjacency only through distance tests
     def refuse(*args):
-        raise AssertionError("fragment growth read the EM occupancy union")
+        raise AssertionError("fragment growth read EM's hood pairs")
 
-    monkeypatch.setattr(_CliqueGrid, "occupancy", refuse)
+    monkeypatch.setattr(multireg.em, "_hood_scores", refuse)
     pts = np.zeros((300, 3))
     pts[:, 0] = np.arange(300)
     expected, _ = brute_force_fragments(pts, 1.0, [200, 100], seed=1)

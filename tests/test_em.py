@@ -143,21 +143,21 @@ def _gate(points, labels, k, tau):
     return weights > 0
 
 
-def _per_point(grid, table, k):
-    """An ``occupancy`` bit table as an (n, k) mask: entry (i, j) is bit j of
-    the column of point i's cell."""
-    return np.unpackbits(table, axis=0, count=k, bitorder="little")[:, grid.cell_of].T == 1
-
-
 def _grid_gate(points, labels, k, tau):
     """The gate as ``assign``'s cell grid decides it for every pair: the
-    per-cell tables settle the own-cell and out-of-hood pairs, the exact test
-    the other hood pairs."""
-    grid = _CliqueGrid(np.asarray(points, dtype=np.float64), tau)
+    per-cluster hood rows and own-cell masks of ``_hood_scores`` settle the
+    own-cell and out-of-hood pairs, the exact test the other hood pairs."""
+    a = np.asarray(points, dtype=np.float64)
+    grid = _CliqueGrid(a, tau)
     labels = Clustering(labels, num_clusters=k).labels
-    gated, hood = (_per_point(grid, table, k) for table in grid.occupancy(labels, k))
+    runs = _LabelRuns(grid, labels)
+    models = [ClusterModel(RigidTransform.identity(), 0.1, 1.0 / k)] * k
+    gated = np.zeros((len(a), k), dtype=bool)
+    hood = np.zeros((len(a), k), dtype=bool)
+    for j, (rows, own, _) in enumerate(_hood_scores(CorrespondenceSet(a, a), models, grid, runs)):
+        hood[rows, j], gated[rows, j] = True, own
     rows, cols = np.nonzero(hood & ~gated)
-    gated[rows, cols] = _confirm(grid, _LabelRuns(grid, labels), rows, cols)
+    gated[rows, cols] = _confirm(grid, runs, rows, cols)
     return gated
 
 
@@ -238,7 +238,7 @@ def test_grid_gate_matches_kd_tree_gate_on_fragmented_scenes(seed):
 
 
 def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
-    # 130 clusters: the hood union spans three 64-bit words per cell
+    # 130 clusters at random: every cell's hood holds dozens of them
     a = rng.uniform(0.0, 2.0, (3000, 3))
     labels = rng.integers(0, 131, 3000)
     np.testing.assert_array_equal(_grid_gate(a, labels, 130, TAU),
@@ -356,34 +356,14 @@ def test_confirm_at_extreme_coordinates_and_tau(rng, scale, tau):
     np.testing.assert_array_equal(_confirm_batch(a, labels, rows, cols, tau), expected)
 
 
-@pytest.mark.parametrize("chunk", [1, 40])
-def test_occupancy_in_small_union_chunks_matches_one_pass(rng, chunk, monkeypatch):
-    # 130 clusters, three words per cell pair: at chunk 1 each cell's hood is
-    # a pass of its own, at 40 a pass holds a few cells' hoods
-    a = rng.uniform(0.0, 2.0, (3000, 3))
-    labels = rng.integers(0, 131, 3000)
-    grid = _CliqueGrid(a, TAU)
-    monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", 1 << 40)
-    own, hood = grid.occupancy(labels, 130)
-    monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", chunk)
-    assert 3 * len(grid.pairs[0]) > 100 * chunk
-    blocked_own, blocked_hood = grid.occupancy(labels, 130)
-    np.testing.assert_array_equal(blocked_own, own)
-    np.testing.assert_array_equal(blocked_hood, hood)
-    # one byte per cell for each 8 clusters; the 6 bits past cluster 130 are clear
-    assert own.shape == hood.shape == (17, len(grid.codes))
-    assert not (own[-1] >> 2).any() and not (hood[-1] >> 2).any()
-    dense_own, dense_hood = dense_occupancy(grid, labels, 130)
-    np.testing.assert_array_equal(_per_point(grid, own, 130), dense_own)
-    np.testing.assert_array_equal(_per_point(grid, hood, 130), dense_hood)
-
-
 @pytest.mark.parametrize("chunk", [1, 40, None])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hood_scores_match_the_dense_scores_bit_for_bit(seed, chunk, monkeypatch):
-    # random points, labels and motions over 70 clusters (two bytes of the
-    # bit tables): each cluster's rows are the dense hood column's, in order,
-    # and its scores the dense entries, bit for bit
+    # random points, labels and motions over 70 clusters: each cluster's rows
+    # are the dense hood column's, in order, its own-cell mask the dense one
+    # and its scores the dense entries, bit for bit. ``assign`` then reads
+    # the same runs in its exact tests, in passes of ``chunk`` (query, cell)
+    # and point pairs, and matches the full-gate argmax
     if chunk is not None:
         monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", chunk)
     rng = np.random.default_rng(seed)
@@ -398,12 +378,16 @@ def test_hood_scores_match_the_dense_scores_bit_for_bit(seed, chunk, monkeypatch
     dense = dense_log_scores(cs, models, dense_hood)
     assert dense_hood.any(axis=0).all() and not dense_hood.all(axis=0).any()
     pairs = 0
-    for j, (rows, own, scores) in enumerate(_hood_scores(cs, models, grid, labels)):
+    runs = _LabelRuns(grid, labels)
+    for j, (rows, own, scores) in enumerate(_hood_scores(cs, models, grid, runs)):
         np.testing.assert_array_equal(rows, np.flatnonzero(dense_hood[:, j]))
         np.testing.assert_array_equal(own, dense_own[rows, j])
         assert scores.tobytes() == dense[rows, j].tobytes()
         pairs += len(rows)
     assert j == 69 and pairs == np.count_nonzero(dense_hood)
+    clustering = Clustering(labels, num_clusters=70)
+    np.testing.assert_array_equal(assign(cs, clustering, models, grid).labels,
+                                  _full_gate_assignment(cs, clustering, models, TAU))
 
 
 def _full_gate_assignment(cs, clustering, models, tau):
@@ -670,7 +654,7 @@ def test_e_step_memory_is_linear_in_points_times_clusters():
 def test_assign_memory_is_linear_in_points_times_clusters():
     # the input of the e_step memory test; this peaks at about 22 MB with the
     # best-first order (e_step at 21 MB), where one n x k float64 array is
-    # 3.7 MB. The grid's cell pairs are int32.
+    # 3.7 MB.
     rng = np.random.default_rng(5)
     n, k = 20_000, 24
     a = rng.uniform(0.0, 3.0, (n, 3))
@@ -685,7 +669,6 @@ def test_assign_memory_is_linear_in_points_times_clusters():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
-    assert all(side.dtype == np.int32 for side in grid.pairs)
 
 
 def _blob_lattice(k, rng, size=40):
@@ -703,8 +686,8 @@ def _blob_lattice(k, rng, size=40):
 def test_run_em_memory_is_linear_when_clusters_grow_with_points(rng):
     # k grows with n at 40 points per cluster: with an (n, k) array in the
     # classification step the peak quadruples per doubling (13.2, 46.8 and
-    # 183.7 MB at k = 128, 256 and 512); the per-cluster hood pairs and the
-    # (k / 8, cells) bit tables keep it near linear (2.2, 3.5 and 7.2 MB)
+    # 183.7 MB at k = 128, 256 and 512); the per-cluster hood pairs, read
+    # off the label runs, keep it near linear (1.2, 2.4 and 4.9 MB)
     peaks = []
     for k in (128, 256, 512):
         cs, initial = _blob_lattice(k, rng)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,22 @@ def test_scene_reader_refuses_points_beyond_the_synth_balls(scene, tmp_path, fir
         read_with(radius * 1.0001)
 
 
+@pytest.mark.parametrize("key", ["version", "n", "M", "sigma", "tau", "B", "seed",
+                                 "separation_margin"])
+def test_scene_reader_refuses_a_repeated_header_key(scene, tmp_path, key):
+    # the same value twice is refused too; a repeated comment word is not a key
+    path = tmp_path / "scene.txt"
+    write_scene(scene, path)
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.split()[:2] == ["#", key])
+    path.write_text("".join(lines[:at + 1] + [lines[at], "# note a\n", "# note b\n"]
+                            + lines[at + 1:]))
+    with pytest.raises(ValueError, match=f"^header key '{key}' appears more than once$"):
+        read_scene(path)
+    path.write_text("".join(lines[:at + 1] + ["# note a\n", "# note b\n"] + lines[at + 1:]))
+    assert read_scene(path).spec == scene.spec
+
+
 def test_clustering_roundtrip(tmp_path):
     labels = np.array([0, 1, 1, 2, 0, 3])
     path = tmp_path / "labels.txt"
@@ -149,6 +166,7 @@ def _labels_by_line(path):
     "1\r\n2\r\n\r\n0\r\n",  # CRLF, and a blank line
     "1\r2\r0",  # old Mac newlines, none after the last label
     "  2 \n\t1\n\n\n0\x0c\n\x0b3\n",  # whitespace int() strips
+    "-0\n 002 \n",  # a '-' and leading zeros
     "1\n2\x0c2\n",  # a form feed inside a line: one bad label, not two
     "1\n2\x1e0\n",  # a record separator likewise
     "1\nx\n",
@@ -165,6 +183,21 @@ def test_clustering_reader_reads_the_lines_iteration_gives(tmp_path, text):
         assert str(err.value) == str(exc)
     else:
         np.testing.assert_array_equal(read_clustering(path).labels, expected)
+
+
+@pytest.mark.parametrize("text, label, line", [
+    ("1_0\n0\n", "1_0", 1),
+    ("0\n+1\n", "+1", 2),
+    ("0\n1\n\n 1_000 \r\n", "1_000", 4),  # the blank line counts
+    ("-0\n+0\n", "+0", 2),
+], ids=["underscore", "plus", "padded_underscore", "plus_zero"])
+def test_clustering_reader_refuses_what_int_reads_beyond_digits(tmp_path, text, label, line):
+    # int() also takes underscores between digits and a leading '+'
+    path = tmp_path / "labels.txt"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(ValueError, match=f"^label '{re.escape(label)}' on line {line} is not "
+                                         "decimal digits with an optional leading '-'$"):
+        read_clustering(path)
 
 
 def test_clustering_text_is_one_decimal_per_line():
