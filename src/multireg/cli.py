@@ -432,8 +432,15 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and subparsers of its class, whose errors are usage errors."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multireg",
         description="Multi-model rigid registration experiments",
     )
@@ -459,9 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "eval":
             return cmd_eval(args.pred, args.scene, args.out)
         cfg = effective_config(args)

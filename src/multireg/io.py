@@ -60,10 +60,6 @@ def _scene_blocks(scene: LabeledScene):
         yield f"POSE {j} {values}\n"
 
 
-def scene_to_text(scene: LabeledScene) -> str:
-    return "".join(_scene_blocks(scene))
-
-
 def write_scene(scene: LabeledScene, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(_scene_blocks(scene))
@@ -88,11 +84,14 @@ def read_scene(path) -> LabeledScene:
                 fields = line.split()
                 if len(fields) != 14:
                     raise ValueError("a POSE line must carry an object id and 12 numbers")
-                object_id, values = int(fields[1]), [float(v) for v in fields[2:]]
+                try:
+                    object_id, values = int(fields[1]), [float(v) for v in fields[2:]]
+                    pose = RigidTransform(np.array(values[:9]).reshape(3, 3), np.array(values[9:]))
+                except ValueError as exc:
+                    raise ValueError(f"POSE {fields[1]}: {exc}") from None
                 if object_id in poses:
                     raise ValueError(f"POSE {object_id} appears more than once")
-                poses[object_id] = RigidTransform(np.array(values[:9]).reshape(3, 3),
-                                                  np.array(values[9:]))
+                poses[object_id] = pose
             else:
                 rows.append(line)
 
@@ -101,8 +100,7 @@ def read_scene(path) -> LabeledScene:
             raise ValueError(f"scene file is missing header key '{key}'")
     if header["version"] != str(SCENE_FORMAT_VERSION):
         raise ValueError(f"scene format version {header['version']} is not {SCENE_FORMAT_VERSION}")
-    n = int(header["n"])
-    num_objects = int(header["M"])
+    n, num_objects = _header_value(header, "n", int), _header_value(header, "M", int)
     if len(rows) != n:
         raise ValueError(f"expected {n} correspondence lines, found {len(rows)}")
     # by count first: M may be far larger than any range worth building
@@ -116,17 +114,17 @@ def read_scene(path) -> LabeledScene:
         raise ValueError(f"correspondence labels must be integers in 0..{num_objects}")
     labels = label_column.astype(np.int64)
 
-    tau = float(header["tau"])
+    tau = _header_value(header, "tau", float)
     counts = np.bincount(labels, minlength=num_objects + 1)
     spec = SceneSpec(
         num_objects=num_objects,
         points_per_object=tuple(int(c) for c in counts[1:num_objects + 1]),
-        sigma=float(header["sigma"]),
+        sigma=_header_value(header, "sigma", float),
         tau=tau,
-        bound_b=float(header["B"]),
+        bound_b=_header_value(header, "B", float),
         num_outliers=int(counts[0]),
-        separation_margin=float(header.get("separation_margin", 2.0 * tau)),
-        seed=int(header["seed"]),
+        separation_margin=_header_value(header, "separation_margin", float),
+        seed=_header_value(header, "seed", int),
     )
     # synth keeps each a-point in the ball of radius B and moves it by a
     # rotation, a translation in that ball and noise of at most sigma per
@@ -143,6 +141,16 @@ def read_scene(path) -> LabeledScene:
     grid_side(table[:, 0:3], tau, "header tau")  # synth writes no tau too small to grid
     transforms = tuple(poses[j] for j in range(1, num_objects + 1))
     return LabeledScene(CorrespondenceSet(table[:, 0:3], table[:, 3:6]), labels, transforms, spec)
+
+
+def _header_value(header: dict[str, str], key: str, kind):
+    """``kind(header[key])``, or None without ``key``; a ValueError names the key."""
+    if key not in header:
+        return None
+    try:
+        return kind(header[key])
+    except ValueError as exc:
+        raise ValueError(f"header key '{key}': {exc}") from None
 
 
 def _correspondence_table(rows: list[str]) -> np.ndarray:

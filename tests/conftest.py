@@ -4,7 +4,7 @@ hood masks and log-scores of EM's classification step, the row-wise forms of
 the ball sampler and the Horn diagnostics, the norm form of the random walk,
 the small geometry and clustering helpers only tests use, the check of an
 initial clustering against the EM preconditions, the per-cluster IoU loop,
-and the result and bench CSV readers."""
+the scene text as one string, and the result and bench CSV readers."""
 
 import csv
 import heapq
@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 from multireg.clustering import Clustering, is_connected
 from multireg.geometry import RigidTransform, make_rng
 from multireg.horn import SIGMA_FLOOR, horn_register
+from multireg.io import _scene_blocks
 
 
 def brute_force_connected(points, tau):
@@ -412,6 +413,11 @@ def iou_per_cluster_by_loop(pred: Clustering, truth):
         overlap = int(inter[g - 1])
         ious.append(overlap / (int(sizes[j]) + int(true_sizes[g]) - overlap))
     return tuple(ids), tuple(ious)
+
+
+def scene_to_text(scene) -> str:
+    """The text that ``write_scene`` writes for ``scene``, as one string."""
+    return "".join(_scene_blocks(scene))
 
 
 def read_result(path) -> dict[str, str]:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_connected, check_initial_clustering, read_result
+from conftest import brute_force_connected, check_initial_clustering, read_result, scene_to_text
 from multireg.baselines import (RansacConfig, _gram_to_tanimoto, sequential_ransac,
                                 tanimoto_distance)
 from multireg.bounds import (dominance_margin, dominance_ratio_threshold,
@@ -22,7 +22,7 @@ from multireg.em import EMConfig, assign, e_step, fit_models, m_step, run_em
 from multireg.geometry import (CorrespondenceSet, geodesic_distance, is_rotation,
                                random_rotation)
 from multireg.horn import horn_register
-from multireg.io import read_scene, scene_to_text, write_scene
+from multireg.io import read_scene, write_scene
 from multireg.metrics import mask_iou
 from multireg.scenes import SceneSpec, generate_scene, make_good_split
 

@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import read_bench_csv, read_result
+from conftest import read_bench_csv, read_result, scene_to_text
 import multireg.io
 from multireg.bounds import run_consistency_bench
 from multireg.clustering import Clustering
 from multireg.io import (BENCH_CSV_COLUMNS, _scene_blocks, bench_csv_text, clustering_to_text, fmt_float,
-                         read_clustering, read_scene, result_to_text, scene_to_text,
-                         write_bench_csv, write_clustering, write_result, write_scene)
+                         read_clustering, read_scene, result_to_text, write_bench_csv,
+                         write_clustering, write_result, write_scene)
 from multireg.geometry import CorrespondenceSet
 from multireg.scenes import LabeledScene, SceneSpec, generate_scene
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from conftest import brute_force_components, check_initial_clustering, random_walk_blob_by_norm
+from conftest import (brute_force_components, check_initial_clustering, random_walk_blob_by_norm,
+                      scene_to_text)
 from multireg import scenes
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
                                random_point_in_ball, row_norms)
 from multireg.horn import horn_register
-from multireg.io import scene_to_text
 from multireg.scenes import (InfeasibleSceneError, LabeledScene, SceneSpec, SplitSizeError,
                              generate_scene, make_good_split, validate_scene)
 
