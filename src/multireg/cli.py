@@ -26,9 +26,10 @@ from . import __version__
 from .baselines import RansacConfig, TLinkageConfig, sequential_ransac, tlinkage_cluster
 from .bounds import (check_consistency_bench, check_noise_ratio_bench, run_consistency_bench,
                      run_noise_ratio_bench)
-from .clustering import Clustering, GridError, euclidean_cluster
+from .clustering import Clustering, euclidean_cluster
 from .em import EMConfig, NoViableClustersError, fit_clusters, run_em
-from .io import (fmt_float, read_clustering, read_scene, write_bench_csv,
+from .grid import GridError
+from .io import (fmt_float, parse_number, read_clustering, read_scene, write_bench_csv,
                  write_clustering, write_result, write_scene, RESULT_FORMAT_VERSION)
 from .metrics import evaluate
 from .scenes import (InfeasibleSceneError, SceneSpec, SplitSizeError, check_packing,
@@ -38,18 +39,19 @@ ALGORITHMS = ("em", "sransac", "tlinkage", "naive-horn-per-cluster")
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [parse_number(v) for v in text.split(",") if v.strip()]
 
 
 def _seed(text: str) -> int:
-    if int(text) < 0:
+    seed = parse_number(text)
+    if seed < 0:
         raise ValueError("must be nonnegative")
-    return int(text)
+    return seed
 
 
-# key -> (default string, kind): a parser or a tuple of allowed values. The
-# defaults go into every result file and config_hash; other domains are
-# checked by the objects the values build.
+# key -> (default string, kind): int, float (both read by ``parse_number``),
+# a parser or a tuple of allowed values. The defaults go into every result
+# file and config_hash; the objects the values build check other domains.
 CONFIG: dict[str, tuple[str, object]] = {
     "seed": ("0", _seed),
     "algorithm": ("em", ALGORITHMS),
@@ -146,8 +148,8 @@ def load_config_file(path: str) -> list[str]:
 
 def effective_config(args) -> dict[str, str]:
     """The defaults, then the config file's lines, then each --set, then the
-    --seed/--algorithm/--out flags; an unknown key or a value that is not
-    ASCII (config_hash and the result files are ASCII) is a usage error."""
+    --seed/--algorithm/--out flags as given; an unknown key or a value that is
+    not ASCII (config_hash and the result files are ASCII) is a usage error."""
     cfg = {key: default for key, (default, _) in CONFIG.items()}
     for item in (load_config_file(args.config) if args.config else []) + (args.set or []):
         key, sep, value = (part.strip() for part in item.partition("="))
@@ -158,7 +160,7 @@ def effective_config(args) -> dict[str, str]:
         cfg[key] = value
     for key in ("seed", "algorithm", "out"):
         if getattr(args, key, None) is not None:
-            cfg[key] = str(getattr(args, key))
+            cfg[key] = getattr(args, key)
     for key, value in cfg.items():
         if not value.isascii():
             raise UsageError(f"config key '{key}': value {ascii(value)} is not ASCII")
@@ -181,6 +183,8 @@ def _get(cfg, key, unset=...):
     with _usage(f"config key '{key}': "):
         if isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"expected one of {', '.join(kind)}, got {value!r}")
+        if kind in (int, float):
+            return parse_number(value, kind)
         return value if isinstance(kind, tuple) else kind(value)
 
 
@@ -448,12 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, algorithm_flag=False):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="override the seed")
+        p.add_argument("--seed", help="override the seed")
         p.add_argument("--out", help="output path")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key")
         if algorithm_flag:
-            p.add_argument("--algorithm", choices=ALGORITHMS)
+            p.add_argument("--algorithm", help="override the algorithm: " + ", ".join(ALGORITHMS))
 
     add_common(sub.add_parser("synth", help="generate a synthetic scene"))
     add_common(sub.add_parser("run", help="run an algorithm on a scene"), algorithm_flag=True)

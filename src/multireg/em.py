@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, _CliqueGrid, _confirm, _LabelRuns
+from .clustering import Clustering
 from .geometry import MAX_ROWS, CorrespondenceSet, RigidTransform
+from .grid import CliqueGrid, LabelRuns, confirm, label_hoods
 from .horn import SIGMA_FLOOR, HornEstimate, horn_register
 
 
@@ -135,7 +136,7 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     underflow the ratios. Rows whose indicators are all zero are all zero.
 
     This is the reference form of the E-step: every pair goes through the
-    strict form of clustering's label-run query ``_confirm``, one cluster at a
+    strict form of the grid's label-run query ``confirm``, one cluster at a
     time. ``run_em`` assigns through ``assign``, which never forms the ratios.
     """
     k = clustering.num_clusters
@@ -146,13 +147,13 @@ def e_step(cs: CorrespondenceSet, clustering: Clustering, models, cfg: EMConfig)
     unnorm = np.exp(log_scores - log_scores.max(axis=1, keepdims=True).clip(-sys.float_info.max))
     total = unnorm.sum(axis=1, keepdims=True)
     weights = np.divide(unnorm, total, out=np.zeros_like(unnorm), where=total > 0)
-    grid = _CliqueGrid(cs.a, cfg.tau)
-    runs = _LabelRuns(grid, clustering.labels)
+    grid = CliqueGrid(cs.a, cfg.tau)
+    runs = LabelRuns(grid, clustering.labels)
     everyone = np.arange(len(cs))
     gated = np.zeros(weights.shape, dtype=bool)
     # an id with no members gates nothing
     for j in np.flatnonzero(clustering.sizes()[1:]).tolist():
-        gated[:, j] = _confirm(grid, runs, everyone, np.full(len(cs), j))
+        gated[:, j] = confirm(grid, runs, everyone, np.full(len(cs), j))
     return weights * gated
 
 
@@ -168,21 +169,16 @@ def m_step(weights: np.ndarray, previous: Clustering, cfg: EMConfig) -> Clusteri
     return Clustering(labels, num_clusters=previous.num_clusters)
 
 
-def _hood_scores(cs: CorrespondenceSet, models, grid: _CliqueGrid, runs: _LabelRuns):
+def _hood_scores(cs: CorrespondenceSet, models, grid: CliqueGrid, runs: LabelRuns):
     """For each cluster j in id order: the rows whose hood holds a member of
     j, ascending (``rows``), whether their own cell holds one (``own``), and
-    model j's ``_score`` at them. The cells of j are those of its label runs
-    ``runs``, split by label with one stable sort over the runs."""
-    cell, label = np.divmod(runs.keys, runs.width)
-    for runs_of_j, model in zip(Clustering(label, len(models)).groups(), models):
-        cells = cell.take(runs_of_j)
-        rows = np.flatnonzero(grid.around(cells).take(grid.cell_of))
-        own = np.zeros(len(grid.codes), dtype=bool)
-        own[cells] = True
-        yield rows, own.take(grid.cell_of.take(rows)), _score(cs, model, rows)
+    model j's ``_score`` at them; the grid's ``label_hoods`` reads the rows
+    and flags off the label runs ``runs``."""
+    for (rows, own), model in zip(label_hoods(grid, runs, len(models)), models):
+        yield rows, own, _score(cs, model, rows)
 
 
-def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueGrid) -> Clustering:
+def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: CliqueGrid) -> Clustering:
     """The classification step: each point goes to its best gated cluster.
 
     Point i takes the id maximising its log-score over the clusters whose gate
@@ -201,11 +197,11 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
     ties to the lower id, and a row stops at its first pass: the argmax over
     gated entries is the first gated entry in that order or the own winner,
     so a candidate never tested could not have won. Round r tests the r-th
-    candidate of every open row in one batch through clustering's strict
-    ``_confirm`` on the same runs. No (n, k) array is formed.
+    candidate of every open row in one batch through the grid's strict
+    ``confirm`` on the same runs. No (n, k) array is formed.
     """
     n = len(cs)
-    runs = _LabelRuns(grid, clustering.labels)
+    runs = LabelRuns(grid, clustering.labels)
     best = np.full(n, -np.inf)  # the own winner's score
     won = np.full(n, -1)  # the own winner, -1 for none
     rest = []  # per cluster, the hood pairs outside the own cell
@@ -213,7 +209,7 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
         r, s = rows[own], scores[own]
         better = s > best.take(r)
         best[r[better]], won[r[better]] = s[better], j
-        rest.append((rows[~own].astype(grid._index_dtype), scores[~own]))
+        rest.append((rows[~own], scores[~own]))
     keep = [s >= best.take(r) for r, s in rest]
     row = np.concatenate([r[m] for (r, _), m in zip(rest, keep)])
     score = np.concatenate([s[m] for (_, s), m in zip(rest, keep)])
@@ -234,7 +230,7 @@ def assign(cs: CorrespondenceSet, clustering: Clustering, models, grid: _CliqueG
     for r in range(int(count.max(initial=0))):
         open_rows = open_rows[count[open_rows] > r]
         q = first[open_rows] + r
-        passed[q] = _confirm(grid, runs, row[q].astype(np.intp), col[q].astype(np.intp))
+        passed[q] = confirm(grid, runs, row[q].astype(np.intp), col[q].astype(np.intp))
         open_rows = open_rows[~passed[q]]
     # a row's first pass wins over its own winner if it scores higher, or
     # the same with a lower id; -inf never wins
@@ -264,7 +260,7 @@ def run_em(cs: CorrespondenceSet, initial: Clustering, cfg: EMConfig) -> EMResul
         raise ValueError("initial clustering length must match the correspondences")
     clustering = initial
     trace: list[IterationStats] = []
-    grid = _CliqueGrid(cs.a, cfg.tau)
+    grid = CliqueGrid(cs.a, cfg.tau)
 
     for iteration in range(1, cfg.max_iters + 1):
         pruned = prune_small(clustering, cfg)

@@ -11,8 +11,9 @@ import io as _io
 import numpy as np
 
 from .bounds import BoundTrial
-from .clustering import Clustering, grid_side
+from .clustering import Clustering
 from .geometry import CorrespondenceSet, RigidTransform, row_norms
+from .grid import grid_side
 from .scenes import LabeledScene, SceneSpec
 
 SCENE_FORMAT_VERSION = 1
@@ -85,7 +86,8 @@ def read_scene(path) -> LabeledScene:
                 if len(fields) != 14:
                     raise ValueError("a POSE line must carry an object id and 12 numbers")
                 try:
-                    object_id, values = int(fields[1]), [float(v) for v in fields[2:]]
+                    object_id = parse_number(fields[1])
+                    values = [parse_number(v, float) for v in fields[2:]]
                     pose = RigidTransform(np.array(values[:9]).reshape(3, 3), np.array(values[9:]))
                 except ValueError as exc:
                     raise ValueError(f"POSE {fields[1]}: {exc}") from None
@@ -144,13 +146,28 @@ def read_scene(path) -> LabeledScene:
 
 
 def _header_value(header: dict[str, str], key: str, kind):
-    """``kind(header[key])``, or None without ``key``; a ValueError names the key."""
+    """``parse_number(header[key], kind)``, or None without ``key``; a ValueError names the key."""
     if key not in header:
         return None
     try:
-        return kind(header[key])
+        return parse_number(header[key], kind)
     except ValueError as exc:
         raise ValueError(f"header key '{key}': {exc}") from None
+
+
+def parse_number(text: str, kind=int):
+    """``kind(text)`` for an int or a float of a scene file or a setting, by
+    one syntax: an int is ASCII decimal digits with an optional leading '-'
+    (int() also reads '+', '_' between digits and other scripts' digits), and
+    a float holds no '_', as in the correspondence lines. Text that ``kind``
+    refuses raises its ValueError; whitespace around is read."""
+    value = kind(text)
+    digits = text.strip().removeprefix("-")
+    if kind is int and not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text.strip()!r} is not decimal digits with an optional leading '-'")
+    if "_" in text:
+        raise ValueError(f"{text.strip()!r} holds '_', which a number may not")
+    return value
 
 
 def _correspondence_table(rows: list[str]) -> np.ndarray:

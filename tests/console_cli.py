@@ -23,6 +23,7 @@ from test_cli import (REFUSALS, _jammed, _refusal_test, scene_file,
                       test_crlf_scene_and_label_files_are_read,
                       test_eval_perfect_permuted_and_degraded, test_run_algorithm_failure_exits_1,
                       test_run_em_noiseless_good_split, test_run_results_match_recorded_bytes,
+                      test_seed_flag_and_setting_record_one_config,
                       test_synth_roundtrip_and_determinism)
 
 MEMORY_LIMIT_KB = 4_000_000  # address space per command

@@ -17,10 +17,11 @@ from multireg.bounds import (dominance_margin, dominance_ratio_threshold,
                              hoeffding_bound, min_cluster_size_threshold,
                              rotation_error_bound, run_consistency_bench,
                              run_noise_ratio_bench, translation_error_bound)
-from multireg.clustering import Clustering, _CliqueGrid, euclidean_cluster, is_connected
+from multireg.clustering import Clustering, euclidean_cluster, is_connected
 from multireg.em import EMConfig, assign, e_step, fit_models, m_step, run_em
 from multireg.geometry import (CorrespondenceSet, geodesic_distance, is_rotation,
                                random_rotation)
+from multireg.grid import CliqueGrid
 from multireg.horn import horn_register
 from multireg.io import read_scene, write_scene
 from multireg.metrics import mask_iou
@@ -195,7 +196,7 @@ def test_criterion_6b_assign_gives_the_m_step_labels(rng):
     cfg = EMConfig(tau=TAU, m_min=10)
     models = fit_models(cs, clustering, cfg)
     expected = m_step(e_step(cs, clustering, models, cfg), clustering, cfg)
-    labels = assign(cs, clustering, models, _CliqueGrid(a, TAU)).labels
+    labels = assign(cs, clustering, models, CliqueGrid(a, TAU)).labels
     np.testing.assert_array_equal(labels, expected.labels)
 
 

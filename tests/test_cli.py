@@ -444,6 +444,32 @@ REFUSALS = {
         "_header_only_scene_to_run": Refusal(
             _RUN, _scene_edit(lambda lines: [line for line in lines if line.startswith("#")]),
             message="error: cannot read {scene}: expected 140 correspondence lines, found 0\n"),
+        # int() reads "+140" as 140 and "0_5" as 5, float() "0_0" as 0.0: a
+        # scene's numbers take the syntax of its label files and correspondence lines
+        "_plus_n_header_to_run": Refusal(
+            _RUN, _header("n", "+140"),
+            message="error: cannot read {scene}: header key 'n': '+140' is not decimal digits "
+                    "with an optional leading '-'\n"),
+        "_plus_m_header_to_eval": Refusal(
+            _EVAL, _header("M", "+2"),
+            message="error: cannot read {scene}: header key 'M': '+2' is not decimal digits "
+                    "with an optional leading '-'\n"),
+        "_underscore_seed_header_to_eval": Refusal(
+            _EVAL, _header("seed", "0_5"),
+            message="error: cannot read {scene}: header key 'seed': '0_5' is not decimal "
+                    "digits with an optional leading '-'\n"),
+        "_underscore_sigma_header_to_run": Refusal(
+            _RUN, _header("sigma", "0_0"),
+            message="error: cannot read {scene}: header key 'sigma': '0_0' holds '_', which a "
+                    "number may not\n"),
+        "_plus_pose_id_to_run": Refusal(
+            _RUN, _pose_1(lambda f: f[:1] + ["+1"] + f[2:]),
+            message="error: cannot read {scene}: POSE +1: '+1' is not decimal digits with an "
+                    "optional leading '-'\n"),
+        "_underscore_pose_value_to_eval": Refusal(
+            _EVAL, _pose_1(lambda f: f[:-1] + ["1_0"]),
+            message="error: cannot read {scene}: POSE 1: '1_0' holds '_', which a number may "
+                    "not\n"),
         # int() reads "1_0" as 10 and "+1" as 1
         "_underscore_label_to_eval": Refusal(
             _EVAL, _first_label("1_0"),
@@ -494,13 +520,20 @@ REFUSALS = {
         "_repeated_pose_to_run": Refusal(_RUN, _scene_edit(_repeated_pose)),
         "_unknown_scene_version_to_run": Refusal(_RUN, _header("version", "7")),
     },
-    # what argparse refuses: one line, not its usage block
+    # a bad command line: one line, not argparse's usage block; the values of
+    # --seed and --algorithm are checked once, by their CONFIG kinds
     "test_bad_command_line_exits_2": {
         "_seed_not_a_number_to_run": Refusal(
-            ["run", "--seed", "abc"], message="error: argument --seed: invalid int value: 'abc'\n"),
+            ["run", "--seed", "abc"],
+            message="error: config key 'seed': invalid literal for int() with base 10: 'abc'\n"),
+        "_plus_seed_flag_to_run": Refusal(
+            ["run", "--seed", "+1"],
+            message="error: config key 'seed': '+1' is not decimal digits with an optional "
+                    "leading '-'\n"),
         "_unknown_algorithm_flag_to_run": Refusal(
             ["run", "--algorithm", "bogus"],
-            message="error: argument --algorithm: invalid choice: 'bogus' "),
+            message="error: config key 'algorithm': expected one of em, sransac, tlinkage, "
+                    "naive-horn-per-cluster, got 'bogus'\n"),
         "_unknown_command": Refusal(
             ["bogus"], message="error: argument command: invalid choice: 'bogus' "),
         "_no_command": Refusal(
@@ -657,8 +690,20 @@ def test_every_setting_is_refused_by_a_row():
     assert settings - refused == set()
 
 
+def test_seed_flag_and_setting_record_one_config(tmp_path):
+    # --seed records its value as given, as --set seed= does: one config_hash
+    records = []
+    for seed in (["--seed", "010"], ["--set", "seed=010"]):
+        out = tmp_path / "b.csv"
+        assert run_cli("bench", "--out", str(out), "--set", "bench.m_values=10",
+                       "--set", "bench.trials=3", *seed) == 0
+        records.append(read_result(f"{out}.summary"))
+    assert records[0] == records[1]
+    assert records[0]["config.seed"] == "010"
+
+
 _SWEEP = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e308", "1e-308", "5e-324", str(_HUGE),
-          "1.5", "abc", "", "1,2", ",", "2"]
+          "1.5", "abc", "", "1,2", ",", "2", "2_0", "+2"]
 # Each key is swept from a small base: the seed (as a --set: the --seed flag
 # would override it) and the scene.* keys through a synth of 2 x 20 points,
 # the bench.* keys through both benches at m = 10 (3 trials) and m = 6000 (2),
@@ -686,35 +731,36 @@ _SWEEP_BASES = {"seed": _SWEEP_SYNTH, "scene": _SWEEP_SYNTH, "bench": _SWEEP_BEN
 # a huge ransac.min_model_inliers (no model is kept) and no T-Linkage
 # hypotheses. Two counts are not swept at 99999999999999999999:
 # ransac.max_trials would draw samples without end and T-Linkage's
-# hypothesis list would grow until memory runs out.
+# hypothesis list would grow until memory runs out. No value may hold '_'
+# (int() and float() read "2_0" as 20), and an int takes no '+' (a float may).
 _SWEEP_CODES = {
-    "seed": [2] * 4 + [0] + [2] * 4 + [0] + [2] * 5 + [0],
-    "scene.num_objects": [2] * 15 + [0],
-    "scene.points_per_object": [2] * 13 + [0, 2, 0],
-    "scene.sigma": [2, 2, 2, 2, 0, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0],
-    "scene.tau": [2] * 16,
-    "scene.bound_b": [2] * 15 + [0],
-    "scene.num_outliers": [2] * 4 + [0] + [2] * 10 + [0],
-    "scene.separation_margin": [2] * 10 + [0, 2, 0, 2, 2, 0],
-    "bench.m_values": [2] * 16,
-    "bench.sigma": [2, 2, 2, 2, 0, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0],
-    "bench.bound_b": [2] * 7 + [0, 0, 0, 0, 2, 2, 2, 2, 0],
-    "bench.delta": [2] * 16,
-    "bench.trials": [2] * 15 + [0],
-    "bench.noise_ratio_m": [2] * 16,
-    "bench.noise_ratio_trials": [2] * 15 + [0],
-    "bench.noise_ratio_delta": [2] * 16,
-    "em.tau": [2, 2, 2, 2, 2, 2, 0, 2, 2, 0, 0, 2, 0, 2, 2, 0],
-    "em.m_min": [2] * 16,
-    "em.max_iters": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 0],
-    "em.sigma_floor": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 2, 2, 2, 2, 0],
-    "init.alpha": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 0],
-    "init.fragments": [2] * 15 + [0],
-    "ransac.inlier_threshold": [2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0],
-    "ransac.max_trials": [2] * 9 + [None] + [2] * 5 + [0],
-    "ransac.min_model_inliers": [2] * 9 + [0] + [2] * 6,
-    "tlinkage.tau_t": [2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0],
-    "tlinkage.num_hypotheses": [2, 2, 2, 2, 0, 2, 2, 2, 2, None, 2, 2, 2, 2, 2, 0],
+    "seed": [2] * 4 + [0] + [2] * 4 + [0] + [2] * 5 + [0, 2, 2],
+    "scene.num_objects": [2] * 15 + [0, 2, 2],
+    "scene.points_per_object": [2] * 13 + [0, 2, 0, 2, 2],
+    "scene.sigma": [2, 2, 2, 2, 0, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0, 2, 0],
+    "scene.tau": [2] * 18,
+    "scene.bound_b": [2] * 15 + [0, 2, 0],
+    "scene.num_outliers": [2] * 4 + [0] + [2] * 10 + [0, 2, 2],
+    "scene.separation_margin": [2] * 10 + [0, 2, 0, 2, 2, 0, 2, 0],
+    "bench.m_values": [2] * 18,
+    "bench.sigma": [2, 2, 2, 2, 0, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0, 2, 0],
+    "bench.bound_b": [2] * 7 + [0, 0, 0, 0, 2, 2, 2, 2, 0, 2, 0],
+    "bench.delta": [2] * 18,
+    "bench.trials": [2] * 15 + [0, 2, 2],
+    "bench.noise_ratio_m": [2] * 18,
+    "bench.noise_ratio_trials": [2] * 15 + [0, 2, 2],
+    "bench.noise_ratio_delta": [2] * 18,
+    "em.tau": [2, 2, 2, 2, 2, 2, 0, 2, 2, 0, 0, 2, 0, 2, 2, 0, 2, 0],
+    "em.m_min": [2] * 18,
+    "em.max_iters": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 0, 2, 2],
+    "em.sigma_floor": [2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 2, 2, 2, 2, 0, 2, 0],
+    "init.alpha": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 0, 2, 0],
+    "init.fragments": [2] * 15 + [0, 2, 2],
+    "ransac.inlier_threshold": [2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 2, 0],
+    "ransac.max_trials": [2] * 9 + [None] + [2] * 5 + [0, 2, 2],
+    "ransac.min_model_inliers": [2] * 9 + [0] + [2] * 8,
+    "tlinkage.tau_t": [2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 2, 0],
+    "tlinkage.num_hypotheses": [2, 2, 2, 2, 0, 2, 2, 2, 2, None, 2, 2, 2, 2, 2, 0, 2, 2],
 }
 
 

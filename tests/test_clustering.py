@@ -9,11 +9,12 @@ from conftest import (brute_force_components, brute_force_connected,
                       brute_force_fragments, check_initial_clustering, compact,
                       distance_to_cluster, heap_growth_to_stall)
 import multireg.em
+import multireg.grid
 from multireg import clustering
-from multireg.clustering import (_BATCH, Clustering, GridError, _CliqueGrid, _expand,
-                                 connected_components, euclidean_cluster,
+from multireg.clustering import (_BATCH, Clustering, connected_components, euclidean_cluster,
                                  fragment_connected_set, is_connected)
 from multireg.geometry import CorrespondenceSet
+from multireg.grid import CliqueGrid, GridError, expand
 from multireg.scenes import SceneSpec, generate_scene
 
 
@@ -146,14 +147,14 @@ def test_connected_components_match_bruteforce(name):
 def test_connected_components_in_small_chunks_match_bruteforce(name, chunk, monkeypatch):
     # the contact test's passes end inside one cell pair: at chunk 1 every row
     # is a pass, at 7 the rows of the chains' two-point cells split across passes
-    monkeypatch.setattr(clustering, "_HOOD_CHUNK", chunk)
+    monkeypatch.setattr(multireg.grid, "HOOD_CHUNK", chunk)
     test_connected_components_match_bruteforce(name)
 
 
 @pytest.mark.parametrize("name", ["far outlier", "negative coordinates", "tau/2 boundaries"])
 def test_pairs_and_hoods_are_the_blocks_of_occupied_cells(name):
     pts, tau = _component_sets()[name]
-    grid = _CliqueGrid(pts, tau)
+    grid = CliqueGrid(pts, tau)
     x, rest = np.divmod(grid.codes, grid.strides[0])
     cells = np.stack([x, *np.divmod(rest, grid.strides[1])], axis=1)
     # ordered pairs of occupied cells at most 2 apart on every axis, each cell
@@ -169,7 +170,7 @@ def test_pairs_and_hoods_are_the_blocks_of_occupied_cells(name):
     # the runs of a batch of points list their hoods one after another, in the
     # order the cached hoods hold them
     probe = np.random.default_rng(len(pts)).integers(0, len(pts), 40)
-    np.testing.assert_array_equal(grid.order[_expand(*grid.hood_runs(probe))],
+    np.testing.assert_array_equal(grid.order[expand(*grid.hood_runs(probe))],
                                   np.concatenate([grid.hood(i) for i in probe.tolist()]))
 
 
@@ -178,7 +179,7 @@ def test_around_is_the_union_of_the_hoods_of_its_cells(name, rng):
     # the cells of every subset's points' hoods, for no cell, one cell, a
     # random third of them and all of them
     pts, tau = _component_sets()[name]
-    grid = _CliqueGrid(pts, tau)
+    grid = CliqueGrid(pts, tau)
     every = np.arange(len(grid.codes))
     for cells in (every[:0], every[:1], every[rng.random(len(every)) < 1 / 3], every):
         expected = np.zeros(len(grid.codes), dtype=bool)
@@ -199,10 +200,10 @@ def test_connected_components_exact_tau_and_coincident_points_connect():
 
 @pytest.fixture
 def contact_calls(monkeypatch):
-    """The number of cell pairs in each call of the exact step ``_settle``,
+    """The number of cell pairs in each call of the exact step ``settle``,
     which connectivity makes only for its contact test."""
-    calls, settle = [], clustering._settle
-    monkeypatch.setattr(clustering, "_settle", lambda grid, runs, p, owner, r, hit, closed:
+    calls, settle = [], clustering.settle
+    monkeypatch.setattr(clustering, "settle", lambda grid, runs, p, owner, r, hit, closed:
                         calls.append(len(hit)) or settle(grid, runs, p, owner, r, hit, closed))
     return calls
 
@@ -275,13 +276,13 @@ def test_grid_refusals_are_grid_errors():
     # apart on every axis make (3n + 2)^3 > 2^63 cells
     pts = np.repeat(np.arange(700_000) * 10.0, 3).reshape(-1, 3)
     with pytest.raises(GridError, match="tau 1 puts the points in too many"):
-        _CliqueGrid(pts, 1.0)
+        CliqueGrid(pts, 1.0)
     with pytest.raises(GridError, match="tau 0 is not positive$"):
-        _CliqueGrid(pts[:2], 0.0)
+        CliqueGrid(pts[:2], 0.0)
     # positive, but coordinates up to 4 are about 8e19 cells of tau/2 out
     with pytest.raises(GridError, match="tau 1e-19 is too small for int64 cells of coordinates "
                                         "up to 4$"):
-        _CliqueGrid(np.array([[4.0, 0.0, 0.0]]), 1e-19)
+        CliqueGrid(np.array([[4.0, 0.0, 0.0]]), 1e-19)
 
 
 def test_tiny_tau_within_int64_matches_bruteforce():
@@ -314,8 +315,8 @@ def test_contact_test_of_two_dense_cells_stays_small(monkeypatch):
     # 9 M point pairs would need about 216 MB of differences in one pass, but
     # each point lies beyond tau of the other clump's box, so no point pair
     # gets the exact test
-    tested, passes = [], clustering._passes
-    monkeypatch.setattr(clustering, "_passes", lambda lengths, chunk:
+    tested, passes = [], multireg.grid.pass_bounds
+    monkeypatch.setattr(multireg.grid, "pass_bounds", lambda lengths, chunk:
                         tested.append(int(np.sum(lengths))) or passes(lengths, chunk))
     rng = np.random.default_rng(4)
     a = rng.uniform(0.0, 0.02, (3000, 3))
@@ -441,14 +442,14 @@ def test_heap_tail_starts_each_queue_with_the_points_within_tau_of_its_fragment(
     # within tau of those (d . d <= tau^2), and the point its cursor missed
     # lies within tau of no point of the fragment; on a line with neighbours
     # exactly tau apart, and on a criterion-4 object
-    queries, confirm = [], clustering._confirm
+    queries, confirm = [], clustering.confirm
 
     def recording(grid, runs, rows, cols, closed=False):
         passes = confirm(grid, runs, rows, cols, closed)
         queries.append((grid.points, grid.tau, rows, cols, passes, closed))
         return passes
 
-    monkeypatch.setattr(clustering, "_confirm", recording)
+    monkeypatch.setattr(clustering, "confirm", recording)
     line = np.zeros((300, 3))
     line[:, 0] = np.arange(300)
     fragment_connected_set(line, 1.0, [200, 100], seed=1)
@@ -500,17 +501,17 @@ def test_near_block_first_scan_matches_whole_hood_scan(growth, monkeypatch):
     hood_hits = [sum(hits) for near, hits in found if not near]
     assert sum(near_misses) == sum(hood_hits) > 200
     # the scan that reads whole hoods for every step grows the same fragments
-    monkeypatch.setattr(_CliqueGrid, "near_runs", property(lambda grid: grid.runs))
+    monkeypatch.setattr(CliqueGrid, "near_runs", property(lambda grid: grid.runs))
     np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, targets, seed=3), labels)
 
 
 def test_near_block_runs_are_the_3x3x3_blocks():
     rng = np.random.default_rng(2)
     pts = np.concatenate([rng.uniform(0, 3, (400, 3)), rng.uniform(10, 11, (50, 3))])
-    grid = _CliqueGrid(pts, 1.0)
-    cells = np.floor(pts / (0.5 * clustering._SIDE_SLACK)).astype(np.int64)
+    grid = CliqueGrid(pts, 1.0)
+    cells = np.floor(pts / (0.5 * multireg.grid._SIDE_SLACK)).astype(np.int64)
     for i in range(0, len(pts), 7):
-        block = grid.order[_expand(*grid.hood_runs(i, grid.near_runs))]
+        block = grid.order[expand(*grid.hood_runs(i, grid.near_runs))]
         within = np.flatnonzero((np.abs(cells - cells[i]) <= 1).all(axis=1))
         np.testing.assert_array_equal(np.sort(block), within)
 
@@ -603,8 +604,8 @@ def test_fragments_of_comb_keep_queries_and_hood_calls_linear(growth, monkeypatc
     # frontier query, and a miss is followed by a pop or ends the attempt,
     # so queries and hood calls stay linear in n; in three fragments every
     # attempt strands points, so all 32 attempts count
-    calls, hood = [], _CliqueGrid.hood
-    monkeypatch.setattr(_CliqueGrid, "hood", lambda grid, i: calls.append(i) or hood(grid, i))
+    calls, hood = [], CliqueGrid.hood
+    monkeypatch.setattr(CliqueGrid, "hood", lambda grid, i: calls.append(i) or hood(grid, i))
     pts = _comb(60, 10)
     n = len(pts)
 
@@ -639,8 +640,8 @@ def test_fragments_of_horseshoe_keep_hood_calls_linear(monkeypatch):
     pts = np.concatenate([np.c_[arm, zeros, zeros],
                           np.c_[np.zeros(6), np.arange(1, 7) * 0.5, np.zeros(6)],
                           np.c_[arm, zeros + 3.5, zeros]])
-    calls, hood = [], _CliqueGrid.hood
-    monkeypatch.setattr(_CliqueGrid, "hood", lambda grid, i: calls.append(i) or hood(grid, i))
+    calls, hood = [], CliqueGrid.hood
+    monkeypatch.setattr(CliqueGrid, "hood", lambda grid, i: calls.append(i) or hood(grid, i))
     for seed in (1, 2):
         calls.clear()
         expected, attempt = brute_force_fragments(pts, tau, [1600, 400], seed=seed)
@@ -652,12 +653,12 @@ def test_fragments_of_horseshoe_keep_hood_calls_linear(monkeypatch):
 @pytest.mark.parametrize("chunk, hood_over_chunk", [(1, True), (300, True), (5000, False)])
 def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, monkeypatch):
     # the scan's distance tests gather whole hoods, and the frontier queries'
-    # _confirm the runs of whole blocks, about chunk points per pass: a row
+    # confirm the runs of whole blocks, about chunk points per pass: a row
     # longer than a chunk makes a pass of its own, and a multiple of the chunk
     # that falls inside a row ends the pass at that row's end
-    monkeypatch.setattr(clustering, "_HOOD_CHUNK", chunk)
+    monkeypatch.setattr(multireg.grid, "HOOD_CHUNK", chunk)
     callers, scan, tail = set(), [], []
-    within_tau, passes = clustering._within_tau, clustering._passes
+    within_tau, passes = clustering._within_tau, multireg.grid.pass_bounds
 
     def chunking(lengths):
         """(a row is longer than a chunk, a multiple of the chunk falls inside a row)"""
@@ -671,14 +672,14 @@ def test_fragments_in_small_hood_chunks_match_oracle(chunk, hood_over_chunk, mon
         return within_tau(grid, probe, *args)
 
     def recording_passes(lengths, size):
-        # _within's group passes, and the point-pair passes of its _settle calls
+        # _within's group passes, and the point-pair passes of its settle calls
         callers = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
         if "_within" in callers and len(lengths):
             tail.append(chunking(lengths))
         return passes(lengths, size)
 
     monkeypatch.setattr(clustering, "_within_tau", recording)
-    monkeypatch.setattr(clustering, "_passes", recording_passes)
+    monkeypatch.setattr(multireg.grid, "pass_bounds", recording_passes)
     # the last split meets a miss whose frontier query spans several chunks
     for seed, targets in ((0, [1334, 333, 333]), (4, [1334, 333, 333]), (0, [1000, 500, 500])):
         scene = generate_scene(SceneSpec(num_objects=1, points_per_object=(2000,), sigma=0.0,
@@ -700,11 +701,11 @@ def test_fragments_with_hoods_over_one_chunk(monkeypatch):
     half = 17000
     pts = np.concatenate([rng.uniform(0, 0.01, (half, 3)),
                           rng.uniform(0, 0.01, (half, 3)) + [0.6, 0.0, 0.0]])
-    assert len(_CliqueGrid(pts, 1.0).hood(0)) > clustering._HOOD_CHUNK
+    assert len(CliqueGrid(pts, 1.0).hood(0)) > multireg.grid.HOOD_CHUNK
     labels = fragment_connected_set(pts, 1.0, [30000, 4000], seed=1)
     assert np.bincount(labels).tolist() == [30000, 4000]
     assert all(is_connected(pts[labels == j], 1.0) for j in range(2))
-    monkeypatch.setattr(clustering, "_HOOD_CHUNK", 1 << 40)  # one pass per test
+    monkeypatch.setattr(multireg.grid, "HOOD_CHUNK", 1 << 40)  # one pass per test
     np.testing.assert_array_equal(fragment_connected_set(pts, 1.0, [30000, 4000], seed=1),
                                   labels)
 

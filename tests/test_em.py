@@ -5,15 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import multireg.clustering
 import multireg.em
+import multireg.grid
 import multireg.horn
 from conftest import dense_log_scores, dense_occupancy, distance_to_cluster, kd_tree_gate
-from multireg.clustering import Clustering, _CliqueGrid, _confirm, _LabelRuns, euclidean_cluster
+from multireg.clustering import Clustering, euclidean_cluster
 from multireg.em import (ClusterModel, EMConfig, NoViableClustersError, _hood_scores,
                          _log_scores, assign, e_step, fit_clusters, fit_models, m_step,
                          prune_small, run_em)
 from multireg.geometry import CorrespondenceSet, RigidTransform, geodesic_distance, random_rotation
+from multireg.grid import CliqueGrid, LabelRuns, confirm
 from multireg.horn import horn_register
 from multireg.metrics import mask_iou
 from multireg.scenes import SceneSpec, generate_scene, make_good_split
@@ -148,16 +149,16 @@ def _grid_gate(points, labels, k, tau):
     per-cluster hood rows and own-cell masks of ``_hood_scores`` settle the
     own-cell and out-of-hood pairs, the exact test the other hood pairs."""
     a = np.asarray(points, dtype=np.float64)
-    grid = _CliqueGrid(a, tau)
+    grid = CliqueGrid(a, tau)
     labels = Clustering(labels, num_clusters=k).labels
-    runs = _LabelRuns(grid, labels)
+    runs = LabelRuns(grid, labels)
     models = [ClusterModel(RigidTransform.identity(), 0.1, 1.0 / k)] * k
     gated = np.zeros((len(a), k), dtype=bool)
     hood = np.zeros((len(a), k), dtype=bool)
     for j, (rows, own, _) in enumerate(_hood_scores(CorrespondenceSet(a, a), models, grid, runs)):
         hood[rows, j], gated[rows, j] = True, own
     rows, cols = np.nonzero(hood & ~gated)
-    gated[rows, cols] = _confirm(grid, runs, rows, cols)
+    gated[rows, cols] = confirm(grid, runs, rows, cols)
     return gated
 
 
@@ -246,10 +247,10 @@ def test_grid_gate_packs_more_clusters_than_one_word_holds(rng):
 
 
 def _confirm_batch(points, labels, rows, cols, tau, closed=False):
-    """``_confirm`` on one batch, its grid and runs built from scratch."""
-    grid = _CliqueGrid(np.asarray(points, dtype=np.float64), tau)
+    """``confirm`` on one batch, its grid and runs built from scratch."""
+    grid = CliqueGrid(np.asarray(points, dtype=np.float64), tau)
     labels = np.asarray(labels, dtype=np.int64)
-    return _confirm(grid, _LabelRuns(grid, labels), np.asarray(rows), np.asarray(cols), closed)
+    return confirm(grid, LabelRuns(grid, labels), np.asarray(rows), np.asarray(cols), closed)
 
 
 def _confirm_oracle(points, labels, rows, cols, tau):
@@ -263,7 +264,7 @@ def test_confirm_matches_kd_tree_gate_on_random_batches(rng, chunk, monkeypatch)
     # ids 1..6 at random over a 2-unit cube, id 7 with no member; every batch
     # asks about every id, some points more than once
     if chunk is not None:  # group and point-pair passes of a few rows each
-        monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", chunk)
+        monkeypatch.setattr(multireg.grid, "HOOD_CHUNK", chunk)
     a = rng.uniform(0.0, 2.0, (1500, 3))
     labels = rng.integers(0, 7, 1500)
     exact = kd_tree_gate(a, labels, 7, TAU)
@@ -327,12 +328,12 @@ def test_confirm_in_a_dense_cell_takes_several_point_pair_passes(rng):
     # more than one pass of members in one cell, one run: the corner member
     # (0.1, 0, 0), the last in index order, is the only one within tau of the
     # first probe; the second probe sees the box within tau but no member
-    n = multireg.clustering._HOOD_CHUNK + 1000
+    n = multireg.grid.HOOD_CHUNK + 1000
     dense = rng.uniform(0.0, 0.05, (n, 3))
     a = np.vstack([dense, [(0.0, 0.1, 0.0), (0.1, 0.0, 0.0), (0.39, 0.0, 0.0),
                            (0.39, 0.1, 0.0)]])
     labels = np.r_[np.ones(n + 2, dtype=np.int64), 0, 0]
-    grid = _CliqueGrid(a, TAU)
+    grid = CliqueGrid(a, TAU)
     assert len(np.unique(grid.cell_of[:n + 2])) == 1
     rows, cols = [n + 2, n + 3], [0, 0]
     expected = _confirm_oracle(a, labels, rows, cols, TAU)
@@ -365,7 +366,7 @@ def test_hood_scores_match_the_dense_scores_bit_for_bit(seed, chunk, monkeypatch
     # the same runs in its exact tests, in passes of ``chunk`` (query, cell)
     # and point pairs, and matches the full-gate argmax
     if chunk is not None:
-        monkeypatch.setattr(multireg.clustering, "_HOOD_CHUNK", chunk)
+        monkeypatch.setattr(multireg.grid, "HOOD_CHUNK", chunk)
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, 2.0, (2500, 3))
     cs = CorrespondenceSet(a, a + rng.normal(0.0, 0.5, a.shape))
@@ -373,12 +374,12 @@ def test_hood_scores_match_the_dense_scores_bit_for_bit(seed, chunk, monkeypatch
     models = [ClusterModel(RigidTransform(random_rotation(rng), rng.uniform(-0.5, 0.5, 3)),
                            float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.001, 0.1)))
               for _ in range(70)]
-    grid = _CliqueGrid(a, TAU)
+    grid = CliqueGrid(a, TAU)
     dense_own, dense_hood = dense_occupancy(grid, labels, 70)
     dense = dense_log_scores(cs, models, dense_hood)
     assert dense_hood.any(axis=0).all() and not dense_hood.all(axis=0).any()
     pairs = 0
-    runs = _LabelRuns(grid, labels)
+    runs = LabelRuns(grid, labels)
     for j, (rows, own, scores) in enumerate(_hood_scores(cs, models, grid, runs)):
         np.testing.assert_array_equal(rows, np.flatnonzero(dense_hood[:, j]))
         np.testing.assert_array_equal(own, dense_own[rows, j])
@@ -406,7 +407,7 @@ def _full_gate_assignment(cs, clustering, models, tau):
 def test_assign_matches_full_gate_argmax_on_fragmented_scenes(seed, tau):
     cs, clustering = _fragmented_scene(seed)
     cfg = EMConfig(tau=tau)
-    grid = _CliqueGrid(cs.a, tau)
+    grid = CliqueGrid(cs.a, tau)
     for _ in range(2):  # the split, then the first reassignment
         clustering = prune_small(clustering, cfg)
         models = fit_models(cs, clustering, cfg)
@@ -428,7 +429,7 @@ def test_assign_breaks_an_exact_tie_toward_the_lower_id():
                   (0.22, 0.02, 0.02)])
     cs = CorrespondenceSet(a, a + 0.05)
     clustering = Clustering([1, 1, 1, 2, 2, 2, 0], num_clusters=2)
-    grid = _CliqueGrid(cs.a, tau)
+    grid = CliqueGrid(cs.a, tau)
     own, hood = dense_occupancy(grid, clustering.labels, 2)
     np.testing.assert_array_equal(own[-1], [False, True])
     assert hood.all()
@@ -443,7 +444,7 @@ def _count_queries(monkeypatch):
     """Record (cluster size, rows queried) for each cluster of every batch
     that ``assign`` gives the exact gate, clusters in id order."""
     queries = []
-    confirm = multireg.em._confirm
+    confirm = multireg.em.confirm
 
     def counting(grid, runs, rows, cols):
         run_sizes = np.diff(runs.starts)
@@ -452,7 +453,7 @@ def _count_queries(monkeypatch):
             queries.append((size, int(np.count_nonzero(cols == j))))
         return confirm(grid, runs, rows, cols)
 
-    monkeypatch.setattr(multireg.em, "_confirm", counting)
+    monkeypatch.setattr(multireg.em, "confirm", counting)
     return queries
 
 
@@ -480,7 +481,7 @@ def _best_first_queries(cs, clustering, models, grid, tau):
 def test_assign_queries_each_row_best_first_until_a_pass(monkeypatch):
     cs, clustering = _fragmented_scene(0)
     cfg = EMConfig(tau=TAU)
-    grid = _CliqueGrid(cs.a, TAU)
+    grid = CliqueGrid(cs.a, TAU)
     queries = _count_queries(monkeypatch)
     for _ in range(2):  # the split, then the first reassignment
         models = fit_models(cs, clustering, cfg)
@@ -508,7 +509,7 @@ def test_assign_tests_equal_candidates_in_id_order(monkeypatch, lower_x, expecte
     a = np.array(probe + one + two)
     cs = CorrespondenceSet(a, a + 0.05)
     clustering = Clustering([0, 1, 1, 1, 2, 2, 2, 2], num_clusters=2)
-    grid = _CliqueGrid(cs.a, tau)
+    grid = CliqueGrid(cs.a, tau)
     own, hood = dense_occupancy(grid, clustering.labels, 2)
     np.testing.assert_array_equal(own[0], [False, False])
     np.testing.assert_array_equal(hood[0], [True, True])
@@ -535,7 +536,7 @@ def test_assign_tests_a_candidate_that_scores_minus_inf(monkeypatch):
     b[0] = 1e200
     cs = CorrespondenceSet(a, b)
     clustering = Clustering([0, 1, 1, 1, 2, 2, 2, 2], num_clusters=2)
-    grid = _CliqueGrid(cs.a, tau)
+    grid = CliqueGrid(cs.a, tau)
     own, hood = dense_occupancy(grid, clustering.labels, 2)
     np.testing.assert_array_equal(hood[0] & ~own[0], [False, True])
     model = ClusterModel(RigidTransform.identity(), 0.1, 0.5)
@@ -567,7 +568,7 @@ def test_assign_row_whose_gated_scores_are_all_minus_inf_keeps_its_label():
     # the probe keeps its label, where an argmax over the gated entries would
     # give it id 1
     cs, clustering, models, tau = _minus_inf_row_scene()
-    grid = _CliqueGrid(cs.a, tau)
+    grid = CliqueGrid(cs.a, tau)
     own, _ = dense_occupancy(grid, clustering.labels, 2)
     assert own.all()
     with np.errstate(over="ignore"):
@@ -600,7 +601,7 @@ def test_assign_candidate_exactly_tau_away_fails():
     a = np.array([(0.0, 0.0, 0.0), (tau, 0.0, 0.0), (0.0, -tau * (1 - 1e-12), 0.0)])
     cs = CorrespondenceSet(a, a)
     clustering = Clustering([1, 0, 0], num_clusters=1)
-    grid = _CliqueGrid(cs.a, tau)
+    grid = CliqueGrid(cs.a, tau)
     own, hood = dense_occupancy(grid, clustering.labels, 1)
     np.testing.assert_array_equal(own[1:], [[False], [False]])
     np.testing.assert_array_equal(hood[1:], [[True], [True]])
@@ -624,7 +625,7 @@ def test_assign_is_immune_to_the_underflow_of_normalised_weights():
     cfg = EMConfig(tau=1.0, m_min=3)
     models = fit_models(cs, initial, cfg)
     np.testing.assert_array_equal(e_step(cs, initial, models, cfg)[-1], [0.0, 0.0])
-    grid = _CliqueGrid(cs.a, cfg.tau)
+    grid = CliqueGrid(cs.a, cfg.tau)
     assert assign(cs, initial, models, grid).labels[-1] == 2
     result = run_em(cs, initial, cfg)
     assert result.converged
@@ -661,7 +662,7 @@ def test_assign_memory_is_linear_in_points_times_clusters():
     cs = CorrespondenceSet(a, a)
     clustering = Clustering(rng.integers(0, k + 1, n), num_clusters=k)
     models = [ClusterModel(RigidTransform.identity(), 0.1, 1.0 / k)] * k
-    grid = _CliqueGrid(cs.a, TAU)
+    grid = CliqueGrid(cs.a, TAU)
     tracemalloc.start()
     try:
         assign(cs, clustering, models, grid)
@@ -818,7 +819,7 @@ def test_run_em_assign_keeps_clusters_pure():
     scene = _scene(num_objects=3, points=(90, 80, 70), sigma=0.002, outliers=20, seed=13)
     clustering = make_good_split(scene, alpha=2.0, fragments_per_object=2, seed=2)
     cfg = EMConfig(tau=scene.spec.tau, m_min=10)
-    grid = _CliqueGrid(scene.correspondences.a, cfg.tau)
+    grid = CliqueGrid(scene.correspondences.a, cfg.tau)
     changed = []
     for _ in range(10):
         pruned = prune_small(clustering, cfg)
