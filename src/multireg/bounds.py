@@ -301,8 +301,8 @@ def run_noise_ratio_bench(m_values, delta, trials, seed):
         ratios = []
         for _ in range(trials):
             rng = np.random.default_rng(next(child_iter))
-            noise = rng.uniform(-1.0, 1.0, size=(m, 3))
-            ratio = estimate_noise_std(noise)
+            # no name holds the sample, so it is freed before the next draw
+            ratio = estimate_noise_std(rng.uniform(-1.0, 1.0, size=(m, 3)))
             ratios.append(ratio)
             if not low <= ratio <= high:
                 violations += 1

@@ -15,9 +15,11 @@ import hashlib
 import math
 import os
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -391,7 +393,43 @@ def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
     return 0
 
 
+def _beside(background, foreground):
+    """``(background(), foreground())``. When both are given, ``background``
+    runs on a daemon worker thread while this thread runs ``foreground``; the
+    worker is joined before anything returns or is raised, and its exception
+    is raised here. A function that is None is not run and gives None."""
+    if background is None or foreground is None:
+        return (None if background is None else background(),
+                None if foreground is None else foreground())
+    result, error = [], []
+
+    def work():
+        try:
+            result.append(background())
+        except BaseException as exc:  # raised again on the calling thread
+            error.append(exc)
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        value = foreground()
+    finally:
+        worker.join()
+    if error:
+        raise error[0]
+    return result[0], value
+
+
 def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
+    """Run the suites ``bench.suite`` names; write the consistency suite's
+    per-trial CSV to ``out`` and every suite's summary to ``out.summary``.
+
+    With ``both``, the noise-ratio suite runs on a worker thread beside the
+    consistency suite: its draws and cumsums are numpy calls that release the
+    GIL. Each suite draws from its own SeedSequence, so the bytes are those of
+    one suite after the other, and peak memory is the sum of the two suites'
+    working sets. Nothing is written until both have finished, so an error in
+    either (an out-of-memory draw, say) leaves no file."""
     out = _get(cfg, "out")
     _check_outputs([out, out + ".summary"], [config_file])
     suite = _get(cfg, "bench.suite")
@@ -415,13 +453,15 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
             )
             check_noise_ratio_bench(**ratio)
 
+    ratio_rows, consistency_out = _beside(
+        ratio and partial(run_noise_ratio_bench, **ratio, seed=seed),
+        consistency and partial(run_consistency_bench, **consistency, seed=seed))
     summaries = []
-    if consistency is not None:
-        trials, rows = run_consistency_bench(**consistency, seed=seed)
+    if consistency_out is not None:
+        trials, rows = consistency_out
         _write(write_bench_csv, trials, out, written)
         summaries += [("consistency", row) for row in rows]
-    if ratio is not None:
-        summaries += [("noise_ratio", row) for row in run_noise_ratio_bench(**ratio, seed=seed)]
+    summaries += [("noise_ratio", row) for row in ratio_rows or ()]
     # one record line per summary field; m is in the prefix, and the ratios
     # of each trial stay out
     for suite, summary in summaries:

@@ -126,11 +126,15 @@ def estimate_noise_std(residuals, sigma_floor: float = SIGMA_FLOOR) -> float:
         raise ValueError("insufficient residuals")
     # Population variance per axis, one column at a time. cumsum adds in row
     # order, as var(axis=0) does, so the bits are the same; var(axis=0) runs
-    # its inner loop over each 3-wide row and is several times slower.
+    # its inner loop over each 3-wide row and is several times slower. Two
+    # n-float buffers hold every intermediate.
     per_axis_var = np.empty(3)
+    sums, deviation = np.empty(n), np.empty(n)
     for k in range(3):
-        deviation = r[:, k] - r[:, k].cumsum()[-1] / n
-        per_axis_var[k] = (deviation * deviation).cumsum()[-1] / n
+        np.cumsum(r[:, k], out=sums)
+        np.subtract(r[:, k], sums[-1] / n, out=deviation)
+        np.multiply(deviation, deviation, out=deviation)
+        per_axis_var[k] = np.cumsum(deviation, out=sums)[-1] / n
     return max(float(np.sqrt(per_axis_var.mean())), sigma_floor)
 
 

@@ -264,6 +264,18 @@ def noise_std_by_var(residuals, sigma_floor=SIGMA_FLOOR):
     return max(float(np.sqrt(r.var(axis=0).mean())), sigma_floor)
 
 
+def noise_std_by_column_sums(residuals, sigma_floor=SIGMA_FLOOR):
+    """``estimate_noise_std`` in its two-expression form, a new array per
+    step, kept as the bit-level oracle of the form that reuses two buffers."""
+    r = np.asarray(residuals, dtype=np.float64).reshape(-1, 3)
+    n = r.shape[0]
+    per_axis_var = np.empty(3)
+    for k in range(3):
+        deviation = r[:, k] - r[:, k].cumsum()[-1] / n
+        per_axis_var[k] = (deviation * deviation).cumsum()[-1] / n
+    return max(float(np.sqrt(per_axis_var.mean())), sigma_floor)
+
+
 def eager_diagnostics(cs, sigma_floor=SIGMA_FLOOR):
     """(sigma_hat, lambda_min) of ``horn_register(cs)`` computed as the fit
     once did on every call, before they became read-on-demand properties."""

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -323,6 +324,12 @@ REFUSALS = {
         # numpy can index 3e17 rows, but no address space holds their 7.2e18 bytes
         "_bench_m_beyond_memory": Refusal(
             [*_BENCH, "--set", "bench.trials=1", "--set", "bench.m_values=300000000000000000"],
+            message="error: out of memory: "),
+        # the consistency suite runs to its end beside the failed draw; the
+        # CSV is written only after both suites, so it is never left behind
+        "_bench_both_noise_ratio_m_beyond_memory": Refusal(
+            [*_BENCH_BOTH, "--set", "bench.m_values=100", "--set", "bench.trials=2",
+             "--set", "bench.noise_ratio_m=300000000000000000"],
             message="error: out of memory: "),
         "_bench_m_values_empty": Refusal(
             [*_BENCH, "--set", "bench.m_values="],
@@ -940,6 +947,50 @@ def test_bench_matches_recorded_bytes(tmp_path, monkeypatch):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}
     assert digests == BENCH_FILES_SHA256
+
+
+_BENCH_SMALL = ["--seed", "5", "--set", "bench.m_values=10,100", "--set", "bench.trials=3",
+                "--set", "bench.noise_ratio_m=6000", "--set", "bench.noise_ratio_trials=4"]
+
+
+def test_bench_both_gives_the_bytes_of_each_suite_alone(tmp_path):
+    # the noise-ratio suite runs on a worker thread beside the consistency
+    # suite: the same CSV bytes, and the same summary lines, as each alone
+    outputs = {}
+    for suite in ("both", "consistency", "noise-ratio"):
+        out = tmp_path / f"{suite}.csv"
+        assert run_cli("bench", "--out", str(out), *_BENCH_SMALL,
+                       "--set", f"bench.suite={suite}") == 0
+        outputs[suite] = (out.read_bytes() if out.exists() else None,
+                          read_result(f"{out}.summary"))
+
+    def lines(summary, prefix):
+        return {key: value for key, value in summary.items() if key.startswith(prefix)}
+
+    both_csv, both = outputs["both"]
+    assert both_csv == outputs["consistency"][0] and outputs["noise-ratio"][0] is None
+    for suite, prefix in (("consistency", "bench.consistency."),
+                          ("noise-ratio", "bench.noise_ratio.")):
+        assert lines(both, prefix) and lines(both, prefix) == lines(outputs[suite][1], prefix)
+
+
+def test_bench_both_leaves_no_thread_running(tmp_path, capsys, monkeypatch):
+    argv = ["bench", "--out", str(tmp_path / "b.csv"), *_BENCH_SMALL, "--set", "bench.suite=both"]
+    threads = threading.active_count()
+    assert cli.main(argv) == 0
+    assert threading.active_count() == threads
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the noise sample")
+
+    monkeypatch.setattr(cli, "run_noise_ratio_bench", out_of_memory)
+    for path in tmp_path.iterdir():
+        path.unlink()
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate the noise sample\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_bound_b_may_reach_the_limit_of_the_horn_sums(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (almost_equal, eager_diagnostics, horn_fit_per_set, noise_std_by_var,
-                      rotation_about_axis)
+from conftest import (almost_equal, eager_diagnostics, horn_fit_per_set,
+                      noise_std_by_column_sums, noise_std_by_var, rotation_about_axis)
 from multireg.geometry import (CorrespondenceSet, RigidTransform, geodesic_distance,
                                is_rotation, random_rotation)
 from multireg import horn
@@ -144,6 +144,20 @@ def test_estimate_noise_std_matches_var_oracle(rng, rows):
         # the oracle's own float() and max(): compare the raw bits too
         assert np.float64(estimate_noise_std(residuals)).tobytes() == \
                np.float64(noise_std_by_var(residuals)).tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 3, 1000, 100_000])
+def test_estimate_noise_std_buffers_match_column_sum_form(rng, rows):
+    # the bench passes a fresh (n, 3) draw and EM a residual array b - R a + t,
+    # both C-ordered, so each column is a stride-24 view; a row-strided view of
+    # a wider array is checked too
+    wide = rng.uniform(-0.3, 0.3, (2 * rows, 5)) + 7.0
+    draw = rng.uniform(-1.0, 1.0, (rows, 3))
+    cs, truth = _random_scene(rng, rows, 0.05)
+    residuals = cs.b - truth.apply(cs.a)
+    for r in (draw, residuals, wide[::2, 1:4]):
+        assert np.float64(estimate_noise_std(r)).tobytes() == \
+               np.float64(noise_std_by_column_sums(r)).tobytes()
 
 
 @pytest.mark.parametrize("m, sigma", [(3, 0.1), (3, 0.0), (50, 0.0), (1000, 0.05),
