@@ -183,6 +183,8 @@ def check_consistency_bench(m_values, sigma, bound_b, delta, trials) -> list[int
     m_values = [int(m) for m in m_values]
     if not m_values or min(m_values) < 3 or max(m_values) > MAX_ROWS:
         raise ValueError(f"bench.m_values must list at least one m, each in 3..{MAX_ROWS}")
+    if len(set(m_values)) < len(m_values):  # each m keys its own summary lines
+        raise ValueError("bench.m_values lists an m twice")
     try:
         _check_common(min(m_values), sigma, bound_b, delta)
     except ValueError as error:  # m passed above, so it names sigma, bound_b or delta
@@ -276,6 +278,8 @@ def check_noise_ratio_bench(m_values, delta, trials) -> list[int]:
     if not m_values or min(m_values) < floor or max(m_values) > MAX_ROWS:
         raise ValueError("bench.noise_ratio_m must list at least one m, each from "
                          f"the interval's validity floor {floor:.0f} to {MAX_ROWS}")
+    if len(set(m_values)) < len(m_values):
+        raise ValueError("bench.noise_ratio_m lists an m twice")
     if not 1 <= trials <= _MAX_SEEDS // len(m_values):
         raise ValueError(f"bench.noise_ratio_trials must lie in 1..{_MAX_SEEDS // len(m_values)}")
     return m_values

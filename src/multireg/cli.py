@@ -15,11 +15,9 @@ import hashlib
 import math
 import os
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +124,7 @@ def _check_outputs(outputs, inputs) -> None:
 def _write(write, value, path, written: list) -> None:
     """``write(value, path)`` as one of a command's writes, which share ``written``.
     On an OSError each regular file the command has opened for writing is
-    removed, so nothing partial is left, and a usage error names the path.
+    removed, so no half-written file is left, and a usage error names the path.
     Files are written in place, never renamed over the target: a device node
     given as an output stays one."""
     # an existing file the command may not write is never opened, so it stays
@@ -393,43 +391,16 @@ def cmd_eval(pred_path: str, scene_path: str, out: str | None) -> int:
     return 0
 
 
-def _beside(background, foreground):
-    """``(background(), foreground())``. When both are given, ``background``
-    runs on a daemon worker thread while this thread runs ``foreground``; the
-    worker is joined before anything returns or is raised, and its exception
-    is raised here. A function that is None is not run and gives None."""
-    if background is None or foreground is None:
-        return (None if background is None else background(),
-                None if foreground is None else foreground())
-    result, error = [], []
-
-    def work():
-        try:
-            result.append(background())
-        except BaseException as exc:  # raised again on the calling thread
-            error.append(exc)
-
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
-    try:
-        value = foreground()
-    finally:
-        worker.join()
-    if error:
-        raise error[0]
-    return result[0], value
-
-
 def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
     """Run the suites ``bench.suite`` names; write the consistency suite's
     per-trial CSV to ``out`` and every suite's summary to ``out.summary``.
 
-    With ``both``, the noise-ratio suite runs on a worker thread beside the
-    consistency suite: its draws and cumsums are numpy calls that release the
-    GIL. Each suite draws from its own SeedSequence, so the bytes are those of
-    one suite after the other, and peak memory is the sum of the two suites'
-    working sets. Nothing is written until both have finished, so an error in
-    either (an out-of-memory draw, say) leaves no file."""
+    Every suite value takes one path through a one-worker executor: the
+    noise-ratio suite, whose draws and cumsums release the GIL, runs on the
+    worker while this thread runs the consistency suite or waits. Each suite
+    draws from its own SeedSequence, so the bytes are those of one suite after
+    the other; with ``both`` peak memory is the sum of their working sets.
+    Nothing is written until both end, so an error in either leaves no file."""
     out = _get(cfg, "out")
     _check_outputs([out, out + ".summary"], [config_file])
     suite = _get(cfg, "bench.suite")
@@ -438,7 +409,7 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
     written: list[str] = []
 
     # Every setting of the suites that run is checked before either samples,
-    # so a bad one exits 2 without work and without a partial file.
+    # so a bad one exits 2 without work and without a half-written file.
     consistency = ratio = None
     with _usage():
         if suite in ("consistency", "both"):
@@ -453,15 +424,19 @@ def cmd_bench(cfg: dict[str, str], config_file: str | None = None) -> int:
             )
             check_noise_ratio_bench(**ratio)
 
-    ratio_rows, consistency_out = _beside(
-        ratio and partial(run_noise_ratio_bench, **ratio, seed=seed),
-        consistency and partial(run_consistency_bench, **consistency, seed=seed))
+    # imported here: it loads logging and queue, which neither numpy nor another command needs
+    from concurrent.futures import ThreadPoolExecutor
+
     summaries = []
-    if consistency_out is not None:
-        trials, rows = consistency_out
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ratio_future = ratio and pool.submit(run_noise_ratio_bench, **ratio, seed=seed)
+        if consistency:
+            trials, rows = run_consistency_bench(**consistency, seed=seed)
+            summaries += [("consistency", row) for row in rows]
+        if ratio:
+            summaries += [("noise_ratio", row) for row in ratio_future.result()]
+    if consistency:
         _write(write_bench_csv, trials, out, written)
-        summaries += [("consistency", row) for row in rows]
-    summaries += [("noise_ratio", row) for row in ratio_rows or ()]
     # one record line per summary field; m is in the prefix, and the ratios
     # of each trial stay out
     for suite, summary in summaries:

@@ -334,6 +334,14 @@ REFUSALS = {
         "_bench_m_values_empty": Refusal(
             [*_BENCH, "--set", "bench.m_values="],
             message="error: config key 'bench.m_values' is required\n"),
+        # each m keys its own summary lines, so a repeat would write them twice
+        "_bench_m_listed_twice": Refusal(
+            [*_BENCH, "--set", "bench.trials=3", "--set", "bench.m_values=100,100"],
+            message="error: bench.m_values lists an m twice\n"),
+        "_bench_noise_ratio_m_listed_twice": Refusal(
+            [*_BENCH, "--set", "bench.suite=noise-ratio", "--set", "bench.noise_ratio_trials=2",
+             "--set", "bench.noise_ratio_m=6000,6000"],
+            message="error: bench.noise_ratio_m lists an m twice\n"),
         "_bench_noise_ratio_m_beyond_numpy": Refusal(
             [*_BENCH, "--set", "bench.suite=noise-ratio",
              "--set", f"bench.noise_ratio_m={_HUGE}"]),
@@ -974,11 +982,17 @@ def test_bench_both_gives_the_bytes_of_each_suite_alone(tmp_path):
         assert lines(both, prefix) and lines(both, prefix) == lines(outputs[suite][1], prefix)
 
 
-def test_bench_both_leaves_no_thread_running(tmp_path, capsys, monkeypatch):
-    argv = ["bench", "--out", str(tmp_path / "b.csv"), *_BENCH_SMALL, "--set", "bench.suite=both"]
+@pytest.mark.parametrize("suite", ["both", "noise-ratio", "consistency"])
+def test_bench_leaves_no_thread_running(suite, tmp_path, capsys, monkeypatch):
+    # every suite value goes through the executor, whose worker is joined
+    # before cmd_bench returns or raises
+    argv = ["bench", "--out", str(tmp_path / "b.csv"), *_BENCH_SMALL,
+            "--set", f"bench.suite={suite}"]
     threads = threading.active_count()
     assert cli.main(argv) == 0
     assert threading.active_count() == threads
+    if suite == "consistency":
+        return
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate the noise sample")
@@ -1021,14 +1035,15 @@ def test_bench_noise_ratio_suite(tmp_path):
 
 
 # Runs the command given as arguments (none: a bare import) in a fresh
-# interpreter, then prints whether scipy (so also scipy.spatial) was loaded.
+# interpreter, then prints whether scipy (so also scipy.spatial) and
+# concurrent.futures were loaded.
 _LOADS_SCRIPT = """import sys
 import multireg
 code = 0
 if sys.argv[1:]:
     from multireg.cli import main
     code = main(sys.argv[1:])
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "concurrent.futures" in sys.modules)
 sys.exit(code)
 """
 
@@ -1051,7 +1066,8 @@ sys.exit(code)
 ], ids=["import", "synth", "eval", "bench", "sransac", "tlinkage", "naive", "em"])
 def test_only_a_k_d_tree_loads_scipy_spatial(tmp_path, scene_file, argv):
     # no command loads scipy, though the test extra installs it: EM's exact
-    # gate runs on the cell grid
+    # gate runs on the cell grid. Only bench loads concurrent.futures, so its
+    # import cost stays out of the setup of synth, run and eval.
     labels = tmp_path / "truth.txt"
     write_clustering(Clustering(read_scene(scene_file).true_labels), labels)
     argv = [arg.format(scene=scene_file, labels=labels) for arg in argv]
@@ -1061,7 +1077,7 @@ def test_only_a_k_d_tree_loads_scipy_spatial(tmp_path, scene_file, argv):
     result = subprocess.run([sys.executable, "-c", _LOADS_SCRIPT, *argv], cwd=tmp_path,
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == f"False {argv[:1] == ['bench']}"
 
 
 # a value unlike the default for every key that sets a field of a config
